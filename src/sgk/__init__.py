@@ -29,7 +29,8 @@ from .gauge import (AdiabaticConnectionField, Connection, CurvatureTensor,
                     default_step, dirac_phase, exact_connection,
                     exact_connection_field, maxwell_residuals,
                     monopole_curvature, monopole_field,
-                    monopole_pseudovector, nonabelian_curvature,
+                    monopole_pseudovector, monopole_pullback,
+                    nonabelian_curvature,
                     phase_line_integral, pseudo_to_tensor,
                     pullback_curvature, regauge, tensor_to_pseudo,
                     wrap_angle)
@@ -70,6 +71,7 @@ __all__ = [
     "effective_em_fields", "exact_connection", "exact_connection_field",
     "integrate", "magnus_ray", "magnus_ray_pair", "maxwell_residuals",
     "monopole_curvature", "monopole_field", "monopole_pseudovector",
+    "monopole_pullback",
     "nonabelian_curvature", "phase_line_integral", "polarization_current",
     "pseudo_to_tensor", "pullback_curvature", "ray_splitting", "regauge",
     "run_battery", "run_ensemble", "smooth_frame_along", "spin_force_terms",

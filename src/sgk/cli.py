@@ -411,7 +411,7 @@ def _scenario_model_parts(scenario):
     if isinstance(scenario, RashbaScenario):
         return scenario.model(), scenario.em(), scenario.curvature_provider(), 2
     if isinstance(scenario, (ZeemanScenario, SpinOrbitScenario)):
-        return scenario.model(), None, None, scenario.d
+        return scenario.model(), None, scenario.curvature_blocks, scenario.d
     raise ValueError("scenario has no Hamiltonian model")
 
 
@@ -419,7 +419,7 @@ def _scenario_model_parts(scenario):
 # Commands
 
 
-def _cmd_run_scenario(config, out_dir, threads, seed):
+def _cmd_run_scenario(config, out_dir, seed):
     ctx = _Ctx()
     obj = _obj(ctx, "config", config, required=("scenario", "initial"),
                optional=("band", "helicity", "integrator", "em"))
@@ -458,6 +458,11 @@ def _cmd_run_scenario(config, out_dir, threads, seed):
             ctx.err("config.helicity", "only the optical scenario takes helicity")
         helicity = None
         band = _int(ctx, "config.band", obj.get("band", 1), choices=(0, 1))
+    if integ is not None:
+        if optical and integ.t_end <= 0:
+            ctx.err("config.integrator.t_end", "must be positive for optical rays")
+        elif not optical and t0 is not None and t0 >= integ.t_end:
+            ctx.err("config.initial.t", "must be less than config.integrator.t_end")
     ctx.raise_if_any()
 
     labels = axis_labels(d)
@@ -503,7 +508,7 @@ def _cmd_run_scenario(config, out_dir, threads, seed):
     return 0
 
 
-def _cmd_curvature_map(config, out_dir, threads, seed):
+def _cmd_curvature_map(config, out_dir, seed):
     ctx = _Ctx()
     obj = _obj(ctx, "config", config, required=("scenario", "grid"),
                optional=("base", "method", "richardson"))
@@ -586,7 +591,7 @@ def _range_spec(ctx, path, val):
     return (lo, hi, n)
 
 
-def _cmd_chern_charge(config, out_dir, threads, seed):
+def _cmd_chern_charge(config, out_dir, seed):
     ctx = _Ctx()
     obj = _obj(ctx, "config", config, required=("source",),
                optional=("center", "radius", "nodes"))
@@ -646,7 +651,7 @@ def _cmd_chern_charge(config, out_dir, threads, seed):
     return 0
 
 
-def _cmd_ensemble(config, out_dir, threads, seed):
+def _cmd_ensemble(config, out_dir, seed):
     ctx = _Ctx()
     obj = _obj(ctx, "config", config, required=("scenario", "ensemble"),
                optional=("integrator", "transverse_axis", "fractions", "seed"))
@@ -691,18 +696,18 @@ def _cmd_ensemble(config, out_dir, threads, seed):
 
     use_seed = seed if seed is not None else cfg_seed
     if optical:
-        spec = EnsembleSpec(count=count, config=integ, p_center=pc,
-                            r_center=rc, p_spread=ps, r_spread=rs, t0=t0,
-                            seed=use_seed, sampler=sampler,
-                            transverse_axis=axis, optical=scenario)
+        parts = dict(optical=scenario)
     else:
         model, em, curv, _ = _scenario_model_parts(scenario)
+        parts = dict(model=model, em=em, curvature=curv)
+    try:
         spec = EnsembleSpec(count=count, config=integ, p_center=pc,
                             r_center=rc, p_spread=ps, r_spread=rs, t0=t0,
                             seed=use_seed, sampler=sampler,
-                            transverse_axis=axis, model=model, em=em,
-                            curvature=curv)
-    report = run_ensemble(spec, threads=threads)
+                            transverse_axis=axis, **parts)
+    except ValueError as exc:
+        raise SchemaError([f"config.ensemble: {exc}"]) from exc
+    report = run_ensemble(spec)
     rec = {
         "format": "sgk.ensemble.v1",
         "seed": use_seed,
@@ -724,7 +729,7 @@ def _cmd_ensemble(config, out_dir, threads, seed):
     return 0
 
 
-def _cmd_verify(config, out_dir, threads, seed):
+def _cmd_verify(config, out_dir, seed):
     ctx = _Ctx()
     _obj(ctx, "config", config, optional=())
     ctx.raise_if_any()
@@ -765,7 +770,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for ensembles (default: cores)")
+                        help="accepted for compatibility; has no effect, "
+                             "ensembles run serially")
     parser.add_argument("--seed", type=int, default=None,
                         help="overrides the config seed")
     args = parser.parse_args(argv)
@@ -784,7 +790,7 @@ def main(argv=None) -> int:
             raise SchemaError(["--seed: must be nonnegative"])
         os.makedirs(args.out, exist_ok=True)
         handler = _HANDLERS[args.command]
-        return handler(config, args.out, args.threads, args.seed)
+        return handler(config, args.out, args.seed)
     except SchemaError as exc:
         for v in exc.violations:
             sys.stderr.write(f"config error: {v}\n")

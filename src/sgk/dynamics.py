@@ -25,19 +25,23 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (DegeneracyError, SingularityError, SingularSystemError,
+from .errors import (DegeneracyError, NumericalError, SingularSystemError,
                      SpinForceWarning, StepError)
-from .fields import UniformField, VectorField, as_field
+from .fields import UniformField, VectorField, _promote, as_field
 from .gauge import (adiabatic_curvature_numeric, curvature_m_space,
-                    default_step, exact_connection, tensor_to_pseudo)
+                    default_step, exact_connection, monopole_pullback,
+                    tensor_to_pseudo)
 from .models import Constants, HamiltonianModel
-from .phase_space import PhasePoint
+from .phase_space import PhasePoint, central_difference
 from .spectral import DEGENERACY_RTOL, aligned_frame, diagonalize
 
 # Spin force larger than this fraction of the zeroth-order force triggers
 # a SpinForceWarning (the underlying expansion is no longer perturbative).
 SPIN_FORCE_WARN_RATIO = 0.5
 _COND_LIMIT = 1e12
+# A last step at most this fraction longer than the step size is stretched
+# to land on t_end, instead of leaving a rounding-error sliver behind it.
+_LAST_STEP_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -172,32 +176,31 @@ def band_gradients(model: HamiltonianModel, band: int, m: PhasePoint,
     """(E, gradient of E over all flat axes) for one band.
 
     Split-form models use the closed-form energies H0 -+ hbar|H1| (with the
-    same degeneracy guard as the eigensolver); other models differentiate
-    tracked eigenvalues.
+    same degeneracy guard as the eigensolver, from one H0 and H1 evaluation
+    at m); other models differentiate tracked eigenvalues.
     """
     h = step if step is not None else default_step(m)
     if h <= 0 or not np.isfinite(h):
         raise StepError(f"gradient step must be positive, got {h}")
-    D = m.n_axes
-    g = np.empty(D)
     if model.split is not None:
-        gap = model.band_gap(m)
-        scale = model.matrix_scale(m)
+        h0 = float(model.split.h0(m))
+        nb = model.constants.hbar * float(np.linalg.norm(model.split.h1_vector(m)))
+        gap = 2.0 * nb
+        scale = max(1.0, abs(h0) + nb)
         if gap < DEGENERACY_RTOL * scale:
             raise DegeneracyError(
                 f"band gap {gap:.3e} below tolerance {DEGENERACY_RTOL * scale:.3e}")
-        E0 = model.band_energy(m, band)
-        for k in range(D):
-            g[k] = (model.band_energy(m.shifted(k, +h), band)
-                    - model.band_energy(m.shifted(k, -h), band)) / (2.0 * h)
+        E0 = h0 - nb if band == 0 else h0 + nb
+        g = central_difference(
+            lambda v: model.band_energy(PhasePoint.from_vector(v, m.d), band),
+            m.as_vector(), h)
         return E0, g
     center = diagonalize(model, m)
-    E0 = float(center.energies[band])
-    for k in range(D):
-        ep = aligned_frame(model, m.shifted(k, +h), center).energies[band]
-        em_ = aligned_frame(model, m.shifted(k, -h), center).energies[band]
-        g[k] = (ep - em_) / (2.0 * h)
-    return E0, g
+    g = central_difference(
+        lambda v: aligned_frame(model, PhasePoint.from_vector(v, m.d),
+                                center).energies[band],
+        m.as_vector(), h)
+    return float(center.energies[band]), g
 
 
 def default_curvature_provider(model: HamiltonianModel) -> Callable:
@@ -242,8 +245,13 @@ def velocity_field(model: HamiltonianModel, band: int, m: PhasePoint,
     terms. A SpinForceWarning is emitted when the gauge force is not small
     against the zeroth-order forces.
     """
+    _, g = band_gradients(model, band, m, step=fd_step)
+    return _velocity(model, band, m, g, em, curvature, mode, spin_force, warn)
+
+
+def _velocity(model, band, m, g, em, curvature, mode, spin_force, warn):
+    """velocity_field from the band's energy gradient g over the flat axes."""
     d = m.d
-    E0, g = band_gradients(model, band, m, step=fd_step)
     gp, gr = g[:d], g[d:2 * d]
     cst = model.constants
     E3 = np.zeros(3)
@@ -302,7 +310,7 @@ def velocity_field(model: HamiltonianModel, band: int, m: PhasePoint,
             warnings.warn(
                 "spin gauge force is not small against the zeroth-order "
                 "forces; the adiabatic velocity expansion is marginal here",
-                SpinForceWarning, stacklevel=2)
+                SpinForceWarning, stacklevel=3)
     return pdot, rdot
 
 
@@ -318,15 +326,20 @@ def adiabaticity_epsilon(model: HamiltonianModel, band: int, m: PhasePoint,
     delta_p defaulting to gap / |grad_p E|. Values near 1 mean band
     transitions are not suppressed.
     """
+    _, g = band_gradients(model, band, m, step=fd_step)
+    if mdot is None:
+        mdot = np.zeros(m.n_axes)
+        mdot[-1] = 1.0
+    return _epsilon(model, m, g, mdot, delta_p)
+
+
+def _epsilon(model, m, g, mdot, delta_p) -> float:
+    """adiabaticity_epsilon from the band's energy gradient g."""
     d = m.d
-    E0, g = band_gradients(model, band, m, step=fd_step)
     if model.split is not None:
         gap = model.band_gap(m)
     else:
         gap = diagonalize(model, m).gap
-    if mdot is None:
-        mdot = np.zeros(m.n_axes)
-        mdot[-1] = 1.0
     mdot = np.asarray(mdot, dtype=float)
     hbar = model.constants.hbar
     dEdt = float(g @ mdot)
@@ -359,12 +372,11 @@ class _PointEval:
 
 def _eval_point(model, band, m, em, config, curvature,
                 warn: bool = True) -> _PointEval:
-    v_p, v_r = velocity_field(model, band, m, em, curvature=curvature,
-                              mode=config.mode, spin_force=config.spin_force,
-                              warn=warn)
+    E0, g = band_gradients(model, band, m)
+    v_p, v_r = _velocity(model, band, m, g, em, curvature, config.mode,
+                         config.spin_force, warn)
     mdot = np.concatenate([v_p, v_r, [1.0]])
-    eps = adiabaticity_epsilon(model, band, m, mdot, delta_p=config.delta_p)
-    E0, _ = band_gradients(model, band, m)
+    eps = _epsilon(model, m, g, mdot, config.delta_p)
     hbar = model.constants.hbar
     a_diag = None
     berry_rate = 0.0
@@ -411,10 +423,12 @@ def integrate(model: HamiltonianModel, band: int, initial: PhasePoint,
               curvature: Callable = None) -> Trajectory:
     """Integrate one band's trajectory from the initial phase-space point.
 
-    Time advances uniformly (the final step is shortened to land exactly on
-    t_end). Geometric and dynamic phases accumulate by the trapezoid rule
-    over accepted states. Errors raised by the velocity evaluation are
-    re-raised with the step index attached.
+    Time advances uniformly (the final step is shortened, or stretched by
+    at most a relative 1e-6, to land exactly on t_end). Geometric and
+    dynamic phases accumulate by the trapezoid rule over accepted states.
+    Errors raised by the velocity evaluation are re-raised with the step
+    index attached; overflow and a state that is no longer finite become a
+    NumericalError at the step where they occur.
     """
     d = initial.d
     t0 = initial.t
@@ -422,76 +436,77 @@ def integrate(model: HamiltonianModel, band: int, initial: PhasePoint,
     if duration <= 0:
         raise ValueError("t_end must exceed the initial time")
 
+    def point(s, y) -> PhasePoint:
+        if not np.all(np.isfinite(y)):
+            raise NumericalError("phase-space state is no longer finite")
+        return PhasePoint(y[:d], y[d:], t0 + s)
+
     def rhs(s, y):
-        m = PhasePoint(y[:d], y[d:], t0 + s)
         # warn only at the initial evaluation, not once per RK stage
-        v_p, v_r = velocity_field(model, band, m, em, curvature=curvature,
-                                  mode=config.mode, spin_force=config.spin_force,
-                                  warn=False)
+        v_p, v_r = velocity_field(model, band, point(s, y), em,
+                                  curvature=curvature, mode=config.mode,
+                                  spin_force=config.spin_force, warn=False)
         return np.concatenate([v_p, v_r])
 
     def eval_at(s, y, warn: bool = False) -> _PointEval:
-        m = PhasePoint(y[:d], y[d:], t0 + s)
-        return _eval_point(model, band, m, em, config, curvature, warn=warn)
+        return _eval_point(model, band, point(s, y), em, config, curvature,
+                           warn=warn)
 
     y = np.concatenate([initial.p, initial.r])
     s = 0.0
-    try:
-        ev = eval_at(s, y, warn=True)
-    except Exception as exc:
-        _attach_step(exc, 0)
-        raise
     berry = 0.0
     dynamic = 0.0
     hbar = model.constants.hbar
-    states = [_make_state(initial, band, ev, berry, dynamic, hbar)]
-    if ev.epsilon > config.epsilon_abort:
-        return Trajectory(states=states, status="adiabaticity_breach", band=band)
-
     status = "max_steps"
     h = config.step
     steps = 0
-    while steps < config.max_steps:
-        steps += 1
-        h_try = min(h, duration - s)
-        try:
+    try:
+        ev = eval_at(s, y, warn=True)
+        states = [_make_state(initial, band, ev, berry, dynamic, hbar)]
+        if ev.epsilon > config.epsilon_abort:
+            return Trajectory(states=states, status="adiabaticity_breach",
+                              band=band)
+        while steps < config.max_steps:
+            steps += 1
+            remaining = duration - s
+            last = remaining <= h * (1.0 + _LAST_STEP_SLACK)
+            h_try = remaining if last else h
             if config.method == "rk4":
                 y_new, s_new = _rk4_step(rhs, s, y, h_try, ev)
-                accepted = True
             else:
                 y_new, s_new, h, accepted = _rkf45_step(rhs, s, y, h_try, ev,
                                                         config.tolerance)
-        except Exception as exc:
-            _attach_step(exc, steps)
-            raise
-        if not accepted:
-            continue
-        try:
+                if not accepted:
+                    continue
             ev_new = eval_at(s_new, y_new)
-        except Exception as exc:
-            _attach_step(exc, steps)
-            raise
-        dt = s_new - s
-        berry += 0.5 * dt * (ev.berry_rate + ev_new.berry_rate)
-        dynamic += 0.5 * dt * (ev.dynamic_rate + ev_new.dynamic_rate)
-        s, y, ev = s_new, y_new, ev_new
-        m_new = PhasePoint(y[:d], y[d:], t0 + s)
-        states.append(_make_state(m_new, band, ev, berry, dynamic, hbar))
-        if ev.epsilon > config.epsilon_abort:
-            status = "adiabaticity_breach"
-            break
-        if s >= duration - 1e-15 * max(1.0, abs(duration)):
-            status = "completed"
-            break
+            dt = s_new - s
+            berry += 0.5 * dt * (ev.berry_rate + ev_new.berry_rate)
+            dynamic += 0.5 * dt * (ev.dynamic_rate + ev_new.dynamic_rate)
+            s, y, ev = s_new, y_new, ev_new
+            states.append(_make_state(point(s, y), band, ev, berry, dynamic,
+                                      hbar))
+            if ev.epsilon > config.epsilon_abort:
+                status = "adiabaticity_breach"
+                break
+            if last:
+                status = "completed"
+                break
+    except (OverflowError, FloatingPointError) as exc:
+        err = NumericalError(*exc.args)
+        _attach_step(err, steps)
+        raise err from exc
+    except Exception as exc:
+        _attach_step(exc, steps)
+        raise
     return Trajectory(states=states, status=status, band=band)
 
 
 def _attach_step(exc: Exception, step_index: int) -> None:
+    """Prefix the step index to the message, whatever the exception's args."""
     note = f"integration step {step_index}"
-    if exc.args and isinstance(exc.args[0], str):
-        exc.args = (f"{note}: {exc.args[0]}",) + exc.args[1:]
-    else:
-        exc.args = (note,) + exc.args
+    if exc.args:
+        note += ": " + ", ".join(str(a) for a in exc.args)
+    exc.args = (note,)
 
 
 def _rk4_step(rhs, s, y, h, ev: _PointEval):
@@ -576,24 +591,14 @@ def effective_em_fields(b_field, r, t: float = 0.0,
     """
     cst = constants or Constants()
     bf = as_field(b_field)
-    b = cst.chi * bf.value(r, t)
-    nb = float(np.linalg.norm(b))
-    if nb == 0.0:
-        raise SingularityError("effective fields are singular where B = 0")
-    Jr = cst.chi * bf.d_dr(r, t)  # columns: d(chi B)/dr_j
-    Jt = cst.chi * bf.d_dt(r, t)
-    b_spin = np.empty((2, 3))
-    e_spin = np.empty((2, 3))
-    for bidx, S in enumerate((-0.5, +0.5)):
-        Frr = np.zeros((3, 3))
-        for i in range(3):
-            for j in range(i + 1, 3):
-                Frr[i, j] = -S * float(b @ np.cross(Jr[:, i], Jr[:, j])) / nb**3
-                Frr[j, i] = -Frr[i, j]
-        Frt = np.array([-S * float(b @ np.cross(Jr[:, i], Jt)) / nb**3
-                        for i in range(3)])
-        b_spin[bidx] = (cst.hbar * cst.c / cst.e) * tensor_to_pseudo(Frr)
-        e_spin[bidx] = (cst.hbar / cst.e) * Frt
+    J = np.zeros((3, 7))  # no momentum dependence: the p columns stay zero
+    J[:, 3:6] = cst.chi * bf.d_dr(r, t)
+    J[:, 6] = cst.chi * bf.d_dt(r, t)
     B_ext = bf.value(r, t)
+    ct = monopole_pullback(cst.chi * B_ext, J, (-0.5, +0.5),
+                           PhasePoint(np.zeros(3), _promote(r), t))
+    b_spin = (cst.hbar * cst.c / cst.e) * np.stack(
+        [tensor_to_pseudo(F) for F in ct.f_rr()])
+    e_spin = (cst.hbar / cst.e) * ct.f_rt()
     return EffectiveFields(b_eff=B_ext[None, :] + b_spin,
                            e_eff=e_spin.copy(), b_spin=b_spin, e_spin=e_spin)

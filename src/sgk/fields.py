@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .phase_space import central_difference
+
 
 def _promote(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
@@ -179,13 +181,8 @@ class CallableField(VectorField):
         return _promote(self.fn(_promote(r), t))
 
     def d_dr(self, r, t):
-        r = _promote(r)
-        J = np.empty((3, 3))
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = self.step
-            J[:, j] = (self.value(r + e, t) - self.value(r - e, t)) / (2 * self.step)
-        return J
+        return central_difference(lambda x: self.value(x, t), _promote(r),
+                                  self.step).T
 
     def d_dt(self, r, t):
         return (self.value(r, t + self.step) - self.value(r, t - self.step)) / (2 * self.step)

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (NumericalError, QuadratureError, SingularityError,
                      StepError)
 from .models import HamiltonianModel
-from .phase_space import PhasePoint, axis_labels
+from .phase_space import PhasePoint, central_difference
 from .spectral import EigenFrame, aligned_frame, diagonalize, smooth_frame_along
 
 # Default finite-difference step: DEFAULT_STEP_SCALE * max(1, |m|).
@@ -287,15 +287,15 @@ def nonabelian_curvature(connection_field, m: PhasePoint, step: float = None,
     if c0.kind != "exact":
         raise ValueError("nonabelian_curvature needs an exact connection field")
     D, n = c0.n_axes, c0.n_bands
-    plus = [connection_field(m.shifted(k, +h)).components for k in range(D)]
-    minus = [connection_field(m.shifted(k, -h)).components for k in range(D)]
+    # dA[i, j] = d_i A_j
+    dA = central_difference(
+        lambda v: connection_field(PhasePoint.from_vector(v, m.d)).components,
+        m.as_vector(), h)
     mats = np.zeros((D, D, n, n), dtype=complex)
     A = c0.components
     for i in range(D):
-        dA_i = (plus[i] - minus[i]) / (2.0 * h)  # (D, n, n): d_i of every component
         for j in range(i + 1, D):
-            dA_j = (plus[j] - minus[j]) / (2.0 * h)
-            F = dA_i[j] - dA_j[i]
+            F = dA[i, j] - dA[j, i]
             if include_commutator:
                 F = F - 1j * (A[i] @ A[j] - A[j] @ A[i])
             mats[i, j] = F
@@ -351,8 +351,8 @@ def curvature_m_space(model: HamiltonianModel, m: PhasePoint,
 
     F_ij(band) = -S_band H1 . (dH1/dm_i x dH1/dm_j) / |H1|^3, the pullback
     of the coupling-space monopole along m -> H1(m). The H1 Jacobian is
-    taken by central differences (exact for affine couplings). Bands with
-    opposite spin charge get exactly opposite tensors.
+    taken by central differences (exact for affine couplings), so this
+    stays an oracle independent of the scenarios' analytic Jacobians.
     """
     if model.split is None:
         raise ValueError("curvature_m_space needs a split-form model")
@@ -363,21 +363,28 @@ def curvature_m_space(model: HamiltonianModel, m: PhasePoint,
         if abs(2.0 * s - round(2.0 * s)) > 1e-9:
             raise ValueError(f"spin charge must be integer or half-integer, got {s}")
     h = _check_step(step if step is not None else default_step(m))
-    b = model.split.h1_vector(m)
+    J = central_difference(
+        lambda v: model.split.h1_vector(PhasePoint.from_vector(v, m.d)),
+        m.as_vector(), h).T
+    return monopole_pullback(model.split.h1_vector(m), J, charges, m)
+
+
+def monopole_pullback(b: np.ndarray, J: np.ndarray, charges: Sequence[float],
+                      point: PhasePoint) -> CurvatureTensor:
+    """Coupling-space monopole pulled back along m -> b(m), one band per charge.
+
+    F_ij = -S b . (J_i x J_j) / |b|^3 with J[:, k] = db/dm_k over the flat
+    axes of point. X_ij = (b x J_i) . J_j / |b|^3 is formed once and each
+    band is -S X, so bands of opposite charge get exactly opposite tensors.
+    """
+    b = np.asarray(b, dtype=float)
+    J = np.asarray(J, dtype=float)
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
-        raise SingularityError("curvature is singular where |H1| = 0")
-    D = m.n_axes
-    J = np.empty((3, D))
-    for k in range(D):
-        J[:, k] = (model.split.h1_vector(m.shifted(k, +h))
-                   - model.split.h1_vector(m.shifted(k, -h))) / (2.0 * h)
-    X = np.zeros((D, D))
-    for i in range(D):
-        for j in range(i + 1, D):
-            X[i, j] = float(b @ np.cross(J[:, i], J[:, j])) / nb**3
+        raise SingularityError("curvature is singular where the coupling vanishes")
+    X = np.cross(b, J.T) @ J / nb**3
     F = np.stack([-s * X for s in charges])
-    return CurvatureTensor(d=m.d, labels=m.labels, F=F, point=m)
+    return CurvatureTensor(d=point.d, labels=point.labels, F=F, point=point)
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +427,7 @@ def pullback_curvature(map_fn: Callable, F_b: Callable, jacobian: Callable = Non
         if jacobian is not None:
             J = np.asarray(jacobian(a), dtype=float)
         else:
-            K_a = a.shape[0]
-            J = np.empty((b.shape[0], K_a))
-            for i in range(K_a):
-                e = np.zeros(K_a)
-                e[i] = step
-                J[:, i] = (np.asarray(map_fn(a + e), dtype=float)
-                           - np.asarray(map_fn(a - e), dtype=float)) / (2.0 * step)
+            J = central_difference(map_fn, a, step).T
         Fb = np.asarray(F_b(b), dtype=float)
         return J.T @ Fb @ J
 
@@ -546,20 +547,11 @@ def maxwell_residuals(field, points, step: float = None,
     div = np.empty((len(pts), K))
     cyc = np.empty((len(pts), len(triples)))
 
-    def derivs(x, h):
-        dF = np.empty((K, K, K))
-        for a in range(K):
-            e = np.zeros(K)
-            e[a] = h
-            dF[a] = (np.asarray(field(x + e), dtype=float)
-                     - np.asarray(field(x - e), dtype=float)) / (2.0 * h)
-        return dF
-
     for p_idx, x in enumerate(pts):
         h = _check_step(step if step is not None else default_step(x))
-        dF = derivs(x, h)
+        dF = central_difference(field, x, h)
         if richardson:
-            dF = (4.0 * derivs(x, 0.5 * h) - dF) / 3.0
+            dF = (4.0 * central_difference(field, x, 0.5 * h) - dF) / 3.0
         div[p_idx] = np.einsum("jij->i", dF)
         for q, (i, j, k) in enumerate(triples):
             cyc[p_idx, q] = dF[k, i, j] + dF[i, j, k] + dF[j, k, i]
@@ -576,17 +568,6 @@ def regauge(connection, phase_field, step: float = 1e-5):
     unchanged by construction.
     """
     h = _check_step(step)
-
-    def grad_phase(v):
-        K = v.shape[0]
-        g = np.empty((K, np.asarray(phase_field(v)).shape[0]))
-        for k in range(K):
-            e = np.zeros(K)
-            e[k] = h
-            g[k] = (np.asarray(phase_field(v + e), dtype=float)
-                    - np.asarray(phase_field(v - e), dtype=float)) / (2.0 * h)
-        return g
-
     if isinstance(connection, Connection):
         if connection.kind != "adiabatic":
             raise ValueError("regauge acts on adiabatic connections")
@@ -594,11 +575,13 @@ def regauge(connection, phase_field, step: float = 1e-5):
             raise ValueError("connection must carry its evaluation point")
         v = connection.point.as_vector()
         return Connection(labels=connection.labels, kind="adiabatic",
-                          components=connection.components - grad_phase(v),
+                          components=connection.components
+                          - central_difference(phase_field, v, h),
                           point=connection.point)
     if callable(connection):
-        return lambda v: np.asarray(connection(np.asarray(v, dtype=float)),
-                                    dtype=float) - grad_phase(np.asarray(v, dtype=float))
+        return lambda v: (np.asarray(connection(np.asarray(v, dtype=float)),
+                                     dtype=float)
+                          - central_difference(phase_field, v, h))
     raise TypeError("connection must be a Connection or a field callable")
 
 
@@ -610,15 +593,8 @@ def curvature_of_abelian_field(field, x, step: float = None) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     h = _check_step(step if step is not None else default_step(x))
-    K = x.shape[0]
-    a0 = np.asarray(field(x), dtype=float)
-    dA = np.empty((K,) + a0.shape)
-    for k in range(K):
-        e = np.zeros(K)
-        e[k] = h
-        dA[k] = (np.asarray(field(x + e), dtype=float)
-                 - np.asarray(field(x - e), dtype=float)) / (2.0 * h)
-    if a0.ndim == 1:
+    dA = central_difference(field, x, h)
+    if dA.ndim == 2:
         return dA - dA.T  # F[i, j] = d_i A_j - d_j A_i
     # multi-band: dA[k, i, b]; F[b, i, j] = dA[i, j, b] - dA[j, i, b]
     return np.transpose(dA, (2, 0, 1)) - np.transpose(dA, (2, 1, 0))

@@ -13,7 +13,7 @@ closed form in terms of H1 and its first derivatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,7 +46,6 @@ class Constants:
     chi: float = 1.0
     rho: float = 1.0
     m_star: float = 1.0
-    k0: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -115,9 +114,6 @@ class HamiltonianModel:
         return HamiltonianModel(n=2, evaluate_raw=_eval, split=split,
                                 constants=constants, spin_charges=spin_charges)
 
-    def with_constants(self, **kw) -> "HamiltonianModel":
-        return replace(self, constants=replace(self.constants, **kw))
-
     # Split-form shortcuts used by the dynamics hot path. They agree with
     # the eigensolver to roundoff (checked in tests).
 
@@ -133,10 +129,3 @@ class HamiltonianModel:
             raise ValueError("band_gap shortcut needs a split form")
         return 2.0 * self.constants.hbar * float(
             np.linalg.norm(self.split.h1_vector(m)))
-
-    def matrix_scale(self, m: PhasePoint) -> float:
-        """max(1, |H0| + hbar |H1|): degeneracy-tolerance scale, split path."""
-        if self.split is None:
-            raise ValueError("matrix_scale shortcut needs a split form")
-        return max(1.0, abs(float(self.split.h0(m)))
-                   + self.constants.hbar * float(np.linalg.norm(self.split.h1_vector(m))))

@@ -8,9 +8,26 @@ into this layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+
+def central_difference(f, x, h: float) -> np.ndarray:
+    """Central differences (f(x + h e_k) - f(x - h e_k)) / 2h along every axis.
+
+    x is a flat coordinate vector and f maps such vectors to real or complex
+    arrays of one fixed shape; the result stacks the K derivatives on a new
+    leading axis. A unit shift adds 0.0 to the other coordinates, so a
+    shifted vector has the same bits as the matching PhasePoint.shifted point.
+    """
+    x = np.asarray(x, dtype=float)
+    out = []
+    for k in range(x.shape[0]):
+        e = np.zeros(x.shape[0])
+        e[k] = h
+        out.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * h))
+    return np.stack(out)
 
 
 def axis_labels(d: int) -> tuple[str, ...]:

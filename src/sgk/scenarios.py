@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (ConstraintDriftWarning, GaugePatchError, SingularityError,
                      StepError)
 from .fields import IndexField, LinearField, VectorField, as_field
-from .gauge import CurvatureTensor, monopole_pseudovector
+from .gauge import CurvatureTensor, monopole_pseudovector, monopole_pullback
 from .models import Constants, HamiltonianModel
 from .phase_space import PhasePoint, axis_labels
 
@@ -41,21 +41,6 @@ def band_sign(band: int) -> float:
     if band not in (0, 1):
         raise ValueError(f"band must be 0 or 1, got {band}")
     return 1.0 if band == 1 else -1.0
-
-
-def _blocks_from_jacobian(b: np.ndarray, J: np.ndarray, charges, labels,
-                          point: PhasePoint) -> CurvatureTensor:
-    """Assemble F_ij = -S b.(J_i x J_j)/|b|^3 for all axis pairs."""
-    nb = float(np.linalg.norm(b))
-    if nb == 0.0:
-        raise SingularityError("curvature is singular where the coupling vanishes")
-    D = len(labels)
-    X = np.zeros((D, D))
-    for i in range(D):
-        for j in range(i + 1, D):
-            X[i, j] = float(b @ np.cross(J[:, i], J[:, j])) / nb**3
-    F = np.stack([-s * X for s in charges])
-    return CurvatureTensor(d=point.d, labels=labels, F=F, point=point)
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +92,12 @@ class ZeemanScenario:
         matching r-t block; every momentum block vanishes because the
         coupling is p-independent.
         """
-        D = m.n_axes
         d = m.d
-        J = np.zeros((3, D))
-        Jr = self.chi * self.b_field.d_dr(m.r, m.t)
-        J[:, d:2 * d] = Jr[:, :d]
+        J = np.zeros((3, m.n_axes))
+        J[:, d:2 * d] = self.chi * self.b_field.d_dr(m.r, m.t)[:, :d]
         J[:, 2 * d] = self.chi * self.b_field.d_dt(m.r, m.t)
         b = self.chi * self.b_field.value(m.r, m.t)
-        return _blocks_from_jacobian(b, J, (-0.5, +0.5), m.labels, m)
+        return monopole_pullback(b, J, (-0.5, +0.5), m)
 
 
 def zeeman_frame(b3, form: str = "mixed") -> np.ndarray:
@@ -242,25 +225,20 @@ class SpinOrbitScenario:
         dH1/dt likewise, then F_ij = -S H1.(d_i H1 x d_j H1)/|H1|^3 over
         every axis pair at once.
         """
-        d, D = m.d, m.n_axes
+        d = m.d
         r, t = m.r, m.t
         p3 = np.zeros(3)
         p3[:d] = m.p
         E = self.e_field.value(r, t)
         dE_dr = self.e_field.d_dr(r, t)
         dE_dt = self.e_field.d_dt(r, t)
-        dB_dr = self.b_field.d_dr(r, t)
-        dB_dt = self.b_field.d_dt(r, t)
-        J = np.zeros((3, D))
-        eye = np.eye(3)
-        for i in range(d):
-            J[:, i] = self.rho * np.cross(E, eye[i])
-        for j in range(d):
-            J[:, d + j] = (self.chi * dB_dr[:, j]
-                           + self.rho * np.cross(dE_dr[:, j], p3))
-        J[:, 2 * d] = self.chi * dB_dt + self.rho * np.cross(dE_dt, p3)
-        return _blocks_from_jacobian(self.coupling(m), J, (-0.5, +0.5),
-                                     m.labels, m)
+        J = np.zeros((3, m.n_axes))
+        J[:, :d] = self.rho * np.cross(E, np.eye(3)[:d]).T
+        J[:, d:2 * d] = (self.chi * self.b_field.d_dr(r, t)
+                         + self.rho * np.cross(dE_dr.T, p3).T)[:, :d]
+        J[:, 2 * d] = (self.chi * self.b_field.d_dt(r, t)
+                       + self.rho * np.cross(dE_dt, p3))
+        return monopole_pullback(self.coupling(m), J, (-0.5, +0.5), m)
 
     def pp_pseudovector(self, m: PhasePoint) -> np.ndarray:
         """Constant-field momentum-block pseudovector, per band: (2, 3).

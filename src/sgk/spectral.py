@@ -50,9 +50,6 @@ class EigenFrame:
     def n(self) -> int:
         return self.energies.shape[0]
 
-    def band_vector(self, band: int) -> np.ndarray:
-        return self.U[:, band]
-
 
 def _apply_phase_convention(U: np.ndarray) -> np.ndarray:
     """Largest-magnitude component of each column made real positive."""

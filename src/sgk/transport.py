@@ -3,8 +3,8 @@
 Both bands are integrated from identical initial conditions, so any
 transverse observable difference is purely the gauge-force response. The
 sampler draws all initial conditions upfront from a counter-based
-generator and results are reduced in sample order, which makes reports
-bit-identical for a fixed seed at any thread count.
+generator and trajectories run and reduce in sample order, which makes
+reports bit-identical for a fixed seed.
 
 Optical ensembles trace helicity ray pairs instead of band trajectories;
 helicity -1 fills the band-0 slot and +1 the band-1 slot.
@@ -12,8 +12,6 @@ helicity -1 fills the band-0 slot and +1 the band-1 slot.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -34,10 +32,11 @@ class EnsembleSpec:
 
     Initial conditions are drawn uniformly (sampler='random', counter-based
     RNG) or laid out on a lattice (sampler='grid') inside the box
-    center +- spread, identically for both bands. Exactly one of model /
-    optical must be set; optical ensembles resample |p| onto the local
-    dispersion shell and reuse config.step / config.t_end as the ray step
-    and length.
+    center +- spread, identically for both bands; a grid needs count to be
+    the k-th power of an integer for k axes of nonzero spread. Exactly one
+    of model / optical must be set; optical ensembles resample |p| onto the
+    local dispersion shell and reuse config.step / config.t_end as the ray
+    step and length.
     """
 
     count: int
@@ -74,6 +73,12 @@ class EnsembleSpec:
             raise ValueError("spreads must match the center shapes")
         if np.any(ps < 0) or np.any(rs < 0):
             raise ValueError("spreads must be nonnegative")
+        if self.sampler == "grid":
+            _grid_side(self.count, np.count_nonzero(ps) + np.count_nonzero(rs))
+        if self.optical is not None and self.config.t_end <= 0:
+            raise ValueError("optical rays need a positive integrator t_end")
+        if self.model is not None and self.t0 >= self.config.t_end:
+            raise ValueError("t0 must be less than the integrator t_end")
         ax = np.asarray(self.transverse_axis, dtype=float)
         if ax.shape != (3,) or np.linalg.norm(ax) == 0:
             raise ValueError("transverse_axis must be a nonzero 3-vector")
@@ -88,6 +93,17 @@ class EnsembleSpec:
         return self.p_center.shape[0]
 
 
+def _grid_side(count: int, k: int) -> int:
+    """Points per axis of a full k-axis grid with count points."""
+    if k == 0:
+        return 1
+    side = round(count ** (1.0 / k))
+    if side ** k != count:
+        raise ValueError(f"grid sampler needs count to be a perfect power of "
+                         f"the {k} axes with nonzero spread, got {count}")
+    return side
+
+
 def draw_samples(spec: EnsembleSpec) -> np.ndarray:
     """(count, 2, d) initial conditions: [i, 0] = p0, [i, 1] = r0."""
     d = spec.d
@@ -99,20 +115,13 @@ def draw_samples(spec: EnsembleSpec) -> np.ndarray:
         pts = center + u * spread
     else:
         active = np.nonzero(spread > 0)[0]
-        if active.size == 0:
-            pts = np.tile(center, (spec.count, 1))
-        else:
-            per_axis = int(np.ceil(spec.count ** (1.0 / active.size)))
-            grids = [np.linspace(center[a] - spread[a], center[a] + spread[a],
-                                 per_axis) for a in active]
-            mesh = np.stack(np.meshgrid(*grids, indexing="ij"),
-                            axis=-1).reshape(-1, active.size)
-            pts = np.tile(center, (mesh.shape[0], 1))
-            pts[:, active] = mesh
-            pts = pts[:spec.count]
-            if pts.shape[0] < spec.count:
-                reps = int(np.ceil(spec.count / pts.shape[0]))
-                pts = np.tile(pts, (reps, 1))[:spec.count]
+        side = _grid_side(spec.count, active.size)
+        grids = [np.linspace(center[a] - spread[a], center[a] + spread[a], side)
+                 for a in active]
+        pts = np.tile(center, (spec.count, 1))
+        if active.size:
+            pts[:, active] = np.stack(np.meshgrid(*grids, indexing="ij"),
+                                      axis=-1).reshape(-1, active.size)
     return pts.reshape(spec.count, 2, d)
 
 
@@ -184,56 +193,36 @@ def _run_ray(spec: EnsembleSpec, helicity: int, p0, r0):
     return disp, disp / duration, float(rdot0 @ axis)
 
 
-def run_ensemble(spec: EnsembleSpec, threads: int = None) -> TransportReport:
+def run_ensemble(spec: EnsembleSpec) -> TransportReport:
     """Integrate both bands over the sampled initial conditions.
 
-    Trajectories run concurrently; results land in index-order slots and
-    the reductions are ordered, so thread count cannot change any output
-    bit. Raises EnsembleError if more than 10% of trajectories fail;
-    individual failures are otherwise collected into the report.
+    Trajectories run one after another in sample order, band 0 first.
+    Raises EnsembleError if more than 10% of trajectories fail; individual
+    failures are otherwise collected into the report.
     """
     samples = draw_samples(spec)
-    tasks = [(i, band) for i in range(spec.count) for band in (0, 1)]
-    results = [None] * len(tasks)
-
-    def work(slot: int):
-        i, band = tasks[slot]
-        p0, r0 = samples[i, 0], samples[i, 1]
-        try:
-            if spec.model is not None:
-                return _run_model_trajectory(spec, band, p0, r0)
-            helicity = +1 if band == 1 else -1
-            return _run_ray(spec, helicity, p0, r0)
-        except SgkError as exc:
-            return ("error", f"{type(exc).__name__}: {exc}")
-
-    n_workers = threads if threads else (os.cpu_count() or 1)
-    if n_workers == 1:
-        for slot in range(len(tasks)):
-            results[slot] = work(slot)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for slot, res in enumerate(pool.map(work, range(len(tasks)))):
-                results[slot] = res
-
+    n_tasks = 2 * spec.count
     disp_samples = np.full((spec.count, 2), np.nan)
     vel_samples = np.full((spec.count, 2), np.nan)
     v0_samples = np.full((spec.count, 2), np.nan)
     failures = []
-    for slot, res in enumerate(results):
-        i, band = tasks[slot]
-        if isinstance(res, tuple) and len(res) == 2 and res[0] == "error":
-            failures.append((i, band, res[1]))
-            continue
-        disp, vel, v0 = res
-        disp_samples[i, band] = disp
-        vel_samples[i, band] = vel
-        v0_samples[i, band] = v0
-    if len(failures) > FAILURE_FRACTION_LIMIT * len(tasks):
+    for i in range(spec.count):
+        p0, r0 = samples[i, 0], samples[i, 1]
+        for band in (0, 1):
+            try:
+                if spec.model is not None:
+                    res = _run_model_trajectory(spec, band, p0, r0)
+                else:
+                    res = _run_ray(spec, +1 if band == 1 else -1, p0, r0)
+            except SgkError as exc:
+                failures.append((i, band, f"{type(exc).__name__}: {exc}"))
+                continue
+            disp_samples[i, band], vel_samples[i, band], v0_samples[i, band] = res
+    if len(failures) > FAILURE_FRACTION_LIMIT * n_tasks:
         head = "; ".join(f"sample {i} band {b}: {msg}"
                          for i, b, msg in failures[:5])
         raise EnsembleError(
-            f"{len(failures)}/{len(tasks)} trajectories failed: {head}")
+            f"{len(failures)}/{n_tasks} trajectories failed: {head}")
 
     band_disp = np.empty(2)
     band_vel = np.empty(2)

@@ -361,6 +361,37 @@ def test_ensemble_axis_required_outside_rashba(tmp_path, capsys):
     assert "config.transverse_axis" in err
 
 
+@pytest.mark.parametrize("command, config, needle", [
+    ("run-scenario",
+     {"scenario": {"kind": "zeeman",
+                   "b_field": {"kind": "uniform", "value": [0, 0, 1]}},
+      "initial": {"p": [0.1, 0.0, 0.0], "r": [0.0, 0.0, 0.0], "t": 2.0},
+      "integrator": {"t_end": 1.0}},
+     "config.initial.t"),
+    ("run-scenario",
+     {"scenario": {"kind": "optical", "index": {"kind": "uniform"}},
+      "initial": {"p": [0.0, 0.0, 1.0], "r": [0.0, 0.0, 0.0]},
+      "integrator": {"t_end": 0.0}},
+     "config.integrator.t_end"),
+    ("ensemble",
+     {**ENSEMBLE_CONFIG,
+      "ensemble": {**ENSEMBLE_CONFIG["ensemble"], "t0": 0.02}},
+     "t0 must be less than"),
+    ("ensemble",
+     {**ENSEMBLE_CONFIG,
+      "ensemble": {**ENSEMBLE_CONFIG["ensemble"], "count": 5,
+                   "p_spread": [0.02, 0.02], "sampler": "grid"}},
+     "perfect power"),
+], ids=["run-t0-past-t_end", "optical-t_end-zero", "ensemble-t0-past-t_end",
+        "ensemble-grid-count"])
+def test_time_and_grid_config_mistakes_exit_2(tmp_path, capsys, command,
+                                              config, needle):
+    code, _, err, _ = run_cli(tmp_path, capsys, command, config)
+    assert code == 2
+    assert needle in err
+    assert json.loads(err.splitlines()[-1])["error"] == "SchemaError"
+
+
 # -- verify -------------------------------------------------------------------
 
 

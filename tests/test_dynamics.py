@@ -10,8 +10,10 @@ from sgk import (
     CurvatureTensor,
     DegeneracyError,
     ExternalEMField,
+    HamiltonianModel,
     IntegratorConfig,
     LinearField,
+    NumericalError,
     PhasePoint,
     RotatingField,
     SingularityError,
@@ -149,6 +151,33 @@ def test_integrate_attaches_step_index_to_errors():
     with pytest.raises(SingularityError, match="integration step 0"):
         integrate(scn.model(), 0, M1, cfg, curvature=bad_curvature)
 
+    def errno_curvature(m):
+        raise ArithmeticError(34, "Numerical result out of range")
+
+    with pytest.raises(ArithmeticError) as info:
+        integrate(scn.model(), 0, M1, cfg, curvature=errno_curvature)
+    assert str(info.value) == (
+        "integration step 0: 34, Numerical result out of range")
+
+
+def test_divergence_is_a_numerical_error_at_its_step():
+    flat = HamiltonianModel.from_split(
+        h0=lambda m: 0.0, h1=lambda m: np.array([0.0, 0.0, 1.0]))
+    cfg = IntegratorConfig(step=1.0, t_end=2.0, record_connection=False)
+    # a force that turns infinite after t = 0.5 leaves a non-finite state
+    # at the end of the step that crosses it
+    kick = ExternalEMField(
+        e_field=lambda r, t: (np.inf if t > 0.5 else 0.0, 0.0, 0.0))
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NumericalError, match="integration step 1: "
+                           "phase-space state is no longer finite"):
+            integrate(flat, 0, M1, cfg, em=kick)
+    # with numpy set to raise, the overflow of a huge force is an error too
+    huge = ExternalEMField.uniform(E=(1e308, 0.0, 0.0))
+    with np.errstate(over="raise"):
+        with pytest.raises(NumericalError, match="integration step 0: overflow"):
+            integrate(flat, 0, M1, cfg, em=huge)
+
 
 # -- canonical flow -------------------------------------------------------------
 
@@ -191,6 +220,18 @@ def test_rk4_global_error_scales_fourth_order():
     err_h2 = np.linalg.norm(run(1.0 / 50) - ref)
     assert err_h > 1e-11  # stays clear of the roundoff floor
     assert 12.0 < err_h / err_h2 < 20.0
+
+
+def test_whole_number_of_steps_leaves_no_sliver():
+    # 100 steps of t_end/100 sum to just under t_end; the last step must
+    # absorb the shortfall instead of adding a 101st step of about 1e-14
+    t_end = 2.0 * np.pi / 1.7
+    cfg = IntegratorConfig(step=t_end / 100, t_end=t_end,
+                           record_connection=False)
+    traj = integrate(uniform_zeeman().model(), 0, M1, cfg)
+    assert traj.status == "completed"
+    assert len(traj.states) == 101
+    assert traj.final.m.t == t_end
 
 
 def test_rkf45_matches_rk4():

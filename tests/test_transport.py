@@ -1,5 +1,6 @@
 """Band-paired ensembles: sampling, observables, determinism, failure paths."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from sgk import (
     EnsembleError,
     EnsembleSpec,
     ExternalEMField,
+    HamiltonianModel,
     IntegratorConfig,
     LinearIndex,
     OpticalScenario,
@@ -75,6 +77,24 @@ def test_draw_samples_grid_covers_the_box():
     assert np.all(pts[:, 1, :] == 0.0)
     # degenerate box collapses onto the center
     assert np.all(draw_samples(replace(spec, p_spread=np.zeros(2))) == 0.0)
+
+
+def test_grid_sampler_needs_a_full_grid():
+    scn = ZeemanScenario.hedgehog()
+    spec = EnsembleSpec(count=5**5, config=IntegratorConfig(),
+                        p_center=np.array([0.3, 0.0, 0.0]),
+                        r_center=np.array([0.0, 0.0, 1.0]),
+                        p_spread=np.full(3, 0.1),
+                        r_spread=np.array([0.1, 0.1, 0.0]),
+                        sampler="grid", model=scn.model())
+    pts = draw_samples(spec).reshape(-1, 6)
+    # five points per active axis, the full lattice centred on the box
+    for axis in range(5):
+        assert np.unique(pts[:, axis]).size == 5
+    assert np.allclose(pts.mean(axis=0), [0.3, 0.0, 0.0, 0.0, 0.0, 1.0])
+    # 32 points cannot fill a grid on 4 axes
+    with pytest.raises(ValueError, match="perfect power"):
+        replace(spec, count=32, r_spread=np.array([0.1, 0.0, 0.0]))
 
 
 def test_spec_validation():
@@ -162,19 +182,19 @@ def test_coupling_flip_flips_spin_current_sign():
     assert np.sign(minus) == -np.sign(plus)
 
 
-def test_report_bitwise_identical_across_threads_and_reruns():
+def test_report_bitwise_identical_across_reruns():
     scn = RashbaScenario(b_z=2.0, e_inplane=(0.005, 0.0), hbar=1e-4)
     em = ExternalEMField.uniform(E=scn.e_vector(), B=(0.0, 0.0, 0.0))
 
-    def run(threads):
+    def run():
         spec = rashba_spec(scn, count=4, seed=17, t_end=0.02, em=em)
-        return run_ensemble(spec, threads=threads)
+        return run_ensemble(spec)
 
-    ref = run(2)
+    ref = run()
     arrays = ("samples", "disp_samples", "v0_samples", "band_disp",
               "band_vel", "band_v0", "sem_disp", "sem_vel")
-    for threads in (1, 2, 4):
-        rep = run(threads)
+    for _ in range(2):
+        rep = run()
         for name in arrays:
             assert np.array_equal(getattr(rep, name), getattr(ref, name)), name
         assert rep.spin_current == ref.spin_current
@@ -242,6 +262,25 @@ def test_failures_below_limit_are_collected():
     assert np.all(np.isnan(report.disp_samples[0]))
     assert np.all(np.isfinite(report.disp_samples[1:]))
     assert np.all(np.isfinite(report.band_disp))
+
+
+def test_diverging_sample_counts_as_a_failure():
+    # V(r) = -exp(10 r1): the sample launched at r1 = 0 overflows within
+    # its single step, the ten launched at r1 <= -0.4 barely move
+    model = HamiltonianModel.from_split(
+        h0=lambda m: 0.5 * float(m.p @ m.p) - math.exp(10.0 * m.r[0]),
+        h1=lambda m: np.array([0.0, 0.0, 1.0]))
+    config = IntegratorConfig(step=0.5, t_end=0.5, record_connection=False)
+    spec = EnsembleSpec(count=11, config=config, p_center=np.zeros(3),
+                        r_center=np.array([-2.0, 0.0, 0.0]),
+                        r_spread=np.array([2.0, 0.0, 0.0]),
+                        sampler="grid", model=model,
+                        transverse_axis=np.array([1.0, 0.0, 0.0]))
+    report = run_ensemble(spec)
+    assert [(i, b) for i, b, _ in report.failures] == [(10, 0), (10, 1)]
+    assert all(msg.startswith("NumericalError: integration step 1")
+               for _, _, msg in report.failures)
+    assert np.all(np.isfinite(report.disp_samples[:10]))
 
 
 def test_failure_fraction_limit():
