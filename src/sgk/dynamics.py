@@ -19,6 +19,7 @@ spectral layer, and the dynamic phase (1/hbar) int (p . rdot - E) dt.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -33,7 +34,7 @@ from .gauge import (adiabatic_curvature_numeric, curvature_m_space,
                     tensor_to_pseudo)
 from .models import Constants, HamiltonianModel
 from .phase_space import PhasePoint, central_difference
-from .spectral import DEGENERACY_RTOL, aligned_frame, diagonalize
+from .spectral import DEGENERACY_RTOL, diagonalize, frame_stack
 
 # Spin force larger than this fraction of the zeroth-order force triggers
 # a SpinForceWarning (the underlying expansion is no longer perturbative).
@@ -177,7 +178,8 @@ def band_gradients(model: HamiltonianModel, band: int, m: PhasePoint,
 
     Split-form models use the closed-form energies H0 -+ hbar|H1| (with the
     same degeneracy guard as the eigensolver, from one H0 and H1 evaluation
-    at m); other models differentiate tracked eigenvalues.
+    at m, and a NumericalError when either is not finite); other models
+    difference the tracked eigenvalues of one frame stack.
     """
     h = step if step is not None else default_step(m)
     if h <= 0 or not np.isfinite(h):
@@ -185,6 +187,8 @@ def band_gradients(model: HamiltonianModel, band: int, m: PhasePoint,
     if model.split is not None:
         h0 = float(model.split.h0(m))
         nb = model.constants.hbar * float(np.linalg.norm(model.split.h1_vector(m)))
+        if not (math.isfinite(h0) and math.isfinite(nb)):
+            raise NumericalError(f"band energy is not finite: H0 = {h0}, hbar|H1| = {nb}")
         gap = 2.0 * nb
         scale = max(1.0, abs(h0) + nb)
         if gap < DEGENERACY_RTOL * scale:
@@ -195,12 +199,9 @@ def band_gradients(model: HamiltonianModel, band: int, m: PhasePoint,
             lambda v: model.band_energy(PhasePoint.from_vector(v, m.d), band),
             m.as_vector(), h)
         return E0, g
-    center = diagonalize(model, m)
-    g = central_difference(
-        lambda v: aligned_frame(model, PhasePoint.from_vector(v, m.d),
-                                center).energies[band],
-        m.as_vector(), h)
-    return float(center.energies[band]), g
+    w, _, _ = frame_stack(
+        model, [m] + [m.shifted(k, d) for k in range(m.n_axes) for d in (h, -h)])
+    return float(w[0, band]), (w[1::2, band] - w[2::2, band]) / (2.0 * h)
 
 
 def default_curvature_provider(model: HamiltonianModel) -> Callable:

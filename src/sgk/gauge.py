@@ -27,8 +27,8 @@ import numpy as np
 from .errors import (NumericalError, QuadratureError, SingularityError,
                      StepError)
 from .models import HamiltonianModel
-from .phase_space import PhasePoint, central_difference
-from .spectral import EigenFrame, aligned_frame, diagonalize, smooth_frame_along
+from .phase_space import PhasePoint, central_difference, step_scale
+from .spectral import frame_stack, smooth_frame_along
 
 # Default finite-difference step: DEFAULT_STEP_SCALE * max(1, |m|).
 DEFAULT_STEP_SCALE = 1e-4
@@ -39,8 +39,7 @@ CONNECTION_HERMITICITY_ATOL = 1e-10
 def default_step(point_or_vec) -> float:
     if isinstance(point_or_vec, PhasePoint):
         return DEFAULT_STEP_SCALE * point_or_vec.scale()
-    v = np.asarray(point_or_vec, dtype=float)
-    return DEFAULT_STEP_SCALE * max(1.0, float(np.linalg.norm(v)))
+    return DEFAULT_STEP_SCALE * step_scale(np.asarray(point_or_vec, dtype=float))
 
 
 def _check_step(step: float) -> float:
@@ -249,15 +248,11 @@ def exact_connection(model: HamiltonianModel, m: PhasePoint,
     for callers that only integrate along a slice.
     """
     h = _check_step(step if step is not None else default_step(m))
-    center = diagonalize(model, m)
-    D = m.n_axes
-    comps = np.zeros((D, model.n, model.n), dtype=complex)
-    Uc = center.U.conj().T
-    for k in range(D) if axes is None else axes:
-        fp = aligned_frame(model, m.shifted(k, +h), center, phase="convention")
-        fm = aligned_frame(model, m.shifted(k, -h), center, phase="convention")
-        A = 1j * (Uc @ (fp.U - fm.U)) / (2.0 * h)
-        comps[k] = 0.5 * (A + A.conj().T)
+    ks = list(range(m.n_axes) if axes is None else axes)
+    _, U, _ = frame_stack(model, [m] + [m.shifted(k, d) for k in ks for d in (h, -h)])
+    A = 1j * (U[0].conj().T @ (U[1::2] - U[2::2])) / (2.0 * h)
+    comps = np.zeros((m.n_axes, model.n, model.n), dtype=complex)
+    comps[ks] = 0.5 * (A + np.conj(np.swapaxes(A, 1, 2)))
     return Connection(labels=m.labels, kind="exact", components=comps, point=m)
 
 
@@ -303,21 +298,6 @@ def nonabelian_curvature(connection_field, m: PhasePoint, step: float = None,
     return NonAbelianCurvature(labels=c0.labels, matrices=mats, point=m)
 
 
-def _plaquette_angles(model: HamiltonianModel, m: PhasePoint, i: int, j: int,
-                      h: float, center: EigenFrame) -> np.ndarray:
-    """Per-band Wilson-loop angle around the square of side h centered on m."""
-    c1 = m.shifted(i, -0.5 * h).shifted(j, -0.5 * h)
-    c2 = c1.shifted(i, +h)
-    c3 = c2.shifted(j, +h)
-    c4 = c1.shifted(j, +h)
-    Us = [aligned_frame(model, c, center, phase="convention").U for c in (c1, c2, c3, c4)]
-    W = np.ones(model.n, dtype=complex)
-    for a in range(4):
-        Ua, Ub = Us[a], Us[(a + 1) % 4]
-        W *= np.einsum("ib,ib->b", Ua.conj(), Ub)
-    return np.angle(W)
-
-
 def adiabatic_curvature_numeric(model: HamiltonianModel, m: PhasePoint,
                                 step: float = None, richardson: bool = True,
                                 pairs: Sequence[tuple] = None) -> CurvatureTensor:
@@ -327,21 +307,31 @@ def adiabatic_curvature_numeric(model: HamiltonianModel, m: PhasePoint,
     eigenvector overlaps gives F_ij = -arg(W)/h^2; overlap products make the
     result immune to the phase convention at every corner. Richardson
     combines the h and h/2 plaquettes to fourth order (default on; needed
-    near small gaps where the curvature varies on the gap scale).
+    near small gaps where the curvature varies on the gap scale). The
+    center and every corner of every plaquette are one frame stack.
     """
     h = _check_step(step if step is not None else default_step(m))
-    center = diagonalize(model, m)
     D, n = m.n_axes, model.n
-    F = np.zeros((n, D, D))
     if pairs is None:
         pairs = [(i, j) for i in range(D) for j in range(i + 1, D)]
+    sides = (h, 0.5 * h) if richardson else (h,)
+    corners = []
     for (i, j) in pairs:
-        ang_h = _plaquette_angles(model, m, i, j, h, center)
-        val = -ang_h / h**2
-        if richardson:
-            ang_h2 = _plaquette_angles(model, m, i, j, 0.5 * h, center)
-            val = (4.0 * (-ang_h2 / (0.5 * h) ** 2) - val) / 3.0
-        F[:, i, j] = val
+        for s in sides:
+            c1 = m.shifted(i, -0.5 * s).shifted(j, -0.5 * s)
+            c2 = c1.shifted(i, +s)
+            corners += [c1, c2, c2.shifted(j, +s), c1.shifted(j, +s)]
+    _, U, _ = frame_stack(model, [m] + corners)
+    U = U[1:].reshape(len(pairs), len(sides), 4, n, n)
+    # ov[pair, side, a, band]: overlap of corner a with corner a + 1
+    ov = np.einsum("psaib,psaib->psab", U.conj(), np.roll(U, -1, axis=2))
+    ang = np.angle(ov[:, :, 0] * ov[:, :, 1] * ov[:, :, 2] * ov[:, :, 3])
+    val = -ang[:, 0] / h**2
+    if richardson:
+        val = (4.0 * (-ang[:, 1] / (0.5 * h) ** 2) - val) / 3.0
+    F = np.zeros((n, D, D))
+    for q, (i, j) in enumerate(pairs):
+        F[:, i, j] = val[q]
     return CurvatureTensor(d=m.d, labels=m.labels, F=F, point=m)
 
 

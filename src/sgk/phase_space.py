@@ -8,9 +8,12 @@ into this layout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import NumericalError
 
 
 def central_difference(f, x, h: float) -> np.ndarray:
@@ -28,6 +31,14 @@ def central_difference(f, x, h: float) -> np.ndarray:
         e[k] = h
         out.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * h))
     return np.stack(out)
+
+
+def step_scale(x) -> float:
+    """max(1, |x|) of a finite coordinate vector; NumericalError if |x| overflows."""
+    norm = float(np.linalg.norm(x))
+    if not math.isfinite(norm):
+        raise NumericalError(f"coordinate norm overflows to {norm}; no finite step scale")
+    return max(1.0, norm)
 
 
 def axis_labels(d: int) -> tuple[str, ...]:
@@ -93,4 +104,4 @@ class PhasePoint:
 
     def scale(self) -> float:
         """max(1, |m|): the characteristic size used for step scaling."""
-        return max(1.0, float(np.linalg.norm(self.as_vector())))
+        return step_scale(self.as_vector())

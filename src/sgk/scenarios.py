@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .dynamics import _LAST_STEP_SLACK
 from .errors import (ConstraintDriftWarning, GaugePatchError, SingularityError,
                      StepError)
 from .fields import IndexField, LinearField, VectorField, as_field
@@ -482,14 +483,17 @@ def magnus_ray(scn: OpticalScenario, p0, r0, helicity: int, s_end: float = 1.0,
     s = 0.0
     drift = abs(float(p0 @ p0) - scn.index.n2(r0))
     steps = 0
-    while s < s_end - 1e-15 * max(1.0, s_end) and steps < max_steps:
-        h = min(step, s_end - s)
+    last = False
+    while not last and steps < max_steps:
+        # integrate's last-step rule: no rounding-error sliver before s_end
+        last = s_end - s <= step * (1.0 + _LAST_STEP_SLACK)
+        h = s_end - s if last else step
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * h * k1)
         k3 = rhs(y + 0.5 * h * k2)
         k4 = rhs(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s += h
+        s = s_end if last else s + h
         steps += 1
         s_list.append(s)
         p_list.append(y[:3].copy())

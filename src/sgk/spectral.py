@@ -10,6 +10,10 @@ no component-magnitude crossover happens.
 Along paths, band identity is tracked through avoided crossings by overlap
 matching, and phases are parallel-transported: each column is rotated so its
 overlap with the previous frame's column is real and nonnegative.
+
+Every frame comes from frame_stack, which diagonalizes a whole stencil of
+points in one stacked eigensolve and applies the gauge fixing, frame checks
+and band matching to the stack as array operations.
 """
 
 from __future__ import annotations
@@ -51,76 +55,78 @@ class EigenFrame:
         return self.energies.shape[0]
 
 
-def _apply_phase_convention(U: np.ndarray) -> np.ndarray:
-    """Largest-magnitude component of each column made real positive."""
-    U = U.copy()
-    for c in range(U.shape[1]):
-        col = U[:, c]
-        k = int(np.argmax(np.abs(col)))  # argmax takes the lowest index on ties
-        a = col[k]
-        U[:, c] = col * (np.conj(a) / abs(a))
-    return U
+def frame_stack(model: HamiltonianModel, points: Sequence[PhasePoint],
+                reference: np.ndarray = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauge-fixed frames at N points from one stacked eigensolve.
 
-
-def _check_frame(H: np.ndarray, w: np.ndarray, U: np.ndarray) -> None:
-    n = H.shape[0]
-    scale = max(1.0, float(np.max(np.abs(H))))
-    if np.max(np.abs(U.conj().T @ U - np.eye(n))) > FRAME_ATOL:
-        raise NumericalError("eigenvector frame is not unitary")
-    D = U.conj().T @ H @ U
-    if np.max(np.abs(D - np.diag(w))) > FRAME_ATOL * scale:
-        raise NumericalError("frame fails to diagonalize the Hamiltonian")
+    Returns energies (N, n), frames U (N, n, n) and gaps (N,). Every frame
+    is in the largest-component gauge, and its bands follow a reference
+    frame: the given (n, n) one, or else the first point's own frame, whose
+    bands ascend in energy. Columns are matched greedily on |overlap|,
+    largest first. All checks run on the whole stack; the first failing
+    point in stack order raises its first failing check: DegeneracyError
+    for a gap below 1e-8 * max(1, max|H_ij|), NumericalError for an
+    eigensolver failure or a frame that violates its own tolerances, and
+    BandTrackingError for a matched overlap below the tracking bound.
+    """
+    H = np.stack([model.evaluate(m) for m in points])
+    try:
+        w, U = np.linalg.eigh(H)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed at {points[0]}: {exc}") from exc
+    N, n = w.shape
+    idx, cols, eye = np.arange(N), np.arange(n), np.eye(n)
+    gap = (w[:, 1:] - w[:, :-1]).min(axis=1)
+    scale = np.maximum(1.0, np.abs(H).max(axis=(1, 2)))
+    # phase convention; argmax takes the lowest index on ties, and hypot
+    # rounds like the scalar abs of a complex number
+    a = U[idx[:, None], np.argmax(np.abs(U), axis=1), cols]
+    U = U * (np.conj(a) / np.hypot(a.real, a.imag))[:, None, :]
+    Uh = np.conj(np.swapaxes(U, 1, 2))
+    unitary = np.abs(Uh @ U - eye).max(axis=(1, 2))
+    residual = np.abs(Uh @ H @ U - w[:, None, :] * eye).max(axis=(1, 2))
+    ref = U[0] if reference is None else reference
+    M = np.abs(np.conj(ref).T @ U)  # M[:, b, j] = |<ref_b|new_j>|
+    perm = np.full((N, n), -1)
+    taken = np.zeros((N, n), dtype=bool)
+    for b, j in zip(*np.divmod(np.argsort(-M.reshape(N, n * n), axis=1).T, n)):
+        free = (perm[idx, b] < 0) & ~taken[idx, j]
+        perm[free, b[free]] = j[free]
+        taken[free, j[free]] = True
+        if taken.all():
+            break
+    matched = M[idx[:, None], cols, perm].min(axis=1)
+    checks = (gap < DEGENERACY_RTOL * scale, unitary > FRAME_ATOL,
+              residual > FRAME_ATOL * scale, matched < TRACKING_MIN_OVERLAP)
+    bad = np.flatnonzero(checks[0] | checks[1] | checks[2] | checks[3])
+    if bad.size:
+        i = bad[0]
+        if checks[0][i]:
+            raise DegeneracyError(
+                f"band gap {gap[i]:.3e} below tolerance "
+                f"{DEGENERACY_RTOL * scale[i]:.3e} at t={points[i].t}")
+        if checks[1][i]:
+            raise NumericalError("eigenvector frame is not unitary")
+        if checks[2][i]:
+            raise NumericalError("frame fails to diagonalize the Hamiltonian")
+        raise BandTrackingError(
+            f"band identification lost: smallest matched overlap {matched[i]:.3f} < "
+            f"{TRACKING_MIN_OVERLAP}")
+    return (w[idx[:, None], perm],
+            U[idx[:, None, None], cols[:, None], perm[:, None, :]], gap)
 
 
 def diagonalize(model: HamiltonianModel, m: PhasePoint) -> EigenFrame:
     """Gauge-fixed eigendecomposition of H(m), bands ascending in energy.
 
-    Raises DegeneracyError when the smallest gap falls below
-    1e-8 * max(1, max|H_ij|), and NumericalError if the eigensolver fails
-    or the resulting frame violates its own tolerances.
+    The one-point case of frame_stack. Raises DegeneracyError when the
+    smallest gap falls below 1e-8 * max(1, max|H_ij|), and NumericalError
+    if the eigensolver fails or the resulting frame violates its own
+    tolerances.
     """
-    H = model.evaluate(m)
-    try:
-        w, U = np.linalg.eigh(H)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed at {m}: {exc}") from exc
-    gap = float(np.min(np.diff(w)))
-    scale = max(1.0, float(np.max(np.abs(H))))
-    if gap < DEGENERACY_RTOL * scale:
-        raise DegeneracyError(
-            f"band gap {gap:.3e} below tolerance {DEGENERACY_RTOL * scale:.3e} at t={m.t}")
-    U = _apply_phase_convention(U)
-    _check_frame(H, w, U)
-    return EigenFrame(point=m, energies=w.astype(float), U=U, gap=gap)
-
-
-def _match_bands(U_ref: np.ndarray, U_new: np.ndarray) -> np.ndarray:
-    """Permutation perm with U_new[:, perm[b]] tracking U_ref[:, b].
-
-    Greedy assignment on |overlap|, largest first; n is small here. Raises
-    BandTrackingError when a matched overlap falls below the tracking bound.
-    """
-    n = U_ref.shape[1]
-    M = np.abs(U_ref.conj().T @ U_new)  # M[b, j] = |<ref_b|new_j>|
-    perm = np.full(n, -1, dtype=int)
-    taken = np.zeros(n, dtype=bool)
-    order = np.argsort(-M, axis=None)
-    assigned = 0
-    for flat in order:
-        b, j = divmod(int(flat), n)
-        if perm[b] != -1 or taken[j]:
-            continue
-        perm[b] = j
-        taken[j] = True
-        assigned += 1
-        if assigned == n:
-            break
-    small = [float(M[b, perm[b]]) for b in range(n) if M[b, perm[b]] < TRACKING_MIN_OVERLAP]
-    if small:
-        raise BandTrackingError(
-            f"band identification lost: smallest matched overlap {min(small):.3f} < "
-            f"{TRACKING_MIN_OVERLAP}")
-    return perm
+    w, U, gap = frame_stack(model, [m])
+    return EigenFrame(point=m, energies=w[0], U=U[0], gap=float(gap[0]))
 
 
 def aligned_frame(model: HamiltonianModel, m: PhasePoint, reference: EigenFrame,
@@ -132,17 +138,15 @@ def aligned_frame(model: HamiltonianModel, m: PhasePoint, reference: EigenFrame,
     single-valued gauge). phase='transport' re-rotates each column so its
     overlap with the reference column is real nonnegative.
     """
-    fr = diagonalize(model, m)
-    perm = _match_bands(reference.U, fr.U)
-    U = fr.U[:, perm]
-    w = fr.energies[perm]
+    w, U, gap = frame_stack(model, [m], reference=reference.U)
+    U = U[0]
     if phase == "transport":
         ov = np.einsum("ib,ib->b", reference.U.conj(), U)
         # |ov| >= TRACKING_MIN_OVERLAP here, so the rotation is well defined
         U = U * (np.conj(ov) / np.abs(ov))[None, :]
     elif phase != "convention":
         raise ValueError(f"unknown phase mode {phase!r}")
-    return EigenFrame(point=m, energies=w, U=U, gap=fr.gap)
+    return EigenFrame(point=m, energies=w[0], U=U, gap=float(gap[0]))
 
 
 def smooth_frame_along(model: HamiltonianModel,

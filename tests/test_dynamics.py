@@ -24,6 +24,7 @@ from sgk import (
     adiabaticity_epsilon,
     band_gradients,
     default_curvature_provider,
+    default_step,
     displacement_contour,
     effective_em_fields,
     integrate,
@@ -177,6 +178,40 @@ def test_divergence_is_a_numerical_error_at_its_step():
     with np.errstate(over="raise"):
         with pytest.raises(NumericalError, match="integration step 0: overflow"):
             integrate(flat, 0, M1, cfg, em=huge)
+
+
+def test_non_finite_band_energy_is_a_numerical_error():
+    # the force pushes r1 up until exp(10 r1) overflows: H0 is -inf with a
+    # gap of 2, which is not a degeneracy
+    model = HamiltonianModel.from_split(
+        h0=lambda m: 0.5 * float(m.p @ m.p) - np.exp(10.0 * m.r[0]),
+        h1=lambda m: np.array([0.0, 0.0, 1.0]))
+    cfg = IntegratorConfig(step=0.5, t_end=2.0, record_connection=False)
+    start = PhasePoint(np.zeros(3), np.zeros(3), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="integration step 1: "
+                           "band energy is not finite"):
+            integrate(model, 0, start, cfg)
+
+
+def test_overflowing_step_scale_is_a_numerical_error():
+    # a finite state beyond about 1e154 overflows |m|, so no default
+    # finite-difference step exists
+    flat = HamiltonianModel.from_split(
+        h0=lambda m: 0.0, h1=lambda m: np.array([0.0, 0.0, 1.0]))
+    cfg = IntegratorConfig(step=1.0, t_end=2.0, record_connection=False)
+    huge = ExternalEMField.uniform(E=(1e308, 0.0, 0.0))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError, match="integration step 1: "
+                           "coordinate norm overflows to inf"):
+            integrate(flat, 0, M1, cfg, em=huge)
+        with pytest.raises(NumericalError, match="overflows"):
+            PhasePoint((1e200, 0.0, 0.0), np.zeros(3), 0.0).scale()
+        with pytest.raises(NumericalError, match="overflows"):
+            default_step(np.array([1e200, 0.0]))
+    # finite scales keep their value
+    assert PhasePoint((3.0, 4.0, 0.0), np.zeros(3), 0.0).scale() == 5.0
+    assert default_step(np.array([0.3, 0.4])) == 1e-4
 
 
 # -- canonical flow -------------------------------------------------------------

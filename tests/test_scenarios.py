@@ -338,6 +338,17 @@ def test_homogeneous_index_gives_straight_rays():
     assert plus.constraint_drift < 1e-12
 
 
+def test_ray_whole_number_of_steps_leaves_no_sliver():
+    # 100 steps of s_end/100 sum to just under s_end; the last step must
+    # absorb the shortfall instead of adding a 101st step of about 1e-14
+    scn = OpticalScenario(index=UniformIndex(n0=1.5), k0=80.0)
+    s_end = 2.0 * np.pi / 1.7
+    ray = magnus_ray(scn, scn.launch_momentum((1.0, 0.0, 0.0)), np.zeros(3), +1,
+                     s_end=s_end, step=s_end / 100)
+    assert ray.s.shape == (101,)
+    assert ray.s[-1] == s_end
+
+
 def test_photon_curvature_is_unit_monopole():
     scn = OpticalScenario(index=UniformIndex(n0=1.0))
     assert np.allclose(scn.curvature((0.0, 0.0, 2.0), +1), [0, 0, -0.25])
