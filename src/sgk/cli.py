@@ -1,18 +1,24 @@
 """Batch front end: `sgk <command> --config <file> [--out] [--threads] [--seed]`.
 
 Commands: run-scenario, curvature-map, chern-charge, ensemble, verify.
-Configs are JSON documents validated against hand-rolled schemas that
-reject unknown keys and report every violation at once. Results are
-written as versioned CSV (bulky grids and trajectories) or JSON-lines
-(scalar results); all floats are printed with 17 significant digits so
-files round-trip and diff cleanly. Exit codes: 0 ok, 2 config error,
-3 physics error, 4 adiabaticity breach, 5 internal error.
+Configs are JSON documents checked against one key table per config
+section. Each key maps to a value parser and a default (or REQUIRED); each
+kind of a kinded section (scenario, field, index, chern source) maps to
+its constructor and its own key table, so a kind accepts only its own
+keys. One walker rejects every key outside the table and reports every
+violation at once; rules that tie keys together are explicit code in the
+commands. Results are written as versioned CSV (bulky grids and
+trajectories) or JSON-lines (scalar results); all floats are printed with
+17 significant digits so files round-trip and diff cleanly. Exit codes:
+0 ok, 2 config error, 3 physics error, 4 adiabaticity breach, 5 internal
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -93,12 +99,29 @@ def _write_jsonl(path: str, records) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Schema walking: collect every violation, reject unknown keys
+# Config schema: one key table per section, walked by _section
+#
+# A key table maps each key a section accepts to (parser, default). A parser
+# is called as parser(ctx, path, value); it records a violation in ctx and
+# returns None when the value is unusable. The default _REQUIRED makes the
+# key mandatory, None leaves an absent key None, and any other default is
+# parsed as if the config had given it. A kinded section maps the value of
+# its "kind" key to (constructor, key table); the constructor receives the
+# parsed keys as keyword arguments.
+
+_REQUIRED = object()
 
 
 class _Ctx:
+    """Violations found so far, and the spatial dimension d of the scenario.
+
+    Every command table lists "scenario" first, so the p and r arrays
+    walked after it are checked against that scenario's d.
+    """
+
     def __init__(self):
         self.violations = []
+        self.d = 3
 
     def err(self, path: str, msg: str) -> None:
         self.violations.append(f"{path}: {msg}")
@@ -108,50 +131,113 @@ class _Ctx:
             raise SchemaError(self.violations)
 
 
-def _obj(ctx, path, val, required=(), optional=()):
-    if not isinstance(val, dict):
+def _section(ctx, path, obj, keys, what=""):
+    """Walk one config object against its key table.
+
+    Reports every key outside the table, every missing required key and
+    every bad value. Returns {key: parsed value} over the whole table, with
+    None for values that failed, or None when obj is not an object.
+    """
+    if not isinstance(obj, dict):
         ctx.err(path, "must be an object")
         return None
-    allowed = set(required) | set(optional)
-    for key in val:
-        if key not in allowed:
-            ctx.err(f"{path}.{key}", "unknown key")
-    ok = True
-    for key in required:
-        if key not in val:
+    for key in obj:
+        if key not in keys:
+            ctx.err(f"{path}.{key}", f"unknown key for {what}" if what
+                    else "unknown key")
+    values = {}
+    for key, (parse, default) in keys.items():
+        if key in obj:
+            values[key] = parse(ctx, f"{path}.{key}", obj[key])
+        elif default is _REQUIRED:
             ctx.err(f"{path}.{key}", "missing required key")
-            ok = False
-    return val if ok else None
+            values[key] = None
+        elif default is None:
+            values[key] = None
+        else:
+            values[key] = parse(ctx, f"{path}.{key}", default)
+    return values
 
 
-def _num(ctx, path, val, positive=False, nonneg=False):
+def _build(ctx, path, obj, keys, build, what=""):
+    """build(**values) of a section that has no violation, else None."""
+    before = len(ctx.violations)
+    values = _section(ctx, path, obj, keys, what)
+    if len(ctx.violations) > before:
+        return None
+    try:
+        return build(**values)
+    except ValueError as exc:
+        ctx.err(path, str(exc))
+        return None
+
+
+def _kinded(kinds, section):
+    """Parser for a section whose "kind" picks (constructor, key table)."""
+    def parse(ctx, path, obj):
+        if not isinstance(obj, dict):
+            ctx.err(path, "must be an object")
+            return None
+        if "kind" not in obj:
+            ctx.err(f"{path}.kind", "missing required key")
+            return None
+        kind = _choice(ctx, f"{path}.kind", obj["kind"], tuple(kinds))
+        if kind is None:
+            return None
+        build, keys = kinds[kind]
+        rest = {key: val for key, val in obj.items() if key != "kind"}
+        return _build(ctx, path, rest, keys, build, f"{kind} {section}")
+    return parse
+
+
+def _object(keys):
+    """Parser for a nested section without a constructor."""
+    return lambda ctx, path, obj: _section(ctx, path, obj, keys)
+
+
+# Value parsers
+
+
+def _number(ctx, path, val):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         ctx.err(path, "must be a number")
         return None
-    x = float(val)
-    if not np.isfinite(x):
+    try:
+        x = float(val)
+    except OverflowError:  # an integer literal beyond double range
+        x = math.inf
+    if not math.isfinite(x):
         ctx.err(path, "must be finite")
-        return None
-    if positive and x <= 0:
-        ctx.err(path, "must be positive")
-        return None
-    if nonneg and x < 0:
-        ctx.err(path, "must be nonnegative")
         return None
     return x
 
 
-def _int(ctx, path, val, minimum=None, choices=None):
-    if isinstance(val, bool) or not isinstance(val, int):
-        ctx.err(path, "must be an integer")
+def _positive(ctx, path, val):
+    x = _number(ctx, path, val)
+    if x is not None and x <= 0:
+        ctx.err(path, "must be positive")
         return None
-    if minimum is not None and val < minimum:
-        ctx.err(path, f"must be at least {minimum}")
+    return x
+
+
+def _positive_or_null(ctx, path, val):
+    return None if val is None else _positive(ctx, path, val)
+
+
+def _abort_bound(ctx, path, val):
+    x = _positive(ctx, path, val)
+    if x is not None and x > 1.0:
+        ctx.err(path, "must lie in (0, 1]")
         return None
-    if choices is not None and val not in choices:
-        ctx.err(path, f"must be one of {sorted(choices)}")
+    return x
+
+
+def _spin(ctx, path, val):
+    S = _number(ctx, path, val)
+    if S is not None and abs(2 * S - round(2 * S)) > 1e-9:
+        ctx.err(path, "must be integer or half-integer")
         return None
-    return val
+    return S
 
 
 def _bool(ctx, path, val):
@@ -161,249 +247,233 @@ def _bool(ctx, path, val):
     return val
 
 
-def _str(ctx, path, val, choices=None):
-    if not isinstance(val, str):
-        ctx.err(path, "must be a string")
+def _choice(ctx, path, val, choices):
+    """val if it is one of choices, all ints or all strings."""
+    kind = type(choices[0])
+    if type(val) is not kind:
+        ctx.err(path, "must be an integer" if kind is int else "must be a string")
         return None
-    if choices is not None and val not in choices:
+    if val not in choices:
         ctx.err(path, f"must be one of {sorted(choices)}")
         return None
     return val
 
 
-def _vec(ctx, path, val, length=None):
-    if not isinstance(val, list) or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in val):
-        ctx.err(path, "must be an array of numbers")
+def _one_of(*choices):
+    return lambda ctx, path, val: _choice(ctx, path, val, choices)
+
+
+def _axis(ctx, path, val):
+    return _choice(ctx, path, val, axis_labels(ctx.d))
+
+
+def _at_least(minimum):
+    def parse(ctx, path, val):
+        if isinstance(val, bool) or not isinstance(val, int):
+            ctx.err(path, "must be an integer")
+            return None
+        if _number(ctx, path, val) is None:  # beyond double range
+            return None
+        if val < minimum:
+            ctx.err(path, f"must be at least {minimum}")
+            return None
+        return val
+    return parse
+
+
+def _has_shape(val, shape):
+    if not shape:
+        return isinstance(val, (int, float)) and not isinstance(val, bool)
+    return (isinstance(val, list) and len(val) == shape[0]
+            and all(_has_shape(v, shape[1:]) for v in val))
+
+
+def _numbers(ctx, path, val, shape):
+    """Float array of a nested list of finite numbers of exactly this shape."""
+    if not _has_shape(val, shape):
+        what = (f"an array of {shape[0]} numbers" if len(shape) == 1 else
+                "a " + "x".join(map(str, shape)) + " array of numbers")
+        ctx.err(path, f"must be {what}")
         return None
-    if length is not None and len(val) != length:
-        ctx.err(path, f"must have length {length}")
-        return None
-    arr = np.asarray(val, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    try:
+        arr = np.asarray(val, dtype=float)
+    except OverflowError:  # an integer literal beyond double range
+        arr = None
+    if arr is None or not np.all(np.isfinite(arr)):
         ctx.err(path, "must be finite")
         return None
     return arr
 
 
-def _mat(ctx, path, val, shape):
-    if not isinstance(val, list) or len(val) != shape[0]:
-        ctx.err(path, f"must be a {shape[0]}x{shape[1]} array")
-        return None
-    rows = []
-    for i, row in enumerate(val):
-        r = _vec(ctx, f"{path}[{i}]", row, length=shape[1])
-        if r is None:
+def _array(*shape):
+    return lambda ctx, path, val: _numbers(ctx, path, val, shape)
+
+
+def _dvec(ctx, path, val):
+    """A p- or r-length array: d numbers for the scenario's d."""
+    return _numbers(ctx, path, val, (ctx.d,))
+
+
+def _list_of(what, *parsers):
+    """Parser for a fixed-length list whose items have their own parsers."""
+    def parse(ctx, path, val):
+        if not isinstance(val, list) or len(val) != len(parsers):
+            ctx.err(path, f"must be {what}")
             return None
-        rows.append(r)
-    return np.stack(rows)
+        before = len(ctx.violations)
+        items = tuple(item(ctx, f"{path}[{i}]", v)
+                      for i, (item, v) in enumerate(zip(parsers, val)))
+        return items if len(ctx.violations) == before else None
+    return parse
 
 
-# ---------------------------------------------------------------------------
-# Config builders
+# Key tables
+
+_LINEAR_KEYS = {"f0": (_array(3), _REQUIRED), "G": (_array(3, 3), None),
+                "gt": (_array(3), None)}
+
+_FIELDS = {
+    "uniform": (lambda value: UniformField(value),
+                {"value": (_array(3), _REQUIRED)}),
+    "linear": (LinearField, _LINEAR_KEYS),
+    "poly": (PolyField, {**_LINEAR_KEYS, "Q": (_array(3, 3, 3), None),
+                         "C": (_array(3, 3), None), "qtt": (_array(3), None)}),
+    "rotating": (RotatingField, {"magnitude": (_positive, _REQUIRED),
+                                 "polar_angle": (_number, _REQUIRED),
+                                 "omega": (_number, _REQUIRED),
+                                 "phi0": (_number, 0.0)}),
+}
+
+_INDICES = {
+    "uniform": (UniformIndex, {"n0": (_positive, 1.0)}),
+    "linear": (LinearIndex, {"n0": (_positive, 1.0), "alpha": (_number, 0.1),
+                             "axis": (_array(3), [0.0, 1.0, 0.0])}),
+}
+_field = _kinded(_FIELDS, "field")
+_index = _kinded(_INDICES, "index")
 
 
-def _build_field(ctx, path, val):
-    obj = _obj(ctx, path, val, required=("kind",),
-               optional=("value", "f0", "G", "gt", "Q", "C", "qtt",
-                         "magnitude", "polar_angle", "omega", "phi0"))
-    if obj is None:
-        return None
-    kind = _str(ctx, f"{path}.kind", obj.get("kind"),
-                choices=("uniform", "linear", "poly", "rotating"))
-    if kind is None:
-        return None
-    if kind == "uniform":
-        v = _vec(ctx, f"{path}.value", obj.get("value", "missing"), length=3) \
-            if "value" in obj else ctx.err(f"{path}.value", "missing required key")
-        return UniformField(v) if v is not None else None
-    if kind in ("linear", "poly"):
-        if "f0" not in obj:
-            ctx.err(f"{path}.f0", "missing required key")
-            return None
-        f0 = _vec(ctx, f"{path}.f0", obj["f0"], length=3)
-        G = _mat(ctx, f"{path}.G", obj["G"], (3, 3)) if "G" in obj else None
-        gt = _vec(ctx, f"{path}.gt", obj["gt"], length=3) if "gt" in obj else None
-        if f0 is None:
-            return None
-        if kind == "linear":
-            for extra in ("Q", "C", "qtt"):
-                if extra in obj:
-                    ctx.err(f"{path}.{extra}", "unknown key for linear field")
-            return LinearField(f0=f0, G=G, gt=gt)
-        C = _mat(ctx, f"{path}.C", obj["C"], (3, 3)) if "C" in obj else None
-        qtt = _vec(ctx, f"{path}.qtt", obj["qtt"], length=3) if "qtt" in obj else None
-        Q = None
-        if "Q" in obj:
-            qv = obj["Q"]
-            if not isinstance(qv, list) or len(qv) != 3:
-                ctx.err(f"{path}.Q", "must be a 3x3x3 array")
-            else:
-                planes = [_mat(ctx, f"{path}.Q[{i}]", qv[i], (3, 3))
-                          for i in range(3)]
-                if all(p is not None for p in planes):
-                    Q = np.stack(planes)
-        return PolyField(f0=f0, G=G, gt=gt, Q=Q, C=C, qtt=qtt)
-    # rotating
-    mag = _num(ctx, f"{path}.magnitude", obj.get("magnitude"), positive=True) \
-        if "magnitude" in obj else ctx.err(f"{path}.magnitude", "missing required key")
-    ang = _num(ctx, f"{path}.polar_angle", obj.get("polar_angle")) \
-        if "polar_angle" in obj else ctx.err(f"{path}.polar_angle", "missing required key")
-    om = _num(ctx, f"{path}.omega", obj.get("omega")) \
-        if "omega" in obj else ctx.err(f"{path}.omega", "missing required key")
-    phi0 = _num(ctx, f"{path}.phi0", obj.get("phi0", 0.0))
-    if None in (mag, ang, om, phi0):
-        return None
-    return RotatingField(magnitude=mag, polar_angle=ang, omega=om, phi0=phi0)
+def _rashba(e_inplane, **kw):
+    return RashbaScenario(e_inplane=tuple(e_inplane), **kw)
 
 
-def _build_scenario(ctx, path, val):
-    obj = _obj(ctx, path, val, required=("kind",),
-               optional=("chi", "rho", "m_star", "hbar", "d", "b_field",
-                         "e_field", "b_z", "e_inplane", "k0", "index",
-                         "e_charge", "c_light"))
-    if obj is None:
-        return None
-    kind = _str(ctx, f"{path}.kind", obj.get("kind"),
-                choices=("zeeman", "spin_orbit", "rashba", "optical"))
-    if kind is None:
-        return None
+_SPIN_KEYS = {"chi": (_number, 1.0), "m_star": (_positive, 1.0),
+              "hbar": (_positive, 1.0)}
+_SPIN_ORBIT_KEYS = {**_SPIN_KEYS, "rho": (_number, 1.0)}
 
-    def num(key, default, **kw):
-        if key in obj:
-            return _num(ctx, f"{path}.{key}", obj[key], **kw)
-        return default
-
-    if kind == "zeeman":
-        for bad in ("rho", "b_z", "e_inplane", "k0", "index", "e_field"):
-            if bad in obj:
-                ctx.err(f"{path}.{bad}", "unknown key for zeeman scenario")
-        if "b_field" not in obj:
-            ctx.err(f"{path}.b_field", "missing required key")
-            return None
-        bf = _build_field(ctx, f"{path}.b_field", obj["b_field"])
-        chi = num("chi", 1.0)
-        ms = num("m_star", 1.0, positive=True)
-        hb = num("hbar", 1.0, positive=True)
-        d = _int(ctx, f"{path}.d", obj.get("d", 3), choices=(2, 3))
-        if None in (bf, chi, ms, hb, d):
-            return None
-        return ZeemanScenario(b_field=bf, chi=chi, m_star=ms, hbar=hb, d=d)
-    if kind == "spin_orbit":
-        for bad in ("b_z", "e_inplane", "k0", "index", "d"):
-            if bad in obj:
-                ctx.err(f"{path}.{bad}", "unknown key for spin_orbit scenario")
-        missing = [k for k in ("e_field", "b_field") if k not in obj]
-        for k in missing:
-            ctx.err(f"{path}.{k}", "missing required key")
-        if missing:
-            return None
-        ef = _build_field(ctx, f"{path}.e_field", obj["e_field"])
-        bf = _build_field(ctx, f"{path}.b_field", obj["b_field"])
-        chi = num("chi", 1.0)
-        rho = num("rho", 1.0)
-        ms = num("m_star", 1.0, positive=True)
-        hb = num("hbar", 1.0, positive=True)
-        if None in (ef, bf, chi, rho, ms, hb):
-            return None
-        return SpinOrbitScenario(e_field=ef, b_field=bf, chi=chi, rho=rho,
-                                 m_star=ms, hbar=hb)
-    if kind == "rashba":
-        for bad in ("b_field", "e_field", "k0", "index", "d"):
-            if bad in obj:
-                ctx.err(f"{path}.{bad}", "unknown key for rashba scenario")
-        chi = num("chi", 1.0)
-        rho = num("rho", 1.0)
-        ms = num("m_star", 1.0, positive=True)
-        hb = num("hbar", 1.0, positive=True)
-        bz = num("b_z", 1.0)
-        ec = num("e_charge", 1.0)
-        cl = num("c_light", 1.0, positive=True)
-        ei = _vec(ctx, f"{path}.e_inplane", obj.get("e_inplane", [1.0, 0.0]),
-                  length=2)
-        if None in (chi, rho, ms, hb, bz, ec, cl) or ei is None:
-            return None
-        return RashbaScenario(b_z=bz, e_inplane=tuple(ei), chi=chi, rho=rho,
-                              m_star=ms, hbar=hb, e_charge=ec, c_light=cl)
-    # optical
-    for bad in ("chi", "rho", "m_star", "hbar", "d", "b_field", "e_field",
-                "b_z", "e_inplane", "e_charge", "c_light"):
-        if bad in obj:
-            ctx.err(f"{path}.{bad}", "unknown key for optical scenario")
-    if "index" not in obj:
-        ctx.err(f"{path}.index", "missing required key")
-        return None
-    iobj = _obj(ctx, f"{path}.index", obj["index"], required=("kind",),
-                optional=("n0", "alpha", "axis"))
-    if iobj is None:
-        return None
-    ikind = _str(ctx, f"{path}.index.kind", iobj.get("kind"),
-                 choices=("uniform", "linear"))
-    n0 = _num(ctx, f"{path}.index.n0", iobj.get("n0", 1.0), positive=True)
-    k0 = num("k0", 100.0, positive=True)
-    if ikind is None or n0 is None or k0 is None:
-        return None
-    if ikind == "uniform":
-        for bad in ("alpha", "axis"):
-            if bad in iobj:
-                ctx.err(f"{path}.index.{bad}", "unknown key for uniform index")
-        return OpticalScenario(index=UniformIndex(n0=n0), k0=k0)
-    alpha = _num(ctx, f"{path}.index.alpha", iobj.get("alpha", 0.1))
-    axis = _vec(ctx, f"{path}.index.axis", iobj.get("axis", [0.0, 1.0, 0.0]),
-                length=3)
-    if alpha is None or axis is None:
-        return None
-    return OpticalScenario(index=LinearIndex(n0=n0, alpha=alpha, axis=axis),
-                           k0=k0)
+_SCENARIOS = {
+    "zeeman": (ZeemanScenario, {"b_field": (_field, _REQUIRED), **_SPIN_KEYS,
+                                "d": (_one_of(2, 3), 3)}),
+    "spin_orbit": (SpinOrbitScenario, {"e_field": (_field, _REQUIRED),
+                                       "b_field": (_field, _REQUIRED),
+                                       **_SPIN_ORBIT_KEYS}),
+    "rashba": (_rashba, {**_SPIN_ORBIT_KEYS, "b_z": (_number, 1.0),
+                         "e_inplane": (_array(2), [1.0, 0.0]),
+                         "e_charge": (_number, 1.0),
+                         "c_light": (_positive, 1.0)}),
+    "optical": (OpticalScenario, {"index": (_index, _REQUIRED),
+                                  "k0": (_positive, 100.0)}),
+}
+_scenario_kind = _kinded(_SCENARIOS, "scenario")
 
 
-def _build_integrator(ctx, path, val):
-    obj = _obj(ctx, path, val, optional=(
-        "method", "step", "tolerance", "t_end", "max_steps", "epsilon_abort",
-        "mode", "spin_force", "record_connection", "delta_p"))
-    if obj is None:
-        return None
-    method = _str(ctx, f"{path}.method", obj.get("method", "rk4"),
-                  choices=("rk4", "rkf45"))
-    step = _num(ctx, f"{path}.step", obj.get("step", 1e-3), positive=True)
-    tol = None
-    if obj.get("tolerance") is not None:
-        tol = _num(ctx, f"{path}.tolerance", obj["tolerance"], positive=True)
-    t_end = _num(ctx, f"{path}.t_end", obj.get("t_end", 1.0))
-    max_steps = _int(ctx, f"{path}.max_steps", obj.get("max_steps", 100000),
-                     minimum=1)
-    eps = _num(ctx, f"{path}.epsilon_abort", obj.get("epsilon_abort", 1.0),
-               positive=True)
-    if eps is not None and eps > 1.0:
-        ctx.err(f"{path}.epsilon_abort", "must lie in (0, 1]")
-        eps = None
-    mode = _str(ctx, f"{path}.mode", obj.get("mode", "exact"),
-                choices=("exact", "reduced"))
-    spin = _bool(ctx, f"{path}.spin_force", obj.get("spin_force", True))
-    rec = _bool(ctx, f"{path}.record_connection",
-                obj.get("record_connection", True))
-    dp = None
-    if obj.get("delta_p") is not None:
-        dp = _num(ctx, f"{path}.delta_p", obj["delta_p"], positive=True)
-    if method == "rkf45" and tol is None:
+def _scenario(ctx, path, obj):
+    scenario = _scenario_kind(ctx, path, obj)
+    ctx.d = getattr(scenario, "d", 3)  # optical rays live in 3d
+    return scenario
+
+
+_SOURCES = {
+    "monopole": (lambda S: {"source": "monopole", "S": S},
+                 {"S": (_spin, _REQUIRED)}),
+    "zeeman": (lambda chi, band: {"source": "zeeman", "chi": chi, "band": band},
+               {"chi": (_number, 1.0), "band": (_one_of(0, 1), 1)}),
+}
+_source = _kinded(_SOURCES, "source")
+
+
+_INTEGRATOR_KEYS = {
+    "method": (_one_of("rk4", "rkf45"), "rk4"),
+    "step": (_positive, 1e-3),
+    "tolerance": (_positive_or_null, None),
+    "t_end": (_number, 1.0),
+    "max_steps": (_at_least(1), 100000),
+    "epsilon_abort": (_abort_bound, 1.0),
+    "mode": (_one_of("exact", "reduced"), "exact"),
+    "spin_force": (_bool, True),
+    "record_connection": (_bool, True),
+    "delta_p": (_positive_or_null, None),
+}
+
+
+def _integrator(ctx, path, obj):
+    before = len(ctx.violations)
+    values = _section(ctx, path, obj, _INTEGRATOR_KEYS)
+    if values is not None and values["method"] == "rkf45" \
+            and values["tolerance"] is None:
         ctx.err(f"{path}.tolerance", "rkf45 requires a positive tolerance")
-    if None in (method, step, t_end, max_steps, eps, mode, spin, rec):
+    if len(ctx.violations) > before:
         return None
-    return IntegratorConfig(method=method, step=step, tolerance=tol,
-                            t_end=t_end, max_steps=max_steps,
-                            epsilon_abort=eps, mode=mode, spin_force=spin,
-                            record_connection=rec, delta_p=dp)
+    return IntegratorConfig(**values)
 
 
-def _build_em(ctx, path, val):
-    obj = _obj(ctx, path, val, optional=("E", "B"))
-    if obj is None:
-        return None
-    E = _vec(ctx, f"{path}.E", obj.get("E", [0.0, 0.0, 0.0]), length=3)
-    B = _vec(ctx, f"{path}.B", obj.get("B", [0.0, 0.0, 0.0]), length=3)
-    if E is None or B is None:
-        return None
-    return ExternalEMField.uniform(E=E, B=B)
+_EM_KEYS = {"E": (_array(3), [0.0, 0.0, 0.0]), "B": (_array(3), [0.0, 0.0, 0.0])}
+
+
+def _em(ctx, path, obj):
+    return _build(ctx, path, obj, _EM_KEYS, ExternalEMField.uniform)
+
+
+_INITIAL_KEYS = {"p": (_dvec, _REQUIRED), "r": (_dvec, _REQUIRED),
+                 "t": (_number, 0.0)}
+
+_RUN_KEYS = {
+    "scenario": (_scenario, _REQUIRED),
+    "initial": (_object(_INITIAL_KEYS), _REQUIRED),
+    "band": (_one_of(0, 1), 1),
+    "helicity": (_one_of(-1, 1), 1),
+    "integrator": (_integrator, {}),
+    "em": (_em, None),
+}
+
+_range = _list_of("[low, high, count]", _number, _number, _at_least(1))
+_GRID_KEYS = {"axis_a": (_axis, _REQUIRED), "axis_b": (_axis, _REQUIRED),
+              "a": (_range, _REQUIRED), "b": (_range, _REQUIRED)}
+_BASE_KEYS = {"p": (_dvec, None), "r": (_dvec, None), "t": (_number, 0.0)}
+
+_MAP_KEYS = {
+    "scenario": (_scenario, _REQUIRED),
+    "grid": (_object(_GRID_KEYS), _REQUIRED),
+    "base": (_object(_BASE_KEYS), {}),
+    "method": (_one_of("plaquette", "split"), "plaquette"),
+    "richardson": (_bool, True),
+}
+
+_CHERN_KEYS = {
+    "source": (_source, _REQUIRED),
+    "center": (_array(3), [0.0, 0.0, 0.0]),
+    "radius": (_positive, 1.0),
+    "nodes": (_list_of("[n_polar, n_azimuthal]", _at_least(4), _at_least(4)),
+              [32, 64]),
+}
+
+# the "ensemble" section: the sampling box, handed to EnsembleSpec as is
+_BOX_KEYS = {
+    "count": (_at_least(1), _REQUIRED),
+    "p_center": (_dvec, _REQUIRED), "r_center": (_dvec, _REQUIRED),
+    "p_spread": (_dvec, None), "r_spread": (_dvec, None),
+    "t0": (_number, 0.0),
+    "sampler": (_one_of("random", "grid"), "random"),
+}
+
+_ENSEMBLE_KEYS = {
+    "scenario": (_scenario, _REQUIRED),
+    "ensemble": (_object(_BOX_KEYS), _REQUIRED),
+    "integrator": (_integrator, {}),
+    "transverse_axis": (_array(3), None),
+    "fractions": (_array(2), None),
+    "seed": (_at_least(0), 0),
+}
 
 
 def _scenario_model_parts(scenario):
@@ -419,45 +489,29 @@ def _scenario_model_parts(scenario):
 # Commands
 
 
-def _cmd_run_scenario(config, out_dir, seed):
+def _walk(config, keys):
+    """(ctx, values) of the top-level config; raises at once if not an object."""
     ctx = _Ctx()
-    obj = _obj(ctx, "config", config, required=("scenario", "initial"),
-               optional=("band", "helicity", "integrator", "em"))
-    if obj is None:
+    values = _section(ctx, "config", config, keys)
+    if values is None:
         ctx.raise_if_any()
-    scenario = _build_scenario(ctx, "config.scenario", obj["scenario"])
-    integ = _build_integrator(ctx, "config.integrator",
-                              obj.get("integrator", {}))
+    return ctx, values
+
+
+def _cmd_run_scenario(config, out_dir, seed):
+    ctx, cfg = _walk(config, _RUN_KEYS)
+    scenario, initial, integ = cfg["scenario"], cfg["initial"], cfg["integrator"]
     optical = isinstance(scenario, OpticalScenario)
-    d = 3
-    if scenario is not None and not optical:
-        d = scenario.d
-    iobj = _obj(ctx, "config.initial", obj["initial"], required=("p", "r"),
-                optional=("t",))
-    p0 = r0 = None
-    t0 = 0.0
-    if iobj is not None:
-        p0 = _vec(ctx, "config.initial.p", iobj["p"], length=d)
-        r0 = _vec(ctx, "config.initial.r", iobj["r"], length=d)
-        t0 = _num(ctx, "config.initial.t", iobj.get("t", 0.0))
-    em = None
-    if "em" in obj:
+    if "em" in config:
         if optical:
             ctx.err("config.em", "not applicable to the optical scenario")
         elif isinstance(scenario, RashbaScenario):
             ctx.err("config.em", "rashba carries its own fields; do not set em")
-        else:
-            em = _build_em(ctx, "config.em", obj["em"])
-    if optical:
-        if "band" in obj:
-            ctx.err("config.band", "optical runs select helicity, not band")
-        helicity = _int(ctx, "config.helicity", obj.get("helicity", 1),
-                        choices=(-1, 1))
-    else:
-        if "helicity" in obj:
-            ctx.err("config.helicity", "only the optical scenario takes helicity")
-        helicity = None
-        band = _int(ctx, "config.band", obj.get("band", 1), choices=(0, 1))
+    if optical and "band" in config:
+        ctx.err("config.band", "optical runs select helicity, not band")
+    if not optical and "helicity" in config:
+        ctx.err("config.helicity", "only the optical scenario takes helicity")
+    t0 = initial["t"] if initial is not None else None
     if integ is not None:
         if optical and integ.t_end <= 0:
             ctx.err("config.integrator.t_end", "must be positive for optical rays")
@@ -465,7 +519,9 @@ def _cmd_run_scenario(config, out_dir, seed):
             ctx.err("config.initial.t", "must be less than config.integrator.t_end")
     ctx.raise_if_any()
 
-    labels = axis_labels(d)
+    p0, r0 = initial["p"], initial["r"]
+    band, helicity, em = cfg["band"], cfg["helicity"], cfg["em"]
+    labels = axis_labels(ctx.d)
     header = (["t"] + [lb for lb in labels[:-1]]
               + ["band", "energy", "epsilon", "berry_phase", "dynamic_phase"])
     if optical:
@@ -488,8 +544,8 @@ def _cmd_run_scenario(config, out_dir, seed):
     model, auto_em, curv, _ = _scenario_model_parts(scenario)
     if em is None:
         em = auto_em
-    traj = integrate(model, band, PhasePoint(p0, r0, t0), integ, em=em,
-                     curvature=curv)
+    traj = integrate(model, band, PhasePoint(p0, r0, initial["t"]), integ,
+                     em=em, curvature=curv)
     rows = []
     for st in traj.states:
         rows.append([st.m.t, *st.m.p, *st.m.r, band, st.energy, st.epsilon,
@@ -509,54 +565,31 @@ def _cmd_run_scenario(config, out_dir, seed):
 
 
 def _cmd_curvature_map(config, out_dir, seed):
-    ctx = _Ctx()
-    obj = _obj(ctx, "config", config, required=("scenario", "grid"),
-               optional=("base", "method", "richardson"))
-    if obj is None:
-        ctx.raise_if_any()
-    scenario = _build_scenario(ctx, "config.scenario", obj["scenario"])
+    ctx, cfg = _walk(config, _MAP_KEYS)
+    scenario, grid, base = cfg["scenario"], cfg["grid"], cfg["base"]
     if isinstance(scenario, OpticalScenario):
         ctx.err("config.scenario.kind", "curvature-map needs a two-band scenario")
-        ctx.raise_if_any()
-    method = _str(ctx, "config.method", obj.get("method", "plaquette"),
-                  choices=("plaquette", "split"))
-    rich = _bool(ctx, "config.richardson", obj.get("richardson", True))
-    d = scenario.d if scenario is not None else 3
-    labels = axis_labels(d)
-    gobj = _obj(ctx, "config.grid", obj["grid"],
-                required=("axis_a", "axis_b", "a", "b"))
-    la = lb = None
-    a_spec = b_spec = None
-    if gobj is not None:
-        la = _str(ctx, "config.grid.axis_a", gobj["axis_a"], choices=labels)
-        lb = _str(ctx, "config.grid.axis_b", gobj["axis_b"], choices=labels)
-        if la is not None and lb is not None and la == lb:
-            ctx.err("config.grid.axis_b", "must differ from axis_a")
-        a_spec = _range_spec(ctx, "config.grid.a", gobj["a"])
-        b_spec = _range_spec(ctx, "config.grid.b", gobj["b"])
-    base_p = np.zeros(d)
-    base_r = np.zeros(d)
-    base_t = 0.0
-    if "base" in obj:
-        bobj = _obj(ctx, "config.base", obj["base"], optional=("p", "r", "t"))
-        if bobj is not None:
-            if "p" in bobj:
-                base_p = _vec(ctx, "config.base.p", bobj["p"], length=d)
-            if "r" in bobj:
-                base_r = _vec(ctx, "config.base.r", bobj["r"], length=d)
-            base_t = _num(ctx, "config.base.t", bobj.get("t", 0.0))
+    if grid is not None and grid["axis_a"] is not None \
+            and grid["axis_a"] == grid["axis_b"]:
+        ctx.err("config.grid.axis_b", "must differ from axis_a")
     ctx.raise_if_any()
 
+    d = ctx.d
+    labels = axis_labels(d)
+    method = cfg["method"]
     model = scenario.model()
     D = 2 * d + 1
+    la, lb = grid["axis_a"], grid["axis_b"]
     ia, ib = labels.index(la), labels.index(lb)
     pairs = [(i, j) for i in range(D) for j in range(i + 1, D)]
     header = [la, lb]
     for band in (0, 1):
         header += [f"F{band}_{labels[i]}_{labels[j]}" for i, j in pairs]
-    a_vals = np.linspace(*a_spec)
-    b_vals = np.linspace(*b_spec)
-    base = PhasePoint(base_p, base_r, base_t)
+    a_vals = np.linspace(*grid["a"])
+    b_vals = np.linspace(*grid["b"])
+    zero = np.zeros(d)
+    base = PhasePoint(zero if base["p"] is None else base["p"],
+                      zero if base["r"] is None else base["r"], base["t"])
     rows = []
     for av in a_vals:
         for bv in b_vals:
@@ -567,7 +600,8 @@ def _cmd_curvature_map(config, out_dir, seed):
             if method == "split":
                 ct = curvature_m_space(model, m)
             else:
-                ct = adiabatic_curvature_numeric(model, m, richardson=rich)
+                ct = adiabatic_curvature_numeric(model, m,
+                                                 richardson=cfg["richardson"])
             row = [av, bv]
             for band in (0, 1):
                 row += [ct.F[band, i, j] for i, j in pairs]
@@ -579,71 +613,18 @@ def _cmd_curvature_map(config, out_dir, seed):
     return 0
 
 
-def _range_spec(ctx, path, val):
-    if not isinstance(val, list) or len(val) != 3:
-        ctx.err(path, "must be [low, high, count]")
-        return None
-    lo = _num(ctx, f"{path}[0]", val[0])
-    hi = _num(ctx, f"{path}[1]", val[1])
-    n = _int(ctx, f"{path}[2]", val[2], minimum=1)
-    if None in (lo, hi, n):
-        return None
-    return (lo, hi, n)
-
-
 def _cmd_chern_charge(config, out_dir, seed):
-    ctx = _Ctx()
-    obj = _obj(ctx, "config", config, required=("source",),
-               optional=("center", "radius", "nodes"))
-    if obj is None:
-        ctx.raise_if_any()
-    center = _vec(ctx, "config.center", obj.get("center", [0.0, 0.0, 0.0]),
-                  length=3)
-    radius = _num(ctx, "config.radius", obj.get("radius", 1.0), positive=True)
-    nodes = obj.get("nodes", [32, 64])
-    if not isinstance(nodes, list) or len(nodes) != 2:
-        ctx.err("config.nodes", "must be [n_polar, n_azimuthal]")
-        nodes = None
-    else:
-        nodes = (_int(ctx, "config.nodes[0]", nodes[0], minimum=4),
-                 _int(ctx, "config.nodes[1]", nodes[1], minimum=4))
-        if None in nodes:
-            nodes = None
-    sobj = _obj(ctx, "config.source", obj["source"], required=("kind",),
-                optional=("S", "chi", "band"))
-    field = None
-    meta = {}
-    if sobj is not None:
-        kind = _str(ctx, "config.source.kind", sobj.get("kind"),
-                    choices=("monopole", "zeeman"))
-        if kind == "monopole":
-            if "S" not in sobj:
-                ctx.err("config.source.S", "missing required key")
-            else:
-                S = _num(ctx, "config.source.S", sobj["S"])
-                if S is not None and abs(2 * S - round(2 * S)) > 1e-9:
-                    ctx.err("config.source.S", "must be integer or half-integer")
-                    S = None
-                if S is not None and center is not None:
-                    field = monopole_field(S=S, center=center)
-                    meta = {"source": "monopole", "S": S}
-            for bad in ("chi", "band"):
-                if bad in sobj:
-                    ctx.err(f"config.source.{bad}", "unknown key for monopole source")
-        elif kind == "zeeman":
-            if "S" in sobj:
-                ctx.err("config.source.S", "unknown key for zeeman source")
-            chi = _num(ctx, "config.source.chi", sobj.get("chi", 1.0))
-            band = _int(ctx, "config.source.band", sobj.get("band", 1),
-                        choices=(0, 1))
-            if chi is not None and band is not None and center is not None:
-                model = ZeemanScenario.hedgehog(chi=chi).model()
-                base = PhasePoint(np.zeros(3), center, 0.0)
-                field = PlaquetteCurvatureField(model, band, base,
-                                                axes=(3, 4, 5))
-                meta = {"source": "zeeman", "chi": chi, "band": band}
+    ctx, cfg = _walk(config, _CHERN_KEYS)
     ctx.raise_if_any()
-    q = chern_charge(field, center=center, radius=radius, nodes=nodes)
+    meta, center, radius = cfg["source"], cfg["center"], cfg["radius"]
+    if meta["source"] == "monopole":
+        field = monopole_field(S=meta["S"], center=center)
+    else:
+        model = ZeemanScenario.hedgehog(chi=meta["chi"]).model()
+        base = PhasePoint(np.zeros(3), center, 0.0)
+        field = PlaquetteCurvatureField(model, meta["band"], base,
+                                        axes=(3, 4, 5))
+    q = chern_charge(field, center=center, radius=radius, nodes=cfg["nodes"])
     rec = {"format": "sgk.chern.v1", "charge": q, "radius": radius,
            "center": list(center), **meta}
     _write_jsonl(os.path.join(out_dir, "chern.jsonl"), [rec])
@@ -652,59 +633,25 @@ def _cmd_chern_charge(config, out_dir, seed):
 
 
 def _cmd_ensemble(config, out_dir, seed):
-    ctx = _Ctx()
-    obj = _obj(ctx, "config", config, required=("scenario", "ensemble"),
-               optional=("integrator", "transverse_axis", "fractions", "seed"))
-    if obj is None:
-        ctx.raise_if_any()
-    scenario = _build_scenario(ctx, "config.scenario", obj["scenario"])
-    integ = _build_integrator(ctx, "config.integrator",
-                              obj.get("integrator", {}))
-    optical = isinstance(scenario, OpticalScenario)
-    d = 3 if optical else (scenario.d if scenario is not None else 3)
-    eobj = _obj(ctx, "config.ensemble", obj["ensemble"],
-                required=("count", "p_center", "r_center"),
-                optional=("p_spread", "r_spread", "t0", "sampler"))
-    count = pc = rc = ps = rs = None
-    t0 = 0.0
-    sampler = "random"
-    if eobj is not None:
-        count = _int(ctx, "config.ensemble.count", eobj["count"], minimum=1)
-        pc = _vec(ctx, "config.ensemble.p_center", eobj["p_center"], length=d)
-        rc = _vec(ctx, "config.ensemble.r_center", eobj["r_center"], length=d)
-        if "p_spread" in eobj:
-            ps = _vec(ctx, "config.ensemble.p_spread", eobj["p_spread"], length=d)
-        if "r_spread" in eobj:
-            rs = _vec(ctx, "config.ensemble.r_spread", eobj["r_spread"], length=d)
-        t0 = _num(ctx, "config.ensemble.t0", eobj.get("t0", 0.0))
-        sampler = _str(ctx, "config.ensemble.sampler",
-                       eobj.get("sampler", "random"), choices=("random", "grid"))
-    axis = None
-    if "transverse_axis" in obj:
-        axis = _vec(ctx, "config.transverse_axis", obj["transverse_axis"],
-                    length=3)
-    elif isinstance(scenario, RashbaScenario):
-        axis = scenario.transverse_axis()
-    elif scenario is not None:
-        ctx.err("config.transverse_axis",
-                "missing required key (only rashba declares a default)")
-    fractions = None
-    if "fractions" in obj:
-        fractions = _vec(ctx, "config.fractions", obj["fractions"], length=2)
-    cfg_seed = _int(ctx, "config.seed", obj.get("seed", 0), minimum=0)
+    ctx, cfg = _walk(config, _ENSEMBLE_KEYS)
+    scenario, axis = cfg["scenario"], cfg["transverse_axis"]
+    if "transverse_axis" not in config and scenario is not None:
+        if isinstance(scenario, RashbaScenario) and np.any(scenario.e_vector()):
+            axis = scenario.transverse_axis()
+        else:
+            ctx.err("config.transverse_axis", "missing required key (only "
+                    "rashba with a nonzero e_inplane declares a default)")
     ctx.raise_if_any()
 
-    use_seed = seed if seed is not None else cfg_seed
-    if optical:
+    use_seed = seed if seed is not None else cfg["seed"]
+    if isinstance(scenario, OpticalScenario):
         parts = dict(optical=scenario)
     else:
         model, em, curv, _ = _scenario_model_parts(scenario)
         parts = dict(model=model, em=em, curvature=curv)
     try:
-        spec = EnsembleSpec(count=count, config=integ, p_center=pc,
-                            r_center=rc, p_spread=ps, r_spread=rs, t0=t0,
-                            seed=use_seed, sampler=sampler,
-                            transverse_axis=axis, **parts)
+        spec = EnsembleSpec(config=cfg["integrator"], seed=use_seed,
+                            transverse_axis=axis, **cfg["ensemble"], **parts)
     except ValueError as exc:
         raise SchemaError([f"config.ensemble: {exc}"]) from exc
     report = run_ensemble(spec)
@@ -722,16 +669,16 @@ def _cmd_ensemble(config, out_dir, seed):
         "splitting": report.splitting,
         "failures": len(report.failures),
     }
-    if fractions is not None:
-        rec["polarization_current"] = polarization_current(report, fractions)
+    if cfg["fractions"] is not None:
+        rec["polarization_current"] = polarization_current(report,
+                                                           cfg["fractions"])
     _write_jsonl(os.path.join(out_dir, "ensemble.jsonl"), [rec])
     print(_dumps(rec))
     return 0
 
 
 def _cmd_verify(config, out_dir, seed):
-    ctx = _Ctx()
-    _obj(ctx, "config", config, optional=())
+    ctx, _ = _walk(config, {})
     ctx.raise_if_any()
     results = run_battery()
     records = [{"format": "sgk.verify.v1", **r} for r in results]

@@ -18,7 +18,7 @@ class DegeneracyError(SgkError):
 
 
 class NumericalError(SgkError):
-    """Eigensolver failure or a model returning a non-Hermitian matrix."""
+    """Eigensolver failure or a model returning a non-Hermitian or non-finite matrix."""
 
 
 class BandTrackingError(SgkError):

@@ -13,6 +13,7 @@ closed form in terms of H1 and its first derivatives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -67,7 +68,8 @@ class HamiltonianModel:
     """n-band Hermitian matrix Hamiltonian over extended phase space.
 
     evaluate(m) must return an n x n Hermitian array; the wrapper here
-    symmetrizes small defects and rejects anything beyond 1e-12 relative.
+    symmetrizes small defects and rejects anything beyond 1e-12 relative
+    and any matrix with a NaN or infinite entry.
     spin_charges lists the per-band spin projection on H1 (ascending band
     order); split-form Pauli models default to (-1/2, +1/2).
     """
@@ -92,7 +94,11 @@ class HamiltonianModel:
         H = np.asarray(self.evaluate_raw(m), dtype=complex)
         if H.shape != (self.n, self.n):
             raise NumericalError(f"model returned shape {H.shape}, expected {(self.n, self.n)}")
-        scale = max(1.0, float(np.max(np.abs(H))))
+        peak = float(np.max(np.abs(H)))
+        if not math.isfinite(peak):
+            # NaN fails every tolerance test below, so it must stop here
+            raise NumericalError(f"model matrix is not finite: largest |entry| is {peak}")
+        scale = max(1.0, peak)
         defect = float(np.max(np.abs(H - H.conj().T)))
         if defect > HERMITICITY_RTOL * scale:
             raise NumericalError(

@@ -1,12 +1,18 @@
 """Batch runner end-to-end: schemas, exit codes, artifacts, determinism."""
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sgk import PhasePoint, RashbaScenario, curvature_m_space
+from sgk import PhasePoint, RashbaScenario, cli, curvature_m_space
 from sgk.cli import fmt_float, main
 
 
@@ -411,3 +417,347 @@ def test_verify_rejects_unknown_keys(tmp_path, capsys):
     code, _, err, _ = run_cli(tmp_path, capsys, "verify", {"fast": True})
     assert code == 2
     assert "config.fast" in err
+
+
+# -- key tables ---------------------------------------------------------------
+
+
+BIG = 10 ** 400  # an integer literal beyond double range
+
+
+@pytest.mark.parametrize("command, config, needle", [
+    ("run-scenario",
+     {"scenario": {"kind": "rashba"}, "initial": {"p": [0.1, 0.0], "r": [0, 0]},
+      "integrator": {"step": BIG}},
+     "config.integrator.step: must be finite"),
+    ("run-scenario",
+     {"scenario": {"kind": "rashba"}, "initial": {"p": [BIG, 0.0], "r": [0, 0]}},
+     "config.initial.p: must be finite"),
+    ("run-scenario",
+     {"scenario": {"kind": "zeeman",
+                   "b_field": {"kind": "linear", "f0": [0, 0, 1],
+                               "G": [[0, 0, 0], [0, -BIG, 0], [0, 0, 0]]}},
+      "initial": {"p": [0, 0, 0], "r": [0, 0, 0]}},
+     "config.scenario.b_field.G: must be finite"),
+    ("chern-charge", {"source": {"kind": "monopole", "S": 1}, "nodes": [BIG, 8]},
+     "config.nodes[0]: must be finite"),
+    ("ensemble", {**ENSEMBLE_CONFIG, "seed": BIG}, "config.seed: must be finite"),
+], ids=["scalar", "vector", "matrix", "integer-in-list", "integer"])
+def test_number_beyond_double_range_exits_2(tmp_path, capsys, command, config,
+                                            needle):
+    code, _, err, _ = run_cli(tmp_path, capsys, command, config)
+    assert code == 2
+    assert needle in err
+    assert json.loads(err.splitlines()[-1])["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("command, config, needle", [
+    ("run-scenario",
+     {"scenario": {"kind": "rashba"}, "initial": {"p": [0.1, 0.0], "r": [0, 0]},
+      "integrator": {"method": "rkf45"}},
+     "config.integrator.tolerance: rkf45 requires a positive tolerance"),
+    ("run-scenario",
+     {"scenario": {"kind": "optical",
+                   "index": {"kind": "linear", "axis": [0, 0, 0]}},
+      "initial": {"p": [0.0, 0.0, 1.0], "r": [0, 0, 0]}},
+     "config.scenario.index: axis must be nonzero"),
+    ("ensemble",
+     {**ENSEMBLE_CONFIG,
+      "scenario": {**ENSEMBLE_CONFIG["scenario"], "e_inplane": [0, 0]}},
+     "config.transverse_axis: missing required key"),
+], ids=["rkf45-without-tolerance", "zero-index-axis", "rashba-without-field"])
+def test_constructor_rejections_exit_2(tmp_path, capsys, command, config,
+                                       needle):
+    # each of these used to escape as a bare ValueError and exit 5
+    code, _, err, _ = run_cli(tmp_path, capsys, command, config)
+    assert code == 2
+    assert needle in err
+    assert json.loads(err.splitlines()[-1])["error"] == "SchemaError"
+
+
+# Each kind's own keys, written out independently of the CLI's tables: a key
+# that only a sibling kind takes must be rejected, never silently ignored.
+KIND_KEYS = {
+    "scenario": {
+        "zeeman": {"b_field", "chi", "m_star", "hbar", "d"},
+        "spin_orbit": {"e_field", "b_field", "chi", "rho", "m_star", "hbar"},
+        "rashba": {"chi", "rho", "m_star", "hbar", "b_z", "e_inplane",
+                   "e_charge", "c_light"},
+        "optical": {"index", "k0"},
+    },
+    "field": {
+        "uniform": {"value"},
+        "linear": {"f0", "G", "gt"},
+        "poly": {"f0", "G", "gt", "Q", "C", "qtt"},
+        "rotating": {"magnitude", "polar_angle", "omega", "phi0"},
+    },
+    "index": {"uniform": {"n0"}, "linear": {"n0", "alpha", "axis"}},
+    "source": {"monopole": {"S"}, "zeeman": {"chi", "band"}},
+}
+UNIFORM_B = {"kind": "uniform", "value": [0, 0, 1]}
+SHORT_RUN = {"step": 0.1, "t_end": 0.3}
+KIND_EXAMPLES = {
+    "scenario": {
+        "zeeman": {"kind": "zeeman", "b_field": UNIFORM_B},
+        "spin_orbit": {"kind": "spin_orbit", "b_field": UNIFORM_B,
+                       "e_field": {"kind": "uniform", "value": [0.3, 0, 0]}},
+        "rashba": {"kind": "rashba"},
+        "optical": {"kind": "optical", "index": {"kind": "uniform"}},
+    },
+    "field": {
+        "uniform": UNIFORM_B,
+        "linear": {"kind": "linear", "f0": [0, 0, 1]},
+        "poly": {"kind": "poly", "f0": [0, 0, 1]},
+        "rotating": {"kind": "rotating", "magnitude": 1, "polar_angle": 0.5,
+                     "omega": 0.3},
+    },
+    "index": {"uniform": {"kind": "uniform"}, "linear": {"kind": "linear"}},
+    "source": {"monopole": {"kind": "monopole", "S": 0.5},
+               "zeeman": {"kind": "zeeman"}},
+}
+
+
+def _sibling_cases():
+    for section, kinds in KIND_KEYS.items():
+        for kind, own in kinds.items():
+            siblings = set().union(*kinds.values()) - own
+            for key in sorted(siblings):
+                yield pytest.param(section, kind, key,
+                                   id=f"{section}-{kind}-{key}")
+
+
+def _config_with(section, obj):
+    """(command, config, path) that puts obj at the section's place."""
+    if section == "source":
+        return "chern-charge", {"source": obj, "nodes": [4, 4]}, "config.source"
+    if section == "index":
+        scenario = {"kind": "optical", "index": obj}
+        path = "config.scenario.index"
+    elif section == "field":
+        scenario = {"kind": "zeeman", "b_field": obj}
+        path = "config.scenario.b_field"
+    else:
+        scenario, path = obj, "config.scenario"
+    p = {"rashba": [0.1, 0.0], "optical": [0.0, 0.0, 1.0]}.get(
+        scenario["kind"], [0.1, 0.0, 0.0])
+    return "run-scenario", {"scenario": scenario, "integrator": SHORT_RUN,
+                            "initial": {"p": p, "r": [0.0] * len(p)}}, path
+
+
+@pytest.mark.parametrize("section, kind, key", list(_sibling_cases()))
+def test_sibling_kind_key_is_rejected(tmp_path, capsys, section, kind, key):
+    obj = {**KIND_EXAMPLES[section][kind], key: 1.0}
+    command, config, path = _config_with(section, obj)
+    code, _, err, _ = run_cli(tmp_path, capsys, command, config)
+    assert code == 2
+    assert f"{path}.{key}: unknown key for {kind} {section}" in err
+
+
+def test_kind_examples_are_valid(tmp_path, capsys):
+    # the sibling test above starts from these; each must run as given
+    for section, examples in KIND_EXAMPLES.items():
+        for kind, obj in examples.items():
+            command, config, _ = _config_with(section, obj)
+            code, _, err, _ = run_cli(tmp_path, capsys, command, config,
+                                      out=f"{section}-{kind}")
+            assert code == 0, (section, kind, err)
+
+
+# -- config fuzz --------------------------------------------------------------
+
+
+# Small valid configs; each runs a few steps, points or nodes.
+FUZZ_BASES = [
+    ("run-scenario", {
+        "scenario": {"kind": "zeeman", "chi": 0.9,
+                     "b_field": {"kind": "poly", "f0": [0.1, 0.2, 1.0],
+                                 "G": [[0.1, 0, 0], [0, 0.1, 0], [0, 0, 0]]}},
+        "initial": {"p": [0.1, 0.0, 0.0], "r": [0.0, 0.1, 0.0]},
+        "integrator": {"step": 0.1, "t_end": 0.3, "max_steps": 5},
+        "em": {"E": [0.1, 0.0, 0.0]}, "band": 0}),
+    ("run-scenario", {
+        "scenario": {"kind": "spin_orbit",
+                     "e_field": {"kind": "linear", "f0": [0.3, 0.1, 0.0]},
+                     "b_field": {"kind": "rotating", "magnitude": 1.0,
+                                 "polar_angle": 0.5, "omega": 0.3}},
+        "initial": {"p": [0.1, 0.2, 0.0], "r": [0.0, 0.0, 0.0]},
+        "integrator": {"method": "rkf45", "tolerance": 1e-4, "step": 0.1,
+                       "t_end": 0.3, "max_steps": 5}}),
+    ("run-scenario", {
+        "scenario": {"kind": "rashba", "e_inplane": [0.1, 0.0]},
+        "initial": {"p": [0.2, 0.1], "r": [0.0, 0.0]},
+        "integrator": {"step": 0.1, "t_end": 0.3, "max_steps": 5}}),
+    ("run-scenario", {
+        "scenario": {"kind": "optical", "k0": 50.0,
+                     "index": {"kind": "linear", "alpha": 0.05}},
+        "initial": {"p": [0.0, 0.0, 1.0], "r": [0.0, 0.0, 0.0]},
+        "helicity": -1,
+        "integrator": {"step": 0.1, "t_end": 0.3, "max_steps": 5}}),
+    ("curvature-map", {
+        "scenario": {"kind": "rashba"},
+        "grid": {"axis_a": "p1", "axis_b": "r2", "a": [0.1, 0.2, 2],
+                 "b": [0.0, 0.1, 1]},
+        "base": {"p": [0.0, 0.1]}, "method": "split"}),
+    ("curvature-map", {
+        "scenario": {"kind": "zeeman",
+                     "b_field": {"kind": "uniform", "value": [0.2, 0.0, 1.0]}},
+        "grid": {"axis_a": "p1", "axis_b": "t", "a": [0.1, 0.2, 2],
+                 "b": [0.0, 0.1, 1]},
+        "richardson": False}),
+    ("chern-charge", {"source": {"kind": "monopole", "S": 0.5},
+                      "center": [0.1, 0.0, 0.0], "nodes": [4, 4]}),
+    ("ensemble", {
+        "scenario": {"kind": "rashba", "e_inplane": [0.1, 0.0]},
+        "ensemble": {"count": 2, "p_center": [0.2, 0.0],
+                     "r_center": [0.0, 0.0], "p_spread": [0.05, 0.0]},
+        "integrator": {"step": 0.1, "t_end": 0.3, "max_steps": 5,
+                       "record_connection": False},
+        "fractions": [0.5, 0.5]}),
+    ("ensemble", {
+        "scenario": {"kind": "zeeman", "d": 2,
+                     "b_field": {"kind": "uniform", "value": [0.0, 0.0, 1.0]}},
+        "ensemble": {"count": 4, "p_center": [0.1, 0.0],
+                     "r_center": [0.0, 0.0], "r_spread": [0.1, 0.1],
+                     "sampler": "grid"},
+        "integrator": {"step": 0.1, "t_end": 0.2, "max_steps": 5},
+        "transverse_axis": [0.0, 1.0, 0.0], "seed": 3}),
+]
+TOP_KEYS = {"run-scenario": cli._RUN_KEYS, "curvature-map": cli._MAP_KEYS,
+            "chern-charge": cli._CHERN_KEYS, "ensemble": cli._ENSEMBLE_KEYS}
+SECTION_KEYS = {"initial": cli._INITIAL_KEYS,
+                "integrator": cli._INTEGRATOR_KEYS, "em": cli._EM_KEYS,
+                "grid": cli._GRID_KEYS, "base": cli._BASE_KEYS,
+                "ensemble": cli._BOX_KEYS}
+KINDED = {"scenario": cli._SCENARIOS, "b_field": cli._FIELDS,
+          "e_field": cli._FIELDS, "index": cli._INDICES,
+          "source": cli._SOURCES}
+ALL_KEYS = sorted(
+    {"kind", "stray"}
+    | {key for table in [*TOP_KEYS.values(), *SECTION_KEYS.values()]
+       for key in table}
+    | {key for kinds in KINDED.values() for _, table in kinds.values()
+       for key in table})
+JUNK = ["x", True, None, [], {}, [1.0, 2.0]]
+# out of range, non-finite or beyond double range
+BAD_NUMBERS = [BIG, -BIG, float("nan"), float("inf"), -1, 0, -0.5]
+# values for the keys a kind switch must supply
+REQUIRED_EXAMPLES = {
+    "b_field": {"kind": "uniform", "value": [0.0, 0.3, 1.0]},
+    "e_field": {"kind": "uniform", "value": [0.2, 0.0, 0.0]},
+    "index": {"kind": "uniform"}, "value": [0.0, 0.3, 1.0],
+    "f0": [0.0, 0.3, 1.0], "magnitude": 1.0, "polar_angle": 0.4,
+    "omega": 0.2, "S": -1,
+}
+
+
+def _table(command, path, node):
+    """The key table of the section at path (a tuple of keys), if any."""
+    if not path:
+        return TOP_KEYS[command]
+    name = path[-1]
+    if name in KINDED:
+        kind = node.get("kind")
+        hit = KINDED[name].get(kind) if isinstance(kind, str) else None
+        return None if hit is None else {"kind": None, **hit[1]}
+    return SECTION_KEYS.get(name)
+
+
+def _sections(node, path=()):
+    """Every object in the config with its path."""
+    if isinstance(node, dict):
+        yield path, node
+        for key, val in node.items():
+            yield from _sections(val, path + (key,))
+
+
+def _leaves(node, path=()):
+    """Every non-object value and list item with its path."""
+    if isinstance(node, dict):
+        for key, val in node.items():
+            yield from _leaves(val, path + (key,))
+    else:
+        yield path, node
+        if isinstance(node, list):
+            for i, val in enumerate(node):
+                yield from _leaves(val, path + (i,))
+
+
+def _numbers(config):
+    return [path for path, val in _leaves(config)
+            if isinstance(val, (int, float)) and not isinstance(val, bool)]
+
+
+def _set(config, path, value):
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+@st.composite
+def fuzz_configs(draw):
+    command, base = draw(st.sampled_from(FUZZ_BASES))
+    config = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["number", "junk", "drop", "default",
+                                   "kind"]))
+        if op == "number" and _numbers(config):
+            path = draw(st.sampled_from(_numbers(config)))
+            _set(config, path, draw(st.sampled_from(BAD_NUMBERS)))
+            continue
+        if op in ("number", "junk"):
+            path, _ = draw(st.sampled_from(list(_leaves(config))))
+            _set(config, path, copy.deepcopy(draw(st.sampled_from(JUNK))))
+            continue
+        path, node = draw(st.sampled_from(list(_sections(config))))
+        table = _table(command, path, node)
+        # integrator and max_steps stay, so every run takes a few steps
+        keep = {"integrator", "max_steps"}
+        if op == "drop" and set(node) - keep:
+            del node[draw(st.sampled_from(sorted(set(node) - keep)))]
+        elif op == "default" and table and set(table) - set(node):
+            # a table default is a valid config value for its key
+            key = draw(st.sampled_from(sorted(set(table) - set(node))))
+            if table[key] is not None and table[key][1] not in (
+                    None, cli._REQUIRED):
+                node[key] = copy.deepcopy(table[key][1])
+        elif op == "kind" and path and path[-1] in KINDED:
+            kind = draw(st.sampled_from(sorted(KINDED[path[-1]])))
+            keys = KINDED[path[-1]][kind][1]
+            new = {"kind": kind}
+            for key, (_, default) in keys.items():
+                if key in node:
+                    new[key] = node[key]
+                elif default is cli._REQUIRED:
+                    new[key] = copy.deepcopy(REQUIRED_EXAMPLES[key])
+            _set(config, path, new)
+    stray = None
+    if draw(st.booleans()):
+        path, node = draw(st.sampled_from(list(_sections(config))))
+        table = _table(command, path, node) or {}
+        key = draw(st.sampled_from([k for k in ALL_KEYS if k not in table]))
+        value = draw(st.sampled_from([1.0, "x", [0.0, 1.0]]))
+        node[key] = copy.deepcopy(value)
+        stray = ".".join(("config",) + path + (key,))
+    return command, config, stray
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # marginal physics is fine
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fuzz_configs())
+def test_fuzzed_configs_exit_with_a_documented_code(case):
+    command, config, stray = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg), "--out", tmp])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3, 4), lines
+    if code:
+        record = json.loads(lines[-1])
+        assert set(record) == {"error", "message"}
+        assert not any(ln.startswith("{") for ln in lines[:-1]), lines
+    if stray is not None:
+        assert code == 2, (stray, lines)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgk.errors import BandTrackingError, DegeneracyError
+from sgk.errors import BandTrackingError, DegeneracyError, NumericalError
 from sgk.models import PAULI, Constants, HamiltonianModel
 from sgk.phase_space import PhasePoint
 from sgk.scenarios import ZeemanScenario
+from sgk.gauge import adiabatic_curvature_numeric
 from sgk.spectral import aligned_frame, diagonalize, smooth_frame_along
 
 M0 = PhasePoint((0.1, -0.2, 0.3), (0.2, 0.4, 0.9), 0.0)
@@ -59,6 +60,19 @@ def test_diagonalize_deterministic():
     U1 = diagonalize(split_model(), M0).U
     U2 = diagonalize(split_model(), M0).U
     assert np.array_equal(U1, U2)
+
+
+@pytest.mark.parametrize("entry, name", [(np.nan, "nan"), (np.inf, "inf"),
+                                         (complex(0.0, -np.inf), "inf")])
+def test_non_finite_matrix_is_a_numerical_error(entry, name):
+    # NaN compares false against every tolerance, so without its own check
+    # diagonalize returned energies [nan, 1] and the plaquette curvature 0
+    model = HamiltonianModel(
+        n=2, evaluate_raw=lambda m: np.array([[entry, 0], [0, 1.0]]))
+    for call in (model.evaluate, lambda m: diagonalize(model, m),
+                 lambda m: adiabatic_curvature_numeric(model, m)):
+        with pytest.raises(NumericalError, match=f"not finite.*{name}"):
+            call(M0)
 
 
 def test_degeneracy_raises():
