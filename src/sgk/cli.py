@@ -267,7 +267,7 @@ def _axis(ctx, path, val):
     return _choice(ctx, path, val, axis_labels(ctx.d))
 
 
-def _at_least(minimum):
+def _at_least(minimum, maximum=None):
     def parse(ctx, path, val):
         if isinstance(val, bool) or not isinstance(val, int):
             ctx.err(path, "must be an integer")
@@ -276,6 +276,9 @@ def _at_least(minimum):
             return None
         if val < minimum:
             ctx.err(path, f"must be at least {minimum}")
+            return None
+        if maximum is not None and val > maximum:
+            ctx.err(path, f"must be at most {maximum}")
             return None
         return val
     return parse
@@ -436,7 +439,9 @@ _RUN_KEYS = {
     "em": (_em, None),
 }
 
-_range = _list_of("[low, high, count]", _number, _number, _at_least(1))
+# Size caps keep allocations bounded: Gauss-Legendre nodes build an n x n
+# matrix, and every sample or grid point is held in memory.
+_range = _list_of("[low, high, count]", _number, _number, _at_least(1, 2**10))
 _GRID_KEYS = {"axis_a": (_axis, _REQUIRED), "axis_b": (_axis, _REQUIRED),
               "a": (_range, _REQUIRED), "b": (_range, _REQUIRED)}
 _BASE_KEYS = {"p": (_dvec, None), "r": (_dvec, None), "t": (_number, 0.0)}
@@ -453,13 +458,14 @@ _CHERN_KEYS = {
     "source": (_source, _REQUIRED),
     "center": (_array(3), [0.0, 0.0, 0.0]),
     "radius": (_positive, 1.0),
-    "nodes": (_list_of("[n_polar, n_azimuthal]", _at_least(4), _at_least(4)),
+    "nodes": (_list_of("[n_polar, n_azimuthal]", _at_least(4, 2**10),
+                       _at_least(4, 2**10)),
               [32, 64]),
 }
 
 # the "ensemble" section: the sampling box, handed to EnsembleSpec as is
 _BOX_KEYS = {
-    "count": (_at_least(1), _REQUIRED),
+    "count": (_at_least(1, 2**20), _REQUIRED),
     "p_center": (_dvec, _REQUIRED), "r_center": (_dvec, _REQUIRED),
     "p_spread": (_dvec, None), "r_spread": (_dvec, None),
     "t0": (_number, 0.0),
@@ -477,11 +483,11 @@ _ENSEMBLE_KEYS = {
 
 
 def _scenario_model_parts(scenario):
-    """(model, em, curvature provider, d) for model-backed scenarios."""
+    """(model, em, curvature provider) for model-backed scenarios."""
     if isinstance(scenario, RashbaScenario):
-        return scenario.model(), scenario.em(), scenario.curvature_provider(), 2
+        return scenario.model(), scenario.em(), scenario.curvature_provider()
     if isinstance(scenario, (ZeemanScenario, SpinOrbitScenario)):
-        return scenario.model(), None, scenario.curvature_blocks, scenario.d
+        return scenario.model(), None, scenario.curvature_blocks
     raise ValueError("scenario has no Hamiltonian model")
 
 
@@ -541,7 +547,7 @@ def _cmd_run_scenario(config, out_dir, seed):
         print(_dumps(summary))
         return 0
 
-    model, auto_em, curv, _ = _scenario_model_parts(scenario)
+    model, auto_em, curv = _scenario_model_parts(scenario)
     if em is None:
         em = auto_em
     traj = integrate(model, band, PhasePoint(p0, r0, initial["t"]), integ,
@@ -647,7 +653,7 @@ def _cmd_ensemble(config, out_dir, seed):
     if isinstance(scenario, OpticalScenario):
         parts = dict(optical=scenario)
     else:
-        model, em, curv, _ = _scenario_model_parts(scenario)
+        model, em, curv = _scenario_model_parts(scenario)
         parts = dict(model=model, em=em, curvature=curv)
     try:
         spec = EnsembleSpec(config=cfg["integrator"], seed=use_seed,

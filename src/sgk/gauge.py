@@ -28,7 +28,7 @@ from .errors import (NumericalError, QuadratureError, SingularityError,
                      StepError)
 from .models import HamiltonianModel
 from .phase_space import PhasePoint, central_difference, step_scale
-from .spectral import frame_stack, smooth_frame_along
+from .spectral import _stack, frame_stack
 
 # Default finite-difference step: DEFAULT_STEP_SCALE * max(1, |m|).
 DEFAULT_STEP_SCALE = 1e-4
@@ -601,8 +601,8 @@ class AdiabaticConnectionField:
     axes lists the flat phase-space axes swept by the abstract coordinates
     (default: all); the remaining coordinates are frozen at base. Calling
     with a K-vector returns (K, n) connection components, suitable for
-    phase_line_integral and regauge. validate_path walks eigenframes along
-    the path to enforce band continuity (overlap >= 0.5) before integrating.
+    phase_line_integral and regauge. validate_path solves the whole path in
+    one stack to enforce band continuity (overlap >= 0.5) before integrating.
     """
 
     model: HamiltonianModel
@@ -629,17 +629,18 @@ class AdiabaticConnectionField:
         return conn.components[list(self.axes), :]
 
     def validate_path(self, pts) -> None:
-        smooth_frame_along(self.model, [self.lift(v) for v in np.asarray(pts, dtype=float)])
+        _stack(self.model, [self.lift(v) for v in pts], along_path=True)
 
     def loop_phase(self, pts, band: int = None):
         """Holonomy phase(s) of a closed path from eigenframe overlaps.
 
-        Every per-point phase choice cancels between the bra and ket of
-        successive overlap factors, so this stays well defined on the branch
-        cuts of the single-point gauge, where the line integral of __call__
-        does not converge (for a two-band coupling the cut sits where the
-        eigenvector components tie in magnitude). Returns -arg of the closed
-        overlap product per band; midpoint-like, with an even error
+        One stacked eigensolve over the nodes, bands matched node to node;
+        returns -arg of the closed product of successive overlaps per band,
+        the discrete Berry phase. Every per-point phase cancels between bra
+        and ket, so this stays well defined on the branch cuts of the
+        single-point gauge, where the line integral of __call__ does not
+        converge (for a two-band coupling the cut sits where the eigenvector
+        components tie in magnitude). Midpoint-like, with an even error
         expansion in the node spacing.
         """
         pts = np.asarray(pts, dtype=float)
@@ -647,15 +648,9 @@ class AdiabaticConnectionField:
             raise ValueError("need a closed path of at least 3 distinct points")
         if not np.allclose(pts[0], pts[-1], atol=1e-12):
             raise ValueError("path must return to its starting point")
-        frames = smooth_frame_along(self.model,
-                                    [self.lift(v) for v in pts[:-1]])
-        # transport makes successive overlaps real nonnegative; the whole
-        # phase collects in the closing factor against the first frame
-        total = np.ones(frames[0].U.shape[1], dtype=complex)
-        for a, b in zip(frames[:-1], frames[1:]):
-            total *= np.einsum("ib,ib->b", a.U.conj(), b.U)
-        total *= np.einsum("ib,ib->b", frames[-1].U.conj(), frames[0].U)
-        phases = -np.angle(total)
+        _, U, _ = _stack(self.model, [self.lift(v) for v in pts[:-1]], along_path=True)
+        ov = np.einsum("kib,kib->kb", U.conj(), np.roll(U, -1, axis=0))
+        phases = -np.angle(np.prod(ov, axis=0))
         return phases if band is None else float(phases[band])
 
 

@@ -7,13 +7,11 @@ convention is deterministic, so repeating a decomposition reproduces the
 frame exactly, and it defines a single-valued gauge that is smooth wherever
 no component-magnitude crossover happens.
 
-Along paths, band identity is tracked through avoided crossings by overlap
-matching, and phases are parallel-transported: each column is rotated so its
-overlap with the previous frame's column is real and nonnegative.
-
-Every frame comes from frame_stack, which diagonalizes a whole stencil of
-points in one stacked eigensolve and applies the gauge fixing, frame checks
-and band matching to the stack as array operations.
+Every frame comes from one stacked eigensolve that applies the gauge fixing,
+frame checks and band matching to the whole stack as array operations. A
+stencil (frame_stack) follows its first point or a given reference. A path is
+one stack matched node to node, which tracks bands through avoided crossings,
+and smooth_frame_along aligns its phases cumulatively.
 """
 
 from __future__ import annotations
@@ -55,21 +53,10 @@ class EigenFrame:
         return self.energies.shape[0]
 
 
-def frame_stack(model: HamiltonianModel, points: Sequence[PhasePoint],
-                reference: np.ndarray = None
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauge-fixed frames at N points from one stacked eigensolve.
-
-    Returns energies (N, n), frames U (N, n, n) and gaps (N,). Every frame
-    is in the largest-component gauge, and its bands follow a reference
-    frame: the given (n, n) one, or else the first point's own frame, whose
-    bands ascend in energy. Columns are matched greedily on |overlap|,
-    largest first. All checks run on the whole stack; the first failing
-    point in stack order raises its first failing check: DegeneracyError
-    for a gap below 1e-8 * max(1, max|H_ij|), NumericalError for an
-    eigensolver failure or a frame that violates its own tolerances, and
-    BandTrackingError for a matched overlap below the tracking bound.
-    """
+def _stack(model: HamiltonianModel, points: Sequence[PhasePoint],
+           reference: np.ndarray = None, along_path: bool = False
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """frame_stack; along_path matches each point to the one before it instead."""
     H = np.stack([model.evaluate(m) for m in points])
     try:
         w, U = np.linalg.eigh(H)
@@ -87,7 +74,9 @@ def frame_stack(model: HamiltonianModel, points: Sequence[PhasePoint],
     unitary = np.abs(Uh @ U - eye).max(axis=(1, 2))
     residual = np.abs(Uh @ H @ U - w[:, None, :] * eye).max(axis=(1, 2))
     ref = U[0] if reference is None else reference
-    M = np.abs(np.conj(ref).T @ U)  # M[:, b, j] = |<ref_b|new_j>|
+    if along_path:
+        ref = np.concatenate([U[:1], U[:-1]])
+    M = np.abs(np.conj(np.swapaxes(ref, -1, -2)) @ U)  # M[:, b, j] = |<ref_b|new_j>|
     perm = np.full((N, n), -1)
     taken = np.zeros((N, n), dtype=bool)
     for b, j in zip(*np.divmod(np.argsort(-M.reshape(N, n * n), axis=1).T, n)):
@@ -113,8 +102,29 @@ def frame_stack(model: HamiltonianModel, points: Sequence[PhasePoint],
         raise BandTrackingError(
             f"band identification lost: smallest matched overlap {matched[i]:.3f} < "
             f"{TRACKING_MIN_OVERLAP}")
+    if along_path:  # compose the successive matches into the first point's labels
+        for k in range(1, N):
+            perm[k] = perm[k, perm[k - 1]]
     return (w[idx[:, None], perm],
             U[idx[:, None, None], cols[:, None], perm[:, None, :]], gap)
+
+
+def frame_stack(model: HamiltonianModel, points: Sequence[PhasePoint],
+                reference: np.ndarray = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauge-fixed frames at N points from one stacked eigensolve.
+
+    Returns energies (N, n), frames U (N, n, n) and gaps (N,). Every frame
+    is in the largest-component gauge, and its bands follow a reference
+    frame: the given (n, n) one, or else the first point's own frame, whose
+    bands ascend in energy. Columns are matched greedily on |overlap|,
+    largest first. All checks run on the whole stack; the first failing
+    point in stack order raises its first failing check: DegeneracyError
+    for a gap below 1e-8 * max(1, max|H_ij|), NumericalError for an
+    eigensolver failure or a frame that violates its own tolerances, and
+    BandTrackingError for a matched overlap below the tracking bound.
+    """
+    return _stack(model, points, reference)
 
 
 def diagonalize(model: HamiltonianModel, m: PhasePoint) -> EigenFrame:
@@ -129,38 +139,28 @@ def diagonalize(model: HamiltonianModel, m: PhasePoint) -> EigenFrame:
     return EigenFrame(point=m, energies=w[0], U=U[0], gap=float(gap[0]))
 
 
-def aligned_frame(model: HamiltonianModel, m: PhasePoint, reference: EigenFrame,
-                  phase: str = "convention") -> EigenFrame:
-    """Frame at m with band order matched to a nearby reference frame.
-
-    phase='convention' keeps the deterministic single-point gauge (used for
-    derivative stencils, so that differentiated frames live in one
-    single-valued gauge). phase='transport' re-rotates each column so its
-    overlap with the reference column is real nonnegative.
-    """
+def aligned_frame(model: HamiltonianModel, m: PhasePoint,
+                  reference: EigenFrame) -> EigenFrame:
+    """Frame at m, bands matched to a nearby reference: frame_stack of one point."""
     w, U, gap = frame_stack(model, [m], reference=reference.U)
-    U = U[0]
-    if phase == "transport":
-        ov = np.einsum("ib,ib->b", reference.U.conj(), U)
-        # |ov| >= TRACKING_MIN_OVERLAP here, so the rotation is well defined
-        U = U * (np.conj(ov) / np.abs(ov))[None, :]
-    elif phase != "convention":
-        raise ValueError(f"unknown phase mode {phase!r}")
-    return EigenFrame(point=m, energies=w[0], U=U, gap=float(gap[0]))
+    return EigenFrame(point=m, energies=w[0], U=U[0], gap=float(gap[0]))
 
 
 def smooth_frame_along(model: HamiltonianModel,
                        path: Sequence[PhasePoint]) -> list[EigenFrame]:
-    """Parallel-transported frames along a discretized path.
+    """Band-tracked, phase-aligned frames along a discretized path.
 
-    The first frame uses the single-point convention; every subsequent frame
-    is band-matched and phase-aligned to its predecessor (real nonnegative
-    successive overlaps). Refining the discretization of a smooth path
-    changes the final frame only at second order in the spacing.
+    One stacked eigensolve, each node matched to its predecessor, so bands
+    keep the labels of the first node (ascending). A cumulative phase makes
+    every successive overlap real and nonnegative. Refining a smooth path
+    changes the final frame only at second order in the spacing. The first
+    failing node in path order raises as in frame_stack.
     """
     if len(path) == 0:
         return []
-    frames = [diagonalize(model, path[0])]
-    for m in list(path)[1:]:
-        frames.append(aligned_frame(model, m, frames[-1], phase="transport"))
-    return frames
+    w, U, gap = _stack(model, path, along_path=True)
+    ov = np.einsum("kib,kib->kb", U[:-1].conj(), U[1:])
+    # |ov| >= TRACKING_MIN_OVERLAP here, so every rotation is well defined
+    U[1:] *= np.cumprod(np.conj(ov) / np.abs(ov), axis=0)[:, None, :]
+    return [EigenFrame(point=m, energies=w[k], U=U[k], gap=float(gap[k]))
+            for k, m in enumerate(path)]

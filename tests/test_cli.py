@@ -451,6 +451,41 @@ def test_number_beyond_double_range_exits_2(tmp_path, capsys, command, config,
     assert json.loads(err.splitlines()[-1])["error"] == "SchemaError"
 
 
+MAP_CONFIG = {"scenario": {"kind": "rashba"},
+              "grid": {"axis_a": "p1", "axis_b": "p2",
+                       "a": [0, 1, 2], "b": [0, 1, 2]}}
+
+
+def with_key(config, section, key, value):
+    return {**config, section: {**config[section], key: value}}
+
+
+@pytest.mark.parametrize("command, config, needle", [
+    ("ensemble", with_key(ENSEMBLE_CONFIG, "ensemble", "count", 2**64),
+     "config.ensemble.count: must be at most 1048576"),
+    ("chern-charge", {"source": {"kind": "monopole", "S": 1}, "nodes": [2**64, 8]},
+     "config.nodes[0]: must be at most 1024"),
+    ("curvature-map", with_key(MAP_CONFIG, "grid", "a", [0, 1, 2**64]),
+     "config.grid.a[2]: must be at most 1024"),
+    # one past each cap; the stray key makes these configs invalid in any
+    # case, so a check that lets the size through cannot start a huge run
+    ("ensemble", {**with_key(ENSEMBLE_CONFIG, "ensemble", "count", 2**20 + 1),
+                  "stray": 1},
+     "config.ensemble.count: must be at most 1048576"),
+    ("chern-charge", {"source": {"kind": "monopole", "S": 1},
+                      "nodes": [8, 2**10 + 1], "stray": 1},
+     "config.nodes[1]: must be at most 1024"),
+    ("curvature-map", {**with_key(MAP_CONFIG, "grid", "b", [0, 1, 2**10 + 1]),
+                       "stray": 1},
+     "config.grid.b[2]: must be at most 1024"),
+], ids=["count", "nodes", "grid", "count-cap", "nodes-cap", "grid-cap"])
+def test_integer_sizes_are_capped(tmp_path, capsys, command, config, needle):
+    code, _, err, _ = run_cli(tmp_path, capsys, command, config)
+    assert code == 2
+    assert needle in err
+    assert json.loads(err.splitlines()[-1])["error"] == "SchemaError"
+
+
 @pytest.mark.parametrize("command, config, needle", [
     ("run-scenario",
      {"scenario": {"kind": "rashba"}, "initial": {"p": [0.1, 0.0], "r": [0, 0]},
@@ -640,6 +675,10 @@ ALL_KEYS = sorted(
 JUNK = ["x", True, None, [], {}, [1.0, 2.0]]
 # out of range, non-finite or beyond double range
 BAD_NUMBERS = [BIG, -BIG, float("nan"), float("inf"), -1, 0, -0.5]
+# the sizes with an upper bound, and a value above every bound
+SIZES = {("ensemble", "count"), ("nodes", 0), ("nodes", 1), ("grid", "a", 2),
+         ("grid", "b", 2)}
+OVERSIZE = 2**64
 # values for the keys a kind switch must supply
 REQUIRED_EXAMPLES = {
     "b_field": {"kind": "uniform", "value": [0.0, 0.3, 1.0]},
@@ -700,7 +739,11 @@ def fuzz_configs(draw):
     config = copy.deepcopy(base)
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(["number", "junk", "drop", "default",
-                                   "kind"]))
+                                   "kind", "size"]))
+        sizes = [path for path in _numbers(config) if path in SIZES]
+        if op == "size" and sizes:
+            _set(config, draw(st.sampled_from(sizes)), OVERSIZE)
+            continue
         if op == "number" and _numbers(config):
             path = draw(st.sampled_from(_numbers(config)))
             _set(config, path, draw(st.sampled_from(BAD_NUMBERS)))
@@ -739,14 +782,16 @@ def fuzz_configs(draw):
         value = draw(st.sampled_from([1.0, "x", [0.0, 1.0]]))
         node[key] = copy.deepcopy(value)
         stray = ".".join(("config",) + path + (key,))
-    return command, config, stray
+    oversize = any(path in SIZES and val == OVERSIZE
+                   for path, val in _leaves(config))
+    return command, config, stray or oversize
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")  # marginal physics is fine
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(fuzz_configs())
 def test_fuzzed_configs_exit_with_a_documented_code(case):
-    command, config, stray = case
+    command, config, must_fail = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "config.json"
         cfg.write_text(json.dumps(config))
@@ -759,5 +804,5 @@ def test_fuzzed_configs_exit_with_a_documented_code(case):
         record = json.loads(lines[-1])
         assert set(record) == {"error", "message"}
         assert not any(ln.startswith("{") for ln in lines[:-1]), lines
-    if stray is not None:
-        assert code == 2, (stray, lines)
+    if must_fail:  # a stray key or a size above its bound
+        assert code == 2, (must_fail, lines)

@@ -2,7 +2,9 @@
 
 The reference below diagonalizes one point at a time: scalar phase
 convention, scalar frame checks and a greedy band match per point. Every
-stacked result must equal it bit for bit.
+stacked stencil result must equal it bit for bit. Along a path, the
+reference walks node by node, matching each frame to the one before it and
+transporting its phase; the one-stack path must agree with that walk.
 """
 
 import re
@@ -12,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgk import (BandTrackingError, DegeneracyError, HamiltonianModel,
-                 PhasePoint, PolyField, SpinOrbitScenario,
-                 adiabatic_curvature_numeric, band_gradients, exact_connection)
+from sgk import (AdiabaticConnectionField, BandTrackingError, DegeneracyError,
+                 HamiltonianModel, PhasePoint, PolyField, SpinOrbitScenario,
+                 ZeemanScenario, adiabatic_curvature_numeric, band_gradients,
+                 exact_connection)
 from sgk.spectral import (DEGENERACY_RTOL, TRACKING_MIN_OVERLAP, aligned_frame,
-                          diagonalize, frame_stack)
+                          diagonalize, frame_stack, smooth_frame_along)
 
 # -- per-point reference ----------------------------------------------------------
 
@@ -55,6 +58,17 @@ def ref_stack(model, points):
     """Per-point frames, each after the first matched to the first."""
     first = ref_frame(model, points[0])
     return [first] + [ref_frame(model, m, first[1]) for m in points[1:]]
+
+
+def ref_walk(model, points):
+    """Per-node frames, each matched to the frame before it, then phase-transported."""
+    frames = [ref_frame(model, points[0])]
+    for m in points[1:]:
+        prev = frames[-1][1]
+        w, U, gap = ref_frame(model, m, prev)
+        ov = np.einsum("ib,ib->b", prev.conj(), U)
+        frames.append((w, U * (np.conj(ov) / np.abs(ov))[None, :], gap))
+    return frames
 
 
 def ref_plaquette(model, m, h, pairs, richardson):
@@ -103,10 +117,12 @@ def split_model(seed):
         h1=lambda m: b0 + G @ m.as_vector())
 
 
-def hermitian_model(seed, n=3):
+def hermitian_model(seed, n=3, coupling=1.0):
+    """Random linear Hermitian model; a weak coupling makes sharp avoided crossings."""
     rng = np.random.Generator(np.random.PCG64(seed))
     A = rng.normal(size=(8, n, n)) + 1j * rng.normal(size=(8, n, n))
     A = A + np.conj(np.swapaxes(A, 1, 2))
+    A[:, ~np.eye(n, dtype=bool)] *= coupling
     return HamiltonianModel(
         n=n, evaluate_raw=lambda m: A[0] + np.einsum("k,kij->ij", m.as_vector(), A[1:]))
 
@@ -123,6 +139,15 @@ def stencil(seed, spread):
                       rng.uniform(-0.5, 0.5))
     shifts = rng.uniform(-spread, spread, (6, 7))
     return [base] + [PhasePoint.from_vector(base.as_vector() + s, 3) for s in shifts]
+
+
+def walk(seed, spread, count):
+    """A random walk of count points with steps up to spread along every axis."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    base = rng.uniform(-0.5, 0.5, 7)
+    steps = rng.uniform(-spread, spread, (count - 1, 7))
+    vecs = base + np.concatenate([np.zeros((1, 7)), np.cumsum(steps, axis=0)])
+    return [PhasePoint.from_vector(v, 3) for v in vecs]
 
 
 def assert_same_bits(got, want):
@@ -245,3 +270,71 @@ def test_first_failing_point_in_stack_order_raises():
         frame_stack(model, [at(0.0), at(1.0), at(2.0)])
     with pytest.raises(DegeneracyError, match="at t=2.0$"):
         frame_stack(model, [at(0.0), at(2.0), at(1.0)])
+
+
+# -- paths: one stack against the per-node walk ------------------------------------
+
+
+def assert_path_matches_walk(model, path):
+    try:
+        want = ref_walk(model, path)
+    except (DegeneracyError, BandTrackingError) as exc:
+        field = AdiabaticConnectionField(model, path[0])
+        for run in (lambda: smooth_frame_along(model, path),
+                    lambda: field.validate_path([m.as_vector() for m in path])):
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                run()
+        return False
+    frames = smooth_frame_along(model, path)
+    assert len(frames) == len(want)
+    for fr, (w, U, gap) in zip(frames, want):
+        assert np.array_equal(np.argsort(fr.energies), np.argsort(w))  # same bands
+        assert_same_bits(fr.energies, w)
+        assert fr.gap == gap
+        assert np.abs(fr.U - U).max() < 1e-12
+    return True
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+       st.sampled_from(["split", "hermitian", "weak"]), st.floats(1e-4, 1.0),
+       st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_path_stack_equals_per_node_walk(model_seed, point_seed, kind, spread, count):
+    # finite models only: the stack evaluates every node before any check,
+    # so a model that raises at a late node would preempt an earlier failure
+    model = (split_model(model_seed) if kind == "split" else
+             hermitian_model(model_seed, coupling=0.05 if kind == "weak" else 1.0))
+    assert_path_matches_walk(model, walk(point_seed, spread, count))
+
+
+@pytest.mark.parametrize("ts, error", [
+    ((0.0, 0.2, 1.0), BandTrackingError),
+    ((0.0, 1.0, 2.0), BandTrackingError),
+    ((0.0, 0.2, 2.0, 3.0), DegeneracyError),
+    ((0.0, 2.0, 1.0), DegeneracyError),
+    ((0.6, 1.0, 1.4), None),  # rotated throughout: successive overlaps are 1
+])
+def test_path_errors_equal_per_node_walk(ts, error):
+    path = [at(t) for t in ts]
+    assert assert_path_matches_walk(dft_model(), path) == (error is None)
+    if error is not None:
+        with pytest.raises(error):
+            ref_walk(dft_model(), path)
+
+
+def test_one_eigensolve_per_path(monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda H: shapes.append(H.shape) or eigh(H))
+    model = ZeemanScenario.hedgehog().model()
+    field = AdiabaticConnectionField(model, PhasePoint(np.zeros(3), (0.0, 0.0, 1.0), 0.0),
+                                     axes=(3, 4, 5))
+    phis = np.linspace(0.0, 2.0 * np.pi, 97)
+    # the equator: each node's overlap with the first falls to 0 a quarter
+    # of the way round, so only node-to-node matching can follow the bands
+    loop = np.stack([np.cos(phis), np.sin(phis), np.zeros_like(phis)], axis=1)
+    smooth_frame_along(model, [field.lift(v) for v in loop])
+    field.validate_path(loop)
+    phases = field.loop_phase(loop)
+    assert shapes == [(97, 2, 2), (97, 2, 2), (96, 2, 2)]
+    assert np.allclose(np.abs(phases), np.pi, atol=1e-3)

@@ -105,13 +105,17 @@ def test_aligned_frame_tracks_band_order():
     assert ov[0, 0] > 0.999 and ov[1, 1] > 0.999
 
 
-def test_aligned_frame_transport_phase():
+def test_smooth_frame_along_successive_overlaps_are_real_positive():
+    # a short path through generic p, r and t moves, so the single-point
+    # gauge alone leaves complex successive overlaps
     model = split_model()
-    ref = diagonalize(model, M0)
-    fr = aligned_frame(model, M0.shifted(3, 2e-3), ref, phase="transport")
-    for b in range(2):
-        ov = np.vdot(ref.U[:, b], fr.U[:, b])
-        assert abs(ov.imag) < 1e-12 and ov.real > 0
+    path = [M0]
+    for k, h in [(3, 2e-3), (4, -3e-3), (5, 1e-3), (3, 4e-3), (0, 1e-2)]:
+        path.append(path[-1].shifted(k, h))
+    frames = smooth_frame_along(model, path)
+    for a, b in zip(frames, frames[1:]):
+        ov = np.einsum("ib,ib->b", a.U.conj(), b.U)
+        assert np.all(np.abs(ov.imag) < 1e-12) and np.all(ov.real > 0)
 
 
 def test_smooth_frame_along_swaps_bands_continuously():
