@@ -483,11 +483,15 @@ _ENSEMBLE_KEYS = {
 
 
 def _scenario_model_parts(scenario):
-    """(model, em, curvature provider) for model-backed scenarios."""
+    """(model, em) for model-backed scenarios.
+
+    Their models carry exact Jacobians, so the integrator takes curvature
+    from them and needs no separate provider.
+    """
     if isinstance(scenario, RashbaScenario):
-        return scenario.model(), scenario.em(), scenario.curvature_provider()
+        return scenario.model(), scenario.em()
     if isinstance(scenario, (ZeemanScenario, SpinOrbitScenario)):
-        return scenario.model(), None, scenario.curvature_blocks
+        return scenario.model(), None
     raise ValueError("scenario has no Hamiltonian model")
 
 
@@ -547,11 +551,11 @@ def _cmd_run_scenario(config, out_dir, seed):
         print(_dumps(summary))
         return 0
 
-    model, auto_em, curv = _scenario_model_parts(scenario)
+    model, auto_em = _scenario_model_parts(scenario)
     if em is None:
         em = auto_em
     traj = integrate(model, band, PhasePoint(p0, r0, initial["t"]), integ,
-                     em=em, curvature=curv)
+                     em=em)
     rows = []
     for st in traj.states:
         rows.append([st.m.t, *st.m.p, *st.m.r, band, st.energy, st.epsilon,
@@ -653,8 +657,8 @@ def _cmd_ensemble(config, out_dir, seed):
     if isinstance(scenario, OpticalScenario):
         parts = dict(optical=scenario)
     else:
-        model, em, curv = _scenario_model_parts(scenario)
-        parts = dict(model=model, em=em, curvature=curv)
+        model, em = _scenario_model_parts(scenario)
+        parts = dict(model=model, em=em)
     try:
         spec = EnsembleSpec(config=cfg["integrator"], seed=use_seed,
                             transverse_axis=axis, **cfg["ensemble"], **parts)

@@ -29,12 +29,13 @@ import numpy as np
 from .errors import (DegeneracyError, NumericalError, SingularSystemError,
                      SpinForceWarning, StepError)
 from .fields import UniformField, VectorField, _promote, as_field
-from .gauge import (adiabatic_curvature_numeric, curvature_m_space,
+from .gauge import (_axis_stencil, _stencil_connection,
+                    adiabatic_curvature_numeric, curvature_m_space,
                     default_step, exact_connection, monopole_pullback,
                     tensor_to_pseudo)
 from .models import Constants, HamiltonianModel
 from .phase_space import PhasePoint, central_difference
-from .spectral import DEGENERACY_RTOL, diagonalize, frame_stack
+from .spectral import DEGENERACY_RTOL, frame_stack
 
 # Spin force larger than this fraction of the zeroth-order force triggers
 # a SpinForceWarning (the underlying expansion is no longer perturbative).
@@ -80,7 +81,8 @@ class IntegratorConfig:
     velocity solve or the reduced substitution; spin_force False drops the
     gauge force entirely (canonical flow). record_connection False skips
     per-state connection evaluation (phases are then not accumulated),
-    which roughly halves the cost of large ensembles.
+    which saves an eigen-stencil per accepted state for models without an
+    exact Jacobian; with one, the connection costs next to nothing.
     """
 
     method: str = "rk4"
@@ -172,47 +174,134 @@ def _cross_matrix(B3: np.ndarray, d: int) -> np.ndarray:
     return X[:d, :d]
 
 
-def band_gradients(model: HamiltonianModel, band: int, m: PhasePoint,
-                   step: float = None):
-    """(E, gradient of E over all flat axes) for one band.
+def _split_energy(h0: float, nb: float, band: int):
+    """(E, gap) from H0 and hbar|H1|, with the eigensolver's degeneracy guard."""
+    if not (math.isfinite(h0) and math.isfinite(nb)):
+        raise NumericalError(f"band energy is not finite: H0 = {h0}, hbar|H1| = {nb}")
+    gap = 2.0 * nb
+    scale = max(1.0, abs(h0) + nb)
+    if gap < DEGENERACY_RTOL * scale:
+        raise DegeneracyError(
+            f"band gap {gap:.3e} below tolerance {DEGENERACY_RTOL * scale:.3e}")
+    return (h0 - nb if band == 0 else h0 + nb), gap
 
-    Split-form models use the closed-form energies H0 -+ hbar|H1| (with the
-    same degeneracy guard as the eigensolver, from one H0 and H1 evaluation
-    at m, and a NumericalError when either is not finite); other models
-    difference the tracked eigenvalues of one frame stack.
-    """
+
+def _fd_step(m: PhasePoint, step: float = None) -> float:
     h = step if step is not None else default_step(m)
     if h <= 0 or not np.isfinite(h):
         raise StepError(f"gradient step must be positive, got {h}")
+    return h
+
+
+def band_gradients(model: HamiltonianModel, band: int, m: PhasePoint,
+                   step: float = None):
+    """(E, gradient of E over all flat axes) for one band, by central differences.
+
+    This is the finite-difference oracle. Split-form models difference the
+    closed-form energies H0 -+ hbar|H1| (with the same degeneracy guard as
+    the eigensolver, and a NumericalError when H0 or H1 is not finite);
+    other models difference the tracked eigenvalues of one frame stack. The
+    integrator takes exact gradients instead wherever the split form has a
+    Jacobian (SplitForm.jacobian).
+    """
+    h = _fd_step(m, step)
     if model.split is not None:
-        h0 = float(model.split.h0(m))
-        nb = model.constants.hbar * float(np.linalg.norm(model.split.h1_vector(m)))
-        if not (math.isfinite(h0) and math.isfinite(nb)):
-            raise NumericalError(f"band energy is not finite: H0 = {h0}, hbar|H1| = {nb}")
-        gap = 2.0 * nb
-        scale = max(1.0, abs(h0) + nb)
-        if gap < DEGENERACY_RTOL * scale:
-            raise DegeneracyError(
-                f"band gap {gap:.3e} below tolerance {DEGENERACY_RTOL * scale:.3e}")
-        E0 = h0 - nb if band == 0 else h0 + nb
+        E0, _ = _split_energy(float(model.split.h0(m)), model.constants.hbar
+                              * float(np.linalg.norm(model.split.h1_vector(m))), band)
         g = central_difference(
             lambda v: model.band_energy(PhasePoint.from_vector(v, m.d), band),
             m.as_vector(), h)
         return E0, g
-    w, _, _ = frame_stack(
-        model, [m] + [m.shifted(k, d) for k in range(m.n_axes) for d in (h, -h)])
+    w, _, _ = frame_stack(model, _axis_stencil(m, h, range(m.n_axes)))
     return float(w[0, band]), (w[1::2, band] - w[2::2, band]) / (2.0 * h)
 
 
 def default_curvature_provider(model: HamiltonianModel) -> Callable:
-    """Curvature evaluator used by the velocity solve.
+    """Curvature evaluator used when no provider is passed.
 
-    Split-form models get the closed-form monopole pullback; generic models
-    fall back to the plaquette.
+    Split-form models get the monopole pullback of H1: from the exact
+    Jacobian when the split form has one, else from curvature_m_space's
+    finite-difference Jacobian. Generic models fall back to the plaquette.
     """
-    if model.split is not None:
+    split = model.split
+    if split is not None and split.jacobian is not None:
+        return lambda m: monopole_pullback(*split.jacobian(m),
+                                           model.spin_charges, m)
+    if split is not None:
         return lambda m: curvature_m_space(model, m)
     return lambda m: adiabatic_curvature_numeric(model, m)
+
+
+@dataclass
+class _Kernel:
+    energy: float
+    grad: np.ndarray
+    gap: float
+    F: Optional[np.ndarray]       # the band's curvature over the flat axes
+    a_diag: Optional[np.ndarray]  # the band's diagonal connection
+
+
+def _point_kernel(model: HamiltonianModel, band: int, m: PhasePoint,
+                  curvature: Callable = None, spin_force: bool = True,
+                  connection: bool = False, fd_step: float = None) -> _Kernel:
+    """Energy, gradient, gap, curvature F and diagonal connection A of a band at m.
+
+    A split form with a Jacobian gives all of them from one evaluation of
+    (b, J) = (H1, dH1/dm): E = H0 -+ hbar|b|, grad E = grad H0 -+ hbar
+    b^T J/|b|, gap = 2 hbar|b|, F from gauge.monopole_pullback and A =
+    a(b)^T J, with a(b) Berry's monopole connection of spin -+1/2 in the
+    largest-component gauge of the spectral layer. For a 2x2 frame that
+    gauge is the north patch S (b_y, -b_x, 0)/(|b|(|b| + b_z)) where b_z > 0
+    and the south patch -S (b_y, -b_x, 0)/(|b|(|b| - b_z)) where b_z < 0.
+    At an exact tie b_z = 0 the kernel follows the spectral layer's
+    lowest-index rule (component 0 is made real), which is the north patch
+    for the upper band and the south patch for the lower one; the
+    eigensolver's roundoff may break such a tie either way, so differenced
+    frames are no oracle within about 1e-3 |b| of b_z = 0.
+
+    Generic models take E, grad E, the gap and A from one frame stack on
+    the central-difference stencil, the points band_gradients and
+    exact_connection use. Split forms without a Jacobian keep the
+    finite-difference path: band_gradients, band_gap and exact_connection.
+    A given curvature provider always supplies F; otherwise models without
+    a Jacobian use default_curvature_provider. F is None when spin_force is
+    off and A is None unless connection is asked for.
+    """
+    split = model.split
+    F = A = None
+    if split is not None and split.jacobian is not None:
+        b, J = split.jacobian(m)
+        nb = float(np.linalg.norm(b))
+        hbar = model.constants.hbar
+        E0, gap = _split_energy(float(split.h0(m)), hbar * nb, band)
+        sign = -1.0 if band == 0 else 1.0
+        g = split.grad_h0(m) + (sign * hbar / nb) * (b @ J)
+        if spin_force and curvature is None:
+            F = monopole_pullback(b, J, model.spin_charges, m).F[band]
+        if connection:
+            twist = 0.5 * sign * (b[1] * J[0] - b[0] * J[1]) / nb
+            bz = b[2]
+            if bz > 0.0 or (bz == 0.0 and band == 1):
+                A = twist / (nb + bz)
+            else:
+                A = -twist / (nb - bz)
+    elif split is not None:
+        E0, g = band_gradients(model, band, m, step=fd_step)
+        gap = model.band_gap(m)
+        if connection:
+            A = exact_connection(model, m).diagonal().components[:, band]
+    else:
+        h = _fd_step(m, fd_step)
+        w, U, gaps = frame_stack(model, _axis_stencil(m, h, range(m.n_axes)))
+        E0, g = float(w[0, band]), (w[1::2, band] - w[2::2, band]) / (2.0 * h)
+        gap = float(gaps[0])
+        if connection:
+            # exact_connection(model, m).diagonal() on the same stack
+            A = np.einsum("kbb->kb", _stencil_connection(U, h)).real[:, band]
+    if spin_force and F is None:
+        provider = curvature if curvature is not None else default_curvature_provider(model)
+        F = provider(m).F[band]
+    return _Kernel(energy=E0, grad=g, gap=gap, F=F, a_diag=A)
 
 
 def spin_force_terms(model: HamiltonianModel, band: int, m: PhasePoint,
@@ -240,18 +329,39 @@ def velocity_field(model: HamiltonianModel, band: int, m: PhasePoint,
                    fd_step: float = None, warn: bool = True):
     """Phase-space velocities (pdot, rdot) of one band at m.
 
-    mode='exact' solves the coupled linear system (raising
-    SingularSystemError if it is singular or catastrophically conditioned);
-    mode='reduced' substitutes curvature-free velocities into the gauge
-    terms. A SpinForceWarning is emitted when the gauge force is not small
-    against the zeroth-order forces.
+    The energy gradient and curvature come from the point kernel: exact
+    when the split form has a Jacobian, otherwise by central differences
+    with fd_step (default: default_step(m)) and from the curvature provider
+    (default: default_curvature_provider). mode='exact' solves the coupled
+    linear system (raising SingularSystemError if it is singular or
+    catastrophically conditioned); mode='reduced' substitutes
+    curvature-free velocities into the gauge terms. A SpinForceWarning is
+    emitted when warn is set and the gauge force is not small against the
+    zeroth-order forces.
     """
-    _, g = band_gradients(model, band, m, step=fd_step)
-    return _velocity(model, band, m, g, em, curvature, mode, spin_force, warn)
+    k = _point_kernel(model, band, m, curvature, spin_force, fd_step=fd_step)
+    pdot, rdot, ratio = _velocity(model, m, k.grad, k.F, em, mode, warn)
+    if ratio > SPIN_FORCE_WARN_RATIO:
+        _warn_spin_force(stacklevel=3)
+    return pdot, rdot
 
 
-def _velocity(model, band, m, g, em, curvature, mode, spin_force, warn):
-    """velocity_field from the band's energy gradient g over the flat axes."""
+def _warn_spin_force(stacklevel: int) -> None:
+    # stable message so the default warning filter dedupes it
+    warnings.warn("spin gauge force is not small against the zeroth-order "
+                  "forces; the adiabatic velocity expansion is marginal here",
+                  SpinForceWarning, stacklevel=stacklevel)
+
+
+def _velocity(model, m, g, F, em, mode, with_ratio):
+    """(pdot, rdot, spin-force ratio) from the band's gradient g and curvature F.
+
+    F None drops the gauge force. The ratio of the gauge force to the
+    zeroth-order forces is computed only with_ratio, and is 0 otherwise.
+    The exact system's condition number is estimated in the 1-norm from
+    its LU inverse, which is within a factor 2d of the 2-norm value; above
+    1e12, or for an exactly singular system, SingularSystemError is raised.
+    """
     d = m.d
     gp, gr = g[:d], g[d:2 * d]
     cst = model.constants
@@ -263,34 +373,27 @@ def _velocity(model, band, m, g, em, curvature, mode, spin_force, warn):
     rhs_p0 = -gr + cst.e * E3[:d]
     rhs_r0 = gp.copy()
 
-    if spin_force:
-        provider = curvature if curvature is not None else default_curvature_provider(model)
-        F = provider(m).F[band]
-    else:
+    spin_force = F is not None
+    if not spin_force:
         F = np.zeros((m.n_axes, m.n_axes))
     hb = cst.hbar
-    F_pp = F[:d, :d]
-    F_pr = F[:d, d:2 * d]
-    F_pt = F[:d, 2 * d]
-    F_rp = F[d:2 * d, :d]
-    F_rr = F[d:2 * d, d:2 * d]
-    F_rt = F[d:2 * d, 2 * d]
-
     if mode == "exact":
         I = np.eye(d)
-        M = np.block([
-            [I - hb * F_rp, -hb * F_rr - (cst.e / cst.c) * XB],
-            [hb * F_pp, I + hb * F_pr],
-        ])
-        rhs = np.concatenate([rhs_p0 + hb * F_rt, rhs_r0 - hb * F_pt])
-        cond = np.linalg.cond(M)
+        M = np.empty((2 * d, 2 * d))
+        M[:d, :d] = I - hb * F[d:2 * d, :d]
+        M[:d, d:] = -hb * F[d:2 * d, d:2 * d] - (cst.e / cst.c) * XB
+        M[d:, :d] = hb * F[:d, :d]
+        M[d:, d:] = I + hb * F[:d, d:2 * d]
+        rhs = np.concatenate([rhs_p0 + hb * F[d:2 * d, 2 * d],
+                              rhs_r0 - hb * F[:d, 2 * d]])
+        try:
+            cond = _norm1(M) * _norm1(np.linalg.inv(M))
+        except np.linalg.LinAlgError:
+            cond = math.inf
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise SingularSystemError(
                 f"velocity system is singular (condition number {cond:.3e})")
-        try:
-            v = np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"velocity system solve failed: {exc}") from exc
+        v = np.linalg.solve(M, rhs)
         pdot, rdot = v[:d], v[d:]
     elif mode == "reduced":
         rdot0 = gp
@@ -301,18 +404,18 @@ def _velocity(model, band, m, g, em, curvature, mode, spin_force, warn):
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    if warn and spin_force:
+    ratio = 0.0
+    if with_ratio and spin_force:
         mdot = np.concatenate([pdot, rdot, [1.0]])
         gauge_norm = hb * max(np.linalg.norm(F[d:2 * d, :] @ mdot),
                               np.linalg.norm(F[:d, :] @ mdot))
         base_norm = max(np.linalg.norm(rhs_p0), np.linalg.norm(rhs_r0), 1e-300)
-        if gauge_norm > SPIN_FORCE_WARN_RATIO * base_norm:
-            # stable message so the default warning filter dedupes it
-            warnings.warn(
-                "spin gauge force is not small against the zeroth-order "
-                "forces; the adiabatic velocity expansion is marginal here",
-                SpinForceWarning, stacklevel=3)
-    return pdot, rdot
+        ratio = gauge_norm / base_norm
+    return pdot, rdot, ratio
+
+
+def _norm1(M: np.ndarray) -> float:
+    return float(np.abs(M).sum(axis=0).max())
 
 
 def adiabaticity_epsilon(model: HamiltonianModel, band: int, m: PhasePoint,
@@ -325,22 +428,19 @@ def adiabaticity_epsilon(model: HamiltonianModel, band: int, m: PhasePoint,
     the static (0, 0, 1)), |dp/dr| estimated as |grad_r E| / |grad_p E| (the
     constant-energy momentum response; zero for dispersionless states) and
     delta_p defaulting to gap / |grad_p E|. Values near 1 mean band
-    transitions are not suppressed.
+    transitions are not suppressed. The gradient comes from the point
+    kernel, so fd_step only matters for models without a Jacobian.
     """
-    _, g = band_gradients(model, band, m, step=fd_step)
+    k = _point_kernel(model, band, m, spin_force=False, fd_step=fd_step)
     if mdot is None:
         mdot = np.zeros(m.n_axes)
         mdot[-1] = 1.0
-    return _epsilon(model, m, g, mdot, delta_p)
+    return _epsilon(model, m, k.grad, k.gap, mdot, delta_p)
 
 
-def _epsilon(model, m, g, mdot, delta_p) -> float:
-    """adiabaticity_epsilon from the band's energy gradient g."""
+def _epsilon(model, m, g, gap, mdot, delta_p) -> float:
+    """adiabaticity_epsilon from the band's energy gradient g and the gap."""
     d = m.d
-    if model.split is not None:
-        gap = model.band_gap(m)
-    else:
-        gap = diagonalize(model, m).gap
     mdot = np.asarray(mdot, dtype=float)
     hbar = model.constants.hbar
     dEdt = float(g @ mdot)
@@ -369,25 +469,20 @@ class _PointEval:
     a_diag: Optional[np.ndarray]
     berry_rate: float
     dynamic_rate: float
+    spin_ratio: float
 
 
-def _eval_point(model, band, m, em, config, curvature,
-                warn: bool = True) -> _PointEval:
-    E0, g = band_gradients(model, band, m)
-    v_p, v_r = _velocity(model, band, m, g, em, curvature, config.mode,
-                         config.spin_force, warn)
+def _eval_point(model, band, m, em, config, curvature) -> _PointEval:
+    k = _point_kernel(model, band, m, curvature, config.spin_force,
+                      connection=config.record_connection)
+    v_p, v_r, ratio = _velocity(model, m, k.grad, k.F, em, config.mode, True)
     mdot = np.concatenate([v_p, v_r, [1.0]])
-    eps = _epsilon(model, m, g, mdot, config.delta_p)
-    hbar = model.constants.hbar
-    a_diag = None
-    berry_rate = 0.0
-    if config.record_connection:
-        conn = exact_connection(model, m).diagonal()
-        a_diag = conn.components[:, band]
-        berry_rate = float(a_diag @ mdot)
-    dynamic_rate = (float(m.p @ v_r) - E0) / hbar
-    return _PointEval(v_p=v_p, v_r=v_r, energy=E0, epsilon=eps, a_diag=a_diag,
-                      berry_rate=berry_rate, dynamic_rate=dynamic_rate)
+    eps = _epsilon(model, m, k.grad, k.gap, mdot, config.delta_p)
+    berry_rate = 0.0 if k.a_diag is None else float(k.a_diag @ mdot)
+    dynamic_rate = (float(m.p @ v_r) - k.energy) / model.constants.hbar
+    return _PointEval(v_p=v_p, v_r=v_r, energy=k.energy, epsilon=eps,
+                      a_diag=k.a_diag, berry_rate=berry_rate,
+                      dynamic_rate=dynamic_rate, spin_ratio=ratio)
 
 
 def _make_state(m, band, ev: _PointEval, berry, dynamic, hbar) -> TrajectoryState:
@@ -427,6 +522,9 @@ def integrate(model: HamiltonianModel, band: int, initial: PhasePoint,
     Time advances uniformly (the final step is shortened, or stretched by
     at most a relative 1e-6, to land exactly on t_end). Geometric and
     dynamic phases accumulate by the trapezoid rule over accepted states.
+    A SpinForceWarning is issued at most once per trajectory, at the first
+    accepted state whose gauge force is not small against the zeroth-order
+    forces; RK stages are not checked.
     Errors raised by the velocity evaluation are re-raised with the step
     index attached; overflow and a state that is no longer finite become a
     NumericalError at the step where they occur.
@@ -443,15 +541,21 @@ def integrate(model: HamiltonianModel, band: int, initial: PhasePoint,
         return PhasePoint(y[:d], y[d:], t0 + s)
 
     def rhs(s, y):
-        # warn only at the initial evaluation, not once per RK stage
+        # RK stages stay silent; accepted states feed the warning latch
         v_p, v_r = velocity_field(model, band, point(s, y), em,
                                   curvature=curvature, mode=config.mode,
                                   spin_force=config.spin_force, warn=False)
         return np.concatenate([v_p, v_r])
 
-    def eval_at(s, y, warn: bool = False) -> _PointEval:
-        return _eval_point(model, band, point(s, y), em, config, curvature,
-                           warn=warn)
+    warned = False
+
+    def eval_at(s, y) -> _PointEval:
+        nonlocal warned
+        ev = _eval_point(model, band, point(s, y), em, config, curvature)
+        if not warned and ev.spin_ratio > SPIN_FORCE_WARN_RATIO:
+            warned = True
+            _warn_spin_force(stacklevel=4)
+        return ev
 
     y = np.concatenate([initial.p, initial.r])
     s = 0.0
@@ -462,7 +566,7 @@ def integrate(model: HamiltonianModel, band: int, initial: PhasePoint,
     h = config.step
     steps = 0
     try:
-        ev = eval_at(s, y, warn=True)
+        ev = eval_at(s, y)
         states = [_make_state(initial, band, ev, berry, dynamic, hbar)]
         if ev.epsilon > config.epsilon_abort:
             return Trajectory(states=states, status="adiabaticity_breach",

@@ -18,6 +18,7 @@ curvature F(H1) = -S H1/|H1|^3 in coupling space.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -133,6 +134,11 @@ class Connection:
         return np.asarray(mdot, dtype=float) @ self.components
 
 
+@functools.lru_cache(maxsize=None)
+def _strict_upper(D: int) -> np.ndarray:
+    return np.triu(np.ones((D, D), dtype=bool), k=1)
+
+
 @dataclass(frozen=True)
 class CurvatureTensor:
     """Per-band antisymmetric curvature over the flat axes (p..., r..., t).
@@ -149,7 +155,7 @@ class CurvatureTensor:
 
     def __post_init__(self):
         F = np.asarray(self.F, dtype=float)
-        upper = np.triu(F, k=1)
+        upper = np.where(_strict_upper(F.shape[-1]), F, 0.0)  # np.triu(F, k=1)
         object.__setattr__(self, "F", upper - np.swapaxes(upper, 1, 2))
 
     @property
@@ -249,11 +255,21 @@ def exact_connection(model: HamiltonianModel, m: PhasePoint,
     """
     h = _check_step(step if step is not None else default_step(m))
     ks = list(range(m.n_axes) if axes is None else axes)
-    _, U, _ = frame_stack(model, [m] + [m.shifted(k, d) for k in ks for d in (h, -h)])
-    A = 1j * (U[0].conj().T @ (U[1::2] - U[2::2])) / (2.0 * h)
+    _, U, _ = frame_stack(model, _axis_stencil(m, h, ks))
     comps = np.zeros((m.n_axes, model.n, model.n), dtype=complex)
-    comps[ks] = 0.5 * (A + np.conj(np.swapaxes(A, 1, 2)))
+    comps[ks] = _stencil_connection(U, h)
     return Connection(labels=m.labels, kind="exact", components=comps, point=m)
+
+
+def _axis_stencil(m: PhasePoint, h: float, axes: Sequence[int]) -> list:
+    """m, then m + h e_k and m - h e_k for each k in axes: one stack's points."""
+    return [m] + [m.shifted(k, d) for k in axes for d in (h, -h)]
+
+
+def _stencil_connection(U: np.ndarray, h: float) -> np.ndarray:
+    """Hermitized i U0+ dU/dm_k, (K, n, n), from frames on an _axis_stencil."""
+    A = 1j * (U[0].conj().T @ (U[1::2] - U[2::2])) / (2.0 * h)
+    return 0.5 * (A + np.conj(np.swapaxes(A, 1, 2)))
 
 
 def adiabatic_connection(model: HamiltonianModel, m: PhasePoint,
@@ -372,8 +388,13 @@ def monopole_pullback(b: np.ndarray, J: np.ndarray, charges: Sequence[float],
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
         raise SingularityError("curvature is singular where the coupling vanishes")
-    X = np.cross(b, J.T) @ J / nb**3
-    F = np.stack([-s * X for s in charges])
+    # rows b x J_i, with the arithmetic of np.cross(b, J.T) but far less overhead
+    bJ = np.empty((J.shape[1], 3))
+    bJ[:, 0] = b[1] * J[2] - b[2] * J[1]
+    bJ[:, 1] = b[2] * J[0] - b[0] * J[2]
+    bJ[:, 2] = b[0] * J[1] - b[1] * J[0]
+    X = bJ @ J / nb**3
+    F = np.multiply.outer(-np.asarray(charges, dtype=float), X)
     return CurvatureTensor(d=point.d, labels=point.labels, F=F, point=point)
 
 
@@ -554,8 +575,9 @@ def regauge(connection, phase_field, step: float = 1e-5):
     phase_field maps a coordinate vector to per-band phase values (n,).
     Given a Connection (with a point), returns the transformed Connection at
     that point; given a field callable (vector -> (K, n)), returns the
-    transformed field. Curvature and closed-loop phases (mod 2 pi) are
-    unchanged by construction.
+    transformed field, which keeps the wrapped field's validate_path so
+    line integrals still check band continuity. Curvature and closed-loop
+    phases (mod 2 pi) are unchanged by construction.
     """
     h = _check_step(step)
     if isinstance(connection, Connection):
@@ -569,9 +591,14 @@ def regauge(connection, phase_field, step: float = 1e-5):
                           - central_difference(phase_field, v, h),
                           point=connection.point)
     if callable(connection):
-        return lambda v: (np.asarray(connection(np.asarray(v, dtype=float)),
-                                     dtype=float)
-                          - central_difference(phase_field, v, h))
+        def field(v):
+            return (np.asarray(connection(np.asarray(v, dtype=float)), dtype=float)
+                    - central_difference(phase_field, v, h))
+
+        validate = getattr(connection, "validate_path", None)
+        if validate is not None:
+            field.validate_path = validate
+        return field
     raise TypeError("connection must be a Connection or a field callable")
 
 

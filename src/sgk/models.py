@@ -51,10 +51,25 @@ class Constants:
 
 @dataclass(frozen=True)
 class SplitForm:
-    """Scalar part H0(m) and coupling field H1(m) of a two-band model."""
+    """Scalar part H0(m) and coupling field H1(m) of a two-band model.
+
+    grad_h0 and jacobian are optional exact first derivatives, given both
+    or neither: grad_h0(m) is the (2d+1,) gradient of H0 over the flat
+    axes, and jacobian(m) returns (b, J) with b = H1(m) and J[:, k] =
+    dH1/dm_k, shape (3, 2d+1). With them the integrator takes energies,
+    gradients, curvature and connection in closed form from one (b, J);
+    without them it differences H0 and H1, as the oracles in gauge and
+    band_gradients always do.
+    """
 
     h0: Callable[[PhasePoint], float]
     h1: Callable[[PhasePoint], np.ndarray]
+    grad_h0: Optional[Callable[[PhasePoint], np.ndarray]] = None
+    jacobian: Optional[Callable[[PhasePoint], tuple]] = None
+
+    def __post_init__(self):
+        if (self.grad_h0 is None) != (self.jacobian is None):
+            raise ValueError("grad_h0 and jacobian must be given together")
 
     def h1_vector(self, m: PhasePoint) -> np.ndarray:
         v = np.asarray(self.h1(m), dtype=float)
@@ -106,11 +121,14 @@ class HamiltonianModel:
         return 0.5 * (H + H.conj().T)
 
     @staticmethod
-    def from_split(h0, h1, constants: Constants = None,
-                   spin_charges=None) -> "HamiltonianModel":
-        """Build H = H0 I + hbar sigma . H1 from the two callables."""
+    def from_split(h0, h1, constants: Constants = None, spin_charges=None,
+                   grad_h0=None, jacobian=None) -> "HamiltonianModel":
+        """Build H = H0 I + hbar sigma . H1 from the two callables.
+
+        grad_h0 and jacobian are the optional exact derivatives of SplitForm.
+        """
         constants = constants or Constants()
-        split = SplitForm(h0=h0, h1=h1)
+        split = SplitForm(h0=h0, h1=h1, grad_h0=grad_h0, jacobian=jacobian)
 
         def _eval(m: PhasePoint) -> np.ndarray:
             b = constants.hbar * split.h1_vector(m)

@@ -8,6 +8,7 @@ into this layout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +42,7 @@ def step_scale(x) -> float:
     return max(1.0, norm)
 
 
+@functools.lru_cache(maxsize=None)
 def axis_labels(d: int) -> tuple[str, ...]:
     """Axis names in flat order, e.g. ('p1','p2','r1','r2','t') for d=2."""
     ps = tuple(f"p{i+1}" for i in range(d))

@@ -24,10 +24,10 @@ import numpy as np
 from .dynamics import _LAST_STEP_SLACK
 from .errors import (ConstraintDriftWarning, GaugePatchError, SingularityError,
                      StepError)
-from .fields import IndexField, LinearField, VectorField, as_field
+from .fields import CallableField, IndexField, LinearField, VectorField, as_field
 from .gauge import CurvatureTensor, monopole_pseudovector, monopole_pullback
 from .models import Constants, HamiltonianModel
-from .phase_space import PhasePoint, axis_labels
+from .phase_space import PhasePoint
 
 E_Z = np.array([0.0, 0.0, 1.0])
 
@@ -35,6 +35,28 @@ E_Z = np.array([0.0, 0.0, 1.0])
 # auto-selected gauge patch switches to the opposite one.
 PATCH_SWITCH = 0.9
 CONSTRAINT_DRIFT_TOL = 1e-6
+
+
+def _split_model(m_star: float, h1, jacobian, constants: Constants,
+                 *fields: VectorField) -> HamiltonianModel:
+    """Split-form model with H0 = p^2 / 2 m_star and exact derivatives.
+
+    A CallableField takes its derivatives by finite differences, and a
+    VectorField subclass may define value alone; a model built on either
+    gets no exact derivatives and keeps the finite-difference path.
+    """
+    def grad_h0(m: PhasePoint) -> np.ndarray:
+        g = np.zeros(m.n_axes)
+        g[:m.d] = m.p / m_star
+        return g
+
+    exact = all(not isinstance(f, CallableField)
+                and type(f).d_dr is not VectorField.d_dr
+                and type(f).d_dt is not VectorField.d_dt for f in fields)
+    return HamiltonianModel.from_split(
+        h0=lambda m: float(m.p @ m.p) / (2.0 * m_star), h1=h1,
+        constants=constants, grad_h0=grad_h0 if exact else None,
+        jacobian=jacobian if exact else None)
 
 
 def band_sign(band: int) -> float:
@@ -69,12 +91,9 @@ class ZeemanScenario:
         return Constants(hbar=self.hbar, chi=self.chi, m_star=self.m_star)
 
     def model(self) -> HamiltonianModel:
-        chi, ms, d = self.chi, self.m_star, self.d
-        bf = self.b_field
-        return HamiltonianModel.from_split(
-            h0=lambda m: float(m.p @ m.p) / (2.0 * ms),
-            h1=lambda m: chi * bf.value(m.r, m.t),
-            constants=self.constants())
+        chi, bf = self.chi, self.b_field
+        return _split_model(self.m_star, lambda m: chi * bf.value(m.r, m.t),
+                            self.jacobian, self.constants(), bf)
 
     @staticmethod
     def hedgehog(chi: float = 1.0, **kw) -> "ZeemanScenario":
@@ -86,6 +105,17 @@ class ZeemanScenario:
         return ZeemanScenario(b_field=LinearField(f0=np.zeros(3), G=np.eye(3)),
                               chi=chi, d=3, **kw)
 
+    def jacobian(self, m: PhasePoint):
+        """(b, J): the coupling chi B(r, t) and its Jacobian over the flat axes.
+
+        The momentum columns vanish because the coupling is p-independent.
+        """
+        d = m.d
+        J = np.zeros((3, m.n_axes))
+        J[:, d:2 * d] = self.chi * self.b_field.d_dr(m.r, m.t)[:, :d]
+        J[:, 2 * d] = self.chi * self.b_field.d_dt(m.r, m.t)
+        return self.chi * self.b_field.value(m.r, m.t), J
+
     def curvature_blocks(self, m: PhasePoint) -> CurvatureTensor:
         """Closed-form curvature: F_rr and F_rt from field derivatives.
 
@@ -93,12 +123,7 @@ class ZeemanScenario:
         matching r-t block; every momentum block vanishes because the
         coupling is p-independent.
         """
-        d = m.d
-        J = np.zeros((3, m.n_axes))
-        J[:, d:2 * d] = self.chi * self.b_field.d_dr(m.r, m.t)[:, :d]
-        J[:, 2 * d] = self.chi * self.b_field.d_dt(m.r, m.t)
-        b = self.chi * self.b_field.value(m.r, m.t)
-        return monopole_pullback(b, J, (-0.5, +0.5), m)
+        return monopole_pullback(*self.jacobian(m), (-0.5, +0.5), m)
 
 
 def zeeman_frame(b3, form: str = "mixed") -> np.ndarray:
@@ -213,18 +238,14 @@ class SpinOrbitScenario:
                 + self.rho * np.cross(self.e_field.value(m.r, m.t), p3))
 
     def model(self) -> HamiltonianModel:
-        ms = self.m_star
-        return HamiltonianModel.from_split(
-            h0=lambda m: float(m.p @ m.p) / (2.0 * ms),
-            h1=self.coupling,
-            constants=self.constants())
+        return _split_model(self.m_star, self.coupling, self.jacobian,
+                            self.constants(), self.e_field, self.b_field)
 
-    def curvature_blocks(self, m: PhasePoint) -> CurvatureTensor:
-        """All five closed-form blocks from analytic coupling derivatives.
+    def jacobian(self, m: PhasePoint):
+        """(b, J): the coupling H1 and its analytic Jacobian over the flat axes.
 
         dH1/dp_i = rho (E x e_i); dH1/dr_j = chi dB/dr_j + rho (dE/dr_j x p);
-        dH1/dt likewise, then F_ij = -S H1.(d_i H1 x d_j H1)/|H1|^3 over
-        every axis pair at once.
+        dH1/dt likewise.
         """
         d = m.d
         r, t = m.r, m.t
@@ -239,7 +260,14 @@ class SpinOrbitScenario:
                          + self.rho * np.cross(dE_dr.T, p3).T)[:, :d]
         J[:, 2 * d] = (self.chi * self.b_field.d_dt(r, t)
                        + self.rho * np.cross(dE_dt, p3))
-        return monopole_pullback(self.coupling(m), J, (-0.5, +0.5), m)
+        return self.coupling(m), J
+
+    def curvature_blocks(self, m: PhasePoint) -> CurvatureTensor:
+        """All five closed-form blocks from the analytic Jacobian.
+
+        F_ij = -S H1.(d_i H1 x d_j H1)/|H1|^3 over every axis pair at once.
+        """
+        return monopole_pullback(*self.jacobian(m), (-0.5, +0.5), m)
 
     def pp_pseudovector(self, m: PhasePoint) -> np.ndarray:
         """Constant-field momentum-block pseudovector, per band: (2, 3).
@@ -304,12 +332,16 @@ class RashbaScenario:
         px, py = np.asarray(p, dtype=float)[:2]
         return float(np.hypot(self.rho * np.hypot(px, py), self.chi * self.b_z))
 
+    def jacobian(self, m: PhasePoint):
+        """(b, J): the coupling and its Jacobian; only dH1/dp is nonzero."""
+        J = np.zeros((3, 5))
+        J[0, 1] = -self.rho
+        J[1, 0] = self.rho
+        return self.coupling(m), J
+
     def model(self) -> HamiltonianModel:
-        ms = self.m_star
-        return HamiltonianModel.from_split(
-            h0=lambda m: float(m.p @ m.p) / (2.0 * ms),
-            h1=self.coupling,
-            constants=self.constants())
+        return _split_model(self.m_star, self.coupling, self.jacobian,
+                            self.constants())
 
     def em(self):
         from .dynamics import ExternalEMField
@@ -329,22 +361,10 @@ class RashbaScenario:
         """Closed-form curvature: only the in-plane momentum block survives.
 
         f_z = -S chi rho^2 B / |H1|^3 (the e_z-coupling analogue of the
-        constant-field momentum pseudovector), so F_{p1 p2} = f_z.
+        constant-field momentum pseudovector), so F_{p1 p2} = f_z: the
+        monopole pullback of the Jacobian.
         """
-        chi, rho, bz = self.chi, self.rho, self.b_z
-        labels = axis_labels(2)
-
-        def provider(m: PhasePoint) -> CurvatureTensor:
-            nb = self.coupling_norm(m.p)
-            if nb == 0.0:
-                raise SingularityError("coupling vanishes at this momentum")
-            base = chi * rho**2 * bz / nb**3
-            F = np.zeros((2, 5, 5))
-            F[0, 0, 1] = +0.5 * base
-            F[1, 0, 1] = -0.5 * base
-            return CurvatureTensor(d=2, labels=labels, F=F, point=m)
-
-        return provider
+        return lambda m: monopole_pullback(*self.jacobian(m), (-0.5, +0.5), m)
 
     def drift(self, band: int, p) -> np.ndarray:
         """Closed-form transverse drift velocity (3,), exactly band-odd.

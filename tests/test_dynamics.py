@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sgk import (
     AdiabaticConnectionField,
@@ -12,26 +14,37 @@ from sgk import (
     ExternalEMField,
     HamiltonianModel,
     IntegratorConfig,
+    PAULI,
     LinearField,
     NumericalError,
     PhasePoint,
+    PolyField,
+    RashbaScenario,
     RotatingField,
     SingularityError,
     SingularSystemError,
     SpinForceWarning,
+    SpinOrbitScenario,
     StepError,
+    VectorField,
     ZeemanScenario,
+    adiabatic_curvature_numeric,
     adiabaticity_epsilon,
     band_gradients,
+    curvature_m_space,
     default_curvature_provider,
     default_step,
+    diagonalize,
     displacement_contour,
     effective_em_fields,
+    exact_connection,
     integrate,
     phase_line_integral,
     spin_force_terms,
     velocity_field,
+    zeeman_connection,
 )
+from sgk.dynamics import _eval_point, _point_kernel
 
 
 def uniform_zeeman(b=(0.0, 0.0, 1.0), **kw):
@@ -140,6 +153,25 @@ def test_velocity_singular_system_is_reported():
 
     with pytest.raises(SingularSystemError):
         velocity_field(model, 0, M1, curvature=degenerate_curvature)
+
+
+def test_near_singular_velocity_system_is_reported():
+    # F_{p1 r1} = -(1 - delta)/hbar leaves M = diag(delta, 1, 1, delta, 1, 1):
+    # solvable, but conditioned 1/delta, so only delta = 1e-13 is refused
+    model = uniform_zeeman().model()
+
+    def curvature(delta):
+        def provider(m):
+            F = np.zeros((2, 7, 7))
+            F[:, 0, 3] = -(1.0 - delta)
+            return CurvatureTensor(d=3, labels=m.labels, F=F)
+        return provider
+
+    with pytest.raises(SingularSystemError,
+                       match=r"velocity system is singular \(condition number \d\.\d{3}e\+1[23]\)"):
+        velocity_field(model, 0, M1, curvature=curvature(1e-13))
+    v_p, v_r = velocity_field(model, 0, M1, curvature=curvature(1e-6), warn=False)
+    assert np.all(np.isfinite(v_p)) and np.all(np.isfinite(v_r))
 
 
 def test_integrate_attaches_step_index_to_errors():
@@ -406,6 +438,149 @@ def test_spin_force_warning_fires_once_per_trajectory():
         integrate(scn.model(), 1, start, cfg)
     hits = [w for w in rec if issubclass(w.category, SpinForceWarning)]
     assert len(hits) == 1
+
+
+def test_spin_force_warning_fires_where_a_benign_start_turns_marginal():
+    # an upper-band state falls toward the hedgehog core: the spin force is
+    # about 0.13 of the band force at the start and passes 0.5 near t = 1.35
+    # for about a hundred accepted steps; only the first of them warns
+    scn = ZeemanScenario.hedgehog()
+    start = PhasePoint((0.0, 0.6, 0.0), (1.5, 0.0, 0.1), 0.0)
+
+    def warnings_until(t_end):
+        cfg = IntegratorConfig(step=0.02, t_end=t_end, record_connection=False)
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            traj = integrate(scn.model(), 1, start, cfg)
+        assert traj.status == "completed"
+        return [w for w in rec if issubclass(w.category, SpinForceWarning)]
+
+    assert warnings_until(1.0) == []
+    hits = warnings_until(3.0)
+    assert len(hits) == 1
+    assert hits[0].filename == __file__  # attributed to the integrate call
+
+
+# -- point kernel ------------------------------------------------------------------
+
+
+def kernel_case(kind, seed):
+    """A random split-form scenario with exact derivatives and a point to probe."""
+    rng = np.random.default_rng(seed)
+    chi = float(rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0]))
+    offset = rng.uniform(-1.0, 1.0, 3)
+    if kind == "rashba":
+        scn = RashbaScenario(b_z=float(rng.uniform(0.3, 1.5)), chi=chi,
+                             rho=float(rng.uniform(0.5, 1.0)),
+                             hbar=float(rng.uniform(0.05, 1.0)))
+        return scn.model(), PhasePoint(rng.uniform(-0.5, 0.5, 2),
+                                       rng.uniform(-0.5, 0.5, 2), 0.0)
+    m = PhasePoint(rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.5, 0.5, 3),
+                   float(rng.uniform(-0.5, 0.5)))
+    if kind == "poly":
+        field = PolyField.random(seed, offset)
+    elif kind == "linear":
+        field = LinearField(f0=offset, G=0.3 * rng.uniform(-1, 1, (3, 3)),
+                            gt=0.3 * rng.uniform(-1, 1, 3))
+    elif kind == "rotating":
+        field = RotatingField(magnitude=float(rng.uniform(0.5, 1.5)),
+                              polar_angle=float(rng.uniform(0.1, 3.0)),
+                              omega=float(rng.uniform(-2.0, 2.0)),
+                              phi0=float(rng.uniform(0.0, 6.0)))
+    else:
+        e_field = LinearField(f0=rng.uniform(-1, 1, 3),
+                              G=0.3 * rng.uniform(-1, 1, (3, 3)),
+                              gt=0.3 * rng.uniform(-1, 1, 3))
+        return SpinOrbitScenario(e_field=e_field,
+                                 b_field=PolyField.random(seed, offset), chi=chi,
+                                 rho=float(rng.uniform(0.3, 1.0))).model(), m
+    return ZeemanScenario(b_field=field, chi=chi).model(), m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["poly", "linear", "rotating", "spin_orbit", "rashba"]),
+       seed=st.integers(0, 2**32 - 1), band=st.integers(0, 1))
+def test_point_kernel_matches_finite_difference_oracles(kind, seed, band):
+    model, m = kernel_case(kind, seed)
+    b = model.split.h1_vector(m)
+    nb = float(np.linalg.norm(b))
+    # away from degeneracies, and from b_z = 0, where the frames' gauge
+    # switches patch inside the differencing stencil
+    assume(nb > 0.3 and abs(b[2]) > 1e-2 * nb)
+    k = _point_kernel(model, band, m, connection=True)
+    E, g = band_gradients(model, band, m)
+    assert k.energy == pytest.approx(E, abs=1e-12)
+    assert k.gap == pytest.approx(model.band_gap(m), rel=1e-14)
+    assert np.allclose(k.grad, g, rtol=0.0, atol=1e-6 * max(1.0, np.max(np.abs(g))))
+    F_fd = curvature_m_space(model, m).F[band]
+    F_pl = adiabatic_curvature_numeric(model, m).F[band]
+    f_scale = max(1.0, float(np.max(np.abs(F_fd))))
+    assert np.allclose(k.F, F_fd, rtol=0.0, atol=1e-6 * f_scale)
+    assert np.allclose(k.F, F_pl, rtol=0.0, atol=1e-5 * f_scale)
+    A = exact_connection(model, m).diagonal().components[:, band]
+    assert np.allclose(k.a_diag, A, rtol=0.0, atol=1e-6 * max(1.0, np.max(np.abs(A))))
+
+
+def test_point_kernel_tie_rule_at_bz_zero():
+    # at b_z = 0 exactly, component 0 wins the largest-component tie: the
+    # upper band takes the north patch and the lower band the south patch
+    G = np.array([[0.2, 0.0, 0.1], [0.3, -0.15, 0.0], [0.05, 0.4, 0.25]])
+    model = ZeemanScenario(b_field=LinearField(f0=(0.6, -0.8, 0.0), G=G)).model()
+    m = PhasePoint((0.1, 0.2, 0.3), np.zeros(3), 0.0)
+    b, J = model.split.jacobian(m)
+    assert b[2] == 0.0
+    for band, patch in ((1, "north"), (0, "south")):
+        A = _point_kernel(model, band, m, spin_force=False, connection=True).a_diag
+        assert np.allclose(A, zeeman_connection(b, band, patch) @ J,
+                           rtol=0.0, atol=1e-15)
+
+
+def test_fields_without_derivatives_keep_the_difference_path():
+    class ValueOnly(VectorField):
+        def value(self, r, t):
+            return np.array([0.1, 0.2, 1.0]) + 0.1 * np.asarray(r)
+
+    cfg = IntegratorConfig(step=0.01, t_end=0.02)
+    for field in (ValueOnly(), lambda r, t: np.array([0.1, 0.2, 1.0]) + 0.1 * r):
+        model = ZeemanScenario(b_field=field).model()
+        assert model.split.jacobian is None
+        assert integrate(model, 0, M1, cfg).status == "completed"
+    assert ZeemanScenario(b_field=(0.1, 0.2, 1.0)).model().split.jacobian is not None
+
+
+def test_generic_point_takes_one_eigensolve(monkeypatch):
+    # E, grad E, the gap and A of a dense model all come from one stack, with
+    # the bits of the separate oracles; the plaquette curvature is a stack of
+    # its own, so a closed-form provider stands in for it here
+    scn = linear_zeeman()
+
+    def dense(m):
+        b = scn.b_field.value(m.r, m.t)
+        return 0.5 * float(m.p @ m.p) * np.eye(2) + np.einsum(
+            "k,kij->ij", b, PAULI)
+
+    model = HamiltonianModel(n=2, evaluate_raw=dense)
+    cfg = IntegratorConfig(record_connection=True)
+    em = ExternalEMField.uniform(E=(0.1, 0.0, 0.2), B=(0.0, 0.3, 0.5))
+    for band in (0, 1):
+        k = _point_kernel(model, band, M1, connection=True)
+        E, g = band_gradients(model, band, M1)
+        assert k.energy == E and np.array_equal(k.grad, g)
+        assert k.gap == diagonalize(model, M1).gap
+        assert np.array_equal(
+            k.a_diag, exact_connection(model, M1).diagonal().components[:, band])
+
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(H):
+        calls.append(H.shape)
+        return eigh(H)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    ev = _eval_point(model, 1, M1, em, cfg, scn.curvature_blocks)
+    assert calls == [(15, 2, 2)]
+    assert ev.a_diag is not None and ev.berry_rate != 0.0
 
 
 # -- contour displacement ---------------------------------------------------------

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from sgk import (
     AdiabaticConnectionField,
+    BandTrackingError,
     Connection,
     CurvatureTensor,
     DegeneracyError,
+    HamiltonianModel,
     PhasePoint,
     PlaquetteCurvatureField,
     PolyField,
@@ -405,6 +407,28 @@ def test_regauge_preserves_curvature_and_loop_phase():
     p1 = phase_line_integral(changed, path, band=1).value
     # single-valued linear phase: even the raw loop values agree
     assert p0 == pytest.approx(p1, abs=1e-8)
+
+
+def test_regauged_field_keeps_the_band_continuity_check():
+    # five bands whose frame jumps at t = 0.5 to one where every overlap with
+    # the old frame is 1/sqrt(5), below the tracking bound
+    k = np.arange(5)
+    W = np.exp(2j * np.pi * np.outer(k, k) / 5.0) / np.sqrt(5.0)
+    diag = np.diag(np.arange(1.0, 6.0)).astype(complex)
+    model = HamiltonianModel(
+        n=5, evaluate_raw=lambda m: diag if m.t < 0.5 else W @ diag @ W.conj().T)
+    field = AdiabaticConnectionField(model, PhasePoint(np.zeros(3), np.zeros(3), 0.0),
+                                     axes=(6,))
+    changed = regauge(field, lambda v: np.full(5, 0.3 * v[0]))
+    assert hasattr(changed, "validate_path")
+    jump = np.array([[0.0], [1.0]])
+    for f in (field, changed):
+        with pytest.raises(BandTrackingError):
+            phase_line_integral(f, jump, band=0)
+    # a continuous path still integrates, shifted by the phase gradient
+    flat = np.array([[0.0], [0.4]])
+    assert phase_line_integral(changed, flat, band=0).value == pytest.approx(
+        phase_line_integral(field, flat, band=0).value - 0.3 * 0.4, abs=1e-9)
 
 
 def test_regauge_rejects_exact_connections():
