@@ -35,7 +35,7 @@ from .gauge import (_axis_stencil, _stencil_connection,
                     tensor_to_pseudo)
 from .models import Constants, HamiltonianModel
 from .phase_space import PhasePoint, central_difference
-from .spectral import DEGENERACY_RTOL, frame_stack
+from .spectral import DEGENERACY_RTOL, _stack
 
 # Spin force larger than this fraction of the zeroth-order force triggers
 # a SpinForceWarning (the underlying expansion is no longer perturbative).
@@ -212,7 +212,7 @@ def band_gradients(model: HamiltonianModel, band: int, m: PhasePoint,
             lambda v: model.band_energy(PhasePoint.from_vector(v, m.d), band),
             m.as_vector(), h)
         return E0, g
-    w, _, _ = frame_stack(model, _axis_stencil(m, h, range(m.n_axes)))
+    w, _, _ = _stack(model, _axis_stencil(m, h, range(m.n_axes)))
     return float(w[0, band]), (w[1::2, band] - w[2::2, band]) / (2.0 * h)
 
 
@@ -292,7 +292,7 @@ def _point_kernel(model: HamiltonianModel, band: int, m: PhasePoint,
             A = exact_connection(model, m).diagonal().components[:, band]
     else:
         h = _fd_step(m, fd_step)
-        w, U, gaps = frame_stack(model, _axis_stencil(m, h, range(m.n_axes)))
+        w, U, gaps = _stack(model, _axis_stencil(m, h, range(m.n_axes)))
         E0, g = float(w[0, band]), (w[1::2, band] - w[2::2, band]) / (2.0 * h)
         gap = float(gaps[0])
         if connection:

@@ -5,7 +5,9 @@ fields of position and time. Curvature formulas need their first
 derivatives; the classes here provide exact ones where the functional form
 allows it, and a finite-difference wrapper for bare callables. Spatial
 arguments may be length 2 (in-plane problems) or 3; they are promoted to
-3 components internally with zero padding.
+3 components internally with zero padding. The values of the four built-in
+families broadcast over leading axes: r of shape (N, 3) and t of shape (N,)
+give (N, 3), each row bit-identical to its one-point call.
 """
 
 from __future__ import annotations
@@ -26,8 +28,29 @@ def _promote(r) -> np.ndarray:
     raise ValueError(f"position must have 2 or 3 components, got {r.shape}")
 
 
+def _promote_rows(r, t):
+    """Positions (..., 3) from r (..., 2 or 3); an array t (...) gains a last axis."""
+    r = np.asarray(r, dtype=float)
+    if r.shape[-1:] == (2,):
+        r3 = np.zeros(r.shape[:-1] + (3,))
+        r3[..., :2] = r
+        r = r3
+    elif r.shape[-1:] != (3,):
+        raise ValueError(f"position must have 2 or 3 components, got {r.shape}")
+    return r, (t[..., None] if isinstance(t, np.ndarray) and t.ndim else t)
+
+
+def _matvec(G: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """G r over the leading axes of r; each row has the bits of G @ r[i]."""
+    return G @ r if r.ndim == 1 else (G @ r[..., None])[..., 0]
+
+
 class VectorField:
-    """Base: value(r, t) -> (3,); d_dr -> (3,3) with [i,j]=dF_i/dr_j; d_dt -> (3,)."""
+    """Base: value(r, t) -> (3,); d_dr -> (3,3) with [i,j]=dF_i/dr_j; d_dt -> (3,).
+
+    A subclass's own value may take one point at a time: stacks call value
+    on (N, 3) rows only where it is a built-in one (broadcasts).
+    """
 
     def value(self, r, t: float) -> np.ndarray:
         raise NotImplementedError
@@ -52,7 +75,10 @@ class UniformField(VectorField):
         self.v = _promote(self.v)
 
     def value(self, r, t):
-        return self.v.copy()
+        r = np.asarray(r)
+        if r.ndim < 2:
+            return self.v.copy()
+        return np.broadcast_to(self.v, r.shape[:-1] + (3,)).copy()
 
     def d_dr(self, r, t):
         return np.zeros((3, 3))
@@ -81,7 +107,8 @@ class LinearField(VectorField):
             raise ValueError("G must be 3x3")
 
     def value(self, r, t):
-        return self.f0 + self.G @ _promote(r) + self.gt * t
+        r, t = _promote_rows(r, t)
+        return self.f0 + _matvec(self.G, r) + self.gt * t
 
     def d_dr(self, r, t):
         return self.G.copy()
@@ -130,10 +157,10 @@ class PolyField(VectorField):
         )
 
     def value(self, r, t):
-        r = _promote(r)
-        return (self.f0 + self.G @ r + self.gt * t
-                + 0.5 * np.einsum("ijk,j,k->i", self.Q, r, r)
-                + (self.C @ r) * t + 0.5 * self.qtt * t * t)
+        r, t = _promote_rows(r, t)
+        return (self.f0 + _matvec(self.G, r) + self.gt * t
+                + 0.5 * np.einsum("ijk,...j,...k->...i", self.Q, r, r)
+                + _matvec(self.C, r) * t + 0.5 * self.qtt * t * t)
 
     def d_dr(self, r, t):
         r = _promote(r)
@@ -159,7 +186,11 @@ class RotatingField(VectorField):
     def value(self, r, t):
         ph = self.omega * t + self.phi0
         st, ct = np.sin(self.polar_angle), np.cos(self.polar_angle)
-        return self.magnitude * np.array([st * np.cos(ph), st * np.sin(ph), ct])
+        out = np.empty(getattr(ph, "shape", ()) + (3,))  # ph is a float for one point
+        out[..., 0] = st * np.cos(ph)
+        out[..., 1] = st * np.sin(ph)
+        out[..., 2] = ct
+        return self.magnitude * out
 
     def d_dr(self, r, t):
         return np.zeros((3, 3))
@@ -186,6 +217,12 @@ class CallableField(VectorField):
 
     def d_dt(self, r, t):
         return (self.value(r, t + self.step) - self.value(r, t - self.step)) / (2 * self.step)
+
+
+def broadcasts(f: VectorField) -> bool:
+    """True when f's value is a built-in one, which broadcasts over leading axes."""
+    owner = next(c for c in type(f).__mro__ if "value" in vars(c))
+    return owner in (UniformField, LinearField, PolyField, RotatingField)
 
 
 def as_field(obj) -> VectorField:

@@ -29,7 +29,7 @@ from .errors import (NumericalError, QuadratureError, SingularityError,
                      StepError)
 from .models import HamiltonianModel
 from .phase_space import PhasePoint, central_difference, step_scale
-from .spectral import _stack, frame_stack
+from .spectral import _stack
 
 # Default finite-difference step: DEFAULT_STEP_SCALE * max(1, |m|).
 DEFAULT_STEP_SCALE = 1e-4
@@ -255,15 +255,18 @@ def exact_connection(model: HamiltonianModel, m: PhasePoint,
     """
     h = _check_step(step if step is not None else default_step(m))
     ks = list(range(m.n_axes) if axes is None else axes)
-    _, U, _ = frame_stack(model, _axis_stencil(m, h, ks))
+    _, U, _ = _stack(model, _axis_stencil(m, h, ks))
     comps = np.zeros((m.n_axes, model.n, model.n), dtype=complex)
     comps[ks] = _stencil_connection(U, h)
     return Connection(labels=m.labels, kind="exact", components=comps, point=m)
 
 
-def _axis_stencil(m: PhasePoint, h: float, axes: Sequence[int]) -> list:
-    """m, then m + h e_k and m - h e_k for each k in axes: one stack's points."""
-    return [m] + [m.shifted(k, d) for k in axes for d in (h, -h)]
+def _axis_stencil(m: PhasePoint, h: float, axes: Sequence[int]) -> np.ndarray:
+    """Rows m, then m + h e_k and m - h e_k for each k in axes: one stack."""
+    ks = np.repeat(np.asarray(axes, dtype=int), 2)
+    X = np.tile(m.as_vector(), (1 + ks.size, 1))
+    X[1 + np.arange(ks.size), ks] += np.tile((h, -h), ks.size // 2)
+    return X
 
 
 def _stencil_connection(U: np.ndarray, h: float) -> np.ndarray:
@@ -330,15 +333,19 @@ def adiabatic_curvature_numeric(model: HamiltonianModel, m: PhasePoint,
     D, n = m.n_axes, model.n
     if pairs is None:
         pairs = [(i, j) for i in range(D) for j in range(i + 1, D)]
-    sides = (h, 0.5 * h) if richardson else (h,)
-    corners = []
-    for (i, j) in pairs:
-        for s in sides:
-            c1 = m.shifted(i, -0.5 * s).shifted(j, -0.5 * s)
-            c2 = c1.shifted(i, +s)
-            corners += [c1, c2, c2.shifted(j, +s), c1.shifted(j, +s)]
-    _, U, _ = frame_stack(model, [m] + corners)
-    U = U[1:].reshape(len(pairs), len(sides), 4, n, n)
+    sides = np.array((h, 0.5 * h) if richardson else (h,))
+    v, ij = m.as_vector(), np.array(pairs, dtype=int).reshape(-1, 2)
+    P, S = len(ij), len(sides)
+    # corners c1 = m - s/2 (e_i + e_j), c2 = c1 + s e_i, c3 = c2 + s e_j and
+    # c4 = c1 + s e_j, rounded as successive single-axis shifts would round
+    lo = v[ij][:, :, None] + (-0.5 * sides)  # (pair, i or j, side)
+    hi = lo + sides
+    X = np.tile(v, (P, S, 4, 1))
+    q = np.arange(P)
+    X[q, :, :, ij[:, 0]] = np.stack([lo[:, 0], hi[:, 0], hi[:, 0], lo[:, 0]], axis=-1)
+    X[q, :, :, ij[:, 1]] = np.stack([lo[:, 1], lo[:, 1], hi[:, 1], hi[:, 1]], axis=-1)
+    _, U, _ = _stack(model, np.concatenate([v[None], X.reshape(-1, D)]))
+    U = U[1:].reshape(P, S, 4, n, n)
     # ov[pair, side, a, band]: overlap of corner a with corner a + 1
     ov = np.einsum("psaib,psaib->psab", U.conj(), np.roll(U, -1, axis=2))
     ang = np.angle(ov[:, :, 0] * ov[:, :, 1] * ov[:, :, 2] * ov[:, :, 3])
@@ -346,8 +353,7 @@ def adiabatic_curvature_numeric(model: HamiltonianModel, m: PhasePoint,
     if richardson:
         val = (4.0 * (-ang[:, 1] / (0.5 * h) ** 2) - val) / 3.0
     F = np.zeros((n, D, D))
-    for q, (i, j) in enumerate(pairs):
-        F[:, i, j] = val[q]
+    F[:, ij[:, 0], ij[:, 1]] = val.T
     return CurvatureTensor(d=m.d, labels=m.labels, F=F, point=m)
 
 
@@ -621,8 +627,25 @@ def curvature_of_abelian_field(field, x, step: float = None) -> np.ndarray:
 # Model-backed field adapters (lift plain vectors into phase space)
 
 
+class _AxisSlice:
+    """Coordinates over the flat axes `axes`, the others frozen at `base`."""
+
+    def rows(self, pts) -> np.ndarray:
+        """(N, 2d+1) coordinate stack of an (N, len(axes)) array of slice points."""
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != len(self.axes):
+            raise ValueError(f"expected {len(self.axes)} coordinates")
+        X = np.tile(self.base.as_vector(), (pts.shape[0], 1))
+        X[:, list(self.axes)] = pts
+        return X
+
+    def lift(self, vec) -> PhasePoint:
+        """The phase-space point of one slice point."""
+        return PhasePoint.from_vector(self.rows(np.atleast_1d(vec)[None])[0], self.base.d)
+
+
 @dataclass
-class AdiabaticConnectionField:
+class AdiabaticConnectionField(_AxisSlice):
     """Adiabatic connection as a plain vector field over selected m-axes.
 
     axes lists the flat phase-space axes swept by the abstract coordinates
@@ -642,21 +665,13 @@ class AdiabaticConnectionField:
             self.axes = tuple(range(self.base.n_axes))
         self.axes = tuple(int(a) for a in self.axes)
 
-    def lift(self, vec) -> PhasePoint:
-        v = self.base.as_vector()
-        vec = np.atleast_1d(np.asarray(vec, dtype=float))
-        if vec.shape[0] != len(self.axes):
-            raise ValueError(f"expected {len(self.axes)} coordinates")
-        v[list(self.axes)] = vec
-        return PhasePoint.from_vector(v, self.base.d)
-
     def __call__(self, vec) -> np.ndarray:
         conn = adiabatic_connection(self.model, self.lift(vec), step=self.step,
                                     axes=self.axes)
         return conn.components[list(self.axes), :]
 
     def validate_path(self, pts) -> None:
-        _stack(self.model, [self.lift(v) for v in pts], along_path=True)
+        _stack(self.model, self.rows(pts), along_path=True)
 
     def loop_phase(self, pts, band: int = None):
         """Holonomy phase(s) of a closed path from eigenframe overlaps.
@@ -675,14 +690,14 @@ class AdiabaticConnectionField:
             raise ValueError("need a closed path of at least 3 distinct points")
         if not np.allclose(pts[0], pts[-1], atol=1e-12):
             raise ValueError("path must return to its starting point")
-        _, U, _ = _stack(self.model, [self.lift(v) for v in pts[:-1]], along_path=True)
+        _, U, _ = _stack(self.model, self.rows(pts[:-1]), along_path=True)
         ov = np.einsum("kib,kib->kb", U.conj(), np.roll(U, -1, axis=0))
         phases = -np.angle(np.prod(ov, axis=0))
         return phases if band is None else float(phases[band])
 
 
 @dataclass
-class PlaquetteCurvatureField:
+class PlaquetteCurvatureField(_AxisSlice):
     """Pseudovector plaquette curvature over a 3-axis slice of m-space.
 
     Produces f(x) with f_k = (1/2) eps_kij F_ij restricted to the three
@@ -701,11 +716,6 @@ class PlaquetteCurvatureField:
         self.axes = tuple(int(a) for a in self.axes)
         if len(self.axes) != 3:
             raise ValueError("exactly three axes define the flux 3-space")
-
-    def lift(self, vec) -> PhasePoint:
-        v = self.base.as_vector()
-        v[list(self.axes)] = np.asarray(vec, dtype=float)
-        return PhasePoint.from_vector(v, self.base.d)
 
     def __call__(self, x) -> np.ndarray:
         pairs = [(self.axes[0], self.axes[1]), (self.axes[0], self.axes[2]),

@@ -60,12 +60,18 @@ class SplitForm:
     gradients, curvature and connection in closed form from one (b, J);
     without them it differences H0 and H1, as the oracles in gauge and
     band_gradients always do.
+
+    stack is an optional array form over a coordinate stack: stack(X), X of
+    shape (N, 2d+1), returns (H0 (N,), H1 (N, 3)), each row bit-identical
+    to h0 and h1 at that row's point. With it HamiltonianModel.evaluate_stack
+    builds every matrix of a stack at once.
     """
 
     h0: Callable[[PhasePoint], float]
     h1: Callable[[PhasePoint], np.ndarray]
     grad_h0: Optional[Callable[[PhasePoint], np.ndarray]] = None
     jacobian: Optional[Callable[[PhasePoint], tuple]] = None
+    stack: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __post_init__(self):
         if (self.grad_h0 is None) != (self.jacobian is None):
@@ -78,13 +84,36 @@ class SplitForm:
         return v
 
 
+def _split_matrices(h0, b) -> np.ndarray:
+    """H0 I + sigma . b over leading axes: h0 (...,), b (..., 3) -> (..., 2, 2)."""
+    return (np.asarray(h0)[..., None, None] * np.eye(2, dtype=complex)
+            + np.einsum("...k,kij->...ij", b, PAULI))
+
+
+def _check_matrices(H: np.ndarray) -> None:
+    """Raise for the first row of H (N, n, n) that is not finite or not Hermitian."""
+    peak = np.abs(H).max(axis=(1, 2))
+    scale = np.maximum(1.0, peak)
+    with np.errstate(invalid="ignore"):  # inf - inf in a row that fails anyway
+        defect = np.abs(H - np.conj(np.swapaxes(H, 1, 2))).max(axis=(1, 2))
+    # NaN fails every tolerance test, so finiteness is tested first
+    bad = ~np.isfinite(peak) | (defect > HERMITICITY_RTOL * scale)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not math.isfinite(peak[i]):
+            raise NumericalError(
+                f"model matrix is not finite: largest |entry| is {float(peak[i])}")
+        raise NumericalError(
+            f"model matrix is not Hermitian: defect {defect[i]:.3e} at scale {scale[i]:.3e}")
+
+
 @dataclass(frozen=True)
 class HamiltonianModel:
     """n-band Hermitian matrix Hamiltonian over extended phase space.
 
-    evaluate(m) must return an n x n Hermitian array; the wrapper here
-    symmetrizes small defects and rejects anything beyond 1e-12 relative
-    and any matrix with a NaN or infinite entry.
+    evaluate_raw(m) must return an n x n Hermitian array; evaluate and
+    evaluate_stack symmetrize small defects and reject anything beyond
+    1e-12 relative and any matrix with a NaN or infinite entry.
     spin_charges lists the per-band spin projection on H1 (ascending band
     order); split-form Pauli models default to (-1/2, +1/2).
     """
@@ -106,34 +135,55 @@ class HamiltonianModel:
             raise ValueError("spin_charges must have one entry per band")
 
     def evaluate(self, m: PhasePoint) -> np.ndarray:
-        H = np.asarray(self.evaluate_raw(m), dtype=complex)
-        if H.shape != (self.n, self.n):
-            raise NumericalError(f"model returned shape {H.shape}, expected {(self.n, self.n)}")
-        peak = float(np.max(np.abs(H)))
-        if not math.isfinite(peak):
-            # NaN fails every tolerance test below, so it must stop here
-            raise NumericalError(f"model matrix is not finite: largest |entry| is {peak}")
-        scale = max(1.0, peak)
-        defect = float(np.max(np.abs(H - H.conj().T)))
-        if defect > HERMITICITY_RTOL * scale:
-            raise NumericalError(
-                f"model matrix is not Hermitian: defect {defect:.3e} at scale {scale:.3e}")
-        return 0.5 * (H + H.conj().T)
+        """H(m), checked and symmetrized: the one-row case of evaluate_stack."""
+        return self.evaluate_stack(m.as_vector()[None])[0]
+
+    def evaluate_stack(self, X) -> np.ndarray:
+        """Checked Hermitian matrices H at the rows of X, shape (N, n, n).
+
+        X is an (N, 2d+1) array of flat coordinates, finite (else
+        ValueError, as for a PhasePoint). A split form with a stack form
+        evaluates the whole stack as arrays; any other model calls
+        evaluate_raw on each row's PhasePoint in turn. The first failing row
+        raises its first failing check: a wrong shape, a NaN or infinite
+        entry, or a Hermiticity defect beyond 1e-12 relative. Smaller
+        defects are symmetrized away.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] not in (5, 7):
+            raise ValueError(f"expected an (N, 5) or (N, 7) coordinate stack, got {X.shape}")
+        if not np.isfinite(X).all():
+            raise ValueError("phase-space coordinates must be finite")
+        n, split = self.n, self.split
+        if split is not None and split.stack is not None:
+            h0, h1 = split.stack(X)
+            H = _split_matrices(h0, self.constants.hbar * h1)
+            _check_matrices(H)
+        else:
+            d = (X.shape[1] - 1) // 2
+            H = np.empty((X.shape[0], n, n), dtype=complex)
+            for i, v in enumerate(X):
+                Hi = np.asarray(self.evaluate_raw(PhasePoint(v[:d], v[d:2 * d], v[2 * d])),
+                                dtype=complex)
+                if Hi.shape != (n, n):
+                    raise NumericalError(f"model returned shape {Hi.shape}, expected {(n, n)}")
+                _check_matrices(Hi[None])
+                H[i] = Hi
+        return 0.5 * (H + np.conj(np.swapaxes(H, 1, 2)))
 
     @staticmethod
     def from_split(h0, h1, constants: Constants = None, spin_charges=None,
-                   grad_h0=None, jacobian=None) -> "HamiltonianModel":
+                   grad_h0=None, jacobian=None, stack=None) -> "HamiltonianModel":
         """Build H = H0 I + hbar sigma . H1 from the two callables.
 
-        grad_h0 and jacobian are the optional exact derivatives of SplitForm.
+        grad_h0, jacobian and stack are the optional forms of SplitForm.
         """
         constants = constants or Constants()
-        split = SplitForm(h0=h0, h1=h1, grad_h0=grad_h0, jacobian=jacobian)
+        split = SplitForm(h0=h0, h1=h1, grad_h0=grad_h0, jacobian=jacobian,
+                          stack=stack)
 
         def _eval(m: PhasePoint) -> np.ndarray:
-            b = constants.hbar * split.h1_vector(m)
-            return split.h0(m) * np.eye(2, dtype=complex) + np.einsum(
-                "k,kij->ij", b, PAULI)
+            return _split_matrices(split.h0(m), constants.hbar * split.h1_vector(m))
 
         return HamiltonianModel(n=2, evaluate_raw=_eval, split=split,
                                 constants=constants, spin_charges=spin_charges)

@@ -24,7 +24,8 @@ import numpy as np
 from .dynamics import _LAST_STEP_SLACK
 from .errors import (ConstraintDriftWarning, GaugePatchError, SingularityError,
                      StepError)
-from .fields import CallableField, IndexField, LinearField, VectorField, as_field
+from .fields import (CallableField, IndexField, LinearField, VectorField,
+                     as_field, broadcasts)
 from .gauge import CurvatureTensor, monopole_pseudovector, monopole_pullback
 from .models import Constants, HamiltonianModel
 from .phase_space import PhasePoint
@@ -37,18 +38,26 @@ PATCH_SWITCH = 0.9
 CONSTRAINT_DRIFT_TOL = 1e-6
 
 
-def _split_model(m_star: float, h1, jacobian, constants: Constants,
+def _split_model(m_star: float, h1, jacobian, h1_rows, constants: Constants,
                  *fields: VectorField) -> HamiltonianModel:
-    """Split-form model with H0 = p^2 / 2 m_star and exact derivatives.
+    """Split-form model with H0 = p^2 / 2 m_star, exact derivatives and stacks.
 
     A CallableField takes its derivatives by finite differences, and a
     VectorField subclass may define value alone; a model built on either
     gets no exact derivatives and keeps the finite-difference path.
+    h1_rows(p, r, t) is H1 over the rows of a coordinate stack; the model
+    carries it as a stack form when every field's value is a built-in,
+    broadcasting one, and evaluates other stacks row by row.
     """
     def grad_h0(m: PhasePoint) -> np.ndarray:
         g = np.zeros(m.n_axes)
         g[:m.d] = m.p / m_star
         return g
+
+    def stack(X: np.ndarray):
+        d = (X.shape[1] - 1) // 2
+        p, r, t = X[:, :d], X[:, d:2 * d], X[:, 2 * d]
+        return (p[:, None, :] @ p[:, :, None])[:, 0, 0] / (2.0 * m_star), h1_rows(p, r, t)
 
     exact = all(not isinstance(f, CallableField)
                 and type(f).d_dr is not VectorField.d_dr
@@ -56,7 +65,8 @@ def _split_model(m_star: float, h1, jacobian, constants: Constants,
     return HamiltonianModel.from_split(
         h0=lambda m: float(m.p @ m.p) / (2.0 * m_star), h1=h1,
         constants=constants, grad_h0=grad_h0 if exact else None,
-        jacobian=jacobian if exact else None)
+        jacobian=jacobian if exact else None,
+        stack=stack if all(broadcasts(f) for f in fields) else None)
 
 
 def band_sign(band: int) -> float:
@@ -93,7 +103,8 @@ class ZeemanScenario:
     def model(self) -> HamiltonianModel:
         chi, bf = self.chi, self.b_field
         return _split_model(self.m_star, lambda m: chi * bf.value(m.r, m.t),
-                            self.jacobian, self.constants(), bf)
+                            self.jacobian, lambda p, r, t: chi * bf.value(r, t),
+                            self.constants(), bf)
 
     @staticmethod
     def hedgehog(chi: float = 1.0, **kw) -> "ZeemanScenario":
@@ -232,14 +243,19 @@ class SpinOrbitScenario:
                          m_star=self.m_star)
 
     def coupling(self, m: PhasePoint) -> np.ndarray:
-        p3 = np.zeros(3)
-        p3[:m.d] = m.p
-        return (self.chi * self.b_field.value(m.r, m.t)
-                + self.rho * np.cross(self.e_field.value(m.r, m.t), p3))
+        return self._coupling(m.p, m.r, m.t)
+
+    def _coupling(self, p, r, t) -> np.ndarray:
+        """chi B + rho E x p over leading axes: p, r (..., d), t (...)."""
+        p3 = np.zeros(p.shape[:-1] + (3,))
+        p3[..., :p.shape[-1]] = p
+        return (self.chi * self.b_field.value(r, t)
+                + self.rho * np.cross(self.e_field.value(r, t), p3))
 
     def model(self) -> HamiltonianModel:
         return _split_model(self.m_star, self.coupling, self.jacobian,
-                            self.constants(), self.e_field, self.b_field)
+                            self._coupling, self.constants(), self.e_field,
+                            self.b_field)
 
     def jacobian(self, m: PhasePoint):
         """(b, J): the coupling H1 and its analytic Jacobian over the flat axes.
@@ -340,8 +356,13 @@ class RashbaScenario:
         return self.coupling(m), J
 
     def model(self) -> HamiltonianModel:
+        rho, cb = self.rho, self.chi * self.b_z
+
+        def coupling_rows(p, r, t):
+            return np.stack([-rho * p[:, 1], rho * p[:, 0], np.full(len(p), cb)], axis=1)
+
         return _split_model(self.m_star, self.coupling, self.jacobian,
-                            self.constants())
+                            coupling_rows, self.constants())
 
     def em(self):
         from .dynamics import ExternalEMField

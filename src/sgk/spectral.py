@@ -8,10 +8,12 @@ frame exactly, and it defines a single-valued gauge that is smooth wherever
 no component-magnitude crossover happens.
 
 Every frame comes from one stacked eigensolve that applies the gauge fixing,
-frame checks and band matching to the whole stack as array operations. A
-stencil (frame_stack) follows its first point or a given reference. A path is
-one stack matched node to node, which tracks bands through avoided crossings,
-and smooth_frame_along aligns its phases cumulatively.
+frame checks and band matching to the whole stack as array operations. The
+stack is an (N, 2d+1) array of flat coordinates whose Hamiltonians come from
+one HamiltonianModel.evaluate_stack call. A stencil (frame_stack) follows its
+first point or a given reference. A path is one stack matched node to node,
+which tracks bands through avoided crossings, and smooth_frame_along aligns
+its phases cumulatively.
 """
 
 from __future__ import annotations
@@ -53,15 +55,23 @@ class EigenFrame:
         return self.energies.shape[0]
 
 
-def _stack(model: HamiltonianModel, points: Sequence[PhasePoint],
-           reference: np.ndarray = None, along_path: bool = False
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """frame_stack; along_path matches each point to the one before it instead."""
-    H = np.stack([model.evaluate(m) for m in points])
+def _coordinates(points: Sequence[PhasePoint]) -> np.ndarray:
+    """(N, 2d+1) stack of the points' flat coordinate vectors."""
+    return np.array([m.as_vector() for m in points])
+
+
+def _stack(model: HamiltonianModel, X: np.ndarray, reference: np.ndarray = None,
+           along_path: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """frame_stack over the rows of a coordinate stack X (N, 2d+1).
+
+    along_path matches each row to the one before it instead.
+    """
+    H = model.evaluate_stack(X)
     try:
         w, U = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed at {points[0]}: {exc}") from exc
+        first = PhasePoint.from_vector(X[0], (X.shape[1] - 1) // 2)
+        raise NumericalError(f"eigensolver failed at {first}: {exc}") from exc
     N, n = w.shape
     idx, cols, eye = np.arange(N), np.arange(n), np.eye(n)
     gap = (w[:, 1:] - w[:, :-1]).min(axis=1)
@@ -94,7 +104,7 @@ def _stack(model: HamiltonianModel, points: Sequence[PhasePoint],
         if checks[0][i]:
             raise DegeneracyError(
                 f"band gap {gap[i]:.3e} below tolerance "
-                f"{DEGENERACY_RTOL * scale[i]:.3e} at t={points[i].t}")
+                f"{DEGENERACY_RTOL * scale[i]:.3e} at t={float(X[i, -1])}")
         if checks[1][i]:
             raise NumericalError("eigenvector frame is not unitary")
         if checks[2][i]:
@@ -124,7 +134,7 @@ def frame_stack(model: HamiltonianModel, points: Sequence[PhasePoint],
     eigensolver failure or a frame that violates its own tolerances, and
     BandTrackingError for a matched overlap below the tracking bound.
     """
-    return _stack(model, points, reference)
+    return _stack(model, _coordinates(points), reference)
 
 
 def diagonalize(model: HamiltonianModel, m: PhasePoint) -> EigenFrame:
@@ -158,7 +168,7 @@ def smooth_frame_along(model: HamiltonianModel,
     """
     if len(path) == 0:
         return []
-    w, U, gap = _stack(model, path, along_path=True)
+    w, U, gap = _stack(model, _coordinates(path), along_path=True)
     ov = np.einsum("kib,kib->kb", U[:-1].conj(), U[1:])
     # |ov| >= TRACKING_MIN_OVERLAP here, so every rotation is well defined
     U[1:] *= np.cumprod(np.conj(ov) / np.abs(ov), axis=0)[:, None, :]

@@ -4,9 +4,13 @@ The reference below diagonalizes one point at a time: scalar phase
 convention, scalar frame checks and a greedy band match per point. Every
 stacked stencil result must equal it bit for bit. Along a path, the
 reference walks node by node, matching each frame to the one before it and
-transporting its phase; the one-stack path must agree with that walk.
+transporting its phase; the one-stack path must agree with that walk. The
+Hamiltonians of a stack come from HamiltonianModel.evaluate_stack, whose
+rows must equal H = h0 I + hbar sigma . H1 built point by point.
 """
 
+import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -14,8 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgk import (AdiabaticConnectionField, BandTrackingError, DegeneracyError,
-                 HamiltonianModel, PhasePoint, PolyField, SpinOrbitScenario,
+from sgk import (PAULI, AdiabaticConnectionField, BandTrackingError,
+                 CallableField, DegeneracyError, HamiltonianModel, LinearField,
+                 NumericalError, PhasePoint, PolyField, RashbaScenario,
+                 RotatingField, SpinOrbitScenario, SplitForm, UniformField, VectorField,
                  ZeemanScenario, adiabatic_curvature_numeric, band_gradients,
                  exact_connection)
 from sgk.spectral import (DEGENERACY_RTOL, TRACKING_MIN_OVERLAP, aligned_frame,
@@ -338,3 +344,243 @@ def test_one_eigensolve_per_path(monkeypatch):
     phases = field.loop_phase(loop)
     assert shapes == [(97, 2, 2), (97, 2, 2), (96, 2, 2)]
     assert np.allclose(np.abs(phases), np.pi, atol=1e-3)
+
+
+# -- Hamiltonian stacks: arrays against per-point matrices ---------------------------
+
+
+E_Z = np.array([0.0, 0.0, 1.0])
+
+
+def same_bytes(got, want):
+    """Bit-for-bit equality, signed zeros included."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes())
+
+
+def builtin_field(kind, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    offset = rng.uniform(-1.0, 1.0, 3)
+    if kind == "uniform":
+        return UniformField(offset)
+    if kind == "linear":
+        return LinearField(f0=offset, G=rng.uniform(-1.0, 1.0, (3, 3)),
+                           gt=rng.uniform(-1.0, 1.0, 3))
+    if kind == "poly":
+        return PolyField.random(seed, offset=offset)
+    return RotatingField(magnitude=rng.uniform(0.5, 2.0), polar_angle=rng.uniform(0.0, np.pi),
+                         omega=rng.uniform(-3.0, 3.0), phi0=rng.uniform(-np.pi, np.pi))
+
+
+def scenario_model(kind, field_kind, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    consts = dict(chi=rng.uniform(0.5, 1.5), m_star=rng.uniform(0.5, 2.0),
+                  hbar=rng.uniform(0.5, 1.5))
+    if kind == "rashba":
+        return RashbaScenario(b_z=rng.uniform(-1.0, 1.0), rho=rng.uniform(0.2, 1.0),
+                              **consts).model(), 2
+    if kind == "spin_orbit":
+        return SpinOrbitScenario(e_field=builtin_field(field_kind, seed + 1),
+                                 b_field=builtin_field(field_kind, seed + 2),
+                                 rho=rng.uniform(0.2, 1.0), **consts).model(), 3
+    d = 2 if kind == "zeeman2" else 3
+    return ZeemanScenario(builtin_field(field_kind, seed + 1), d=d, **consts).model(), d
+
+
+def per_point_matrix(model, v, d):
+    """h0 I + hbar sigma . H1 at one point, symmetrized as evaluate symmetrizes."""
+    m = PhasePoint.from_vector(v, d)
+    H = (float(model.split.h0(m)) * np.eye(2, dtype=complex)
+         + np.einsum("k,kij->ij", model.constants.hbar * model.split.h1_vector(m), PAULI))
+    return 0.5 * (H + H.conj().T)
+
+
+@given(st.sampled_from(["zeeman2", "zeeman3", "spin_orbit", "rashba"]),
+       st.sampled_from(["uniform", "linear", "poly", "rotating"]),
+       st.integers(0, 2**32 - 1), st.integers(1, 30), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_evaluate_stack_equals_per_point_matrices(kind, field_kind, seed, count, zeros):
+    model, d = scenario_model(kind, field_kind, seed)
+    assert model.split.stack is not None
+    rng = np.random.Generator(np.random.PCG64(seed + 3))
+    X = rng.uniform(-1.5, 1.5, (count, 2 * d + 1))
+    if zeros:  # exact zeros in H1 components exercise the signs of zero entries
+        X[:, rng.integers(2 * d + 1)] = 0.0
+        X[::2, rng.integers(2 * d + 1)] = -0.0
+    H = model.evaluate_stack(X)
+    for i, v in enumerate(X):
+        assert same_bytes(H[i], per_point_matrix(model, v, d))
+        assert same_bytes(model.evaluate(PhasePoint.from_vector(v, d)), H[i])
+    # a row does not depend on the size or the order of its stack
+    perm = rng.permutation(count)
+    assert same_bytes(model.evaluate_stack(X[perm]), H[perm])
+    assert same_bytes(model.evaluate_stack(X[count // 2:]), H[count // 2:])
+
+
+def old_value(f, r, t):
+    """The one-point value formulas each built-in field had before it broadcast."""
+    r3 = np.array([r[0], r[1], 0.0]) if len(r) == 2 else np.asarray(r, dtype=float)
+    if isinstance(f, UniformField):
+        return f.v.copy()
+    if isinstance(f, PolyField):
+        return (f.f0 + f.G @ r3 + f.gt * t + 0.5 * np.einsum("ijk,j,k->i", f.Q, r3, r3)
+                + (f.C @ r3) * t + 0.5 * f.qtt * t * t)
+    if isinstance(f, LinearField):
+        return f.f0 + f.G @ r3 + f.gt * t
+    ph = f.omega * t + f.phi0
+    st_, ct = np.sin(f.polar_angle), np.cos(f.polar_angle)
+    return f.magnitude * np.array([st_ * np.cos(ph), st_ * np.sin(ph), ct])
+
+
+@given(st.sampled_from(["uniform", "linear", "poly", "rotating"]),
+       st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+@settings(max_examples=100, deadline=None)
+def test_one_point_field_values_keep_their_bits(field_kind, seed, d):
+    f = builtin_field(field_kind, seed)
+    rng = np.random.Generator(np.random.PCG64(seed + 5))
+    R, T = rng.uniform(-2.0, 2.0, (9, d)), rng.uniform(-2.0, 2.0, 9)
+    rows = f.value(R, T)
+    for r, t, row in zip(R, T, rows):
+        one = f.value(r, float(t))
+        assert same_bytes(one, old_value(f, r, float(t)))
+        assert same_bytes(row, one)
+
+
+FAULTS = {
+    1: (lambda t: np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        NumericalError, "model matrix is not finite: largest |entry| is nan"),
+    2: (lambda t: np.array([[0.0, 1.0], [0.5, 0.0]]),
+        NumericalError, "model matrix is not Hermitian: defect 5.000e-01 at scale 1.000e+00"),
+    3: (lambda t: np.zeros((3, 3)),
+        NumericalError, "model returned shape (3, 3), expected (2, 2)"),
+}
+
+
+def faulty_model(calls):
+    """Rows with t = 1, 2, 3 fail one check each; t = 0 is fine."""
+    def ham(m):
+        calls.append(m.t)
+        if m.t in FAULTS:
+            return FAULTS[m.t][0](m.t)
+        return np.diag([m.t - 1.0, m.t + 1.0]).astype(complex)
+
+    return HamiltonianModel(n=2, evaluate_raw=ham)
+
+
+@pytest.mark.parametrize("faults", list(itertools.permutations((1, 2, 3))))
+def test_evaluate_stack_raises_at_first_failing_row(faults):
+    ts = (0.0, 0.5) + faults + (0.0,)
+    X = np.array([[0.0] * 6 + [t] for t in ts])
+    calls = []
+    _, error, message = FAULTS[faults[0]]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        faulty_model(calls).evaluate_stack(X)
+    assert calls == [0.0, 0.5, faults[0]]  # no row after the failing one is evaluated
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        frame_stack(faulty_model([]), [PhasePoint.from_vector(v, 3) for v in X])
+
+
+def faulty_stack_model():
+    """A split stack form whose rows with t = 1 (NaN) and t = 2 (non-Hermitian) fail."""
+    def stack(X):
+        h1 = np.zeros((len(X), 3), dtype=complex)
+        h1[:, 2] = 1.0
+        h1[X[:, -1] == 1.0, 0] = np.nan
+        h1[X[:, -1] == 2.0, 0] = 0.5j  # a complex coupling makes H non-Hermitian
+        return np.zeros(len(X)), h1
+
+    split = SplitForm(h0=lambda m: 0.0, h1=lambda m: E_Z, stack=stack)
+    return HamiltonianModel(n=2, evaluate_raw=None, split=split)
+
+
+@pytest.mark.parametrize("faults", [(1, 2), (2, 1)])
+def test_stack_forms_raise_at_first_failing_row(faults):
+    # one check over the whole stack must still report rows in order, each
+    # row's finiteness before its Hermiticity
+    X = np.array([[0.0] * 6 + [t] for t in (0.0, 0.5) + faults])
+    messages = {1: "model matrix is not finite: largest |entry| is nan",
+                2: "model matrix is not Hermitian: defect 1.000e+00 at scale 1.000e+00"}
+    with pytest.raises(NumericalError, match=f"^{re.escape(messages[faults[0]])}$"):
+        faulty_stack_model().evaluate_stack(X)
+
+
+def test_evaluate_stack_checks_stack_forms_row_by_row():
+    model = ZeemanScenario(LinearField(f0=np.zeros(3), G=1e300 * np.eye(3))).model()
+    assert model.split.stack is not None
+    X = np.zeros((3, 7))
+    X[:, 3] = (1.0, 1e10, 1.0)  # the middle row's H1 overflows, and inf * 0 is NaN
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalError, match=r"^model matrix is not finite: largest \|entry\| is nan$"):
+        model.evaluate_stack(X)
+    X[1, 3] = np.inf
+    with pytest.raises(ValueError, match="^phase-space coordinates must be finite$"):
+        model.evaluate_stack(X)
+
+
+def counted(calls, key, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(key(*args))
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+class ValueOnly(VectorField):
+    """A field that defines value alone, one point at a time."""
+
+    def value(self, r, t):
+        return np.array([0.3, -0.2, 0.9]) + 0.5 * np.asarray(r, dtype=float)[:3] * t
+
+
+class ShiftedLinear(LinearField):
+    """A built-in family whose value is overridden: no longer a broadcasting one."""
+
+    def value(self, r, t):
+        return LinearField.value(self, r, t) + 0.1
+
+
+def test_stack_forms_skip_the_per_row_loop(monkeypatch):
+    values = []
+    monkeypatch.setattr(LinearField, "value",
+                        counted(values, lambda f, r, t: id(f), LinearField.value))
+    e, b = builtin_field("linear", 1), builtin_field("linear", 2)
+    model = SpinOrbitScenario(e_field=e, b_field=b).model()
+    raws = []
+    model = dataclasses.replace(
+        model, evaluate_raw=counted(raws, lambda m: m.t, model.evaluate_raw))
+    points = stencil(4, 0.3)
+    want = np.stack([model.evaluate_raw(m) for m in points])
+    raws.clear()
+    values.clear()
+    frame_stack(model, points)
+    adiabatic_curvature_numeric(model, points[0], step=1e-3)
+    assert raws == []
+    assert sorted(values) == sorted([id(e), id(b)] * 2)  # once per field per stack
+    X = np.array([m.as_vector() for m in points])
+    assert same_bytes(model.evaluate_stack(X), 0.5 * (want + np.conj(np.swapaxes(want, 1, 2))))
+
+
+@pytest.mark.parametrize("model", [
+    ZeemanScenario(CallableField(lambda r, t: np.array([0.4 + r[0], r[1] * t, 1.0]))).model(),
+    ZeemanScenario(ValueOnly()).model(),
+    ZeemanScenario(ShiftedLinear(f0=(0.2, 0.5, 1.0), G=np.eye(3))).model(),
+    hermitian_model(11),
+], ids=["callable_field", "value_only_subclass", "overridden_value", "evaluate_raw"])
+def test_models_without_stack_forms_loop_over_rows(model):
+    assert model.split is None or model.split.stack is None
+    raws = []
+    looped = dataclasses.replace(
+        model, evaluate_raw=counted(raws, lambda m: m.t, model.evaluate_raw))
+    points = stencil(9, 0.2)
+    X = np.array([m.as_vector() for m in points])
+    H = looped.evaluate_stack(X)
+    assert raws == list(X[:, -1])
+    for row, m in zip(H, points):
+        A = np.asarray(model.evaluate_raw(m), dtype=complex)
+        assert same_bytes(row, 0.5 * (A + A.conj().T))
+        if model.split is not None:
+            assert same_bytes(row, per_point_matrix(model, m.as_vector(), 3))
+    for (w_i, U_i, gap_i), w, U, gap in zip(ref_stack(model, points), *frame_stack(model, points)):
+        assert_same_bits(w, w_i)
+        assert_same_bits(U, U_i)
+        assert gap == gap_i

@@ -488,3 +488,22 @@ def test_plaquette_field_needs_three_axes():
     base = PhasePoint(np.zeros(3), (0.0, 0.0, 1.0), 0.0)
     with pytest.raises(ValueError):
         PlaquetteCurvatureField(scn.model(), 1, base, axes=(3, 4))
+
+
+@pytest.mark.parametrize("bad", [[0.5], 0.5, [0.5, 0.1], [0.1, 0.2, 0.3, 0.4],
+                                 [[0.1, 0.2, 0.3]]])
+def test_slice_fields_reject_a_wrong_number_of_coordinates(bad):
+    # a one-coordinate input used to be broadcast onto all three r axes
+    model = ZeemanScenario.hedgehog().model()
+    base = PhasePoint(np.zeros(3), (0.0, 0.0, 1.0), 0.0)
+    pf = PlaquetteCurvatureField(model, 0, base, axes=(3, 4, 5))
+    conn = AdiabaticConnectionField(model, base, axes=(3, 4, 5))
+    for call in (pf.lift, pf, conn.lift, conn):
+        with pytest.raises(ValueError, match="^expected 3 coordinates$"):
+            call(bad)
+    with pytest.raises(ValueError, match="^expected 3 coordinates$"):
+        conn.validate_path(np.full((4, 2), 0.5))
+    # a right-sized point lifts onto the sliced axes only
+    m = pf.lift([0.5, -0.25, 2.0])
+    assert np.array_equal(m.as_vector(), [0.0, 0.0, 0.0, 0.5, -0.25, 2.0, 0.0])
+    assert np.array_equal(conn.rows([[0.5, -0.25, 2.0]])[0], m.as_vector())
