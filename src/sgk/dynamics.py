@@ -29,11 +29,10 @@ import numpy as np
 from .errors import (DegeneracyError, NumericalError, SingularSystemError,
                      SpinForceWarning, StepError)
 from .fields import UniformField, VectorField, _promote, as_field
-from .gauge import (_axis_stencil, _stencil_connection,
-                    adiabatic_curvature_numeric, curvature_m_space,
-                    default_step, exact_connection, monopole_pullback,
-                    tensor_to_pseudo)
-from .models import Constants, HamiltonianModel
+from .gauge import (_axis_stencil, _check_step, _h1_jacobian,
+                    _stencil_connection, adiabatic_curvature_numeric,
+                    default_step, monopole_pullback, tensor_to_pseudo)
+from .models import Constants, HamiltonianModel, SplitForm
 from .phase_space import PhasePoint, central_difference
 from .spectral import DEGENERACY_RTOL, _stack
 
@@ -80,9 +79,9 @@ class IntegratorConfig:
     once the adiabaticity parameter exceeds it. mode selects the exact
     velocity solve or the reduced substitution; spin_force False drops the
     gauge force entirely (canonical flow). record_connection False skips
-    per-state connection evaluation (phases are then not accumulated),
-    which saves an eigen-stencil per accepted state for models without an
-    exact Jacobian; with one, the connection costs next to nothing.
+    per-state connection evaluation (phases are then not accumulated); the
+    connection comes from the closed form or eigen-stack that already gives
+    the energy gradient, so recording it costs next to nothing.
     """
 
     method: str = "rk4"
@@ -186,13 +185,6 @@ def _split_energy(h0: float, nb: float, band: int):
     return (h0 - nb if band == 0 else h0 + nb), gap
 
 
-def _fd_step(m: PhasePoint, step: float = None) -> float:
-    h = step if step is not None else default_step(m)
-    if h <= 0 or not np.isfinite(h):
-        raise StepError(f"gradient step must be positive, got {h}")
-    return h
-
-
 def band_gradients(model: HamiltonianModel, band: int, m: PhasePoint,
                    step: float = None):
     """(E, gradient of E over all flat axes) for one band, by central differences.
@@ -201,10 +193,10 @@ def band_gradients(model: HamiltonianModel, band: int, m: PhasePoint,
     closed-form energies H0 -+ hbar|H1| (with the same degeneracy guard as
     the eigensolver, and a NumericalError when H0 or H1 is not finite);
     other models difference the tracked eigenvalues of one frame stack. The
-    integrator takes exact gradients instead wherever the split form has a
-    Jacobian (SplitForm.jacobian).
+    integrator takes split forms' gradients from the point kernel's closed
+    form instead.
     """
-    h = _fd_step(m, step)
+    h = _check_step(step if step is not None else default_step(m))
     if model.split is not None:
         E0, _ = _split_energy(float(model.split.h0(m)), model.constants.hbar
                               * float(np.linalg.norm(model.split.h1_vector(m))), band)
@@ -216,19 +208,31 @@ def band_gradients(model: HamiltonianModel, band: int, m: PhasePoint,
     return float(w[0, band]), (w[1::2, band] - w[2::2, band]) / (2.0 * h)
 
 
+def _split_derivatives(split: SplitForm, m: PhasePoint):
+    """(grad H0, H1, J = dH1/dm) at m.
+
+    The split form's own grad_h0 and jacobian where it has them; otherwise
+    central differences of h0 and h1 at default_step(m), the Jacobian being
+    the one curvature_m_space takes.
+    """
+    if split.jacobian is not None:
+        return (split.grad_h0(m), *split.jacobian(m))
+    h = default_step(m)
+    g = central_difference(lambda v: split.h0(PhasePoint.from_vector(v, m.d)),
+                           m.as_vector(), h)
+    return (g, *_h1_jacobian(split, m, h))
+
+
 def default_curvature_provider(model: HamiltonianModel) -> Callable:
     """Curvature evaluator used when no provider is passed.
 
-    Split-form models get the monopole pullback of H1: from the exact
-    Jacobian when the split form has one, else from curvature_m_space's
-    finite-difference Jacobian. Generic models fall back to the plaquette.
+    Split-form models get the monopole pullback of the (H1, J) of
+    _split_derivatives; generic models fall back to the plaquette.
     """
     split = model.split
-    if split is not None and split.jacobian is not None:
-        return lambda m: monopole_pullback(*split.jacobian(m),
-                                           model.spin_charges, m)
     if split is not None:
-        return lambda m: curvature_m_space(model, m)
+        return lambda m: monopole_pullback(*_split_derivatives(split, m)[1:],
+                                           model.spin_charges, m)
     return lambda m: adiabatic_curvature_numeric(model, m)
 
 
@@ -243,16 +247,17 @@ class _Kernel:
 
 def _point_kernel(model: HamiltonianModel, band: int, m: PhasePoint,
                   curvature: Callable = None, spin_force: bool = True,
-                  connection: bool = False, fd_step: float = None) -> _Kernel:
+                  connection: bool = False) -> _Kernel:
     """Energy, gradient, gap, curvature F and diagonal connection A of a band at m.
 
-    A split form with a Jacobian gives all of them from one evaluation of
-    (b, J) = (H1, dH1/dm): E = H0 -+ hbar|b|, grad E = grad H0 -+ hbar
-    b^T J/|b|, gap = 2 hbar|b|, F from gauge.monopole_pullback and A =
-    a(b)^T J, with a(b) Berry's monopole connection of spin -+1/2 in the
-    largest-component gauge of the spectral layer. For a 2x2 frame that
-    gauge is the north patch S (b_y, -b_x, 0)/(|b|(|b| + b_z)) where b_z > 0
-    and the south patch -S (b_y, -b_x, 0)/(|b|(|b| - b_z)) where b_z < 0.
+    A split form gives all of them from (grad H0, b, J), b = H1 and J =
+    dH1/dm, exact or differenced (_split_derivatives): E = H0 -+ hbar|b|,
+    grad E = grad H0 -+ hbar b^T J/|b|, gap = 2 hbar|b|, F from
+    gauge.monopole_pullback and A = a(b)^T J, with a(b) Berry's monopole
+    connection of spin -+1/2 in the largest-component gauge of the
+    spectral layer. For a 2x2 frame that gauge is the north patch
+    S (b_y, -b_x, 0)/(|b|(|b| + b_z)) where b_z > 0 and the south patch
+    -S (b_y, -b_x, 0)/(|b|(|b| - b_z)) where b_z < 0.
     At an exact tie b_z = 0 the kernel follows the spectral layer's
     lowest-index rule (component 0 is made real), which is the north patch
     for the upper band and the south patch for the lower one; the
@@ -261,21 +266,19 @@ def _point_kernel(model: HamiltonianModel, band: int, m: PhasePoint,
 
     Generic models take E, grad E, the gap and A from one frame stack on
     the central-difference stencil, the points band_gradients and
-    exact_connection use. Split forms without a Jacobian keep the
-    finite-difference path: band_gradients, band_gap and exact_connection.
-    A given curvature provider always supplies F; otherwise models without
-    a Jacobian use default_curvature_provider. F is None when spin_force is
-    off and A is None unless connection is asked for.
+    exact_connection use. A given curvature provider always supplies F;
+    otherwise generic models use default_curvature_provider. F is None when
+    spin_force is off and A is None unless connection is asked for.
     """
     split = model.split
     F = A = None
-    if split is not None and split.jacobian is not None:
-        b, J = split.jacobian(m)
+    if split is not None:
+        g0, b, J = _split_derivatives(split, m)
         nb = float(np.linalg.norm(b))
         hbar = model.constants.hbar
         E0, gap = _split_energy(float(split.h0(m)), hbar * nb, band)
         sign = -1.0 if band == 0 else 1.0
-        g = split.grad_h0(m) + (sign * hbar / nb) * (b @ J)
+        g = g0 + (sign * hbar / nb) * (b @ J)
         if spin_force and curvature is None:
             F = monopole_pullback(b, J, model.spin_charges, m).F[band]
         if connection:
@@ -285,13 +288,8 @@ def _point_kernel(model: HamiltonianModel, band: int, m: PhasePoint,
                 A = twist / (nb + bz)
             else:
                 A = -twist / (nb - bz)
-    elif split is not None:
-        E0, g = band_gradients(model, band, m, step=fd_step)
-        gap = model.band_gap(m)
-        if connection:
-            A = exact_connection(model, m).diagonal().components[:, band]
     else:
-        h = _fd_step(m, fd_step)
+        h = default_step(m)
         w, U, gaps = _stack(model, _axis_stencil(m, h, range(m.n_axes)))
         E0, g = float(w[0, band]), (w[1::2, band] - w[2::2, band]) / (2.0 * h)
         gap = float(gaps[0])
@@ -326,20 +324,18 @@ def spin_force_terms(model: HamiltonianModel, band: int, m: PhasePoint,
 def velocity_field(model: HamiltonianModel, band: int, m: PhasePoint,
                    em: ExternalEMField = None, *, curvature: Callable = None,
                    mode: str = "exact", spin_force: bool = True,
-                   fd_step: float = None, warn: bool = True):
+                   warn: bool = True):
     """Phase-space velocities (pdot, rdot) of one band at m.
 
-    The energy gradient and curvature come from the point kernel: exact
-    when the split form has a Jacobian, otherwise by central differences
-    with fd_step (default: default_step(m)) and from the curvature provider
-    (default: default_curvature_provider). mode='exact' solves the coupled
-    linear system (raising SingularSystemError if it is singular or
-    catastrophically conditioned); mode='reduced' substitutes
+    The energy gradient and curvature come from the point kernel, the
+    curvature from the given provider when there is one. mode='exact'
+    solves the coupled linear system (raising SingularSystemError if it is
+    singular or catastrophically conditioned); mode='reduced' substitutes
     curvature-free velocities into the gauge terms. A SpinForceWarning is
     emitted when warn is set and the gauge force is not small against the
     zeroth-order forces.
     """
-    k = _point_kernel(model, band, m, curvature, spin_force, fd_step=fd_step)
+    k = _point_kernel(model, band, m, curvature, spin_force)
     pdot, rdot, ratio = _velocity(model, m, k.grad, k.F, em, mode, warn)
     if ratio > SPIN_FORCE_WARN_RATIO:
         _warn_spin_force(stacklevel=3)
@@ -419,8 +415,7 @@ def _norm1(M: np.ndarray) -> float:
 
 
 def adiabaticity_epsilon(model: HamiltonianModel, band: int, m: PhasePoint,
-                         mdot: np.ndarray = None, delta_p: float = None,
-                         fd_step: float = None) -> float:
+                         mdot: np.ndarray = None, delta_p: float = None) -> float:
     """Adiabaticity parameter of the instantaneous state.
 
     epsilon = hbar max(|dE/dt| / dE_gap^2, |dp/dr| / delta_p^2), with dE/dt
@@ -429,9 +424,9 @@ def adiabaticity_epsilon(model: HamiltonianModel, band: int, m: PhasePoint,
     constant-energy momentum response; zero for dispersionless states) and
     delta_p defaulting to gap / |grad_p E|. Values near 1 mean band
     transitions are not suppressed. The gradient comes from the point
-    kernel, so fd_step only matters for models without a Jacobian.
+    kernel.
     """
-    k = _point_kernel(model, band, m, spin_force=False, fd_step=fd_step)
+    k = _point_kernel(model, band, m, spin_force=False)
     if mdot is None:
         mdot = np.zeros(m.n_axes)
         mdot[-1] = 1.0
@@ -576,10 +571,11 @@ def integrate(model: HamiltonianModel, band: int, initial: PhasePoint,
             remaining = duration - s
             last = remaining <= h * (1.0 + _LAST_STEP_SLACK)
             h_try = remaining if last else h
+            k1 = np.concatenate([ev.v_p, ev.v_r])
             if config.method == "rk4":
-                y_new, s_new = _rk4_step(rhs, s, y, h_try, ev)
+                y_new, s_new = _rk4_step(rhs, s, y, h_try, k1)
             else:
-                y_new, s_new, h, accepted = _rkf45_step(rhs, s, y, h_try, ev,
+                y_new, s_new, h, accepted = _rkf45_step(rhs, s, y, h_try, k1,
                                                         config.tolerance)
                 if not accepted:
                     continue
@@ -614,16 +610,16 @@ def _attach_step(exc: Exception, step_index: int) -> None:
     exc.args = (note,)
 
 
-def _rk4_step(rhs, s, y, h, ev: _PointEval):
-    k1 = np.concatenate([ev.v_p, ev.v_r])
+def _rk4_step(rhs, s, y, h, k1):
+    """Classic RK4 from y at s over h, with k1 = rhs(s, y) already evaluated."""
     k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
     k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
     k4 = rhs(s + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), s + h
 
 
-def _rkf45_step(rhs, s, y, h, ev: _PointEval, tol):
-    ks = [np.concatenate([ev.v_p, ev.v_r])]
+def _rkf45_step(rhs, s, y, h, k1, tol):
+    ks = [k1]
     for stage in range(1, 6):
         y_st = y + h * sum(b * k for b, k in zip(_FE_B[stage], ks))
         ks.append(rhs(s + _FE_A[stage] * h, y_st))

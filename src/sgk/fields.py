@@ -49,7 +49,7 @@ class VectorField:
     """Base: value(r, t) -> (3,); d_dr -> (3,3) with [i,j]=dF_i/dr_j; d_dt -> (3,).
 
     A subclass's own value may take one point at a time: stacks call value
-    on (N, 3) rows only where it is a built-in one (broadcasts).
+    on (N, 3) rows only for a built-in field (builtin).
     """
 
     def value(self, r, t: float) -> np.ndarray:
@@ -219,10 +219,17 @@ class CallableField(VectorField):
         return (self.value(r, t + self.step) - self.value(r, t - self.step)) / (2 * self.step)
 
 
-def broadcasts(f: VectorField) -> bool:
-    """True when f's value is a built-in one, which broadcasts over leading axes."""
-    owner = next(c for c in type(f).__mro__ if "value" in vars(c))
-    return owner in (UniformField, LinearField, PolyField, RotatingField)
+def builtin(f: VectorField) -> bool:
+    """True when f's value, d_dr and d_dt are all defined by one built-in family.
+
+    Only then does value broadcast over leading axes and do the derivatives
+    belong to that value: a subclass that overrides or adds any of the three
+    is not built in, nor is a CallableField.
+    """
+    owners = {next(c for c in type(f).__mro__ if name in vars(c))
+              for name in ("value", "d_dr", "d_dt")}
+    return len(owners) == 1 and owners.pop() in (UniformField, LinearField,
+                                                 PolyField, RotatingField)
 
 
 def as_field(obj) -> VectorField:

@@ -375,10 +375,14 @@ def curvature_m_space(model: HamiltonianModel, m: PhasePoint,
         if abs(2.0 * s - round(2.0 * s)) > 1e-9:
             raise ValueError(f"spin charge must be integer or half-integer, got {s}")
     h = _check_step(step if step is not None else default_step(m))
-    J = central_difference(
-        lambda v: model.split.h1_vector(PhasePoint.from_vector(v, m.d)),
-        m.as_vector(), h).T
-    return monopole_pullback(model.split.h1_vector(m), J, charges, m)
+    return monopole_pullback(*_h1_jacobian(model.split, m, h), charges, m)
+
+
+def _h1_jacobian(split, m: PhasePoint, h: float):
+    """(H1, J): H1 at m and its central-difference Jacobian (3, 2d+1), step h."""
+    J = central_difference(lambda v: split.h1_vector(PhasePoint.from_vector(v, m.d)),
+                           m.as_vector(), h).T
+    return split.h1_vector(m), J
 
 
 def monopole_pullback(b: np.ndarray, J: np.ndarray, charges: Sequence[float],

@@ -56,10 +56,9 @@ class SplitForm:
     grad_h0 and jacobian are optional exact first derivatives, given both
     or neither: grad_h0(m) is the (2d+1,) gradient of H0 over the flat
     axes, and jacobian(m) returns (b, J) with b = H1(m) and J[:, k] =
-    dH1/dm_k, shape (3, 2d+1). With them the integrator takes energies,
-    gradients, curvature and connection in closed form from one (b, J);
-    without them it differences H0 and H1, as the oracles in gauge and
-    band_gradients always do.
+    dH1/dm_k, shape (3, 2d+1). The integrator takes energies, gradients,
+    curvature and connection in closed form from grad H0, b and J: these
+    exact ones where given, else central differences of H0 and H1.
 
     stack is an optional array form over a coordinate stack: stack(X), X of
     shape (N, 2d+1), returns (H0 (N,), H1 (N, 3)), each row bit-identical

@@ -21,11 +21,10 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _LAST_STEP_SLACK
+from .dynamics import _LAST_STEP_SLACK, _rk4_step
 from .errors import (ConstraintDriftWarning, GaugePatchError, SingularityError,
                      StepError)
-from .fields import (CallableField, IndexField, LinearField, VectorField,
-                     as_field, broadcasts)
+from .fields import IndexField, LinearField, VectorField, as_field, builtin
 from .gauge import CurvatureTensor, monopole_pseudovector, monopole_pullback
 from .models import Constants, HamiltonianModel
 from .phase_space import PhasePoint
@@ -42,12 +41,12 @@ def _split_model(m_star: float, h1, jacobian, h1_rows, constants: Constants,
                  *fields: VectorField) -> HamiltonianModel:
     """Split-form model with H0 = p^2 / 2 m_star, exact derivatives and stacks.
 
-    A CallableField takes its derivatives by finite differences, and a
-    VectorField subclass may define value alone; a model built on either
-    gets no exact derivatives and keeps the finite-difference path.
-    h1_rows(p, r, t) is H1 over the rows of a coordinate stack; the model
-    carries it as a stack form when every field's value is a built-in,
-    broadcasting one, and evaluates other stacks row by row.
+    h1_rows(p, r, t) is H1 over the rows of a coordinate stack. The model
+    carries the exact derivatives (grad_h0 and jacobian) and the stack form
+    together, when every field is built in (fields.builtin), or none of
+    them: a CallableField, or a subclass that defines or overrides value or
+    a derivative, gives a model that differences H0 and H1 and evaluates
+    stacks row by row.
     """
     def grad_h0(m: PhasePoint) -> np.ndarray:
         g = np.zeros(m.n_axes)
@@ -59,14 +58,11 @@ def _split_model(m_star: float, h1, jacobian, h1_rows, constants: Constants,
         p, r, t = X[:, :d], X[:, d:2 * d], X[:, 2 * d]
         return (p[:, None, :] @ p[:, :, None])[:, 0, 0] / (2.0 * m_star), h1_rows(p, r, t)
 
-    exact = all(not isinstance(f, CallableField)
-                and type(f).d_dr is not VectorField.d_dr
-                and type(f).d_dt is not VectorField.d_dt for f in fields)
+    exact = all(builtin(f) for f in fields)
     return HamiltonianModel.from_split(
         h0=lambda m: float(m.p @ m.p) / (2.0 * m_star), h1=h1,
         constants=constants, grad_h0=grad_h0 if exact else None,
-        jacobian=jacobian if exact else None,
-        stack=stack if all(broadcasts(f) for f in fields) else None)
+        jacobian=jacobian if exact else None, stack=stack if exact else None)
 
 
 def band_sign(band: int) -> float:
@@ -276,7 +272,8 @@ class SpinOrbitScenario:
                          + self.rho * np.cross(dE_dr.T, p3).T)[:, :d]
         J[:, 2 * d] = (self.chi * self.b_field.d_dt(r, t)
                        + self.rho * np.cross(dE_dt, p3))
-        return self.coupling(m), J
+        # _coupling's arithmetic on the E already evaluated
+        return self.chi * self.b_field.value(r, t) + self.rho * np.cross(E, p3), J
 
     def curvature_blocks(self, m: PhasePoint) -> CurvatureTensor:
         """All five closed-form blocks from the analytic Jacobian.
@@ -510,7 +507,7 @@ def magnus_ray(scn: OpticalScenario, p0, r0, helicity: int, s_end: float = 1.0,
     r0 = np.asarray(r0, dtype=float).copy()
     inv_k0 = 1.0 / scn.k0
 
-    def rhs(y):
+    def rhs(s, y):
         p, r = y[:3], y[3:]
         np_ = np.linalg.norm(p)
         if np_ < 1e-12:
@@ -529,11 +526,7 @@ def magnus_ray(scn: OpticalScenario, p0, r0, helicity: int, s_end: float = 1.0,
         # integrate's last-step rule: no rounding-error sliver before s_end
         last = s_end - s <= step * (1.0 + _LAST_STEP_SLACK)
         h = s_end - s if last else step
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y, _ = _rk4_step(rhs, s, y, h, rhs(s, y))
         s = s_end if last else s + h
         steps += 1
         s_list.append(s)

@@ -1,0 +1,191 @@
+"""One closed-form path for every split form, exact or differenced.
+
+A split form without exact derivatives takes the point kernel's closed form
+from a central-difference (grad H0, H1, J). Fields whose value, d_dr and
+d_dt are not all of one built-in family give such a model, so a derivative
+inherited from a parent class never meets a value it does not belong to.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from sgk import (IntegratorConfig, LinearField, OpticalScenario, PhasePoint,
+                 PolyField, RotatingField, SpinOrbitScenario, UniformField,
+                 ZeemanScenario, band_gradients, curvature_m_space,
+                 default_step, integrate, magnus_ray)
+from sgk.dynamics import _point_kernel, _split_energy
+from sgk.fields import CallableField, LinearIndex, builtin
+
+EPS = np.finfo(float).eps
+
+
+class KickedUniform(UniformField):
+    def value(self, r, t):
+        return UniformField.value(self, r, t) + np.array([0.0, 0.4 * t, 0.0])
+
+
+class KickedLinear(LinearField):
+    def value(self, r, t):
+        r = np.asarray(r, dtype=float)
+        return LinearField.value(self, r, t) + 0.5 * np.array([r[0] ** 2, 0.0, 0.0])
+
+
+class KickedPoly(PolyField):
+    def value(self, r, t):
+        r = np.asarray(r, dtype=float)
+        return PolyField.value(self, r, t) + np.array([0.0, 0.0, 0.3 * r[1] * t])
+
+
+class KickedRotating(RotatingField):
+    def value(self, r, t):
+        r = np.asarray(r, dtype=float)
+        return RotatingField.value(self, r, t) + np.array([0.2 * r[2], 0.0, 0.0])
+
+
+class ExactLinear(LinearField):
+    """A user-written subclass whose derivatives do match its value."""
+
+    def value(self, r, t):
+        return LinearField.value(self, r, t) + 0.1
+
+    def d_dr(self, r, t):
+        return LinearField.d_dr(self, r, t)
+
+
+STALE = [
+    KickedUniform(v=(0.1, 0.2, 1.0)),
+    KickedLinear(f0=(0.1, 0.2, 1.0), G=0.3 * np.eye(3)),
+    KickedPoly(f0=(0.1, 0.2, 1.0), G=0.3 * np.eye(3), Q=0.2 * np.ones((3, 3, 3))),
+    KickedRotating(magnitude=1.2, polar_angle=0.7, omega=1.3),
+]
+M_STALE = PhasePoint((0.1, 0.0, 0.0), (0.8, -0.2, 0.3), 0.4)
+
+
+def strip(model):
+    """The model with its split form's exact derivatives removed."""
+    return dataclasses.replace(model, split=dataclasses.replace(
+        model.split, grad_h0=None, jacobian=None))
+
+
+def test_builtin_predicate():
+    linear = LinearField(f0=(0.1, 0.2, 1.0), G=np.eye(3))
+    assert builtin(linear) and builtin(UniformField(v=(0.0, 0.0, 1.0)))
+    assert builtin(type("Plain", (PolyField,), {})(f0=(0.0, 0.0, 1.0)))
+    for f in STALE + [ExactLinear(f0=(0.1, 0.2, 1.0)),
+                      CallableField(lambda r, t: np.array([0.0, 0.0, 1.0]))]:
+        assert not builtin(f)
+
+
+@pytest.mark.parametrize("field", STALE + [ExactLinear(f0=(0.1, 0.2, 1.0))],
+                         ids=lambda f: type(f).__name__)
+@pytest.mark.parametrize("band", [0, 1])
+def test_overridden_value_takes_no_stale_derivatives(field, band):
+    # the parent class's d_dr and d_dt would miss the extra term; the
+    # model must carry no exact derivatives and no stack form, so forces
+    # come from the value the model actually has
+    model = ZeemanScenario(b_field=field).model()
+    assert model.split.grad_h0 is model.split.jacobian is model.split.stack is None
+    k = _point_kernel(model, band, M_STALE)
+    E, g = band_gradients(model, band, M_STALE)
+    assert np.allclose(k.grad, g, rtol=0.0, atol=1e-8)
+    assert np.allclose(k.F, curvature_m_space(model, M_STALE).F[band],
+                       rtol=0.0, atol=1e-8)
+
+
+def poly_model(kind, seed):
+    rng = np.random.default_rng(seed)
+    chi = float(rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0]))
+    offset = rng.uniform(-1.0, 1.0, 3)
+    m = PhasePoint(rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.5, 0.5, 3),
+                   float(rng.uniform(-0.5, 0.5)))
+    b_field = PolyField.random(seed, offset)
+    if kind == "zeeman":
+        return ZeemanScenario(b_field=b_field, chi=chi).model(), m
+    e_field = LinearField(f0=rng.uniform(-1, 1, 3),
+                          G=0.3 * rng.uniform(-1, 1, (3, 3)),
+                          gt=0.3 * rng.uniform(-1, 1, 3))
+    return SpinOrbitScenario(e_field=e_field, b_field=b_field, chi=chi,
+                             rho=float(rng.uniform(0.3, 1.0))).model(), m
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["zeeman", "spin_orbit"]),
+       seed=st.integers(0, 2**32 - 1), band=st.integers(0, 1))
+def test_differenced_kernel_matches_exact_kernel(kind, seed, band):
+    model, m = poly_model(kind, seed)
+    b = model.split.h1_vector(m)
+    nb = float(np.linalg.norm(b))
+    # away from degeneracies, and from the patch switch of A at b_z = 0
+    assume(nb > 0.3 and abs(b[2]) > 1e-2 * nb)
+    bare = strip(model)
+    k = _point_kernel(bare, band, m, connection=True)
+    exact = _point_kernel(model, band, m, connection=True)
+    E, gap = _split_energy(float(bare.split.h0(m)), bare.constants.hbar * nb, band)
+    assert (k.energy, k.gap) == (E, gap)
+    assert np.array_equal(k.F, curvature_m_space(bare, m).F[band])
+    # H0 and these H1 are at most quadratic along any one axis, so the
+    # O(h^2) truncation error of the central difference vanishes and only
+    # the roundoff of H0 and H1, about eps S / h, reaches J and grad H0
+    h = default_step(m)
+    S = max(1.0, nb, float(m.p @ m.p))
+    assert np.allclose(k.grad, exact.grad, rtol=0.0, atol=8 * EPS * S / h)
+    assert np.allclose(k.a_diag, exact.a_diag, rtol=0.0, atol=8 * EPS * S / (h * nb))
+
+
+@pytest.mark.parametrize("kind", ["zeeman", "spin_orbit"])
+def test_differenced_integration_makes_no_eigensolve(kind, monkeypatch):
+    model, m = poly_model(kind, 3)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(H):
+        calls.append(H.shape)
+        return eigh(H)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    cfg = IntegratorConfig(step=0.01, t_end=0.05, record_connection=True)
+    traj = integrate(strip(model), 1, m, cfg)
+    assert traj.status == "completed" and traj.final.berry_phase != 0.0
+    assert calls == []
+
+
+def test_spin_orbit_jacobian_evaluates_each_field_once(monkeypatch):
+    values = []
+    for cls in (LinearField, PolyField):
+        def counted(f, r, t, _value=cls.value):
+            values.append(id(f))
+            return _value(f, r, t)
+        monkeypatch.setattr(cls, "value", counted)
+    e = LinearField(f0=(0.3, -0.2, 0.5), G=0.2 * np.eye(3), gt=(0.1, 0.0, 0.2))
+    b = PolyField.random(5, (0.0, 0.0, 1.0))
+    scn = SpinOrbitScenario(e_field=e, b_field=b, rho=0.7)
+    m = PhasePoint((0.2, -0.1, 0.3), (0.1, 0.4, -0.2), 0.3)
+    h1, _ = scn.jacobian(m)
+    assert sorted(values) == sorted([id(e), id(b)])
+    assert np.array_equal(h1, scn.coupling(m))
+
+
+def test_magnus_ray_is_classic_rk4():
+    # the reference: the stage arithmetic of one RK4 step, written out
+    scn = OpticalScenario(index=LinearIndex(n0=1.5, alpha=0.05), k0=50.0)
+    p0 = scn.launch_momentum((1.0, 0.0, 0.2))
+
+    def rhs(y, helicity=-1, inv_k0=1.0 / 50.0):
+        p, pdot = y[:3], 0.5 * scn.index.grad_n2(y[3:])
+        rdot = p - helicity * inv_k0 * np.cross(p, pdot) / np.linalg.norm(p) ** 3
+        return np.concatenate([pdot, rdot])
+
+    ray = magnus_ray(scn, p0, np.zeros(3), -1, s_end=0.25, step=0.1)
+    y, steps = np.concatenate([p0, np.zeros(3)]), []
+    for h in (0.1, 0.1, ray.s[-1] - ray.s[-2]):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        steps.append(y)
+    assert np.array_equal(np.hstack([ray.p, ray.r])[1:], np.array(steps))
