@@ -545,7 +545,7 @@ def _cmd_run_scenario(config, out_dir, seed):
                          0.0, 0.0, 0.0])
         _write_csv(os.path.join(out_dir, "trajectory.csv"), "trajectory",
                    header, rows)
-        summary = {"format": "sgk.run.v1", "status": "completed",
+        summary = {"format": "sgk.run.v1", "status": ray.status,
                    "steps": int(ray.s.shape[0] - 1),
                    "constraint_drift": ray.constraint_drift}
         print(_dumps(summary))

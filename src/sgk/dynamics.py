@@ -29,11 +29,11 @@ import numpy as np
 from .errors import (DegeneracyError, NumericalError, SingularSystemError,
                      SpinForceWarning, StepError)
 from .fields import UniformField, VectorField, _promote, as_field
-from .gauge import (_axis_stencil, _check_step, _h1_jacobian,
+from .gauge import (_axis_stencil, _check_step, _split_differences,
                     _stencil_connection, adiabatic_curvature_numeric,
                     default_step, monopole_pullback, tensor_to_pseudo)
 from .models import Constants, HamiltonianModel, SplitForm
-from .phase_space import PhasePoint, central_difference
+from .phase_space import PhasePoint
 from .spectral import DEGENERACY_RTOL, _stack
 
 # Spin force larger than this fraction of the zeroth-order force triggers
@@ -189,38 +189,21 @@ def band_gradients(model: HamiltonianModel, band: int, m: PhasePoint,
                    step: float = None):
     """(E, gradient of E over all flat axes) for one band, by central differences.
 
-    This is the finite-difference oracle. Split-form models difference the
-    closed-form energies H0 -+ hbar|H1| (with the same degeneracy guard as
-    the eigensolver, and a NumericalError when H0 or H1 is not finite);
-    other models difference the tracked eigenvalues of one frame stack. The
-    integrator takes split forms' gradients from the point kernel's closed
-    form instead.
+    This is the finite-difference oracle: for every model, split form or
+    not, it differences the tracked eigenvalues of one frame stack, so it
+    shares nothing with the point kernel's closed form.
     """
     h = _check_step(step if step is not None else default_step(m))
-    if model.split is not None:
-        E0, _ = _split_energy(float(model.split.h0(m)), model.constants.hbar
-                              * float(np.linalg.norm(model.split.h1_vector(m))), band)
-        g = central_difference(
-            lambda v: model.band_energy(PhasePoint.from_vector(v, m.d), band),
-            m.as_vector(), h)
-        return E0, g
     w, _, _ = _stack(model, _axis_stencil(m, h, range(m.n_axes)))
     return float(w[0, band]), (w[1::2, band] - w[2::2, band]) / (2.0 * h)
 
 
 def _split_derivatives(split: SplitForm, m: PhasePoint):
-    """(grad H0, H1, J = dH1/dm) at m.
-
-    The split form's own grad_h0 and jacobian where it has them; otherwise
-    central differences of h0 and h1 at default_step(m), the Jacobian being
-    the one curvature_m_space takes.
-    """
+    """(grad H0, H1, J = dH1/dm) at m: exact where the split form has them,
+    else differenced on one stencil stack at default_step(m)."""
     if split.jacobian is not None:
         return (split.grad_h0(m), *split.jacobian(m))
-    h = default_step(m)
-    g = central_difference(lambda v: split.h0(PhasePoint.from_vector(v, m.d)),
-                           m.as_vector(), h)
-    return (g, *_h1_jacobian(split, m, h))
+    return _split_differences(split, m, default_step(m))
 
 
 def default_curvature_provider(model: HamiltonianModel) -> Callable:

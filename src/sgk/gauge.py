@@ -362,9 +362,9 @@ def curvature_m_space(model: HamiltonianModel, m: PhasePoint,
     """Closed-form split-model curvature from the coupling field H1.
 
     F_ij(band) = -S_band H1 . (dH1/dm_i x dH1/dm_j) / |H1|^3, the pullback
-    of the coupling-space monopole along m -> H1(m). The H1 Jacobian is
-    taken by central differences (exact for affine couplings), so this
-    stays an oracle independent of the scenarios' analytic Jacobians.
+    of the coupling-space monopole along m -> H1(m). J is differenced on one
+    stencil stack (exact for affine couplings), so this stays an oracle
+    independent of the scenarios' analytic Jacobians.
     """
     if model.split is None:
         raise ValueError("curvature_m_space needs a split-form model")
@@ -375,14 +375,14 @@ def curvature_m_space(model: HamiltonianModel, m: PhasePoint,
         if abs(2.0 * s - round(2.0 * s)) > 1e-9:
             raise ValueError(f"spin charge must be integer or half-integer, got {s}")
     h = _check_step(step if step is not None else default_step(m))
-    return monopole_pullback(*_h1_jacobian(model.split, m, h), charges, m)
+    return monopole_pullback(*_split_differences(model.split, m, h)[1:], charges, m)
 
 
-def _h1_jacobian(split, m: PhasePoint, h: float):
-    """(H1, J): H1 at m and its central-difference Jacobian (3, 2d+1), step h."""
-    J = central_difference(lambda v: split.h1_vector(PhasePoint.from_vector(v, m.d)),
-                           m.as_vector(), h).T
-    return split.h1_vector(m), J
+def _split_differences(split, m: PhasePoint, h: float):
+    """(grad H0, H1, J (3, 2d+1)) at m from one split.rows on the stencil, step h."""
+    h0, h1 = split.rows(_axis_stencil(m, h, range(m.n_axes)))
+    return ((h0[1::2] - h0[2::2]) / (2.0 * h), h1[0],
+            ((h1[1::2] - h1[2::2]) / (2.0 * h)).T)
 
 
 def monopole_pullback(b: np.ndarray, J: np.ndarray, charges: Sequence[float],

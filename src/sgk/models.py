@@ -63,7 +63,8 @@ class SplitForm:
     stack is an optional array form over a coordinate stack: stack(X), X of
     shape (N, 2d+1), returns (H0 (N,), H1 (N, 3)), each row bit-identical
     to h0 and h1 at that row's point. With it HamiltonianModel.evaluate_stack
-    builds every matrix of a stack at once.
+    builds every matrix of a stack at once, and rows(X), the one evaluation
+    of (H0, H1) over a stack, takes it instead of h0 and h1 at each row.
     """
 
     h0: Callable[[PhasePoint], float]
@@ -81,6 +82,18 @@ class SplitForm:
         if v.shape != (3,):
             raise ValueError(f"H1 must be a 3-vector, got shape {v.shape}")
         return v
+
+    def rows(self, X) -> tuple:
+        """(H0 (N,), H1 (N, 3)) at the rows of a finite (N, 2d+1) stack X."""
+        X = np.asarray(X, dtype=float)
+        if not np.isfinite(X).all():
+            raise ValueError("phase-space coordinates must be finite")
+        if self.stack is not None:
+            return self.stack(X)
+        d = (X.shape[1] - 1) // 2
+        pts = [PhasePoint(v[:d], v[d:2 * d], v[2 * d]) for v in X]
+        return (np.array([self.h0(m) for m in pts], dtype=float),
+                np.stack([self.h1_vector(m) for m in pts]))
 
 
 def _split_matrices(h0, b) -> np.ndarray:
@@ -187,8 +200,8 @@ class HamiltonianModel:
         return HamiltonianModel(n=2, evaluate_raw=_eval, split=split,
                                 constants=constants, spin_charges=spin_charges)
 
-    # Split-form shortcuts used by the dynamics hot path. They agree with
-    # the eigensolver to roundoff (checked in tests).
+    # Closed-form band energy and gap of a split form, off the integrator's
+    # path. They agree with the eigensolver to roundoff (checked in tests).
 
     def band_energy(self, m: PhasePoint, band: int) -> float:
         if self.split is None:

@@ -476,13 +476,18 @@ def _check_helicity(helicity) -> int:
 
 @dataclass(frozen=True)
 class MagnusRay:
-    """Integrated ray: parameter values, momenta, positions per step."""
+    """Integrated ray: parameter values, momenta, positions per step.
+
+    status is 'completed' (reached s_end) or 'max_steps' (budget exhausted),
+    as for a Trajectory.
+    """
 
     s: np.ndarray
     p: np.ndarray
     r: np.ndarray
     helicity: int
     constraint_drift: float
+    status: str
 
     @property
     def final_r(self) -> np.ndarray:
@@ -538,7 +543,8 @@ def magnus_ray(scn: OpticalScenario, p0, r0, helicity: int, s_end: float = 1.0,
                       ConstraintDriftWarning, stacklevel=2)
     return MagnusRay(s=np.array(s_list), p=np.array(p_list),
                      r=np.array(r_list), helicity=helicity,
-                     constraint_drift=float(drift))
+                     constraint_drift=float(drift),
+                     status="completed" if last else "max_steps")
 
 
 def magnus_ray_pair(scn: OpticalScenario, p0, r0, s_end: float = 1.0,

@@ -35,8 +35,9 @@ class EnsembleSpec:
     center +- spread, identically for both bands; a grid needs count to be
     the k-th power of an integer for k axes of nonzero spread. Exactly one
     of model / optical must be set; optical ensembles resample |p| onto the
-    local dispersion shell and reuse config.step / config.t_end as the ray
-    step and length.
+    local dispersion shell and reuse config.step / config.t_end /
+    config.max_steps as the ray step, length and step budget. A trajectory
+    or ray that stops short of t_end counts as a failure.
     """
 
     count: int
@@ -185,7 +186,9 @@ def _run_ray(spec: EnsembleSpec, helicity: int, p0, r0):
         raise EnsembleError("sampled ray direction is zero")
     p0 = p0 * (n0 / norm)
     ray = magnus_ray(scn, p0, r0, helicity, s_end=spec.config.t_end,
-                     step=spec.config.step)
+                     step=spec.config.step, max_steps=spec.config.max_steps)
+    if ray.status != "completed":
+        raise EnsembleError(f"ray ended with status {ray.status!r}")
     axis = spec.transverse_axis
     disp = float((ray.final_r - np.asarray(r0, dtype=float)) @ axis)
     duration = spec.config.t_end

@@ -216,6 +216,28 @@ def test_breach_exits_4(tmp_path, capsys):
     assert len(rows) == 1
 
 
+OPTICAL_RUN = {"scenario": {"kind": "optical", "k0": 50.0,
+                            "index": {"kind": "linear", "n0": 1.2, "alpha": 0.1}},
+               "initial": {"p": [1.2, 0.0, 0.0], "r": [0.0, 0.0, 0.0]},
+               "integrator": {"step": 0.001, "t_end": 1.0, "max_steps": 10}}
+
+
+def test_optical_run_reports_max_steps(tmp_path, capsys):
+    # the budget stops the ray at s = 0.01, far short of t_end; like a model
+    # run, the status says so and the exit code stays 0
+    code, out, _, out_dir = run_cli(tmp_path, capsys, "run-scenario", OPTICAL_RUN)
+    assert code == 0
+    summary = json.loads(out.strip())
+    assert summary["status"] == "max_steps" and summary["steps"] == 10
+    _, _, rows = read_csv(out_dir / "trajectory.csv")
+    assert len(rows) == 11 and float(rows[-1][0]) == pytest.approx(0.01, abs=1e-15)
+    config = copy.deepcopy(OPTICAL_RUN)
+    config["integrator"]["max_steps"] = 1000
+    code, out, _, _ = run_cli(tmp_path, capsys, "run-scenario", config, out="full")
+    summary = json.loads(out.strip())
+    assert code == 0 and summary["status"] == "completed" and summary["steps"] == 1000
+
+
 # -- chern-charge -------------------------------------------------------------
 
 
@@ -365,6 +387,25 @@ def test_ensemble_axis_required_outside_rashba(tmp_path, capsys):
     code, _, err, _ = run_cli(tmp_path, capsys, "ensemble", config)
     assert code == 2
     assert "config.transverse_axis" in err
+
+
+def test_optical_ensemble_honours_max_steps(tmp_path, capsys):
+    # every ray stops at s = 0.01 of t_end 1.0, so every ray fails
+    config = {"scenario": OPTICAL_RUN["scenario"],
+              "ensemble": {"count": 2, "p_center": [1.0, 0.0, 0.0],
+                           "r_center": [0.0, 0.0, 0.0],
+                           "p_spread": [0.0, 0.1, 0.0]},
+              "integrator": OPTICAL_RUN["integrator"],
+              "transverse_axis": [0.0, 1.0, 0.0]}
+    code, out, err, _ = run_cli(tmp_path, capsys, "ensemble", config)
+    assert code == 3 and out == ""
+    rec = json.loads(err.splitlines()[-1])
+    assert rec["error"] == "EnsembleError"
+    assert rec["message"].startswith("4/4 trajectories failed")
+    assert "ray ended with status 'max_steps'" in rec["message"]
+    config["integrator"] = {**config["integrator"], "max_steps": 1000}
+    code, out, _, _ = run_cli(tmp_path, capsys, "ensemble", config, out="full")
+    assert code == 0 and json.loads(out)["failures"] == 0
 
 
 @pytest.mark.parametrize("command, config, needle", [

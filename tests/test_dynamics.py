@@ -270,6 +270,8 @@ def test_canonical_flow_conserves_energy():
     assert np.max(np.abs(energies - energies[0])) < 1e-8
 
 
+# the hedgehog core is strong by design, so the spin force is not small here
+@pytest.mark.filterwarnings("ignore::sgk.SpinForceWarning")
 def test_rk4_global_error_scales_fourth_order():
     # hedgehog core curvature plus Lorentz bending: rhs genuinely nonlinear,
     # so halving the step must shrink the global error about 16-fold

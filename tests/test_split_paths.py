@@ -14,11 +14,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sgk import (IntegratorConfig, LinearField, OpticalScenario, PhasePoint,
-                 PolyField, RotatingField, SpinOrbitScenario, UniformField,
-                 ZeemanScenario, band_gradients, curvature_m_space,
-                 default_step, integrate, magnus_ray)
-from sgk.dynamics import _point_kernel, _split_energy
+                 PolyField, RashbaScenario, RotatingField, SpinOrbitScenario,
+                 UniformField, ZeemanScenario, band_gradients,
+                 curvature_m_space, default_step, integrate, magnus_ray,
+                 monopole_pullback)
+from sgk.dynamics import _point_kernel, _split_derivatives, _split_energy
 from sgk.fields import CallableField, LinearIndex, builtin
+from sgk.phase_space import central_difference
 
 EPS = np.finfo(float).eps
 
@@ -151,6 +153,86 @@ def test_differenced_integration_makes_no_eigensolve(kind, monkeypatch):
     traj = integrate(strip(model), 1, m, cfg)
     assert traj.status == "completed" and traj.final.berry_phase != 0.0
     assert calls == []
+
+
+def stencil_case(kind, seed, zeros):
+    """A split model without exact derivatives, at a drawn point whose
+    coordinate k is set to zeros[k] (0.0 or -0.0) where that is not None."""
+    model, m = poly_model("zeeman" if kind == "callable" else kind, seed)
+    if kind == "callable":
+        field = PolyField.random(seed, (0.1, -0.2, 0.8))
+        model = ZeemanScenario(b_field=CallableField(field.value), chi=0.9).model()
+    v = m.as_vector()
+    for k, z in enumerate(zeros):
+        if z is not None:
+            v[k] = z
+    return strip(model), PhasePoint.from_vector(v, m.d)
+
+
+def per_point_derivatives(split, m, h):
+    """The per-point construction: central differences of h0 and h1 at
+    PhasePoint.from_vector of each shifted coordinate vector."""
+    v = m.as_vector()
+    g = central_difference(lambda x: split.h0(PhasePoint.from_vector(x, m.d)), v, h)
+    J = central_difference(lambda x: split.h1_vector(PhasePoint.from_vector(x, m.d)),
+                           v, h).T
+    return g, split.h1_vector(m), J
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["zeeman", "spin_orbit", "callable"]),
+       seed=st.integers(0, 2**32 - 1),
+       zeros=st.lists(st.sampled_from([None, 0.0, -0.0]), min_size=7, max_size=7))
+def test_stencil_derivatives_match_per_point_differences(kind, seed, zeros):
+    # one rows call on the axis stencil keeps a -0.0 coordinate that x + e
+    # turns into +0.0; np.array_equal counts the two zeros as equal
+    model, m = stencil_case(kind, seed, zeros)
+    split = model.split
+    assert split.jacobian is None and (split.stack is None) == (kind == "callable")
+    ref = per_point_derivatives(split, m, default_step(m))
+    for got, want in zip(_split_derivatives(split, m), ref):
+        assert np.array_equal(got, want)
+    assume(np.linalg.norm(ref[1]) > 0.0)
+    want_F = monopole_pullback(ref[1], ref[2], model.spin_charges, m).F
+    assert np.array_equal(curvature_m_space(model, m).F, want_F)
+    h = 0.01
+    ref = per_point_derivatives(split, m, h)
+    want_F = monopole_pullback(ref[1], ref[2], model.spin_charges, m).F
+    assert np.array_equal(curvature_m_space(model, m, step=h).F, want_F)
+
+
+@pytest.mark.parametrize("kind", ["zeeman", "spin_orbit"])
+def test_differenced_kernel_takes_one_stack(kind):
+    model, m = poly_model(kind, 4)
+    split = strip(model).split
+    calls = {"stack": 0, "h1": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    bare = dataclasses.replace(model, split=dataclasses.replace(
+        split, stack=counted("stack", split.stack), h1=counted("h1", split.h1)))
+    _point_kernel(bare, 1, m, connection=True)
+    assert calls == {"stack": 1, "h1": 0}
+
+
+@pytest.mark.parametrize("kind", ["zeeman", "spin_orbit", "rashba"])
+@pytest.mark.parametrize("band", [0, 1])
+def test_band_gradients_ignore_the_split_form(kind, band):
+    # the oracle differences eigenvalues of one frame stack for every model,
+    # so dropping the split form leaves every bit of it in place
+    if kind == "rashba":
+        model = RashbaScenario(b_z=0.7, rho=0.8, hbar=0.3).model()
+        m = PhasePoint((0.3, -0.1), (0.2, 0.5), 0.1)
+    else:
+        model, m = poly_model(kind, 7)
+    generic = dataclasses.replace(model, split=None)
+    E, g = band_gradients(model, band, m)
+    E_g, g_g = band_gradients(generic, band, m)
+    assert E == E_g and np.array_equal(g, g_g)
 
 
 def test_spin_orbit_jacobian_evaluates_each_field_once(monkeypatch):
