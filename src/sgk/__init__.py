@@ -23,7 +23,7 @@ from .spectral import (DEGENERACY_RTOL, TRACKING_MIN_OVERLAP, aligned_frame,
                        diagonalize, smooth_frame_along)
 from .gauge import (AdiabaticConnectionField, Connection, CurvatureTensor,
                     MaxwellResiduals, NonAbelianCurvature, PhaseIntegral,
-                    PlaquetteCurvatureField, adiabatic_connection,
+                    adiabatic_connection,
                     adiabatic_curvature_numeric, chern_charge,
                     curvature_m_space, curvature_of_abelian_field,
                     default_step, dirac_phase, exact_connection,
@@ -57,7 +57,7 @@ __all__ = [
     "IndexField", "IntegratorConfig", "LinearField", "LinearIndex",
     "MagnusRay", "MaxwellResiduals", "NonAbelianCurvature", "NumericalError",
     "OpticalScenario", "PAULI", "PhaseIntegral", "PhasePoint",
-    "PlaquetteCurvatureField", "PolyField", "QuadratureError",
+    "PolyField", "QuadratureError",
     "RashbaScenario", "RotatingField", "SchemaError", "SgkError",
     "SingularSystemError", "SingularityError", "SpinForceWarning",
     "SpinOrbitScenario", "SplitForm", "StepError", "TRACKING_MIN_OVERLAP",

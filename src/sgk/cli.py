@@ -28,7 +28,7 @@ from .dynamics import ExternalEMField, IntegratorConfig, integrate
 from .errors import SchemaError, SgkError
 from .fields import LinearField, LinearIndex, PolyField, RotatingField, \
     UniformField, UniformIndex
-from .gauge import PlaquetteCurvatureField, adiabatic_curvature_numeric, \
+from .gauge import AdiabaticConnectionField, adiabatic_curvature_numeric, \
     chern_charge, curvature_m_space, monopole_field
 from .phase_space import PhasePoint, axis_labels
 from .scenarios import (OpticalScenario, RashbaScenario, SpinOrbitScenario,
@@ -440,7 +440,7 @@ _RUN_KEYS = {
 }
 
 # Size caps keep allocations bounded: Gauss-Legendre nodes build an n x n
-# matrix, and every sample or grid point is held in memory.
+# matrix, and every sample, grid point or sphere vertex is held in memory.
 _range = _list_of("[low, high, count]", _number, _number, _at_least(1, 2**10))
 _GRID_KEYS = {"axis_a": (_axis, _REQUIRED), "axis_b": (_axis, _REQUIRED),
               "a": (_range, _REQUIRED), "b": (_range, _REQUIRED)}
@@ -630,11 +630,10 @@ def _cmd_chern_charge(config, out_dir, seed):
     if meta["source"] == "monopole":
         field = monopole_field(S=meta["S"], center=center)
     else:
-        model = ZeemanScenario.hedgehog(chi=meta["chi"]).model()
-        base = PhasePoint(np.zeros(3), center, 0.0)
-        field = PlaquetteCurvatureField(model, meta["band"], base,
-                                        axes=(3, 4, 5))
-    q = chern_charge(field, center=center, radius=radius, nodes=cfg["nodes"])
+        field = AdiabaticConnectionField(ZeemanScenario.hedgehog(chi=meta["chi"]).model(),
+                                         PhasePoint(np.zeros(3), center, 0.0), axes=(3, 4, 5))
+    q = chern_charge(field, center=center, radius=radius, nodes=cfg["nodes"],
+                     band=meta.get("band"))
     rec = {"format": "sgk.chern.v1", "charge": q, "radius": radius,
            "center": list(center), **meta}
     _write_jsonl(os.path.join(out_dir, "chern.jsonl"), [rec])

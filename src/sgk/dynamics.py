@@ -199,10 +199,10 @@ def band_gradients(model: HamiltonianModel, band: int, m: PhasePoint,
 
 
 def _split_derivatives(split: SplitForm, m: PhasePoint):
-    """(grad H0, H1, J = dH1/dm) at m: exact where the split form has them,
-    else differenced on one stencil stack at default_step(m)."""
+    """(H0, grad H0, H1, J = dH1/dm) at m: exact where the split form has
+    them, else from one stencil stack at default_step(m) (H0, H1 its centre)."""
     if split.jacobian is not None:
-        return (split.grad_h0(m), *split.jacobian(m))
+        return (split.h0(m), split.grad_h0(m), *split.jacobian(m))
     return _split_differences(split, m, default_step(m))
 
 
@@ -214,7 +214,7 @@ def default_curvature_provider(model: HamiltonianModel) -> Callable:
     """
     split = model.split
     if split is not None:
-        return lambda m: monopole_pullback(*_split_derivatives(split, m)[1:],
+        return lambda m: monopole_pullback(*_split_derivatives(split, m)[2:],
                                            model.spin_charges, m)
     return lambda m: adiabatic_curvature_numeric(model, m)
 
@@ -256,10 +256,10 @@ def _point_kernel(model: HamiltonianModel, band: int, m: PhasePoint,
     split = model.split
     F = A = None
     if split is not None:
-        g0, b, J = _split_derivatives(split, m)
+        h0, g0, b, J = _split_derivatives(split, m)
         nb = float(np.linalg.norm(b))
         hbar = model.constants.hbar
-        E0, gap = _split_energy(float(split.h0(m)), hbar * nb, band)
+        E0, gap = _split_energy(float(h0), hbar * nb, band)
         sign = -1.0 if band == 0 else 1.0
         g = g0 + (sign * hbar / nb) * (b @ J)
         if spin_force and curvature is None:

@@ -2,7 +2,7 @@
 
 The CLI maps these onto process exit codes: configuration problems exit 2,
 physics-level failures (degeneracies, singular points, band tracking loss,
-singular velocity systems, quadrature inconsistencies) exit 3, an
+singular velocity systems, unresolved Chern charges) exit 3, an
 adiabaticity abort exits 4 and anything unexpected exits 5.
 """
 
@@ -38,7 +38,7 @@ class GaugePatchError(SgkError):
 
 
 class QuadratureError(SgkError):
-    """Flux quadrature at two radii disagrees; enclosed sources miscounted."""
+    """Charges at two radii disagree, or a source lies too close to the mesh."""
 
 
 class SingularSystemError(SgkError):

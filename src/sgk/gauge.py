@@ -2,12 +2,12 @@
 
 Two layers live here. The model layer differentiates eigenframes of a
 HamiltonianModel: the exact (non-Abelian) connection i U+ dU, its diagonal
-adiabatic part, the gauge-invariant plaquette curvature, and the closed-form
-curvature of split-form models built from the coupling field H1 and its
-derivatives. The array layer is model-free geometry on plain coordinate
-vectors: monopole fields, pullbacks under smooth maps, line integrals,
-flux quadrature (Chern charge), field-equation residual diagnostics and
-gauge transformations.
+adiabatic part, the gauge-invariant plaquette curvature, the link-variable
+Chern charge, and the closed-form curvature of split-form models built from
+the coupling field H1 and its derivatives. The array layer is model-free
+geometry on plain coordinate vectors: monopole fields, pullbacks under
+smooth maps, line integrals, flux quadrature (Chern charge), field-equation
+residual diagnostics and gauge transformations.
 
 Conventions: curvature components are F_ij = d_i A_j - d_j A_i (minus the
 commutator term in the non-Abelian case); a 3x3 antisymmetric block maps to
@@ -35,6 +35,7 @@ from .spectral import _stack
 DEFAULT_STEP_SCALE = 1e-4
 # Exact connection components must be Hermitian to this tolerance.
 CONNECTION_HERMITICITY_ATOL = 1e-10
+FACE_FLUX_MAX = 0.75 * math.pi  # largest |Berry flux| through one sphere mesh face
 
 
 def default_step(point_or_vec) -> float:
@@ -317,9 +318,8 @@ def nonabelian_curvature(connection_field, m: PhasePoint, step: float = None,
     return NonAbelianCurvature(labels=c0.labels, matrices=mats, point=m)
 
 
-def adiabatic_curvature_numeric(model: HamiltonianModel, m: PhasePoint,
-                                step: float = None, richardson: bool = True,
-                                pairs: Sequence[tuple] = None) -> CurvatureTensor:
+def adiabatic_curvature_numeric(model: HamiltonianModel, m: PhasePoint, step: float = None,
+                                richardson: bool = True) -> CurvatureTensor:
     """Gauge-invariant plaquette curvature of each band at m.
 
     For each axis pair, the Berry flux through a small square loop of
@@ -331,10 +331,8 @@ def adiabatic_curvature_numeric(model: HamiltonianModel, m: PhasePoint,
     """
     h = _check_step(step if step is not None else default_step(m))
     D, n = m.n_axes, model.n
-    if pairs is None:
-        pairs = [(i, j) for i in range(D) for j in range(i + 1, D)]
     sides = np.array((h, 0.5 * h) if richardson else (h,))
-    v, ij = m.as_vector(), np.array(pairs, dtype=int).reshape(-1, 2)
+    v, ij = m.as_vector(), np.argwhere(_strict_upper(D))
     P, S = len(ij), len(sides)
     # corners c1 = m - s/2 (e_i + e_j), c2 = c1 + s e_i, c3 = c2 + s e_j and
     # c4 = c1 + s e_j, rounded as successive single-axis shifts would round
@@ -375,13 +373,13 @@ def curvature_m_space(model: HamiltonianModel, m: PhasePoint,
         if abs(2.0 * s - round(2.0 * s)) > 1e-9:
             raise ValueError(f"spin charge must be integer or half-integer, got {s}")
     h = _check_step(step if step is not None else default_step(m))
-    return monopole_pullback(*_split_differences(model.split, m, h)[1:], charges, m)
+    return monopole_pullback(*_split_differences(model.split, m, h)[2:], charges, m)
 
 
 def _split_differences(split, m: PhasePoint, h: float):
-    """(grad H0, H1, J (3, 2d+1)) at m from one split.rows on the stencil, step h."""
+    """(H0, grad H0, H1, J (3, 2d+1)) at m from one split.rows on the stencil, step h."""
     h0, h1 = split.rows(_axis_stencil(m, h, range(m.n_axes)))
-    return ((h0[1::2] - h0[2::2]) / (2.0 * h), h1[0],
+    return (h0[0], (h0[1::2] - h0[2::2]) / (2.0 * h), h1[0],
             ((h1[1::2] - h1[2::2]) / (2.0 * h)).T)
 
 
@@ -514,20 +512,25 @@ def dirac_phase(potential, path, e: float = 1.0, hbar: float = 1.0,
 
 
 def chern_charge(field, center, radius: float, nodes: tuple = (32, 64),
-                 check_factor: float = 1.5, check_rtol: float = 1e-6) -> float:
-    """Flux of a pseudovector curvature field through a sphere, over 2 pi.
-
-    Product quadrature: Gauss-Legendre in cos(theta), uniform in phi. The
-    sphere must enclose exactly one source (or none); that is the caller's
-    assertion, cross-checked by repeating the quadrature at check_factor
-    times the radius and raising QuadratureError on relative disagreement
-    beyond check_rtol (an enclosed-source miscount between the two spheres).
+                 check_factor: float = 1.5, check_rtol: float = 1e-6,
+                 band: int = None) -> float:
+    """Flux through a sphere over 2 pi: the band's link-variable charge of a
+    field with sphere_charge (AdiabaticConnectionField), else a pseudovector
+    curvature callable's Gauss-Legendre (in cos(theta), uniform in phi)
+    quadrature. The sphere must enclose one source or none, as the caller
+    asserts; a charge at check_factor times the radius that differs beyond
+    check_rtol raises QuadratureError (a source miscount between spheres).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     center = np.asarray(center, dtype=float)
+    sphere_charge = getattr(field, "sphere_charge", None)
+    if sphere_charge is not None and band is None:
+        raise ValueError("band is required for a model-backed field")
 
     def charge_at(R):
+        if sphere_charge is not None:
+            return sphere_charge(center, R, nodes, band)
         nt, np_ = nodes
         u, w = np.polynomial.legendre.leggauss(nt)
         phis = 2.0 * np.pi * np.arange(np_) / np_
@@ -631,25 +634,8 @@ def curvature_of_abelian_field(field, x, step: float = None) -> np.ndarray:
 # Model-backed field adapters (lift plain vectors into phase space)
 
 
-class _AxisSlice:
-    """Coordinates over the flat axes `axes`, the others frozen at `base`."""
-
-    def rows(self, pts) -> np.ndarray:
-        """(N, 2d+1) coordinate stack of an (N, len(axes)) array of slice points."""
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != len(self.axes):
-            raise ValueError(f"expected {len(self.axes)} coordinates")
-        X = np.tile(self.base.as_vector(), (pts.shape[0], 1))
-        X[:, list(self.axes)] = pts
-        return X
-
-    def lift(self, vec) -> PhasePoint:
-        """The phase-space point of one slice point."""
-        return PhasePoint.from_vector(self.rows(np.atleast_1d(vec)[None])[0], self.base.d)
-
-
 @dataclass
-class AdiabaticConnectionField(_AxisSlice):
+class AdiabaticConnectionField:
     """Adiabatic connection as a plain vector field over selected m-axes.
 
     axes lists the flat phase-space axes swept by the abstract coordinates
@@ -668,6 +654,19 @@ class AdiabaticConnectionField(_AxisSlice):
         if self.axes is None:
             self.axes = tuple(range(self.base.n_axes))
         self.axes = tuple(int(a) for a in self.axes)
+
+    def rows(self, pts) -> np.ndarray:
+        """(N, 2d+1) coordinate stack of an (N, len(axes)) array of slice points."""
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != len(self.axes):
+            raise ValueError(f"expected {len(self.axes)} coordinates")
+        X = np.tile(self.base.as_vector(), (pts.shape[0], 1))
+        X[:, list(self.axes)] = pts
+        return X
+
+    def lift(self, vec) -> PhasePoint:
+        """The phase-space point of one slice point."""
+        return PhasePoint.from_vector(self.rows(np.atleast_1d(vec)[None])[0], self.base.d)
 
     def __call__(self, vec) -> np.ndarray:
         conn = adiabatic_connection(self.model, self.lift(vec), step=self.step,
@@ -699,33 +698,30 @@ class AdiabaticConnectionField(_AxisSlice):
         phases = -np.angle(np.prod(ov, axis=0))
         return phases if band is None else float(phases[band])
 
+    def sphere_charge(self, center, radius: float, nodes: tuple, band: int) -> float:
+        """Link-variable Chern charge of a band (Fukui, Hatsugai and Suzuki,
+        J. Phys. Soc. Jpn. 74, 1674 (2005)), an integer to roundoff.
 
-@dataclass
-class PlaquetteCurvatureField(_AxisSlice):
-    """Pseudovector plaquette curvature over a 3-axis slice of m-space.
-
-    Produces f(x) with f_k = (1/2) eps_kij F_ij restricted to the three
-    selected axes; used for flux quadrature around degeneracies of generic
-    models (no split form needed).
-    """
-
-    model: HamiltonianModel
-    band: int
-    base: PhasePoint
-    axes: tuple
-    step: float = None
-    richardson: bool = True
-
-    def __post_init__(self):
-        self.axes = tuple(int(a) for a in self.axes)
-        if len(self.axes) != 3:
-            raise ValueError("exactly three axes define the flux 3-space")
-
-    def __call__(self, x) -> np.ndarray:
-        pairs = [(self.axes[0], self.axes[1]), (self.axes[0], self.axes[2]),
-                 (self.axes[1], self.axes[2])]
-        ct = adiabatic_curvature_numeric(self.model, self.lift(x), step=self.step,
-                                         richardson=self.richardson, pairs=pairs)
-        Fb = ct.F[self.band]
-        sub = Fb[np.ix_(self.axes, self.axes)]
-        return tensor_to_pseudo(sub)
+        One stack over the nodes[0] + 1 rings (poles included) of nodes[1]
+        vertices of a (theta, phi) sphere mesh, each vertex's bands in energy
+        order: matching loses the labels where neighbours are far apart. The
+        charge sums each face's loop_phase-style flux -arg(U1 U2 U3* U4*).
+        """
+        nt, nph = nodes
+        theta, phi = np.meshgrid(np.pi * np.arange(nt + 1) / nt,
+                                 2.0 * np.pi * np.arange(nph) / nph, indexing="ij")
+        nrm = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                        np.cos(theta)], axis=-1)
+        _, U, _ = _stack(self.model, self.rows(center + radius * nrm.reshape(-1, 3)),
+                         match=False)
+        U = U[..., band].reshape(nt + 1, nph, -1)
+        # links from vertex (i, j) to (i + 1, j) and to (i, j + 1)
+        down = np.einsum("...i,...i->...", U[:-1].conj(), U[1:])
+        east = np.einsum("...i,...i->...", U.conj(), np.roll(U, -1, axis=1))
+        flux = -np.angle(down * east[1:] * np.conj(np.roll(down, -1, axis=1))
+                         * np.conj(east[:-1]))
+        worst = float(np.max(np.abs(flux)))
+        if worst > FACE_FLUX_MAX:  # a source too close to the mesh to resolve
+            raise QuadratureError(f"largest face flux {worst:.3f} rad exceeds "
+                                  f"{FACE_FLUX_MAX:.3f} at radius {radius}")
+        return float(np.sum(flux)) / (2.0 * np.pi)

@@ -61,10 +61,12 @@ def _coordinates(points: Sequence[PhasePoint]) -> np.ndarray:
 
 
 def _stack(model: HamiltonianModel, X: np.ndarray, reference: np.ndarray = None,
-           along_path: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+           along_path: bool = False, match: bool = True
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """frame_stack over the rows of a coordinate stack X (N, 2d+1).
 
-    along_path matches each row to the one before it instead.
+    along_path matches each row to the one before it instead; match=False
+    keeps every row's bands in energy order, with no tracking check.
     """
     H = model.evaluate_stack(X)
     try:
@@ -83,19 +85,21 @@ def _stack(model: HamiltonianModel, X: np.ndarray, reference: np.ndarray = None,
     Uh = np.conj(np.swapaxes(U, 1, 2))
     unitary = np.abs(Uh @ U - eye).max(axis=(1, 2))
     residual = np.abs(Uh @ H @ U - w[:, None, :] * eye).max(axis=(1, 2))
-    ref = U[0] if reference is None else reference
-    if along_path:
-        ref = np.concatenate([U[:1], U[:-1]])
-    M = np.abs(np.conj(np.swapaxes(ref, -1, -2)) @ U)  # M[:, b, j] = |<ref_b|new_j>|
-    perm = np.full((N, n), -1)
-    taken = np.zeros((N, n), dtype=bool)
-    for b, j in zip(*np.divmod(np.argsort(-M.reshape(N, n * n), axis=1).T, n)):
-        free = (perm[idx, b] < 0) & ~taken[idx, j]
-        perm[free, b[free]] = j[free]
-        taken[free, j[free]] = True
-        if taken.all():
-            break
-    matched = M[idx[:, None], cols, perm].min(axis=1)
+    perm, matched = np.tile(cols, (N, 1)), np.full(N, np.inf)
+    if match:
+        ref = U[0] if reference is None else reference
+        if along_path:
+            ref = np.concatenate([U[:1], U[:-1]])
+        M = np.abs(np.conj(np.swapaxes(ref, -1, -2)) @ U)  # M[:, b, j] = |<ref_b|new_j>|
+        perm = np.full((N, n), -1)
+        taken = np.zeros((N, n), dtype=bool)
+        for b, j in zip(*np.divmod(np.argsort(-M.reshape(N, n * n), axis=1).T, n)):
+            free = (perm[idx, b] < 0) & ~taken[idx, j]
+            perm[free, b[free]] = j[free]
+            taken[free, j[free]] = True
+            if taken.all():
+                break
+        matched = M[idx[:, None], cols, perm].min(axis=1)
     checks = (gap < DEGENERACY_RTOL * scale, unitary > FRAME_ATOL,
               residual > FRAME_ATOL * scale, matched < TRACKING_MIN_OVERLAP)
     bad = np.flatnonzero(checks[0] | checks[1] | checks[2] | checks[3])

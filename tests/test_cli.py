@@ -266,7 +266,31 @@ def test_chern_charge_zeeman_source(tmp_path, capsys):
     assert code == 0
     rec = json.loads(out.strip())
     assert rec["source"] == "zeeman"
-    assert rec["charge"] == pytest.approx(-1.0, abs=1e-6)
+    assert rec["charge"] == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_chern_charge_zeeman_off_centre(tmp_path, capsys):
+    # both spheres enclose the source; the link-variable charge is an
+    # integer to roundoff, so the two-sphere check cannot misfire
+    config = {"source": {"kind": "zeeman", "chi": 1.0, "band": 0},
+              "center": [0.5, 0.0, 0.0], "radius": 1.0, "nodes": [8, 16]}
+    code, out, _, _ = run_cli(tmp_path, capsys, "chern-charge", config)
+    assert code == 0
+    assert json.loads(out.strip())["charge"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_chern_charge_source_near_the_mesh_exits_3(tmp_path, capsys):
+    # the source 0.01 inside the sphere, near the centre of an equatorial face
+    th, ph = 7.0 * np.pi / 16.0, np.pi / 16.0
+    center = -0.99 * np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
+                               np.cos(th)])
+    config = {"source": {"kind": "zeeman", "chi": 1.0, "band": 0},
+              "center": center.tolist(), "radius": 1.0, "nodes": [8, 16]}
+    code, out, err, _ = run_cli(tmp_path, capsys, "chern-charge", config)
+    assert code == 3 and out == ""
+    rec = json.loads(err.splitlines()[-1])
+    assert rec["error"] == "QuadratureError"
+    assert rec["message"].startswith("largest face flux 2.740 rad")
 
 
 def test_chern_charge_bad_spin(tmp_path, capsys):

@@ -13,7 +13,6 @@ from sgk import (
     DegeneracyError,
     HamiltonianModel,
     PhasePoint,
-    PlaquetteCurvatureField,
     PolyField,
     QuadratureError,
     SingularityError,
@@ -469,25 +468,59 @@ def test_holonomy_loop_phase_survives_the_convention_cut():
         field.loop_phase(path[:3])  # too short to enclose anything
 
 
-# -- plaquette flux field -----------------------------------------------------
+# -- link-variable Chern charge ----------------------------------------------
 
 
-def test_plaquette_field_matches_monopole():
-    scn = ZeemanScenario.hedgehog()
-    base = PhasePoint(np.zeros(3), (0.0, 0.0, 1.0), 0.0)
-    for band, S in ((0, -0.5), (1, +0.5)):
-        pf = PlaquetteCurvatureField(scn.model(), band, base, axes=(3, 4, 5))
-        x = np.array([0.0, 0.0, 1.0])
-        assert np.allclose(pf(x), monopole_pseudovector(x, S), atol=1e-6)
-        y = np.array([0.5, -0.3, 0.7])
-        assert np.allclose(pf(y), monopole_pseudovector(y, S), atol=1e-6)
+def hedgehog_field(chi=1.0):
+    base = PhasePoint(np.zeros(3), np.zeros(3), 0.0)
+    return AdiabaticConnectionField(ZeemanScenario.hedgehog(chi=chi).model(), base,
+                                    axes=(3, 4, 5))
 
 
-def test_plaquette_field_needs_three_axes():
-    scn = ZeemanScenario.hedgehog()
-    base = PhasePoint(np.zeros(3), (0.0, 0.0, 1.0), 0.0)
-    with pytest.raises(ValueError):
-        PlaquetteCurvatureField(scn.model(), 1, base, axes=(3, 4))
+@pytest.mark.parametrize("nodes, center", [
+    ((4, 4), (0.0, 0.0, 0.0)), ((4, 4), (0.5, 0.0, 0.0)), ((4, 4), (0.99, 0.0, 0.0)),
+    ((8, 16), (0.5, 0.0, 0.0)), ((8, 16), (0.9, 0.0, 0.0)),
+    ((8, 16), (0.99, 0.0, 0.0)), ((8, 16), (0.0, 0.0, 0.99)),
+    ((32, 64), (0.0, 0.0, 0.0))])
+def test_link_charge_is_a_unit_for_both_bands(nodes, center):
+    # matching every vertex to the first loses band 0 past the equator, and
+    # matching to the predecessor swaps labels where neighbours are over 90
+    # degrees apart ([4, 4], or a source 0.01 inside the sphere); energy
+    # order at every vertex gives the charge -2S of each band
+    field = hedgehog_field()
+    for band, want in ((0, 1.0), (1, -1.0)):
+        q = chern_charge(field, center=center, radius=1.0, nodes=nodes, band=band)
+        assert q == pytest.approx(want, abs=1e-12)
+
+
+def test_link_charge_of_an_empty_sphere_is_zero():
+    field = hedgehog_field(chi=0.7)
+    assert field.sphere_charge((0.0, 0.0, 1.01), 1.0, (8, 16), 0) == \
+        pytest.approx(0.0, abs=1e-12)
+    assert chern_charge(field, center=(0.0, 0.0, 3.0), radius=1.0, nodes=(8, 16),
+                        band=1) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_link_charge_failures():
+    field = hedgehog_field()
+    # only the check sphere at 1.5 times the radius encloses the source
+    with pytest.raises(QuadratureError):
+        chern_charge(field, center=(1.2, 0.0, 0.0), radius=1.0, nodes=(8, 16), band=0)
+    # the south pole of the mesh sits on the source
+    with pytest.raises(DegeneracyError):
+        chern_charge(field, center=(0.0, 0.0, 1.0), radius=1.0, nodes=(8, 16), band=0)
+    # a source 0.01 inside the sphere near the centre of an equatorial face
+    # puts 2.74 rad through that face, and energy order alone reads charge 0
+    n = np.array([np.sin(7 * np.pi / 16) * np.cos(np.pi / 16),
+                  np.sin(7 * np.pi / 16) * np.sin(np.pi / 16), np.cos(7 * np.pi / 16)])
+    with pytest.raises(QuadratureError, match="largest face flux 2.740 rad"):
+        field.sphere_charge(-0.99 * n, 1.0, (8, 16), 0)
+    with pytest.raises(ValueError, match="band is required"):
+        chern_charge(field, center=(0.0, 0.0, 0.0), radius=1.0, nodes=(8, 16))
+    base = PhasePoint(np.zeros(3), np.zeros(3), 0.0)
+    with pytest.raises(ValueError, match="^expected 2 coordinates$"):
+        AdiabaticConnectionField(field.model, base, axes=(3, 4)).sphere_charge(
+            (0.0, 0.0, 0.0), 1.0, (8, 16), 0)
 
 
 @pytest.mark.parametrize("bad", [[0.5], 0.5, [0.5, 0.1], [0.1, 0.2, 0.3, 0.4],
@@ -496,14 +529,13 @@ def test_slice_fields_reject_a_wrong_number_of_coordinates(bad):
     # a one-coordinate input used to be broadcast onto all three r axes
     model = ZeemanScenario.hedgehog().model()
     base = PhasePoint(np.zeros(3), (0.0, 0.0, 1.0), 0.0)
-    pf = PlaquetteCurvatureField(model, 0, base, axes=(3, 4, 5))
     conn = AdiabaticConnectionField(model, base, axes=(3, 4, 5))
-    for call in (pf.lift, pf, conn.lift, conn):
+    for call in (conn.lift, conn):
         with pytest.raises(ValueError, match="^expected 3 coordinates$"):
             call(bad)
     with pytest.raises(ValueError, match="^expected 3 coordinates$"):
         conn.validate_path(np.full((4, 2), 0.5))
     # a right-sized point lifts onto the sliced axes only
-    m = pf.lift([0.5, -0.25, 2.0])
+    m = conn.lift([0.5, -0.25, 2.0])
     assert np.array_equal(m.as_vector(), [0.0, 0.0, 0.0, 0.5, -0.25, 2.0, 0.0])
     assert np.array_equal(conn.rows([[0.5, -0.25, 2.0]])[0], m.as_vector())

@@ -170,13 +170,13 @@ def stencil_case(kind, seed, zeros):
 
 
 def per_point_derivatives(split, m, h):
-    """The per-point construction: central differences of h0 and h1 at
-    PhasePoint.from_vector of each shifted coordinate vector."""
+    """The per-point construction: h0 and h1 at m, and central differences
+    of them at PhasePoint.from_vector of each shifted coordinate vector."""
     v = m.as_vector()
     g = central_difference(lambda x: split.h0(PhasePoint.from_vector(x, m.d)), v, h)
     J = central_difference(lambda x: split.h1_vector(PhasePoint.from_vector(x, m.d)),
                            v, h).T
-    return g, split.h1_vector(m), J
+    return split.h0(m), g, split.h1_vector(m), J
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -190,14 +190,16 @@ def test_stencil_derivatives_match_per_point_differences(kind, seed, zeros):
     split = model.split
     assert split.jacobian is None and (split.stack is None) == (kind == "callable")
     ref = per_point_derivatives(split, m, default_step(m))
-    for got, want in zip(_split_derivatives(split, m), ref):
+    got = _split_derivatives(split, m)
+    assert len(got) == len(ref)
+    for got, want in zip(got, ref):
         assert np.array_equal(got, want)
-    assume(np.linalg.norm(ref[1]) > 0.0)
-    want_F = monopole_pullback(ref[1], ref[2], model.spin_charges, m).F
+    assume(np.linalg.norm(ref[2]) > 0.0)
+    want_F = monopole_pullback(ref[2], ref[3], model.spin_charges, m).F
     assert np.array_equal(curvature_m_space(model, m).F, want_F)
     h = 0.01
     ref = per_point_derivatives(split, m, h)
-    want_F = monopole_pullback(ref[1], ref[2], model.spin_charges, m).F
+    want_F = monopole_pullback(ref[2], ref[3], model.spin_charges, m).F
     assert np.array_equal(curvature_m_space(model, m, step=h).F, want_F)
 
 
@@ -205,7 +207,7 @@ def test_stencil_derivatives_match_per_point_differences(kind, seed, zeros):
 def test_differenced_kernel_takes_one_stack(kind):
     model, m = poly_model(kind, 4)
     split = strip(model).split
-    calls = {"stack": 0, "h1": 0}
+    calls = {"stack": 0, "h0": 0, "h1": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -213,10 +215,12 @@ def test_differenced_kernel_takes_one_stack(kind):
             return fn(*args)
         return wrapper
 
+    # the stencil's centre row supplies H0 as well, so h0 is never called
     bare = dataclasses.replace(model, split=dataclasses.replace(
-        split, stack=counted("stack", split.stack), h1=counted("h1", split.h1)))
+        split, stack=counted("stack", split.stack), h0=counted("h0", split.h0),
+        h1=counted("h1", split.h1)))
     _point_kernel(bare, 1, m, connection=True)
-    assert calls == {"stack": 1, "h1": 0}
+    assert calls == {"stack": 1, "h0": 0, "h1": 0}
 
 
 @pytest.mark.parametrize("kind", ["zeeman", "spin_orbit", "rashba"])
