@@ -15,6 +15,8 @@ Integration carries per-step diagnostics: the adiabaticity parameter
 epsilon (aborting the run when it exceeds the configured bound), the
 accumulated geometric phase int A . dm in the deterministic gauge of the
 spectral layer, and the dynamic phase (1/hbar) int (p . rdot - E) dt.
+The point kernel and the RK loop run over stacks of rows, one band per
+row; integrate is their one-row case and ensembles run many rows at once.
 """
 
 from __future__ import annotations
@@ -28,18 +30,20 @@ import numpy as np
 
 from .errors import (DegeneracyError, NumericalError, SingularSystemError,
                      SpinForceWarning, StepError)
-from .fields import UniformField, VectorField, _promote, as_field
-from .gauge import (_axis_stencil, _check_step, _split_differences,
-                    _stencil_connection, adiabatic_curvature_numeric,
-                    default_step, monopole_pullback, tensor_to_pseudo)
+from .fields import UniformField, VectorField, _promote, as_field, rows
+from .gauge import (CurvatureTensor, _axis_stencil, _check_step, _split_differences,
+                    _stencil_connection, adiabatic_curvature_numeric, antisymmetric,
+                    default_step, monopole_pullback, monopole_rows, tensor_to_pseudo)
 from .models import Constants, HamiltonianModel, SplitForm
-from .phase_space import PhasePoint
+from .phase_space import PhasePoint, row_dot, row_norm, row_pow
 from .spectral import DEGENERACY_RTOL, _stack
 
 # Spin force larger than this fraction of the zeroth-order force triggers
 # a SpinForceWarning (the underlying expansion is no longer perturbative).
 SPIN_FORCE_WARN_RATIO = 0.5
 _COND_LIMIT = 1e12
+_CROSS = np.array([6, 2, 4, 5, 6, 0, 1, 3, 6])  # (B, -B, 0) entries of v -> v x B
+_SIGN = np.array([-1.0, 1.0])  # E = H0 -+ hbar|H1| for bands 0 and 1
 # A last step at most this fraction longer than the step size is stretched
 # to land on t_end, instead of leaving a rounding-error sliver behind it.
 _LAST_STEP_SLACK = 1e-6
@@ -166,25 +170,6 @@ class Trajectory:
         return np.array([s.m.t for s in self.states])
 
 
-def _cross_matrix(B3: np.ndarray, d: int) -> np.ndarray:
-    """Matrix X with X v = v x B for in-plane (d=2) or full (d=3) v."""
-    Bx, By, Bz = B3
-    X = np.array([[0.0, Bz, -By], [-Bz, 0.0, Bx], [By, -Bx, 0.0]])
-    return X[:d, :d]
-
-
-def _split_energy(h0: float, nb: float, band: int):
-    """(E, gap) from H0 and hbar|H1|, with the eigensolver's degeneracy guard."""
-    if not (math.isfinite(h0) and math.isfinite(nb)):
-        raise NumericalError(f"band energy is not finite: H0 = {h0}, hbar|H1| = {nb}")
-    gap = 2.0 * nb
-    scale = max(1.0, abs(h0) + nb)
-    if gap < DEGENERACY_RTOL * scale:
-        raise DegeneracyError(
-            f"band gap {gap:.3e} below tolerance {DEGENERACY_RTOL * scale:.3e}")
-    return (h0 - nb if band == 0 else h0 + nb), gap
-
-
 def band_gradients(model: HamiltonianModel, band: int, m: PhasePoint,
                    step: float = None):
     """(E, gradient of E over all flat axes) for one band, by central differences.
@@ -194,16 +179,18 @@ def band_gradients(model: HamiltonianModel, band: int, m: PhasePoint,
     shares nothing with the point kernel's closed form.
     """
     h = _check_step(step if step is not None else default_step(m))
-    w, _, _ = _stack(model, _axis_stencil(m, h, range(m.n_axes)))
+    w, _, _ = _stack(model, _axis_stencil(m.as_vector(), h, range(m.n_axes)))
     return float(w[0, band]), (w[1::2, band] - w[2::2, band]) / (2.0 * h)
 
 
-def _split_derivatives(split: SplitForm, m: PhasePoint):
-    """(H0, grad H0, H1, J = dH1/dm) at m: exact where the split form has
-    them, else from one stencil stack at default_step(m) (H0, H1 its centre)."""
-    if split.jacobian is not None:
-        return (split.h0(m), split.grad_h0(m), *split.jacobian(m))
-    return _split_differences(split, m, default_step(m))
+def _split_derivatives(split: SplitForm, X: np.ndarray):
+    """(H0, grad H0, H1, J = dH1/dm) at the rows of X: exact where the split
+    form has them, else from one stencil stack per row at default_step (H0
+    and H1 its centre)."""
+    if split.jacobian_rows is not None:
+        return split.jacobian_rows(X)
+    return tuple(map(np.stack, zip(*(_split_differences(split, x, default_step(x))
+                                     for x in X))))
 
 
 def default_curvature_provider(model: HamiltonianModel) -> Callable:
@@ -214,29 +201,47 @@ def default_curvature_provider(model: HamiltonianModel) -> Callable:
     """
     split = model.split
     if split is not None:
-        return lambda m: monopole_pullback(*_split_derivatives(split, m)[2:],
-                                           model.spin_charges, m)
+        return lambda m: monopole_pullback(*(a[0] for a in _split_derivatives(
+            split, m.as_vector()[None])[2:]), model.spin_charges, m)
     return lambda m: adiabatic_curvature_numeric(model, m)
 
 
 @dataclass
 class _Kernel:
-    energy: float
-    grad: np.ndarray
-    gap: float
-    F: Optional[np.ndarray]       # the band's curvature over the flat axes
-    a_diag: Optional[np.ndarray]  # the band's diagonal connection
+    energy: np.ndarray            # (N,) over N rows and D flat axes
+    grad: np.ndarray              # (N, D)
+    gap: np.ndarray               # (N,)
+    F: Optional[np.ndarray]       # (N, D, D): each row's band curvature
+    a_diag: Optional[np.ndarray]  # (N, D): each row's band diagonal connection
 
 
-def _point_kernel(model: HamiltonianModel, band: int, m: PhasePoint,
+def _split_energy(h0: np.ndarray, nb: np.ndarray, sign: np.ndarray):
+    """(E, gap) per row from H0, hbar|H1| and the band's sign -+1, with the
+    eigensolver's degeneracy guard; the first failing row raises."""
+    gap = 2.0 * nb
+    tol = DEGENERACY_RTOL * np.maximum(1.0, np.abs(h0) + nb)
+    if not ((gap >= tol) & (tol < math.inf)).all():  # NaN fails both; then check exactly
+        finite = np.isfinite(h0) & np.isfinite(nb)
+        bad = ~finite | (gap < tol)
+        i = bad.argmax()
+        if not finite[i]:
+            raise NumericalError(f"band energy is not finite: H0 = {float(h0[i])}, "
+                                 f"hbar|H1| = {float(nb[i])}")
+        if bad[i]:
+            raise DegeneracyError(f"band gap {gap[i]:.3e} below tolerance {tol[i]:.3e}")
+    return h0 + sign * nb, gap
+
+
+def _point_kernel(model: HamiltonianModel, bands, X: np.ndarray,
                   curvature: Callable = None, spin_force: bool = True,
                   connection: bool = False) -> _Kernel:
-    """Energy, gradient, gap, curvature F and diagonal connection A of a band at m.
+    """Energy, gradient, gap, curvature F and diagonal connection A of a band
+    at each row of X (N, 2d+1), in the band bands[i] (N,) of each row.
 
     A split form gives all of them from (grad H0, b, J), b = H1 and J =
     dH1/dm, exact or differenced (_split_derivatives): E = H0 -+ hbar|b|,
     grad E = grad H0 -+ hbar b^T J/|b|, gap = 2 hbar|b|, F from
-    gauge.monopole_pullback and A = a(b)^T J, with a(b) Berry's monopole
+    gauge.monopole_rows and A = a(b)^T J, with a(b) Berry's monopole
     connection of spin -+1/2 in the largest-component gauge of the
     spectral layer. For a 2x2 frame that gauge is the north patch
     S (b_y, -b_x, 0)/(|b|(|b| + b_z)) where b_z > 0 and the south patch
@@ -247,41 +252,52 @@ def _point_kernel(model: HamiltonianModel, band: int, m: PhasePoint,
     eigensolver's roundoff may break such a tie either way, so differenced
     frames are no oracle within about 1e-3 |b| of b_z = 0.
 
-    Generic models take E, grad E, the gap and A from one frame stack on
-    the central-difference stencil, the points band_gradients and
-    exact_connection use. A given curvature provider always supplies F;
-    otherwise generic models use default_curvature_provider. F is None when
-    spin_force is off and A is None unless connection is asked for.
+    Generic models take E, grad E, the gap and A from one frame stack per
+    row on the central-difference stencil, the points band_gradients and
+    exact_connection use. A given curvature provider always supplies F,
+    one PhasePoint per row; otherwise generic models use
+    default_curvature_provider. F is None when spin_force is off and A is
+    None unless connection is asked for. Each row's bits are independent
+    of the other rows, and the first failing row raises.
     """
     split = model.split
     F = A = None
     if split is not None:
-        h0, g0, b, J = _split_derivatives(split, m)
-        nb = float(np.linalg.norm(b))
+        h0, g0, b, J = _split_derivatives(split, X)
+        nb = row_norm(b)
         hbar = model.constants.hbar
-        E0, gap = _split_energy(float(h0), hbar * nb, band)
-        sign = -1.0 if band == 0 else 1.0
-        g = g0 + (sign * hbar / nb) * (b @ J)
+        sign = _SIGN.take(bands)
+        E0, gap = _split_energy(h0, hbar * nb, sign)
+        g = g0 + (sign * hbar / nb)[:, None] * (b[:, None, :] @ J)[:, 0]
         if spin_force and curvature is None:
-            F = monopole_pullback(b, J, model.spin_charges, m).F[band]
+            S = -np.asarray(model.spin_charges, dtype=float)[bands]
+            F = antisymmetric(S[:, None, None] * monopole_rows(b, J, nb))
         if connection:
-            twist = 0.5 * sign * (b[1] * J[0] - b[0] * J[1]) / nb
-            bz = b[2]
-            if bz > 0.0 or (bz == 0.0 and band == 1):
-                A = twist / (nb + bz)
-            else:
-                A = -twist / (nb - bz)
+            twist = (0.5 * sign[:, None] * (b[:, 1, None] * J[:, 0] - b[:, 0, None] * J[:, 1])
+                     / nb[:, None])
+            bz = b[:, 2]
+            north = (bz > 0.0) | ((bz == 0.0) & (bands == 1))
+            A = np.where(north[:, None], twist, -twist) / np.where(north, nb + bz, nb - bz)[:, None]
     else:
-        h = default_step(m)
-        w, U, gaps = _stack(model, _axis_stencil(m, h, range(m.n_axes)))
-        E0, g = float(w[0, band]), (w[1::2, band] - w[2::2, band]) / (2.0 * h)
-        gap = float(gaps[0])
-        if connection:
-            # exact_connection(model, m).diagonal() on the same stack
-            A = np.einsum("kbb->kb", _stencil_connection(U, h)).real[:, band]
+        E0, g, gap = [], [], []
+        # A in column 0 of each row: strided like the frame stack's band
+        # column, so that its dot products round the same way
+        A = np.zeros(X.shape + (2,))
+        for i, (x, band) in enumerate(zip(X, bands)):
+            h = default_step(x)
+            w, U, gaps = _stack(model, _axis_stencil(x, h, range(len(x))))
+            E0.append(w[0, band])
+            g.append((w[1::2, band] - w[2::2, band]) / (2.0 * h))
+            gap.append(gaps[0])
+            if connection:  # exact_connection(model, m).diagonal() on the same stack
+                A[i, :, 0] = np.einsum("kbb->kb", _stencil_connection(U, h)).real[:, band]
+        E0, g, gap = np.array(E0), np.stack(g), np.array(gap)
+        A = A[:, :, 0] if connection else None
     if spin_force and F is None:
         provider = curvature if curvature is not None else default_curvature_provider(model)
-        F = provider(m).F[band]
+        d = (X.shape[1] - 1) // 2
+        F = np.stack([provider(PhasePoint.from_vector(x, d)).F[band]
+                      for x, band in zip(X, bands)])
     return _Kernel(energy=E0, grad=g, gap=gap, F=F, a_diag=A)
 
 
@@ -318,11 +334,12 @@ def velocity_field(model: HamiltonianModel, band: int, m: PhasePoint,
     emitted when warn is set and the gauge force is not small against the
     zeroth-order forces.
     """
-    k = _point_kernel(model, band, m, curvature, spin_force)
-    pdot, rdot, ratio = _velocity(model, m, k.grad, k.F, em, mode, warn)
-    if ratio > SPIN_FORCE_WARN_RATIO:
+    X = m.as_vector()[None]
+    k = _point_kernel(model, np.array([band]), X, curvature, spin_force)
+    v, ratio = _velocity(model, X, k.grad, k.F, em, mode, warn)
+    if ratio[0] > SPIN_FORCE_WARN_RATIO:
         _warn_spin_force(stacklevel=3)
-    return pdot, rdot
+    return v[0, :m.d], v[0, m.d:]
 
 
 def _warn_spin_force(stacklevel: int) -> None:
@@ -332,69 +349,77 @@ def _warn_spin_force(stacklevel: int) -> None:
                   SpinForceWarning, stacklevel=stacklevel)
 
 
-def _velocity(model, m, g, F, em, mode, with_ratio):
-    """(pdot, rdot, spin-force ratio) from the band's gradient g and curvature F.
+def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A[i] @ x[i] for each row: (N, a, b) and (N, b) -> (N, a)."""
+    return (A @ x[..., None])[..., 0]
+
+
+def _velocity(model, X, g, F, em, mode, with_ratio):
+    """(v = (pdot, rdot), spin-force ratio) at each row of X from the band's
+    gradient g and curvature F.
 
     F None drops the gauge force. The ratio of the gauge force to the
     zeroth-order forces is computed only with_ratio, and is 0 otherwise.
     The exact system's condition number is estimated in the 1-norm from
-    its LU inverse, which is within a factor 2d of the 2-norm value; above
-    1e12, or for an exactly singular system, SingularSystemError is raised.
+    its LU inverse (within a factor 2d of the 2-norm value); above 1e12,
+    or for an exactly singular system, SingularSystemError is raised. The
+    batched inverse and solve are bit-equal to one call per row.
     """
-    d = m.d
-    gp, gr = g[:d], g[d:2 * d]
+    N, d = len(X), (X.shape[1] - 1) // 2
+    gp, gr = g[:, :d], g[:, d:2 * d]
     cst = model.constants
-    E3 = np.zeros(3)
-    B3 = np.zeros(3)
+    E3 = B3 = np.zeros((N, 3))
     if em is not None:
-        E3, B3 = em.at(m.r, m.t)
-    XB = _cross_matrix(B3, d)
-    rhs_p0 = -gr + cst.e * E3[:d]
-    rhs_r0 = gp.copy()
+        r, t = X[:, d:2 * d], X[:, 2 * d]
+        E3, B3 = rows(em.e_field, "value", r, t), rows(em.b_field, "value", r, t)
+    # XB v = v x B: XB = [[0, Bz, -By], [-Bz, 0, Bx], [By, -Bx, 0]]
+    XB = np.concatenate([B3, -B3, np.zeros((N, 1))], axis=1).take(_CROSS, 1).reshape(N, 3, 3)
+    XB = XB[:, :d, :d]
+    rhs_p0 = -gr + cst.e * E3[:, :d]
 
     spin_force = F is not None
     if not spin_force:
-        F = np.zeros((m.n_axes, m.n_axes))
+        F = np.zeros((N, X.shape[1], X.shape[1]))
+    Fp, Fr = F[:, d:2 * d], F[:, :d]  # curvature rows of the pdot and rdot equations
     hb = cst.hbar
     if mode == "exact":
+        # [[I - hb Fp_p, -hb Fp_r - (e/c) XB], [hb Fr_p, I + hb Fr_r]], with
+        # the arithmetic of I - x as -x + I
         I = np.eye(d)
-        M = np.empty((2 * d, 2 * d))
-        M[:d, :d] = I - hb * F[d:2 * d, :d]
-        M[:d, d:] = -hb * F[d:2 * d, d:2 * d] - (cst.e / cst.c) * XB
-        M[d:, :d] = hb * F[:d, :d]
-        M[d:, d:] = I + hb * F[:d, d:2 * d]
-        rhs = np.concatenate([rhs_p0 + hb * F[d:2 * d, 2 * d],
-                              rhs_r0 - hb * F[:d, 2 * d]])
+        M = np.empty((N, 2 * d, 2 * d))
+        np.multiply(-hb, Fp[:, :, :2 * d], out=M[:, :d])
+        np.multiply(hb, Fr[:, :, :2 * d], out=M[:, d:])
+        M[:, :d, :d] += I
+        M[:, :d, d:] -= (cst.e / cst.c) * XB
+        M[:, d:, d:] += I
+        rhs = np.empty((N, 2 * d))
+        np.add(rhs_p0, hb * Fp[:, :, 2 * d], out=rhs[:, :d])
+        np.subtract(gp, hb * Fr[:, :, 2 * d], out=rhs[:, d:])
         try:
-            cond = _norm1(M) * _norm1(np.linalg.inv(M))
+            cond = np.abs(M).sum(1).max(1) * np.abs(np.linalg.inv(M)).sum(1).max(1)
         except np.linalg.LinAlgError:
-            cond = math.inf
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            raise SingularSystemError(
-                f"velocity system is singular (condition number {cond:.3e})")
-        v = np.linalg.solve(M, rhs)
-        pdot, rdot = v[:d], v[d:]
+            cond = np.full(N, math.inf)
+        if not (cond <= _COND_LIMIT).all():  # NaN fails too
+            raise SingularSystemError("velocity system is singular (condition number "
+                                      f"{cond[~(cond <= _COND_LIMIT)][0]:.3e})")
+        v = np.linalg.solve(M, rhs[..., None])[..., 0]
     elif mode == "reduced":
-        rdot0 = gp
-        pdot0 = rhs_p0 + (cst.e / cst.c) * (XB @ rdot0)
-        mdot0 = np.concatenate([pdot0, rdot0, [1.0]])
-        rdot = gp - hb * (F[:d, :] @ mdot0)
-        pdot = rhs_p0 + (cst.e / cst.c) * (XB @ rdot) + hb * (F[d:2 * d, :] @ mdot0)
+        pdot0 = rhs_p0 + (cst.e / cst.c) * _mv(XB, gp)
+        mdot0 = np.concatenate([pdot0, gp, np.ones((N, 1))], axis=1)
+        rdot = gp - hb * _mv(Fr, mdot0)
+        pdot = rhs_p0 + (cst.e / cst.c) * _mv(XB, rdot) + hb * _mv(Fp, mdot0)
+        v = np.concatenate([pdot, rdot], axis=1)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    ratio = 0.0
+    ratio = np.zeros(N)
     if with_ratio and spin_force:
-        mdot = np.concatenate([pdot, rdot, [1.0]])
-        gauge_norm = hb * max(np.linalg.norm(F[d:2 * d, :] @ mdot),
-                              np.linalg.norm(F[:d, :] @ mdot))
-        base_norm = max(np.linalg.norm(rhs_p0), np.linalg.norm(rhs_r0), 1e-300)
-        ratio = gauge_norm / base_norm
-    return pdot, rdot, ratio
-
-
-def _norm1(M: np.ndarray) -> float:
-    return float(np.abs(M).sum(axis=0).max())
+        # |F_r . mdot|, |F_p . mdot|, |rhs_p0| and |grad_p E| of each row
+        forces = np.concatenate([_mv(F[:, :2 * d], np.concatenate([v, np.ones((N, 1))], axis=1)),
+                                 rhs_p0, gp], axis=1).reshape(N, 4, d)
+        norms = np.sqrt((forces * forces).sum(2))
+        ratio = hb * norms[:, :2].max(1) / np.maximum(norms[:, 2:].max(1), 1e-300)
+    return v, ratio
 
 
 def adiabaticity_epsilon(model: HamiltonianModel, band: int, m: PhasePoint,
@@ -409,72 +434,48 @@ def adiabaticity_epsilon(model: HamiltonianModel, band: int, m: PhasePoint,
     transitions are not suppressed. The gradient comes from the point
     kernel.
     """
-    k = _point_kernel(model, band, m, spin_force=False)
-    if mdot is None:
-        mdot = np.zeros(m.n_axes)
-        mdot[-1] = 1.0
-    return _epsilon(model, m, k.grad, k.gap, mdot, delta_p)
+    X = m.as_vector()[None]
+    k = _point_kernel(model, np.array([band]), X, spin_force=False)
+    mdot = np.eye(m.n_axes)[-1] if mdot is None else np.asarray(mdot, dtype=float)
+    return float(_epsilon(model, X, k.grad, k.gap, mdot[None], delta_p)[0])
 
 
-def _epsilon(model, m, g, gap, mdot, delta_p) -> float:
-    """adiabaticity_epsilon from the band's energy gradient g and the gap."""
-    d = m.d
-    mdot = np.asarray(mdot, dtype=float)
-    hbar = model.constants.hbar
-    dEdt = float(g @ mdot)
-    time_term = abs(dEdt) / gap**2
-    gp_norm = float(np.linalg.norm(g[:d]))
-    gr_norm = float(np.linalg.norm(g[d:2 * d]))
-    if gp_norm == 0.0:
-        momentum_term = 0.0
-    else:
-        dpdr = gr_norm / gp_norm
-        dp = delta_p if delta_p is not None else gap / gp_norm
-        momentum_term = dpdr / dp**2
-    return hbar * max(time_term, momentum_term)
+def _epsilon(model, X, g, gap, mdot, delta_p) -> np.ndarray:
+    """adiabaticity_epsilon at each row from the band's energy gradient g and the gap."""
+    d = (X.shape[1] - 1) // 2
+    time_term = np.abs(row_dot(g, mdot)) / row_pow(gap, 2)
+    gp_norm, gr_norm = row_norm(g[:, :d]), row_norm(g[:, d:2 * d])
+    moving = gp_norm != 0.0
+    gp_norm = np.where(moving, gp_norm, 1.0)
+    dp = gap / gp_norm if delta_p is None else np.full(len(X), float(delta_p))
+    momentum_term = np.where(moving, (gr_norm / gp_norm) / row_pow(dp, 2), 0.0)
+    return model.constants.hbar * np.where(momentum_term > time_term, momentum_term, time_term)
 
 
 # ---------------------------------------------------------------------------
 # Integration
 
 
-@dataclass
-class _PointEval:
-    v_p: np.ndarray
-    v_r: np.ndarray
-    energy: float
-    epsilon: float
-    a_diag: Optional[np.ndarray]
-    berry_rate: float
-    dynamic_rate: float
-    spin_ratio: float
-
-
-def _eval_point(model, band, m, em, config, curvature) -> _PointEval:
-    k = _point_kernel(model, band, m, curvature, config.spin_force,
+def _eval_rows(model, bands, X, em, config, curvature) -> dict:
+    """v, energy, epsilon, spin-force ratio, phase rates and (if recorded) the
+    diagonal connection a at the accepted states X, per row."""
+    k = _point_kernel(model, bands, X, curvature, config.spin_force,
                       connection=config.record_connection)
-    v_p, v_r, ratio = _velocity(model, m, k.grad, k.F, em, config.mode, True)
-    mdot = np.concatenate([v_p, v_r, [1.0]])
-    eps = _epsilon(model, m, k.grad, k.gap, mdot, config.delta_p)
-    berry_rate = 0.0 if k.a_diag is None else float(k.a_diag @ mdot)
-    dynamic_rate = (float(m.p @ v_r) - k.energy) / model.constants.hbar
-    return _PointEval(v_p=v_p, v_r=v_r, energy=k.energy, epsilon=eps,
-                      a_diag=k.a_diag, berry_rate=berry_rate,
-                      dynamic_rate=dynamic_rate, spin_ratio=ratio)
+    v, ratio = _velocity(model, X, k.grad, k.F, em, config.mode, True)
+    mdot = np.concatenate([v, np.ones((len(X), 1))], axis=1)
+    d = (X.shape[1] - 1) // 2
+    ev = {"v": v, "energy": k.energy, "ratio": ratio,
+          "epsilon": _epsilon(model, X, k.grad, k.gap, mdot, config.delta_p),
+          "berry_rate": np.zeros(len(X)) if k.a_diag is None else row_dot(k.a_diag, mdot),
+          "dynamic_rate": (row_dot(X[:, :d], v[:, d:]) - k.energy) / model.constants.hbar}
+    if k.a_diag is not None:
+        ev["a"] = k.a_diag
+    return ev
 
 
-def _make_state(m, band, ev: _PointEval, berry, dynamic, hbar) -> TrajectoryState:
-    d = m.d
-    a_p = a_r = None
-    a_t = None
-    if ev.a_diag is not None:
-        a_p = ev.a_diag[:d].copy()
-        a_r = ev.a_diag[d:2 * d].copy()
-        a_t = float(ev.a_diag[2 * d])
-    return TrajectoryState(m=m, band=band, energy=ev.energy, epsilon=ev.epsilon,
-                           berry_phase=berry, dynamic_phase=dynamic,
-                           v_p=ev.v_p.copy(), v_r=ev.v_r.copy(),
-                           a_p=a_p, a_r=a_r, a_t=a_t, hbar=hbar)
+def _stage_velocity(model, bands, X, em, config, curvature) -> np.ndarray:
+    k = _point_kernel(model, bands, X, curvature, config.spin_force)
+    return _velocity(model, X, k.grad, k.F, em, config.mode, False)[0]
 
 
 # Fehlberg 4(5) tableau.
@@ -505,84 +506,144 @@ def integrate(model: HamiltonianModel, band: int, initial: PhasePoint,
     forces; RK stages are not checked.
     Errors raised by the velocity evaluation are re-raised with the step
     index attached; overflow and a state that is no longer finite become a
-    NumericalError at the step where they occur.
+    NumericalError at the step where they occur. This is the one-row case
+    of the RK loop that ensembles run in lockstep.
     """
     d = initial.d
-    t0 = initial.t
+    run = _integrate_rows(model, np.array([band]), np.concatenate([initial.p, initial.r])[None],
+                          initial.t, config, em, curvature, record=True)
+    if run.errors[0] is not None:
+        raise run.errors[0]
+    states = []
+    for s, val, berry, dynamic in run.states:
+        v, a = val["v"][0], val.get("a")
+        states.append(TrajectoryState(
+            m=PhasePoint(val["y"][0, :d], val["y"][0, d:], initial.t + s) if states else initial,
+            band=band, energy=float(val["energy"][0]), epsilon=float(val["epsilon"][0]),
+            berry_phase=float(berry[0]), dynamic_phase=float(dynamic[0]), v_p=v[:d], v_r=v[d:],
+            a_p=None if a is None else a[0, :d], a_r=None if a is None else a[0, d:2 * d],
+            a_t=None if a is None else float(a[0, 2 * d]), hbar=model.constants.hbar))
+    return Trajectory(states=states, status=run.status[0], band=band)
+
+
+@dataclass
+class _Rows:
+    """Each row's status, or 'failed' with its exception (step index attached)
+    in errors; its last accepted state y and launch velocity v0 (NaN if it
+    failed there); and, when recorded, (s, values, berry, dynamic) of the
+    rows evaluated at every accepted step."""
+
+    status: list
+    errors: list
+    y: np.ndarray
+    v0: np.ndarray
+    states: list
+
+
+def _integrate_rows(model, bands, Y, t0, config, em=None, curvature=None,
+                    record=False) -> _Rows:
+    """One RK loop over the rows of Y (N, 2d) from time t0, row i in band bands[i].
+
+    All rows take the same steps in lockstep, and a row leaves when it
+    completes, breaches epsilon or fails. A step that raises for the batch
+    is redone one row at a time, so each row keeps the result or error it
+    has alone: no row's bits depend on its batch. rkf45 adapts the step
+    to its one row.
+    """
     duration = config.t_end - t0
     if duration <= 0:
         raise ValueError("t_end must exceed the initial time")
+    N = len(Y)
+    out = _Rows(["max_steps"] * N, [None] * N, Y.copy(), np.full(Y.shape, np.nan), [])
+    cur, running, warned = {"y": out.y}, np.ones(N, dtype=bool), np.zeros(N, dtype=bool)
+    berry, dynamic = np.zeros(N), np.zeros(N)
+    s, h, h_try, steps, last = 0.0, config.step, 0.0, 0, False
 
-    def point(s, y) -> PhasePoint:
-        if not np.all(np.isfinite(y)):
+    def at(s, y):
+        X = np.empty((len(y), y.shape[1] + 1))
+        X[:, :-1], X[:, -1] = y, t0 + s
+        if not np.isfinite(X).all():
             raise NumericalError("phase-space state is no longer finite")
-        return PhasePoint(y[:d], y[d:], t0 + s)
+        return X
 
-    def rhs(s, y):
-        # RK stages stay silent; accepted states feed the warning latch
-        v_p, v_r = velocity_field(model, band, point(s, y), em,
-                                  curvature=curvature, mode=config.mode,
-                                  spin_force=config.spin_force, warn=False)
-        return np.concatenate([v_p, v_r])
-
-    warned = False
-
-    def eval_at(s, y) -> _PointEval:
-        nonlocal warned
-        ev = _eval_point(model, band, point(s, y), em, config, curvature)
-        if not warned and ev.spin_ratio > SPIN_FORCE_WARN_RATIO:
-            warned = True
-            _warn_spin_force(stacklevel=4)
-        return ev
-
-    y = np.concatenate([initial.p, initial.r])
-    s = 0.0
-    berry = 0.0
-    dynamic = 0.0
-    hbar = model.constants.hbar
-    status = "max_steps"
-    h = config.step
-    steps = 0
-    try:
-        ev = eval_at(s, y)
-        states = [_make_state(initial, band, ev, berry, dynamic, hbar)]
-        if ev.epsilon > config.epsilon_abort:
-            return Trajectory(states=states, status="adiabaticity_breach",
-                              band=band)
-        while steps < config.max_steps:
-            steps += 1
-            remaining = duration - s
-            last = remaining <= h * (1.0 + _LAST_STEP_SLACK)
-            h_try = remaining if last else h
-            k1 = np.concatenate([ev.v_p, ev.v_r])
+    def advance(idx):  # the next accepted state of rows idx; None if rkf45 rejects it
+        nonlocal h
+        y, b = cur["y"][idx], bands[idx]
+        if steps:
+            f = lambda s_, y_: _stage_velocity(model, b, at(s_, y_), em, config, curvature)
             if config.method == "rk4":
-                y_new, s_new = _rk4_step(rhs, s, y, h_try, k1)
+                y = _rk4_step(f, s, y, h_try, cur["v"][idx])[0]
             else:
-                y_new, s_new, h, accepted = _rkf45_step(rhs, s, y, h_try, k1,
-                                                        config.tolerance)
+                y, _, h, accepted = _rkf45_step(f, s, y, h_try, cur["v"][idx], config.tolerance)
                 if not accepted:
-                    continue
-            ev_new = eval_at(s_new, y_new)
-            dt = s_new - s
-            berry += 0.5 * dt * (ev.berry_rate + ev_new.berry_rate)
-            dynamic += 0.5 * dt * (ev.dynamic_rate + ev_new.dynamic_rate)
-            s, y, ev = s_new, y_new, ev_new
-            states.append(_make_state(point(s, y), band, ev, berry, dynamic,
-                                      hbar))
-            if ev.epsilon > config.epsilon_abort:
-                status = "adiabaticity_breach"
-                break
-            if last:
-                status = "completed"
-                break
-    except (OverflowError, FloatingPointError) as exc:
-        err = NumericalError(*exc.args)
+                    return None
+        return dict(_eval_rows(model, b, at(s + h_try, y), em, config, curvature), y=y)
+
+    def fail(i, exc):
+        err = exc
+        if isinstance(exc, (OverflowError, FloatingPointError)):
+            err = NumericalError(*exc.args)
+            err.__cause__ = exc
         _attach_step(err, steps)
-        raise err from exc
+        out.status[i], out.errors[i], running[i] = "failed", err, False
+
+    while True:
+        parts = _isolated(advance, np.flatnonzero(running), fail)
+        if parts and parts[0][1] is None:  # an rkf45 rejection: try the step again
+            last = False
+        else:
+            s_old, s = s, s + h_try
+            if parts:
+                idx, new = parts[0]
+                if len(parts) > 1:
+                    idx = np.concatenate([i for i, _ in parts])
+                    new = {k: np.concatenate([p[k] for _, p in parts]) for k in new}
+                rows = slice(None) if len(idx) == N else idx  # a view while all run
+                if steps:
+                    dt = 0.5 * (s - s_old)
+                    berry[rows] += dt * (cur["berry_rate"][rows] + new["berry_rate"])
+                    dynamic[rows] += dt * (cur["dynamic_rate"][rows] + new["dynamic_rate"])
+                else:
+                    out.v0[rows] = new["v"]
+                for k, val in new.items():
+                    cur.setdefault(k, np.full((N,) + val.shape[1:], np.nan))[rows] = val
+                if record:
+                    out.states.append((s, new, berry[rows].copy(), dynamic[rows].copy()))
+                for i in idx[(new["ratio"] > SPIN_FORCE_WARN_RATIO) & ~warned[idx]]:
+                    warned[i] = True
+                    try:  # attributed to the caller of integrate
+                        _warn_spin_force(stacklevel=4)
+                    except Exception as exc:
+                        fail(i, exc)
+                for i in idx[(new["epsilon"] > config.epsilon_abort) & running[idx]]:
+                    out.status[i], running[i] = "adiabaticity_breach", False
+            if last:
+                for i in np.flatnonzero(running):
+                    out.status[i] = "completed"
+        if last or steps >= config.max_steps or not running.any():
+            return out
+        steps += 1
+        remaining = duration - s
+        last = remaining <= h * (1.0 + _LAST_STEP_SLACK)
+        h_try = remaining if last else h
+
+
+def _isolated(fn, idx: np.ndarray, fail) -> list:
+    """[(idx, fn(idx))]; where that raises, [(row, fn(row))] of each row alone,
+    and fail(i, exc) for each row i that raises on its own."""
+    try:
+        return [(idx, fn(idx))]
     except Exception as exc:
-        _attach_step(exc, steps)
-        raise
-    return Trajectory(states=states, status=status, band=band)
+        if len(idx) == 1:
+            fail(idx[0], exc)
+            return []
+    parts = []
+    for k in range(len(idx)):
+        try:
+            parts.append((idx[k:k + 1], fn(idx[k:k + 1])))
+        except Exception as exc:
+            fail(idx[k], exc)
+    return parts
 
 
 def _attach_step(exc: Exception, step_index: int) -> None:

@@ -5,9 +5,10 @@ fields of position and time. Curvature formulas need their first
 derivatives; the classes here provide exact ones where the functional form
 allows it, and a finite-difference wrapper for bare callables. Spatial
 arguments may be length 2 (in-plane problems) or 3; they are promoted to
-3 components internally with zero padding. The values of the four built-in
-families broadcast over leading axes: r of shape (N, 3) and t of shape (N,)
-give (N, 3), each row bit-identical to its one-point call.
+3 components internally with zero padding. The four built-in families
+broadcast value and both derivatives over leading axes: r of shape (N, 3)
+and t of shape (N,) give (N, 3), (N, 3, 3) and (N, 3), each row
+bit-identical to its one-point call.
 """
 
 from __future__ import annotations
@@ -40,6 +41,13 @@ def _promote_rows(r, t):
     return r, (t[..., None] if isinstance(t, np.ndarray) and t.ndim else t)
 
 
+def _each_row(a: np.ndarray, r) -> np.ndarray:
+    """A copy of a for each point of r (..., 2 or 3)."""
+    out = np.empty(np.shape(r)[:-1] + a.shape)
+    out[...] = a
+    return out
+
+
 def _matvec(G: np.ndarray, r: np.ndarray) -> np.ndarray:
     """G r over the leading axes of r; each row has the bits of G @ r[i]."""
     return G @ r if r.ndim == 1 else (G @ r[..., None])[..., 0]
@@ -48,7 +56,7 @@ def _matvec(G: np.ndarray, r: np.ndarray) -> np.ndarray:
 class VectorField:
     """Base: value(r, t) -> (3,); d_dr -> (3,3) with [i,j]=dF_i/dr_j; d_dt -> (3,).
 
-    A subclass's own value may take one point at a time: stacks call value
+    A subclass's own methods may take one point at a time: rows calls them
     on (N, 3) rows only for a built-in field (builtin).
     """
 
@@ -75,16 +83,13 @@ class UniformField(VectorField):
         self.v = _promote(self.v)
 
     def value(self, r, t):
-        r = np.asarray(r)
-        if r.ndim < 2:
-            return self.v.copy()
-        return np.broadcast_to(self.v, r.shape[:-1] + (3,)).copy()
+        return _each_row(self.v, r)
 
     def d_dr(self, r, t):
-        return np.zeros((3, 3))
+        return np.zeros(np.shape(r)[:-1] + (3, 3))
 
     def d_dt(self, r, t):
-        return np.zeros(3)
+        return np.zeros(np.shape(r)[:-1] + (3,))
 
 
 @dataclass
@@ -111,10 +116,10 @@ class LinearField(VectorField):
         return self.f0 + _matvec(self.G, r) + self.gt * t
 
     def d_dr(self, r, t):
-        return self.G.copy()
+        return _each_row(self.G, r)
 
     def d_dt(self, r, t):
-        return self.gt.copy()
+        return _each_row(self.gt, r)
 
 
 @dataclass
@@ -163,11 +168,12 @@ class PolyField(VectorField):
                 + _matvec(self.C, r) * t + 0.5 * self.qtt * t * t)
 
     def d_dr(self, r, t):
-        r = _promote(r)
-        return self.G + np.einsum("ijk,k->ij", self.Q, r) + self.C * t
+        r = _promote_rows(r, t)[0]
+        return self.G + np.einsum("ijk,...k->...ij", self.Q, r) + np.multiply.outer(t, self.C)
 
     def d_dt(self, r, t):
-        return self.gt + self.C @ _promote(r) + self.qtt * t
+        r, t = _promote_rows(r, t)
+        return self.gt + _matvec(self.C, r) + self.qtt * t
 
 
 @dataclass
@@ -193,12 +199,14 @@ class RotatingField(VectorField):
         return self.magnitude * out
 
     def d_dr(self, r, t):
-        return np.zeros((3, 3))
+        return np.zeros(np.shape(t) + (3, 3))
 
     def d_dt(self, r, t):
         ph = self.omega * t + self.phi0
         st = np.sin(self.polar_angle)
-        return self.magnitude * self.omega * st * np.array([-np.sin(ph), np.cos(ph), 0.0])
+        # ph is a float for one point and (N,) for rows
+        return self.magnitude * self.omega * st * np.array(
+            [-np.sin(ph), np.cos(ph), np.zeros_like(ph)]).T
 
 
 @dataclass
@@ -226,10 +234,23 @@ def builtin(f: VectorField) -> bool:
     belong to that value: a subclass that overrides or adds any of the three
     is not built in, nor is a CallableField.
     """
+    if type(f) in _BUILTIN:  # each defines all three itself
+        return True
     owners = {next(c for c in type(f).__mro__ if name in vars(c))
               for name in ("value", "d_dr", "d_dt")}
-    return len(owners) == 1 and owners.pop() in (UniformField, LinearField,
-                                                 PolyField, RotatingField)
+    return len(owners) == 1 and owners.pop() in _BUILTIN
+
+
+_BUILTIN = (UniformField, LinearField, PolyField, RotatingField)
+
+
+def rows(f: VectorField, name: str, r, t) -> np.ndarray:
+    """f.value, f.d_dr or f.d_dt (name) at rows r (N, 2 or 3), t (N,): one
+    call for a built-in field, else one call per row."""
+    fn = getattr(f, name)
+    if builtin(f):
+        return fn(r, t)
+    return np.stack([fn(ri, float(ti)) for ri, ti in zip(r, t)])
 
 
 def as_field(obj) -> VectorField:

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import (NumericalError, QuadratureError, SingularityError,
                      StepError)
 from .models import HamiltonianModel
-from .phase_space import PhasePoint, central_difference, step_scale
+from .phase_space import PhasePoint, central_difference, row_pow, step_scale
 from .spectral import _stack
 
 # Default finite-difference step: DEFAULT_STEP_SCALE * max(1, |m|).
@@ -36,6 +36,7 @@ DEFAULT_STEP_SCALE = 1e-4
 # Exact connection components must be Hermitian to this tolerance.
 CONNECTION_HERMITICITY_ATOL = 1e-10
 FACE_FLUX_MAX = 0.75 * math.pi  # largest |Berry flux| through one sphere mesh face
+MESH_BAND_VERTICES = 8192  # sphere mesh vertices solved per stack, which bounds memory
 
 
 def default_step(point_or_vec) -> float:
@@ -140,6 +141,12 @@ def _strict_upper(D: int) -> np.ndarray:
     return np.triu(np.ones((D, D), dtype=bool), k=1)
 
 
+def antisymmetric(F: np.ndarray) -> np.ndarray:
+    """F's strict upper triangle, mirrored with opposite sign, over leading axes."""
+    upper = np.where(_strict_upper(F.shape[-1]), F, 0.0)  # np.triu(F, k=1)
+    return upper - np.swapaxes(upper, -1, -2)
+
+
 @dataclass(frozen=True)
 class CurvatureTensor:
     """Per-band antisymmetric curvature over the flat axes (p..., r..., t).
@@ -155,9 +162,7 @@ class CurvatureTensor:
     point: Optional[PhasePoint] = None
 
     def __post_init__(self):
-        F = np.asarray(self.F, dtype=float)
-        upper = np.where(_strict_upper(F.shape[-1]), F, 0.0)  # np.triu(F, k=1)
-        object.__setattr__(self, "F", upper - np.swapaxes(upper, 1, 2))
+        object.__setattr__(self, "F", antisymmetric(np.asarray(self.F, dtype=float)))
 
     @property
     def n_bands(self) -> int:
@@ -256,16 +261,16 @@ def exact_connection(model: HamiltonianModel, m: PhasePoint,
     """
     h = _check_step(step if step is not None else default_step(m))
     ks = list(range(m.n_axes) if axes is None else axes)
-    _, U, _ = _stack(model, _axis_stencil(m, h, ks))
+    _, U, _ = _stack(model, _axis_stencil(m.as_vector(), h, ks))
     comps = np.zeros((m.n_axes, model.n, model.n), dtype=complex)
     comps[ks] = _stencil_connection(U, h)
     return Connection(labels=m.labels, kind="exact", components=comps, point=m)
 
 
-def _axis_stencil(m: PhasePoint, h: float, axes: Sequence[int]) -> np.ndarray:
-    """Rows m, then m + h e_k and m - h e_k for each k in axes: one stack."""
+def _axis_stencil(v: np.ndarray, h: float, axes: Sequence[int]) -> np.ndarray:
+    """Rows v, then v + h e_k and v - h e_k for each k in axes: one stack."""
     ks = np.repeat(np.asarray(axes, dtype=int), 2)
-    X = np.tile(m.as_vector(), (1 + ks.size, 1))
+    X = np.tile(v, (1 + ks.size, 1))
     X[1 + np.arange(ks.size), ks] += np.tile((h, -h), ks.size // 2)
     return X
 
@@ -373,12 +378,14 @@ def curvature_m_space(model: HamiltonianModel, m: PhasePoint,
         if abs(2.0 * s - round(2.0 * s)) > 1e-9:
             raise ValueError(f"spin charge must be integer or half-integer, got {s}")
     h = _check_step(step if step is not None else default_step(m))
-    return monopole_pullback(*_split_differences(model.split, m, h)[2:], charges, m)
+    return monopole_pullback(*_split_differences(model.split, m.as_vector(), h)[2:],
+                             charges, m)
 
 
-def _split_differences(split, m: PhasePoint, h: float):
-    """(H0, grad H0, H1, J (3, 2d+1)) at m from one split.rows on the stencil, step h."""
-    h0, h1 = split.rows(_axis_stencil(m, h, range(m.n_axes)))
+def _split_differences(split, v: np.ndarray, h: float):
+    """(H0, grad H0, H1, J (3, 2d+1)) at the flat point v from one split.rows
+    on the stencil, step h."""
+    h0, h1 = split.rows(_axis_stencil(v, h, range(v.shape[0])))
     return (h0[0], (h0[1::2] - h0[2::2]) / (2.0 * h), h1[0],
             ((h1[1::2] - h1[2::2]) / (2.0 * h)).T)
 
@@ -388,22 +395,28 @@ def monopole_pullback(b: np.ndarray, J: np.ndarray, charges: Sequence[float],
     """Coupling-space monopole pulled back along m -> b(m), one band per charge.
 
     F_ij = -S b . (J_i x J_j) / |b|^3 with J[:, k] = db/dm_k over the flat
-    axes of point. X_ij = (b x J_i) . J_j / |b|^3 is formed once and each
-    band is -S X, so bands of opposite charge get exactly opposite tensors.
+    axes of point: the one-row case of monopole_rows, and each band is -S X,
+    so bands of opposite charge get exactly opposite tensors.
     """
     b = np.asarray(b, dtype=float)
-    J = np.asarray(J, dtype=float)
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
         raise SingularityError("curvature is singular where the coupling vanishes")
-    # rows b x J_i, with the arithmetic of np.cross(b, J.T) but far less overhead
-    bJ = np.empty((J.shape[1], 3))
-    bJ[:, 0] = b[1] * J[2] - b[2] * J[1]
-    bJ[:, 1] = b[2] * J[0] - b[0] * J[2]
-    bJ[:, 2] = b[0] * J[1] - b[1] * J[0]
-    X = bJ @ J / nb**3
+    X = monopole_rows(b[None], np.asarray(J, dtype=float)[None], np.array([nb]))[0]
     F = np.multiply.outer(-np.asarray(charges, dtype=float), X)
     return CurvatureTensor(d=point.d, labels=point.labels, F=F, point=point)
+
+
+def monopole_rows(b: np.ndarray, J: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """X_ij = (b x J_i) . J_j / |b|^3 at each row of b (N, 3), J (N, 3, D)
+    and nb = |b| (N,), nonzero; band S takes -S X."""
+    # columns b x J_i, with the arithmetic of np.cross(b, J.T) but far less overhead
+    bJ = (b.take(_NEXT, 1)[:, :, None] * J.take(_LAST, 1)
+          - b.take(_LAST, 1)[:, :, None] * J.take(_NEXT, 1))
+    return bJ.swapaxes(1, 2) @ J / row_pow(nb, 3)[:, None, None]
+
+
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])  # cyclic shifts of x, y, z
 
 
 # ---------------------------------------------------------------------------
@@ -702,24 +715,33 @@ class AdiabaticConnectionField:
         """Link-variable Chern charge of a band (Fukui, Hatsugai and Suzuki,
         J. Phys. Soc. Jpn. 74, 1674 (2005)), an integer to roundoff.
 
-        One stack over the nodes[0] + 1 rings (poles included) of nodes[1]
-        vertices of a (theta, phi) sphere mesh, each vertex's bands in energy
-        order: matching loses the labels where neighbours are far apart. The
-        charge sums each face's loop_phase-style flux -arg(U1 U2 U3* U4*).
+        The nodes[0] + 1 rings (poles included) of nodes[1] vertices of a
+        (theta, phi) sphere mesh are solved a band of rings at a time, each
+        band's first ring the last of the band before, with each vertex's
+        bands in energy order: matching loses the labels where neighbours
+        are far apart. The charge sums each face's loop_phase-style flux
+        -arg(U1 U2 U3* U4*).
         """
         nt, nph = nodes
-        theta, phi = np.meshgrid(np.pi * np.arange(nt + 1) / nt,
-                                 2.0 * np.pi * np.arange(nph) / nph, indexing="ij")
-        nrm = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
-                        np.cos(theta)], axis=-1)
-        _, U, _ = _stack(self.model, self.rows(center + radius * nrm.reshape(-1, 3)),
-                         match=False)
-        U = U[..., band].reshape(nt + 1, nph, -1)
-        # links from vertex (i, j) to (i + 1, j) and to (i, j + 1)
-        down = np.einsum("...i,...i->...", U[:-1].conj(), U[1:])
-        east = np.einsum("...i,...i->...", U.conj(), np.roll(U, -1, axis=1))
-        flux = -np.angle(down * east[1:] * np.conj(np.roll(down, -1, axis=1))
-                         * np.conj(east[:-1]))
+        flux = np.empty((nt, nph))
+        prev = np.empty((0, nph, self.model.n, self.model.n), dtype=complex)
+        rings = max(1, MESH_BAND_VERTICES // nph)
+        for i0 in range(0, nt + 1, rings):
+            theta, phi = np.meshgrid(np.pi * np.arange(i0, min(i0 + rings, nt + 1)) / nt,
+                                     2.0 * np.pi * np.arange(nph) / nph, indexing="ij")
+            nrm = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                            np.cos(theta)], axis=-1)
+            _, U, _ = _stack(self.model, self.rows(center + radius * nrm.reshape(-1, 3)),
+                             match=False)
+            U = np.concatenate([prev, U.reshape(-1, nph, *U.shape[1:])])
+            prev = U[-1:]
+            U = U[..., band]
+            # links from vertex (i, j) to (i + 1, j) and to (i, j + 1)
+            down = np.einsum("...i,...i->...", U[:-1].conj(), U[1:])
+            east = np.einsum("...i,...i->...", U.conj(), np.roll(U, -1, axis=1))
+            lo = max(i0 - 1, 0)
+            flux[lo:lo + len(U) - 1] = -np.angle(
+                down * east[1:] * np.conj(np.roll(down, -1, axis=1)) * np.conj(east[:-1]))
         worst = float(np.max(np.abs(flux)))
         if worst > FACE_FLUX_MAX:  # a source too close to the mesh to resolve
             raise QuadratureError(f"largest face flux {worst:.3f} rad exceeds "

@@ -53,12 +53,13 @@ class Constants:
 class SplitForm:
     """Scalar part H0(m) and coupling field H1(m) of a two-band model.
 
-    grad_h0 and jacobian are optional exact first derivatives, given both
-    or neither: grad_h0(m) is the (2d+1,) gradient of H0 over the flat
-    axes, and jacobian(m) returns (b, J) with b = H1(m) and J[:, k] =
-    dH1/dm_k, shape (3, 2d+1). The integrator takes energies, gradients,
-    curvature and connection in closed form from grad H0, b and J: these
-    exact ones where given, else central differences of H0 and H1.
+    jacobian_rows is an optional exact first derivative over a coordinate
+    stack: jacobian_rows(X), X of shape (N, 2d+1), returns (H0 (N,),
+    grad H0 (N, 2d+1), b (N, 3), J (N, 3, 2d+1)) with b = H1 and
+    J[:, :, k] = dH1/dm_k, each row's bits independent of the other rows.
+    The integrator takes energies, gradients, curvature and connection in
+    closed form from grad H0, b and J: these exact ones where given, else
+    central differences of H0 and H1.
 
     stack is an optional array form over a coordinate stack: stack(X), X of
     shape (N, 2d+1), returns (H0 (N,), H1 (N, 3)), each row bit-identical
@@ -69,13 +70,8 @@ class SplitForm:
 
     h0: Callable[[PhasePoint], float]
     h1: Callable[[PhasePoint], np.ndarray]
-    grad_h0: Optional[Callable[[PhasePoint], np.ndarray]] = None
-    jacobian: Optional[Callable[[PhasePoint], tuple]] = None
+    jacobian_rows: Optional[Callable[[np.ndarray], tuple]] = None
     stack: Optional[Callable[[np.ndarray], tuple]] = None
-
-    def __post_init__(self):
-        if (self.grad_h0 is None) != (self.jacobian is None):
-            raise ValueError("grad_h0 and jacobian must be given together")
 
     def h1_vector(self, m: PhasePoint) -> np.ndarray:
         v = np.asarray(self.h1(m), dtype=float)
@@ -185,14 +181,13 @@ class HamiltonianModel:
 
     @staticmethod
     def from_split(h0, h1, constants: Constants = None, spin_charges=None,
-                   grad_h0=None, jacobian=None, stack=None) -> "HamiltonianModel":
+                   jacobian_rows=None, stack=None) -> "HamiltonianModel":
         """Build H = H0 I + hbar sigma . H1 from the two callables.
 
-        grad_h0, jacobian and stack are the optional forms of SplitForm.
+        jacobian_rows and stack are the optional forms of SplitForm.
         """
         constants = constants or Constants()
-        split = SplitForm(h0=h0, h1=h1, grad_h0=grad_h0, jacobian=jacobian,
-                          stack=stack)
+        split = SplitForm(h0=h0, h1=h1, jacobian_rows=jacobian_rows, stack=stack)
 
         def _eval(m: PhasePoint) -> np.ndarray:
             return _split_matrices(split.h0(m), constants.hbar * split.h1_vector(m))

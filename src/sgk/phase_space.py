@@ -23,7 +23,7 @@ def central_difference(f, x, h: float) -> np.ndarray:
     x is a flat coordinate vector and f maps such vectors to real or complex
     arrays of one fixed shape; the result stacks the K derivatives on a new
     leading axis. A unit shift adds 0.0 to the other coordinates, so a
-    shifted vector has the same bits as the matching PhasePoint.shifted point.
+    shifted vector holds the bits of x with h added at coordinate k.
     """
     x = np.asarray(x, dtype=float)
     out = []
@@ -32,6 +32,23 @@ def central_difference(f, x, h: float) -> np.ndarray:
         e[k] = h
         out.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * h))
     return np.stack(out)
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows of a and b (N, K): each row has the
+    bits of a[i] @ b[i], which np.einsum and sum(axis=1) do not keep."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def row_norm(a: np.ndarray) -> np.ndarray:
+    """|a[i]| of each row, with the bits of np.linalg.norm(a[i])."""
+    return np.sqrt(row_dot(a, a))
+
+
+def row_pow(x: np.ndarray, k: int) -> np.ndarray:
+    """x[i] ** k with Python float arithmetic, whose libm pow rounds
+    differently from numpy's x * x and its vectorized power."""
+    return np.array([v ** k for v in x.tolist()])
 
 
 def step_scale(x) -> float:
@@ -97,12 +114,6 @@ class PhasePoint:
         if vec.shape != (2 * d + 1,):
             raise ValueError(f"expected a vector of length {2*d+1}, got {vec.shape}")
         return PhasePoint(vec[:d], vec[d:2 * d], vec[2 * d])
-
-    def shifted(self, axis: int, delta: float) -> "PhasePoint":
-        """Point displaced by delta along one flat axis."""
-        v = self.as_vector()
-        v[axis] += delta
-        return PhasePoint.from_vector(v, self.d)
 
     def scale(self) -> float:
         """max(1, |m|): the characteristic size used for step scaling."""

@@ -24,10 +24,10 @@ import numpy as np
 from .dynamics import _LAST_STEP_SLACK, _rk4_step
 from .errors import (ConstraintDriftWarning, GaugePatchError, SingularityError,
                      StepError)
-from .fields import IndexField, LinearField, VectorField, as_field, builtin
+from .fields import IndexField, LinearField, VectorField, as_field, builtin, rows
 from .gauge import CurvatureTensor, monopole_pseudovector, monopole_pullback
 from .models import Constants, HamiltonianModel
-from .phase_space import PhasePoint
+from .phase_space import PhasePoint, row_dot
 
 E_Z = np.array([0.0, 0.0, 1.0])
 
@@ -37,32 +37,42 @@ PATCH_SWITCH = 0.9
 CONSTRAINT_DRIFT_TOL = 1e-6
 
 
-def _split_model(m_star: float, h1, jacobian, h1_rows, constants: Constants,
+def _split_model(m_star: float, h1, jacobian_rows, h1_rows, constants: Constants,
                  *fields: VectorField) -> HamiltonianModel:
     """Split-form model with H0 = p^2 / 2 m_star, exact derivatives and stacks.
 
-    h1_rows(p, r, t) is H1 over the rows of a coordinate stack. The model
-    carries the exact derivatives (grad_h0 and jacobian) and the stack form
-    together, when every field is built in (fields.builtin), or none of
-    them: a CallableField, or a subclass that defines or overrides value or
-    a derivative, gives a model that differences H0 and H1 and evaluates
-    stacks row by row.
+    h1_rows(p, r, t) is H1 and jacobian_rows(p, r, t) is (H1, dH1/dm) over
+    the rows of a coordinate stack. The model carries the exact derivatives
+    and the stack form together, when every field is built in
+    (fields.builtin), or neither: a CallableField, or a subclass that
+    defines or overrides value or a derivative, gives a model that
+    differences H0 and H1 and evaluates stacks row by row.
     """
-    def grad_h0(m: PhasePoint) -> np.ndarray:
-        g = np.zeros(m.n_axes)
-        g[:m.d] = m.p / m_star
-        return g
+    def split(X: np.ndarray):
+        d = (X.shape[1] - 1) // 2
+        p = X[:, :d]
+        return p, X[:, d:2 * d], X[:, 2 * d], row_dot(p, p) / (2.0 * m_star)
 
     def stack(X: np.ndarray):
-        d = (X.shape[1] - 1) // 2
-        p, r, t = X[:, :d], X[:, d:2 * d], X[:, 2 * d]
-        return (p[:, None, :] @ p[:, :, None])[:, 0, 0] / (2.0 * m_star), h1_rows(p, r, t)
+        p, r, t, h0 = split(X)
+        return h0, h1_rows(p, r, t)
+
+    def derivatives(X: np.ndarray):
+        p, r, t, h0 = split(X)
+        g = np.zeros(X.shape)
+        g[:, :p.shape[1]] = p / m_star
+        return (h0, g, *jacobian_rows(p, r, t))
 
     exact = all(builtin(f) for f in fields)
     return HamiltonianModel.from_split(
-        h0=lambda m: float(m.p @ m.p) / (2.0 * m_star), h1=h1,
-        constants=constants, grad_h0=grad_h0 if exact else None,
-        jacobian=jacobian if exact else None, stack=stack if exact else None)
+        h0=lambda m: float(m.p @ m.p) / (2.0 * m_star), h1=h1, constants=constants,
+        jacobian_rows=derivatives if exact else None, stack=stack if exact else None)
+
+
+def _one_row(jacobian_rows, m: PhasePoint):
+    """(b, J) at one point from a scenario's jacobian_rows(p, r, t)."""
+    b, J = jacobian_rows(m.p[None], m.r[None], np.array([m.t]))
+    return b[0], J[0]
 
 
 def band_sign(band: int) -> float:
@@ -99,7 +109,7 @@ class ZeemanScenario:
     def model(self) -> HamiltonianModel:
         chi, bf = self.chi, self.b_field
         return _split_model(self.m_star, lambda m: chi * bf.value(m.r, m.t),
-                            self.jacobian, lambda p, r, t: chi * bf.value(r, t),
+                            self._jacobian_rows, lambda p, r, t: chi * bf.value(r, t),
                             self.constants(), bf)
 
     @staticmethod
@@ -117,11 +127,14 @@ class ZeemanScenario:
 
         The momentum columns vanish because the coupling is p-independent.
         """
-        d = m.d
-        J = np.zeros((3, m.n_axes))
-        J[:, d:2 * d] = self.chi * self.b_field.d_dr(m.r, m.t)[:, :d]
-        J[:, 2 * d] = self.chi * self.b_field.d_dt(m.r, m.t)
-        return self.chi * self.b_field.value(m.r, m.t), J
+        return _one_row(self._jacobian_rows, m)
+
+    def _jacobian_rows(self, p, r, t):
+        n, d = p.shape
+        J = np.zeros((n, 3, 2 * d + 1))
+        J[:, :, d:2 * d] = self.chi * rows(self.b_field, "d_dr", r, t)[:, :, :d]
+        J[:, :, 2 * d] = self.chi * rows(self.b_field, "d_dt", r, t)
+        return self.chi * rows(self.b_field, "value", r, t), J
 
     def curvature_blocks(self, m: PhasePoint) -> CurvatureTensor:
         """Closed-form curvature: F_rr and F_rt from field derivatives.
@@ -249,7 +262,7 @@ class SpinOrbitScenario:
                 + self.rho * np.cross(self.e_field.value(r, t), p3))
 
     def model(self) -> HamiltonianModel:
-        return _split_model(self.m_star, self.coupling, self.jacobian,
+        return _split_model(self.m_star, self.coupling, self._jacobian_rows,
                             self._coupling, self.constants(), self.e_field,
                             self.b_field)
 
@@ -259,21 +272,23 @@ class SpinOrbitScenario:
         dH1/dp_i = rho (E x e_i); dH1/dr_j = chi dB/dr_j + rho (dE/dr_j x p);
         dH1/dt likewise.
         """
-        d = m.d
-        r, t = m.r, m.t
-        p3 = np.zeros(3)
-        p3[:d] = m.p
-        E = self.e_field.value(r, t)
-        dE_dr = self.e_field.d_dr(r, t)
-        dE_dt = self.e_field.d_dt(r, t)
-        J = np.zeros((3, m.n_axes))
-        J[:, :d] = self.rho * np.cross(E, np.eye(3)[:d]).T
-        J[:, d:2 * d] = (self.chi * self.b_field.d_dr(r, t)
-                         + self.rho * np.cross(dE_dr.T, p3).T)[:, :d]
-        J[:, 2 * d] = (self.chi * self.b_field.d_dt(r, t)
-                       + self.rho * np.cross(dE_dt, p3))
+        return _one_row(self._jacobian_rows, m)
+
+    def _jacobian_rows(self, p, r, t):
+        n, d = p.shape
+        p3 = np.zeros((n, 3))
+        p3[:, :d] = p
+        ef, bf = self.e_field, self.b_field
+        E = rows(ef, "value", r, t)
+        J = np.zeros((n, 3, 2 * d + 1))
+        J[:, :, :d] = self.rho * np.cross(E[:, None, :], np.eye(3)[:d]).swapaxes(1, 2)
+        dE_dr = rows(ef, "d_dr", r, t).swapaxes(1, 2)
+        J[:, :, d:2 * d] = (self.chi * rows(bf, "d_dr", r, t) + self.rho * np.cross(
+            dE_dr, p3[:, None, :]).swapaxes(1, 2))[:, :, :d]
+        J[:, :, 2 * d] = (self.chi * rows(bf, "d_dt", r, t)
+                          + self.rho * np.cross(rows(ef, "d_dt", r, t), p3))
         # _coupling's arithmetic on the E already evaluated
-        return self.chi * self.b_field.value(r, t) + self.rho * np.cross(E, p3), J
+        return self.chi * rows(bf, "value", r, t) + self.rho * np.cross(E, p3), J
 
     def curvature_blocks(self, m: PhasePoint) -> CurvatureTensor:
         """All five closed-form blocks from the analytic Jacobian.
@@ -338,8 +353,12 @@ class RashbaScenario:
         return E
 
     def coupling(self, m: PhasePoint) -> np.ndarray:
-        px, py = m.p
-        return np.array([-self.rho * py, self.rho * px, self.chi * self.b_z])
+        return self._coupling(m.p[None])[0]
+
+    def _coupling(self, p, r=None, t=None) -> np.ndarray:
+        """H1 (N, 3) at the momenta p (N, 2): (-rho p_y, rho p_x, chi B)."""
+        return np.concatenate([p[:, ::-1] * (-self.rho, self.rho),
+                               np.full((len(p), 1), self.chi * self.b_z)], axis=1)
 
     def coupling_norm(self, p) -> float:
         px, py = np.asarray(p, dtype=float)[:2]
@@ -347,19 +366,17 @@ class RashbaScenario:
 
     def jacobian(self, m: PhasePoint):
         """(b, J): the coupling and its Jacobian; only dH1/dp is nonzero."""
-        J = np.zeros((3, 5))
-        J[0, 1] = -self.rho
-        J[1, 0] = self.rho
-        return self.coupling(m), J
+        return _one_row(self._jacobian_rows, m)
+
+    def _jacobian_rows(self, p, r, t):
+        J = np.zeros((len(p), 3, 5))
+        J[:, 0, 1] = -self.rho
+        J[:, 1, 0] = self.rho
+        return self._coupling(p), J
 
     def model(self) -> HamiltonianModel:
-        rho, cb = self.rho, self.chi * self.b_z
-
-        def coupling_rows(p, r, t):
-            return np.stack([-rho * p[:, 1], rho * p[:, 0], np.full(len(p), cb)], axis=1)
-
-        return _split_model(self.m_star, self.coupling, self.jacobian,
-                            coupling_rows, self.constants())
+        return _split_model(self.m_star, self.coupling, self._jacobian_rows,
+                            self._coupling, self.constants())
 
     def em(self):
         from .dynamics import ExternalEMField

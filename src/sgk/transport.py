@@ -3,8 +3,11 @@
 Both bands are integrated from identical initial conditions, so any
 transverse observable difference is purely the gauge-force response. The
 sampler draws all initial conditions upfront from a counter-based
-generator and trajectories run and reduce in sample order, which makes
-reports bit-identical for a fixed seed.
+generator. rk4 ensembles of split models whose fields are all built in
+run every trajectory in lockstep, as the rows of one batched RK loop;
+other ensembles run one trajectory at a time through the same loop. A
+row's bits do not depend on its batch, and results reduce in sample
+order, so reports are bit-identical for a fixed seed either way.
 
 Optical ensembles trace helicity ray pairs instead of band trajectories;
 helicity -1 fills the band-0 slot and +1 the band-1 slot.
@@ -17,10 +20,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import ExternalEMField, IntegratorConfig, integrate
+from .dynamics import ExternalEMField, IntegratorConfig, _integrate_rows
 from .errors import EnsembleError, SgkError
+from .fields import builtin
 from .models import HamiltonianModel
-from .phase_space import PhasePoint
 from .scenarios import OpticalScenario, magnus_ray
 
 FAILURE_FRACTION_LIMIT = 0.10
@@ -164,17 +167,31 @@ def _embed3(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_model_trajectory(spec: EnsembleSpec, band: int, p0, r0):
-    initial = PhasePoint(p0, r0, spec.t0)
-    traj = integrate(spec.model, band, initial, spec.config, em=spec.em,
-                     curvature=spec.curvature)
-    if traj.status != "completed":
-        raise EnsembleError(f"trajectory ended with status {traj.status!r}")
-    axis = spec.transverse_axis
-    disp = float((_embed3(traj.final.m.r) - _embed3(r0)) @ axis)
-    duration = spec.config.t_end - spec.t0
-    v0 = float(_embed3(traj.states[0].v_r) @ axis)
-    return disp, disp / duration, v0
+def _model_runs(spec: EnsembleSpec, samples: np.ndarray) -> list:
+    """(RK loop outcome, row) of each trajectory, sample-major and band 0 first:
+    rk4 on exact row derivatives, with built-in external fields and no
+    curvature provider, runs all rows in lockstep, anything else one by one."""
+    Y = np.repeat(samples.reshape(spec.count, -1), 2, axis=0)
+    bands = np.tile([0, 1], spec.count)
+    split, em = spec.model.split, spec.em
+    run = lambda k: _integrate_rows(spec.model, bands[k], Y[k], spec.t0, spec.config, em,
+                                    spec.curvature)
+    if (spec.config.method == "rk4" and spec.curvature is None and split is not None
+            and split.jacobian_rows is not None
+            and (em is None or builtin(em.e_field) and builtin(em.b_field))):
+        batch = run(slice(None))
+        return [(batch, k) for k in range(len(Y))]
+    return [(run(slice(k, k + 1)), 0) for k in range(len(Y))]
+
+
+def _row_result(spec: EnsembleSpec, run, k: int, r0):
+    if run.errors[k] is not None:
+        raise run.errors[k]
+    if run.status[k] != "completed":
+        raise EnsembleError(f"trajectory ended with status {run.status[k]!r}")
+    axis, d = spec.transverse_axis, spec.d
+    disp = float((_embed3(run.y[k, d:]) - _embed3(r0)) @ axis)
+    return disp, disp / (spec.config.t_end - spec.t0), float(_embed3(run.v0[k, d:]) @ axis)
 
 
 def _run_ray(spec: EnsembleSpec, helicity: int, p0, r0):
@@ -199,9 +216,14 @@ def _run_ray(spec: EnsembleSpec, helicity: int, p0, r0):
 def run_ensemble(spec: EnsembleSpec) -> TransportReport:
     """Integrate both bands over the sampled initial conditions.
 
-    Trajectories run one after another in sample order, band 0 first.
-    Raises EnsembleError if more than 10% of trajectories fail; individual
-    failures are otherwise collected into the report.
+    rk4 ensembles of split models whose fields are all built in integrate
+    all 2 count trajectories in lockstep, as the rows of one RK loop;
+    rkf45, user callables and curvature providers, generic models and
+    optical rays run one trajectory at a time. Each trajectory keeps the
+    numbers and failure it has alone, and results are taken in sample
+    order, band 0 first. Raises EnsembleError if more than 10% of
+    trajectories fail; individual failures are otherwise collected into
+    the report.
     """
     samples = draw_samples(spec)
     n_tasks = 2 * spec.count
@@ -209,12 +231,13 @@ def run_ensemble(spec: EnsembleSpec) -> TransportReport:
     vel_samples = np.full((spec.count, 2), np.nan)
     v0_samples = np.full((spec.count, 2), np.nan)
     failures = []
+    runs = _model_runs(spec, samples) if spec.model is not None else None
     for i in range(spec.count):
         p0, r0 = samples[i, 0], samples[i, 1]
         for band in (0, 1):
             try:
-                if spec.model is not None:
-                    res = _run_model_trajectory(spec, band, p0, r0)
+                if runs is not None:
+                    res = _row_result(spec, *runs[2 * i + band], r0)
                 else:
                     res = _run_ray(spec, +1 if band == 1 else -1, p0, r0)
             except SgkError as exc:

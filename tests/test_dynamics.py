@@ -44,7 +44,9 @@ from sgk import (
     velocity_field,
     zeeman_connection,
 )
-from sgk.dynamics import _eval_point, _point_kernel
+from sgk.dynamics import _eval_rows
+
+from helpers import point_kernel
 
 
 def uniform_zeeman(b=(0.0, 0.0, 1.0), **kw):
@@ -509,7 +511,7 @@ def test_point_kernel_matches_finite_difference_oracles(kind, seed, band):
     # away from degeneracies, and from b_z = 0, where the frames' gauge
     # switches patch inside the differencing stencil
     assume(nb > 0.3 and abs(b[2]) > 1e-2 * nb)
-    k = _point_kernel(model, band, m, connection=True)
+    k = point_kernel(model, band, m, connection=True)
     E, g = band_gradients(model, band, m)
     assert k.energy == pytest.approx(E, abs=1e-12)
     assert k.gap == pytest.approx(model.band_gap(m), rel=1e-14)
@@ -527,12 +529,13 @@ def test_point_kernel_tie_rule_at_bz_zero():
     # at b_z = 0 exactly, component 0 wins the largest-component tie: the
     # upper band takes the north patch and the lower band the south patch
     G = np.array([[0.2, 0.0, 0.1], [0.3, -0.15, 0.0], [0.05, 0.4, 0.25]])
-    model = ZeemanScenario(b_field=LinearField(f0=(0.6, -0.8, 0.0), G=G)).model()
+    scn = ZeemanScenario(b_field=LinearField(f0=(0.6, -0.8, 0.0), G=G))
+    model = scn.model()
     m = PhasePoint((0.1, 0.2, 0.3), np.zeros(3), 0.0)
-    b, J = model.split.jacobian(m)
+    b, J = scn.jacobian(m)
     assert b[2] == 0.0
     for band, patch in ((1, "north"), (0, "south")):
-        A = _point_kernel(model, band, m, spin_force=False, connection=True).a_diag
+        A = point_kernel(model, band, m, spin_force=False, connection=True).a_diag
         assert np.allclose(A, zeeman_connection(b, band, patch) @ J,
                            rtol=0.0, atol=1e-15)
 
@@ -545,9 +548,9 @@ def test_fields_without_derivatives_keep_the_difference_path():
     cfg = IntegratorConfig(step=0.01, t_end=0.02)
     for field in (ValueOnly(), lambda r, t: np.array([0.1, 0.2, 1.0]) + 0.1 * r):
         model = ZeemanScenario(b_field=field).model()
-        assert model.split.jacobian is None
+        assert model.split.jacobian_rows is None
         assert integrate(model, 0, M1, cfg).status == "completed"
-    assert ZeemanScenario(b_field=(0.1, 0.2, 1.0)).model().split.jacobian is not None
+    assert ZeemanScenario(b_field=(0.1, 0.2, 1.0)).model().split.jacobian_rows is not None
 
 
 def test_generic_point_takes_one_eigensolve(monkeypatch):
@@ -565,7 +568,7 @@ def test_generic_point_takes_one_eigensolve(monkeypatch):
     cfg = IntegratorConfig(record_connection=True)
     em = ExternalEMField.uniform(E=(0.1, 0.0, 0.2), B=(0.0, 0.3, 0.5))
     for band in (0, 1):
-        k = _point_kernel(model, band, M1, connection=True)
+        k = point_kernel(model, band, M1, connection=True)
         E, g = band_gradients(model, band, M1)
         assert k.energy == E and np.array_equal(k.grad, g)
         assert k.gap == diagonalize(model, M1).gap
@@ -580,9 +583,10 @@ def test_generic_point_takes_one_eigensolve(monkeypatch):
         return eigh(H)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    ev = _eval_point(model, 1, M1, em, cfg, scn.curvature_blocks)
+    ev = _eval_rows(model, np.array([1]), M1.as_vector()[None], em, cfg,
+                    scn.curvature_blocks)
     assert calls == [(15, 2, 2)]
-    assert ev.a_diag is not None and ev.berry_rate != 0.0
+    assert ev["a"] is not None and ev["berry_rate"][0] != 0.0
 
 
 # -- contour displacement ---------------------------------------------------------

@@ -27,6 +27,8 @@ from sgk import (PAULI, AdiabaticConnectionField, BandTrackingError,
 from sgk.spectral import (DEGENERACY_RTOL, TRACKING_MIN_OVERLAP, aligned_frame,
                           diagonalize, frame_stack, smooth_frame_along)
 
+from helpers import shifted
+
 # -- per-point reference ----------------------------------------------------------
 
 
@@ -81,10 +83,10 @@ def ref_plaquette(model, m, h, richardson):
     _, Uc, _ = ref_frame(model, m)
 
     def angles(i, j, s):
-        c1 = m.shifted(i, -0.5 * s).shifted(j, -0.5 * s)
-        c2 = c1.shifted(i, +s)
+        c1 = shifted(shifted(m, i, -0.5 * s), j, -0.5 * s)
+        c2 = shifted(c1, i, +s)
         Us = [ref_frame(model, c, Uc)[1]
-              for c in (c1, c2, c2.shifted(j, +s), c1.shifted(j, +s))]
+              for c in (c1, c2, shifted(c2, j, +s), shifted(c1, j, +s))]
         W = np.ones(model.n, dtype=complex)
         for a in range(4):
             W *= np.einsum("ib,ib->b", Us[a].conj(), Us[(a + 1) % 4])
@@ -103,8 +105,8 @@ def ref_connection(model, m, h):
     _, Uc, _ = ref_frame(model, m)
     comps = np.zeros((m.n_axes, model.n, model.n), dtype=complex)
     for k in range(m.n_axes):
-        Up = ref_frame(model, m.shifted(k, +h), Uc)[1]
-        Um = ref_frame(model, m.shifted(k, -h), Uc)[1]
+        Up = ref_frame(model, shifted(m, k, +h), Uc)[1]
+        Um = ref_frame(model, shifted(m, k, -h), Uc)[1]
         A = 1j * (Uc.conj().T @ (Up - Um)) / (2.0 * h)
         comps[k] = 0.5 * (A + A.conj().T)
     return comps
@@ -211,8 +213,8 @@ def test_connection_and_gradients_equal_per_point_loop(model):
     if model.split is None:
         E, g = band_gradients(model, 1, m, step=h)
         center = ref_stack(model, [m])[0]
-        want = np.array([(ref_frame(model, m.shifted(k, h), center[1])[0][1]
-                          - ref_frame(model, m.shifted(k, -h), center[1])[0][1])
+        want = np.array([(ref_frame(model, shifted(m, k, h), center[1])[0][1]
+                          - ref_frame(model, shifted(m, k, -h), center[1])[0][1])
                          / (2.0 * h) for k in range(7)])
         assert E == center[0][1]
         assert_same_bits(g, want)

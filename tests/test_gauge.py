@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgk.gauge
 from sgk import (
     AdiabaticConnectionField,
     BandTrackingError,
@@ -521,6 +522,18 @@ def test_link_charge_failures():
     with pytest.raises(ValueError, match="^expected 2 coordinates$"):
         AdiabaticConnectionField(field.model, base, axes=(3, 4)).sphere_charge(
             (0.0, 0.0, 0.0), 1.0, (8, 16), 0)
+
+
+@pytest.mark.parametrize("nodes, vertices", [((8, 16), 16), ((8, 16), 48),
+                                             ((64, 128), 128), ((64, 128), 10**6)])
+def test_link_charge_bits_do_not_depend_on_the_ring_bands(nodes, vertices, monkeypatch):
+    # bands of one ring, of three rings and the whole mesh in one stack give
+    # the charge of the default bands to the bit
+    field = hedgehog_field(chi=0.8)
+    center = (0.3, -0.1, 0.2)
+    want = [field.sphere_charge(center, 0.9, nodes, band) for band in (0, 1)]
+    monkeypatch.setattr(sgk.gauge, "MESH_BAND_VERTICES", vertices)
+    assert [field.sphere_charge(center, 0.9, nodes, band) for band in (0, 1)] == want
 
 
 @pytest.mark.parametrize("bad", [[0.5], 0.5, [0.5, 0.1], [0.1, 0.2, 0.3, 0.4],

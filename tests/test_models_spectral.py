@@ -12,6 +12,8 @@ from sgk.scenarios import ZeemanScenario
 from sgk.gauge import adiabatic_curvature_numeric
 from sgk.spectral import aligned_frame, diagonalize, smooth_frame_along
 
+from helpers import shifted
+
 M0 = PhasePoint((0.1, -0.2, 0.3), (0.2, 0.4, 0.9), 0.0)
 
 
@@ -97,7 +99,7 @@ def test_convention_idempotent(mag, theta, phi):
 def test_aligned_frame_tracks_band_order():
     model = split_model()
     ref = diagonalize(model, M0)
-    near = M0.shifted(4, 1e-3)
+    near = shifted(M0, 4, 1e-3)
     fr = aligned_frame(model, near, ref)
     # ascending order preserved under a tiny move
     assert fr.energies[0] < fr.energies[1]
@@ -111,7 +113,7 @@ def test_smooth_frame_along_successive_overlaps_are_real_positive():
     model = split_model()
     path = [M0]
     for k, h in [(3, 2e-3), (4, -3e-3), (5, 1e-3), (3, 4e-3), (0, 1e-2)]:
-        path.append(path[-1].shifted(k, h))
+        path.append(shifted(path[-1], k, h))
     frames = smooth_frame_along(model, path)
     for a, b in zip(frames, frames[1:]):
         ov = np.einsum("ib,ib->b", a.U.conj(), b.U)

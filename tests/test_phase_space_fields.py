@@ -9,6 +9,8 @@ from sgk.fields import (CallableField, LinearField, LinearIndex, PolyField,
                         RotatingField, UniformField, UniformIndex, as_field)
 from sgk.phase_space import PhasePoint, axis_labels
 
+from helpers import shifted
+
 
 def test_axis_labels_order():
     assert axis_labels(2) == ("p1", "p2", "r1", "r2", "t")
@@ -44,7 +46,7 @@ def test_phase_point_immutable_copies():
 @settings(max_examples=30, deadline=None)
 def test_shifted_moves_one_axis(axis, delta):
     m = PhasePoint((0.1, 0.2, 0.3), (0.4, 0.5, 0.6), 0.7)
-    v0, v1 = m.as_vector(), m.shifted(axis, delta).as_vector()
+    v0, v1 = m.as_vector(), shifted(m, axis, delta).as_vector()
     assert v1[axis] == pytest.approx(v0[axis] + delta)
     mask = np.arange(7) != axis
     assert np.array_equal(v0[mask], v1[mask])

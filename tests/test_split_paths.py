@@ -18,9 +18,10 @@ from sgk import (IntegratorConfig, LinearField, OpticalScenario, PhasePoint,
                  UniformField, ZeemanScenario, band_gradients,
                  curvature_m_space, default_step, integrate, magnus_ray,
                  monopole_pullback)
-from sgk.dynamics import _point_kernel, _split_derivatives, _split_energy
 from sgk.fields import CallableField, LinearIndex, builtin
 from sgk.phase_space import central_difference
+
+from helpers import point_kernel, split_derivatives, split_energy
 
 EPS = np.finfo(float).eps
 
@@ -70,7 +71,7 @@ M_STALE = PhasePoint((0.1, 0.0, 0.0), (0.8, -0.2, 0.3), 0.4)
 def strip(model):
     """The model with its split form's exact derivatives removed."""
     return dataclasses.replace(model, split=dataclasses.replace(
-        model.split, grad_h0=None, jacobian=None))
+        model.split, jacobian_rows=None))
 
 
 def test_builtin_predicate():
@@ -90,8 +91,8 @@ def test_overridden_value_takes_no_stale_derivatives(field, band):
     # model must carry no exact derivatives and no stack form, so forces
     # come from the value the model actually has
     model = ZeemanScenario(b_field=field).model()
-    assert model.split.grad_h0 is model.split.jacobian is model.split.stack is None
-    k = _point_kernel(model, band, M_STALE)
+    assert model.split.jacobian_rows is model.split.stack is None
+    k = point_kernel(model, band, M_STALE)
     E, g = band_gradients(model, band, M_STALE)
     assert np.allclose(k.grad, g, rtol=0.0, atol=1e-8)
     assert np.allclose(k.F, curvature_m_space(model, M_STALE).F[band],
@@ -124,9 +125,9 @@ def test_differenced_kernel_matches_exact_kernel(kind, seed, band):
     # away from degeneracies, and from the patch switch of A at b_z = 0
     assume(nb > 0.3 and abs(b[2]) > 1e-2 * nb)
     bare = strip(model)
-    k = _point_kernel(bare, band, m, connection=True)
-    exact = _point_kernel(model, band, m, connection=True)
-    E, gap = _split_energy(float(bare.split.h0(m)), bare.constants.hbar * nb, band)
+    k = point_kernel(bare, band, m, connection=True)
+    exact = point_kernel(model, band, m, connection=True)
+    E, gap = split_energy(float(bare.split.h0(m)), bare.constants.hbar * nb, band)
     assert (k.energy, k.gap) == (E, gap)
     assert np.array_equal(k.F, curvature_m_space(bare, m).F[band])
     # H0 and these H1 are at most quadratic along any one axis, so the
@@ -188,9 +189,9 @@ def test_stencil_derivatives_match_per_point_differences(kind, seed, zeros):
     # turns into +0.0; np.array_equal counts the two zeros as equal
     model, m = stencil_case(kind, seed, zeros)
     split = model.split
-    assert split.jacobian is None and (split.stack is None) == (kind == "callable")
+    assert split.jacobian_rows is None and (split.stack is None) == (kind == "callable")
     ref = per_point_derivatives(split, m, default_step(m))
-    got = _split_derivatives(split, m)
+    got = split_derivatives(split, m)
     assert len(got) == len(ref)
     for got, want in zip(got, ref):
         assert np.array_equal(got, want)
@@ -219,7 +220,7 @@ def test_differenced_kernel_takes_one_stack(kind):
     bare = dataclasses.replace(model, split=dataclasses.replace(
         split, stack=counted("stack", split.stack), h0=counted("h0", split.h0),
         h1=counted("h1", split.h1)))
-    _point_kernel(bare, 1, m, connection=True)
+    point_kernel(bare, 1, m, connection=True)
     assert calls == {"stack": 1, "h0": 0, "h1": 0}
 
 

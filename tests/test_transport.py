@@ -1,11 +1,16 @@
 """Band-paired ensembles: sampling, observables, determinism, failure paths."""
 
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sgk.dynamics
 from sgk import (
     EnsembleError,
     EnsembleSpec,
@@ -14,16 +19,23 @@ from sgk import (
     IntegratorConfig,
     LinearIndex,
     OpticalScenario,
+    PhasePoint,
+    PolyField,
     RashbaScenario,
+    SgkError,
     TransportReport,
     UniformIndex,
     ZeemanScenario,
     displacement_contour,
     draw_samples,
+    integrate,
     magnus_ray,
     polarization_current,
     run_ensemble,
 )
+from sgk.cli import main
+from sgk.dynamics import _integrate_rows
+from sgk.fields import CallableField
 
 EY = np.array([0.0, 1.0, 0.0])
 
@@ -286,6 +298,164 @@ def test_diverging_sample_counts_as_a_failure():
 def test_failure_fraction_limit():
     with pytest.raises(EnsembleError, match="trajectories failed"):
         run_ensemble(degenerate_line_spec(5))  # 2 of 10 fail
+
+
+# -- lockstep batches ------------------------------------------------------------
+
+
+def lockstep_case(kind, seed, count, epsilon_abort):
+    """A Zeeman poly or Rashba ensemble spec with exact row derivatives."""
+    rng = np.random.default_rng(seed)
+    config = IntegratorConfig(step=0.02, t_end=0.15, epsilon_abort=epsilon_abort)
+    if kind == "rashba":
+        scn = RashbaScenario(b_z=float(rng.uniform(0.3, 2.0)),
+                             e_inplane=tuple(rng.uniform(-0.3, 0.3, 2)),
+                             rho=float(rng.uniform(0.5, 1.0)))
+        return EnsembleSpec(count=count, config=config, p_center=rng.uniform(-0.5, 0.5, 2),
+                            r_center=np.zeros(2), p_spread=np.full(2, 0.4),
+                            r_spread=np.full(2, 0.5), seed=seed, model=scn.model(),
+                            em=scn.em(), transverse_axis=scn.transverse_axis())
+    scn = ZeemanScenario(b_field=PolyField.random(seed, rng.uniform(-0.5, 0.5, 3)))
+    em = ExternalEMField.uniform(E=rng.uniform(-0.3, 0.3, 3), B=rng.uniform(-0.5, 0.5, 3))
+    return EnsembleSpec(count=count, config=config, p_center=np.zeros(3),
+                        r_center=np.zeros(3), p_spread=np.full(3, 0.5),
+                        r_spread=np.full(3, 0.8), seed=seed, model=scn.model(), em=em)
+
+
+def batch_rows(spec):
+    """(bands, Y) of an ensemble's rows, sample-major, band 0 first."""
+    samples = draw_samples(spec)
+    return (np.tile([0, 1], spec.count),
+            np.repeat(samples.reshape(spec.count, -1), 2, axis=0))
+
+
+def row_outcome(run, i):
+    """A row's status, error text, final state and launch velocity, as bytes."""
+    err = run.errors[i]
+    return (run.status[i], None if err is None else f"{type(err).__name__}: {err}",
+            run.y[i].tobytes(), run.v0[i].tobytes())
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["zeeman", "rashba"]), seed=st.integers(0, 2**32 - 1),
+       epsilon_abort=st.sampled_from([1.0, 0.05]), data=st.data())
+def test_row_bits_do_not_depend_on_the_batch(kind, seed, epsilon_abort, data):
+    # a low epsilon bound makes rows breach, and strong spin forces make
+    # rows fail with a SpinForceWarning, which the suite turns into an error
+    spec = lockstep_case(kind, seed, 4, epsilon_abort)
+    bands, Y = batch_rows(spec)
+    run = lambda rows: _integrate_rows(spec.model, bands[rows], Y[rows], spec.t0,
+                                       spec.config, spec.em)
+    full = run(np.arange(len(Y)))
+    want = [row_outcome(full, i) for i in range(len(Y))]
+    order = data.draw(st.permutations(range(len(Y))))
+    shuffled = run(np.array(order))
+    assert [row_outcome(shuffled, k) for k in range(len(Y))] == [want[i] for i in order]
+    sub = data.draw(st.lists(st.integers(0, len(Y) - 1), min_size=1, max_size=len(Y),
+                             unique=True))
+    part = run(np.array(sub))
+    assert [row_outcome(part, k) for k in range(len(sub))] == [want[i] for i in sub]
+    d = spec.d
+    for i, (band, y) in enumerate(zip(bands, Y)):
+        try:
+            traj = integrate(spec.model, band, PhasePoint(y[:d], y[d:], spec.t0),
+                             spec.config, em=spec.em)
+        except Exception as exc:  # a SpinForceWarning too, as warnings are errors here
+            assert want[i][:2] == ("failed", f"{type(exc).__name__}: {exc}")
+            continue
+        v0 = np.concatenate([traj.states[0].v_p, traj.states[0].v_r])
+        final = np.concatenate([traj.final.m.p, traj.final.m.r])
+        assert want[i] == (traj.status, None, final.tobytes(), v0.tobytes())
+
+
+def hedgehog_line_spec(count):
+    # B(r) = r on a grid along z with spacing 0.2: the sample at r = 0 sits
+    # on the band crossing, the one at z = 0.2 breaches epsilon (about 2.5
+    # by t = 0.2) and the others, from z = 0.4 on, stay below 1
+    c = 0.1 * (count - 1)
+    return EnsembleSpec(count=count, config=IntegratorConfig(step=0.02, t_end=0.2),
+                        p_center=np.array([0.4, 0.0, 0.0]),
+                        r_center=np.array([0.0, 0.0, c]), r_spread=np.array([0.0, 0.0, c]),
+                        sampler="grid", model=ZeemanScenario.hedgehog().model(),
+                        transverse_axis=EY)
+
+
+# the spin force near the hedgehog core is not small, by design
+@pytest.mark.filterwarnings("ignore::sgk.SpinForceWarning")
+def test_lockstep_failures_are_isolated():
+    spec = hedgehog_line_spec(21)  # 4 of 42 trajectories fail
+    report = run_ensemble(spec)
+    bands, Y = batch_rows(spec)
+    want = []
+    for i, (band, y) in enumerate(zip(bands, Y)):
+        try:
+            traj = integrate(spec.model, band, PhasePoint(y[:3], y[3:], 0.0), spec.config)
+        except SgkError as exc:
+            want.append((i // 2, band, f"{type(exc).__name__}: {exc}"))
+            continue
+        if traj.status != "completed":
+            want.append((i // 2, band, "EnsembleError: trajectory ended with status "
+                         f"{traj.status!r}"))
+        else:
+            disp = float(traj.final.m.r @ EY - y[3:] @ EY)
+            assert report.disp_samples[i // 2, band] == disp
+            assert report.v0_samples[i // 2, band] == float(traj.states[0].v_r @ EY)
+    assert report.failures == tuple(want)
+    assert [(i, b) for i, b, _ in want] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert "DegeneracyError" in want[0][2] and "adiabaticity_breach" in want[2][2]
+    # the good rows keep their bits without the bad samples in the batch
+    good = np.arange(4, len(Y))
+    full = _integrate_rows(spec.model, bands, Y, 0.0, spec.config)
+    alone = _integrate_rows(spec.model, bands[good], Y[good], 0.0, spec.config)
+    assert [row_outcome(full, i) for i in good] == [row_outcome(alone, k)
+                                                    for k in range(len(good))]
+    with pytest.raises(EnsembleError, match="4/22 trajectories failed"):
+        run_ensemble(hedgehog_line_spec(11))
+
+
+def count_kernel_rows(monkeypatch):
+    rows = []
+    kernel = sgk.dynamics._point_kernel
+
+    def counting(model, bands, X, *args, **kwargs):
+        rows.append(len(X))
+        return kernel(model, bands, X, *args, **kwargs)
+
+    monkeypatch.setattr(sgk.dynamics, "_point_kernel", counting)
+    return rows
+
+
+def test_bench_ensemble_runs_in_lockstep(monkeypatch, tmp_path, capsys):
+    # the benchmark's seed-0 ensemble call: 16 Rashba samples, 30 rk4 steps
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+    inv = workloads.ensemble(0)[0]
+    (tmp_path / "config.json").write_text(json.dumps(inv.config))
+    rows = count_kernel_rows(monkeypatch)
+    assert main([inv.command, "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "out"), *inv.args]) == 0
+    assert json.loads(capsys.readouterr().out)["failures"] == 0
+    # one launch evaluation and four stages per step, each over all rows:
+    # 121 calls of 32 rows, where one trajectory at a time made 3872 calls
+    assert rows == [2 * workloads.ENSEMBLE_COUNT] * (1 + 4 * workloads.ENSEMBLE_STEPS)
+
+
+@pytest.mark.parametrize("change", ["rkf45", "callable", "provider"])
+def test_other_ensembles_run_one_trajectory_at_a_time(change, monkeypatch):
+    scn = ZeemanScenario(b_field=PolyField.random(2, (0.1, -0.2, 1.5)))
+    spec = EnsembleSpec(count=3, config=IntegratorConfig(step=0.02, t_end=0.1),
+                        p_center=np.zeros(3), r_center=np.zeros(3),
+                        p_spread=np.full(3, 0.2), r_spread=np.full(3, 0.2), model=scn.model())
+    if change == "rkf45":
+        spec = replace(spec, config=replace(spec.config, method="rkf45", tolerance=1e-6))
+    elif change == "callable":
+        field = PolyField.random(2, (0.1, -0.2, 1.5))
+        spec = replace(spec, model=ZeemanScenario(b_field=CallableField(field.value)).model())
+    else:
+        spec = replace(spec, model=scn.model(), curvature=scn.curvature_blocks)
+    rows = count_kernel_rows(monkeypatch)
+    report = run_ensemble(spec)
+    assert set(rows) == {1} and report.failures == ()
 
 
 # -- polarization -------------------------------------------------------------
