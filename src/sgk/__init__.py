@@ -9,6 +9,8 @@ polarized rays in a graded index), ensemble transport averages, and a
 self-check battery, all reachable from the `sgk` command line tool.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (BandTrackingError, ConstraintDriftWarning,
                      DegeneracyError, EnsembleError, GaugePatchError,
                      NumericalError, QuadratureError, SchemaError, SgkError,
@@ -49,32 +51,6 @@ from .verify import run_battery
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdiabaticConnectionField", "BandTrackingError", "CallableField",
-    "Connection", "Constants", "ConstraintDriftWarning", "CurvatureTensor",
-    "DEGENERACY_RTOL", "DegeneracyError", "EffectiveFields", "EnsembleError",
-    "EnsembleSpec", "ExternalEMField", "GaugePatchError", "HamiltonianModel",
-    "IndexField", "IntegratorConfig", "LinearField", "LinearIndex",
-    "MagnusRay", "MaxwellResiduals", "NonAbelianCurvature", "NumericalError",
-    "OpticalScenario", "PAULI", "PhaseIntegral", "PhasePoint",
-    "PolyField", "QuadratureError",
-    "RashbaScenario", "RotatingField", "SchemaError", "SgkError",
-    "SingularSystemError", "SingularityError", "SpinForceWarning",
-    "SpinOrbitScenario", "SplitForm", "StepError", "TRACKING_MIN_OVERLAP",
-    "Trajectory", "TrajectoryState", "TransportReport", "UniformField",
-    "UniformIndex", "VectorField", "ZeemanScenario", "adiabatic_connection",
-    "adiabatic_curvature_numeric", "adiabaticity_epsilon", "aligned_frame",
-    "as_field", "axis_labels", "band_gradients", "band_sign", "chern_charge",
-    "curvature_m_space", "curvature_of_abelian_field",
-    "default_curvature_provider", "default_step", "diagonalize",
-    "dirac_phase", "displacement_contour", "draw_samples",
-    "effective_em_fields", "exact_connection", "exact_connection_field",
-    "integrate", "magnus_ray", "magnus_ray_pair", "maxwell_residuals",
-    "monopole_curvature", "monopole_field", "monopole_pseudovector",
-    "monopole_pullback",
-    "nonabelian_curvature", "phase_line_integral", "polarization_current",
-    "pseudo_to_tensor", "pullback_curvature", "ray_splitting", "regauge",
-    "run_battery", "run_ensemble", "smooth_frame_along", "spin_force_terms",
-    "tensor_to_pseudo", "velocity_field", "wrap_angle", "zeeman_connection",
-    "zeeman_curvature_b", "zeeman_frame",
-]
+# every public name imported above, and none of the submodules
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, _ModuleType))

@@ -220,15 +220,13 @@ def _split_energy(h0: np.ndarray, nb: np.ndarray, sign: np.ndarray):
     eigensolver's degeneracy guard; the first failing row raises."""
     gap = 2.0 * nb
     tol = DEGENERACY_RTOL * np.maximum(1.0, np.abs(h0) + nb)
-    if not ((gap >= tol) & (tol < math.inf)).all():  # NaN fails both; then check exactly
-        finite = np.isfinite(h0) & np.isfinite(nb)
-        bad = ~finite | (gap < tol)
-        i = bad.argmax()
-        if not finite[i]:
+    ok = (gap >= tol) & (tol < math.inf)  # a finite tol needs finite H0 and |H1|
+    if not ok.all():
+        i = ok.argmin()  # the first failing row
+        if not (math.isfinite(h0[i]) and math.isfinite(nb[i])):
             raise NumericalError(f"band energy is not finite: H0 = {float(h0[i])}, "
                                  f"hbar|H1| = {float(nb[i])}")
-        if bad[i]:
-            raise DegeneracyError(f"band gap {gap[i]:.3e} below tolerance {tol[i]:.3e}")
+        raise DegeneracyError(f"band gap {gap[i]:.3e} below tolerance {tol[i]:.3e}")
     return h0 + sign * nb, gap
 
 
@@ -417,7 +415,7 @@ def _velocity(model, X, g, F, em, mode, with_ratio):
         # |F_r . mdot|, |F_p . mdot|, |rhs_p0| and |grad_p E| of each row
         forces = np.concatenate([_mv(F[:, :2 * d], np.concatenate([v, np.ones((N, 1))], axis=1)),
                                  rhs_p0, gp], axis=1).reshape(N, 4, d)
-        norms = np.sqrt((forces * forces).sum(2))
+        norms = row_norm(forces.reshape(-1, d)).reshape(N, 4)
         ratio = hb * norms[:, :2].max(1) / np.maximum(norms[:, 2:].max(1), 1e-300)
     return v, ratio
 
@@ -548,11 +546,13 @@ def _integrate_rows(model, bands, Y, t0, config, em=None, curvature=None,
     completes, breaches epsilon or fails. A step that raises for the batch
     is redone one row at a time, so each row keeps the result or error it
     has alone: no row's bits depend on its batch. rkf45 adapts the step
-    to its one row.
+    to its one row, and takes no more.
     """
     duration = config.t_end - t0
     if duration <= 0:
         raise ValueError("t_end must exceed the initial time")
+    if config.method == "rkf45" and len(Y) > 1:
+        raise ValueError("rkf45 integrates one row at a time")
     N = len(Y)
     out = _Rows(["max_steps"] * N, [None] * N, Y.copy(), np.full(Y.shape, np.nan), [])
     cur, running, warned = {"y": out.y}, np.ones(N, dtype=bool), np.zeros(N, dtype=bool)
@@ -637,13 +637,7 @@ def _isolated(fn, idx: np.ndarray, fail) -> list:
         if len(idx) == 1:
             fail(idx[0], exc)
             return []
-    parts = []
-    for k in range(len(idx)):
-        try:
-            parts.append((idx[k:k + 1], fn(idx[k:k + 1])))
-        except Exception as exc:
-            fail(idx[k], exc)
-    return parts
+    return [part for k in range(len(idx)) for part in _isolated(fn, idx[k:k + 1], fail)]
 
 
 def _attach_step(exc: Exception, step_index: int) -> None:

@@ -171,24 +171,18 @@ def zeeman_frame(b3, form: str = "mixed") -> np.ndarray:
         U = np.array([[spn, smn],
                       [w / spn, -w / smn]], dtype=complex) / np.sqrt(2.0 * B)
         return U
+    if form not in ("north", "south"):
+        raise ValueError(f"unknown frame form {form!r}")
     ct = bz / B
+    if perp < 1e-13 * B and (ct < 0 if form == "north" else ct > 0):
+        raise GaugePatchError(f"{form} frame is singular on the "
+                              f"{'-' if form == 'north' else '+'}z ray")
+    c = np.sqrt(max(0.0, (1.0 + ct) / 2.0))
+    s = np.sqrt(max(0.0, (1.0 - ct) / 2.0))
+    phase = (bx + 1j * by) / perp if perp > 0 else 1.0 + 0j
     if form == "north":
-        if perp < 1e-13 * B and ct < 0:
-            raise GaugePatchError("north frame is singular on the -z ray")
-        c = np.sqrt(max(0.0, (1.0 + ct) / 2.0))
-        s = np.sqrt(max(0.0, (1.0 - ct) / 2.0))
-        phase = (bx + 1j * by) / perp if perp > 0 else 1.0 + 0j
-        return np.array([[c, -s * np.conj(phase)],
-                         [s * phase, c]], dtype=complex)
-    if form == "south":
-        if perp < 1e-13 * B and ct > 0:
-            raise GaugePatchError("south frame is singular on the +z ray")
-        c = np.sqrt(max(0.0, (1.0 + ct) / 2.0))
-        s = np.sqrt(max(0.0, (1.0 - ct) / 2.0))
-        phase = (bx + 1j * by) / perp if perp > 0 else 1.0 + 0j
-        return np.array([[c * np.conj(phase), -s],
-                         [s, c * phase]], dtype=complex)
-    raise ValueError(f"unknown frame form {form!r}")
+        return np.array([[c, -s * np.conj(phase)], [s * phase, c]], dtype=complex)
+    return np.array([[c * np.conj(phase), -s], [s, c * phase]], dtype=complex)
 
 
 def zeeman_connection(b3, band: int, patch: str = "auto") -> np.ndarray:
@@ -208,17 +202,14 @@ def zeeman_connection(b3, band: int, patch: str = "auto") -> np.ndarray:
     perp = np.hypot(bx, by)
     if patch == "auto":
         patch = "north" if bz > -PATCH_SWITCH * B else "south"
-    if patch == "north":
-        if perp < 1e-13 * B and bz < 0:
-            raise GaugePatchError("north patch is singular on the -z ray")
-        den = 2.0 * B * (B + bz)
-        return 2.0 * S * np.array([by, -bx, 0.0]) / den
-    if patch == "south":
-        if perp < 1e-13 * B and bz > 0:
-            raise GaugePatchError("south patch is singular on the +z ray")
-        den = 2.0 * B * (B - bz)
-        return -2.0 * S * np.array([by, -bx, 0.0]) / den
-    raise ValueError(f"unknown patch {patch!r}")
+    if patch not in ("north", "south"):
+        raise ValueError(f"unknown patch {patch!r}")
+    north = patch == "north"
+    if perp < 1e-13 * B and (bz < 0 if north else bz > 0):
+        raise GaugePatchError(f"{patch} patch is singular on the {'-' if north else '+'}z ray")
+    if north:
+        return 2.0 * S * np.array([by, -bx, 0.0]) / (2.0 * B * (B + bz))
+    return -2.0 * S * np.array([by, -bx, 0.0]) / (2.0 * B * (B - bz))
 
 
 def zeeman_curvature_b(b3, band: int) -> np.ndarray:
@@ -389,8 +380,7 @@ class RashbaScenario:
         nE = np.linalg.norm(E)
         if nE == 0.0:
             raise ValueError("transverse axis is undefined without a driving field")
-        t = np.cross(E_Z, E) / nE
-        return t
+        return np.cross(E_Z, E) / nE
 
     def curvature_provider(self) -> Callable:
         """Closed-form curvature: only the in-plane momentum block survives.

@@ -3,11 +3,11 @@
 Both bands are integrated from identical initial conditions, so any
 transverse observable difference is purely the gauge-force response. The
 sampler draws all initial conditions upfront from a counter-based
-generator. rk4 ensembles of split models whose fields are all built in
-run every trajectory in lockstep, as the rows of one batched RK loop;
-other ensembles run one trajectory at a time through the same loop. A
-row's bits do not depend on its batch, and results reduce in sample
-order, so reports are bit-identical for a fixed seed either way.
+generator. rk4 ensembles run every trajectory in lockstep, as the rows
+of one batched RK loop; rkf45 ensembles run one trajectory at a time
+through the same loop. A row's bits do not depend on its batch, and
+results reduce in sample order, so reports are bit-identical for a fixed
+seed either way.
 
 Optical ensembles trace helicity ray pairs instead of band trajectories;
 helicity -1 fills the band-0 slot and +1 the band-1 slot.
@@ -22,7 +22,6 @@ import numpy as np
 
 from .dynamics import ExternalEMField, IntegratorConfig, _integrate_rows
 from .errors import EnsembleError, SgkError
-from .fields import builtin
 from .models import HamiltonianModel
 from .scenarios import OpticalScenario, magnus_ray
 
@@ -169,16 +168,12 @@ def _embed3(v: np.ndarray) -> np.ndarray:
 
 def _model_runs(spec: EnsembleSpec, samples: np.ndarray) -> list:
     """(RK loop outcome, row) of each trajectory, sample-major and band 0 first:
-    rk4 on exact row derivatives, with built-in external fields and no
-    curvature provider, runs all rows in lockstep, anything else one by one."""
+    rk4 runs all rows in lockstep, rkf45 adapts its step to one row at a time."""
     Y = np.repeat(samples.reshape(spec.count, -1), 2, axis=0)
     bands = np.tile([0, 1], spec.count)
-    split, em = spec.model.split, spec.em
-    run = lambda k: _integrate_rows(spec.model, bands[k], Y[k], spec.t0, spec.config, em,
+    run = lambda k: _integrate_rows(spec.model, bands[k], Y[k], spec.t0, spec.config, spec.em,
                                     spec.curvature)
-    if (spec.config.method == "rk4" and spec.curvature is None and split is not None
-            and split.jacobian_rows is not None
-            and (em is None or builtin(em.e_field) and builtin(em.b_field))):
+    if spec.config.method == "rk4":
         batch = run(slice(None))
         return [(batch, k) for k in range(len(Y))]
     return [(run(slice(k, k + 1)), 0) for k in range(len(Y))]
@@ -216,14 +211,12 @@ def _run_ray(spec: EnsembleSpec, helicity: int, p0, r0):
 def run_ensemble(spec: EnsembleSpec) -> TransportReport:
     """Integrate both bands over the sampled initial conditions.
 
-    rk4 ensembles of split models whose fields are all built in integrate
-    all 2 count trajectories in lockstep, as the rows of one RK loop;
-    rkf45, user callables and curvature providers, generic models and
-    optical rays run one trajectory at a time. Each trajectory keeps the
-    numbers and failure it has alone, and results are taken in sample
-    order, band 0 first. Raises EnsembleError if more than 10% of
-    trajectories fail; individual failures are otherwise collected into
-    the report.
+    rk4 ensembles integrate all 2 count trajectories in lockstep, as the
+    rows of one RK loop; rkf45 trajectories and optical rays run one at a
+    time. Each trajectory keeps the numbers and failure it has alone, and
+    results are taken in sample order, band 0 first. Raises EnsembleError
+    if more than 10% of trajectories fail; individual failures are
+    otherwise collected into the report.
     """
     samples = draw_samples(spec)
     n_tasks = 2 * spec.count

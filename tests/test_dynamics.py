@@ -44,7 +44,7 @@ from sgk import (
     velocity_field,
     zeeman_connection,
 )
-from sgk.dynamics import _eval_rows
+from sgk.dynamics import _eval_rows, _point_kernel, _velocity
 
 from helpers import point_kernel
 
@@ -442,6 +442,25 @@ def test_spin_force_warning_fires_once_per_trajectory():
         integrate(scn.model(), 1, start, cfg)
     hits = [w for w in rec if issubclass(w.category, SpinForceWarning)]
     assert len(hits) == 1
+
+
+def test_spin_force_ratio_keeps_the_bits_of_linalg_norm():
+    # the ratio decides where SpinForceWarning fires; a row's norms must
+    # round like np.linalg.norm of that row, which sqrt(sum(x * x)) does not
+    model = ZeemanScenario(b_field=PolyField.random(7, (0.2, -0.1, 0.6))).model()
+    rng = np.random.default_rng(3)
+    X = np.concatenate([rng.uniform(-1.0, 1.0, (64, 6)), rng.uniform(0.0, 1.0, (64, 1))], axis=1)
+    bands = rng.integers(0, 2, 64)
+    em = ExternalEMField.uniform(E=(0.3, -0.2, 0.1), B=(0.1, 0.4, -0.3))
+    k = _point_kernel(model, bands, X)
+    v, ratio = _velocity(model, X, k.grad, k.F, em, "exact", True)
+    cst = model.constants
+    for i in range(len(X)):
+        mdot, F, g = np.append(v[i], 1.0), k.F[i], k.grad[i]
+        gauge = max(np.linalg.norm(F[3:6] @ mdot), np.linalg.norm(F[:3] @ mdot))
+        rhs_p0 = -g[3:6] + cst.e * em.e_field.value(X[i, 3:6], X[i, 6])
+        base = max(np.linalg.norm(rhs_p0), np.linalg.norm(g[:3]), 1e-300)
+        assert ratio[i] == cst.hbar * gauge / base
 
 
 def test_spin_force_warning_fires_where_a_benign_start_turns_marginal():

@@ -304,18 +304,24 @@ def test_failure_fraction_limit():
 
 
 def lockstep_case(kind, seed, count, epsilon_abort):
-    """A Zeeman poly or Rashba ensemble spec with exact row derivatives."""
+    """A Zeeman poly or Rashba ensemble spec: with exact row derivatives, or
+    with a CallableField coupling (differenced) or a curvature provider."""
     rng = np.random.default_rng(seed)
     config = IntegratorConfig(step=0.02, t_end=0.15, epsilon_abort=epsilon_abort)
-    if kind == "rashba":
+    if kind.startswith("rashba"):
         scn = RashbaScenario(b_z=float(rng.uniform(0.3, 2.0)),
                              e_inplane=tuple(rng.uniform(-0.3, 0.3, 2)),
                              rho=float(rng.uniform(0.5, 1.0)))
         return EnsembleSpec(count=count, config=config, p_center=rng.uniform(-0.5, 0.5, 2),
                             r_center=np.zeros(2), p_spread=np.full(2, 0.4),
                             r_spread=np.full(2, 0.5), seed=seed, model=scn.model(),
-                            em=scn.em(), transverse_axis=scn.transverse_axis())
-    scn = ZeemanScenario(b_field=PolyField.random(seed, rng.uniform(-0.5, 0.5, 3)))
+                            em=scn.em(), transverse_axis=scn.transverse_axis(),
+                            curvature=scn.curvature_provider() if kind == "rashba-provider"
+                            else None)
+    b_field = PolyField.random(seed, rng.uniform(-0.5, 0.5, 3))
+    if kind == "zeeman-callable":
+        b_field = CallableField(b_field.value)
+    scn = ZeemanScenario(b_field=b_field)
     em = ExternalEMField.uniform(E=rng.uniform(-0.3, 0.3, 3), B=rng.uniform(-0.5, 0.5, 3))
     return EnsembleSpec(count=count, config=config, p_center=np.zeros(3),
                         r_center=np.zeros(3), p_spread=np.full(3, 0.5),
@@ -336,8 +342,9 @@ def row_outcome(run, i):
             run.y[i].tobytes(), run.v0[i].tobytes())
 
 
-@settings(max_examples=12, deadline=None, derandomize=True)
-@given(kind=st.sampled_from(["zeeman", "rashba"]), seed=st.integers(0, 2**32 - 1),
+@pytest.mark.parametrize("kind", ["zeeman", "rashba", "zeeman-callable", "rashba-provider"])
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
        epsilon_abort=st.sampled_from([1.0, 0.05]), data=st.data())
 def test_row_bits_do_not_depend_on_the_batch(kind, seed, epsilon_abort, data):
     # a low epsilon bound makes rows breach, and strong spin forces make
@@ -345,7 +352,7 @@ def test_row_bits_do_not_depend_on_the_batch(kind, seed, epsilon_abort, data):
     spec = lockstep_case(kind, seed, 4, epsilon_abort)
     bands, Y = batch_rows(spec)
     run = lambda rows: _integrate_rows(spec.model, bands[rows], Y[rows], spec.t0,
-                                       spec.config, spec.em)
+                                       spec.config, spec.em, spec.curvature)
     full = run(np.arange(len(Y)))
     want = [row_outcome(full, i) for i in range(len(Y))]
     order = data.draw(st.permutations(range(len(Y))))
@@ -359,7 +366,7 @@ def test_row_bits_do_not_depend_on_the_batch(kind, seed, epsilon_abort, data):
     for i, (band, y) in enumerate(zip(bands, Y)):
         try:
             traj = integrate(spec.model, band, PhasePoint(y[:d], y[d:], spec.t0),
-                             spec.config, em=spec.em)
+                             spec.config, em=spec.em, curvature=spec.curvature)
         except Exception as exc:  # a SpinForceWarning too, as warnings are errors here
             assert want[i][:2] == ("failed", f"{type(exc).__name__}: {exc}")
             continue
@@ -440,22 +447,17 @@ def test_bench_ensemble_runs_in_lockstep(monkeypatch, tmp_path, capsys):
     assert rows == [2 * workloads.ENSEMBLE_COUNT] * (1 + 4 * workloads.ENSEMBLE_STEPS)
 
 
-@pytest.mark.parametrize("change", ["rkf45", "callable", "provider"])
-def test_other_ensembles_run_one_trajectory_at_a_time(change, monkeypatch):
+def test_rkf45_ensembles_run_one_trajectory_at_a_time(monkeypatch):
     scn = ZeemanScenario(b_field=PolyField.random(2, (0.1, -0.2, 1.5)))
-    spec = EnsembleSpec(count=3, config=IntegratorConfig(step=0.02, t_end=0.1),
-                        p_center=np.zeros(3), r_center=np.zeros(3),
+    config = IntegratorConfig(method="rkf45", tolerance=1e-6, step=0.02, t_end=0.1)
+    spec = EnsembleSpec(count=3, config=config, p_center=np.zeros(3), r_center=np.zeros(3),
                         p_spread=np.full(3, 0.2), r_spread=np.full(3, 0.2), model=scn.model())
-    if change == "rkf45":
-        spec = replace(spec, config=replace(spec.config, method="rkf45", tolerance=1e-6))
-    elif change == "callable":
-        field = PolyField.random(2, (0.1, -0.2, 1.5))
-        spec = replace(spec, model=ZeemanScenario(b_field=CallableField(field.value)).model())
-    else:
-        spec = replace(spec, model=scn.model(), curvature=scn.curvature_blocks)
     rows = count_kernel_rows(monkeypatch)
     report = run_ensemble(spec)
     assert set(rows) == {1} and report.failures == ()
+    bands, Y = batch_rows(spec)
+    with pytest.raises(ValueError, match="one row at a time"):
+        _integrate_rows(spec.model, bands, Y, 0.0, config)
 
 
 # -- polarization -------------------------------------------------------------
