@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -70,9 +70,6 @@ class ExternalEMField:
         object.__setattr__(self, "e_field", as_field(self.e_field))
         object.__setattr__(self, "b_field", as_field(self.b_field))
 
-    def at(self, r, t: float):
-        return self.e_field.value(r, t), self.b_field.value(r, t)
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -85,7 +82,8 @@ class IntegratorConfig:
     gauge force entirely (canonical flow). record_connection False skips
     per-state connection evaluation (phases are then not accumulated); the
     connection comes from the closed form or eigen-stack that already gives
-    the energy gradient, so recording it costs next to nothing.
+    the energy gradient, so recording it costs next to nothing. Ensembles
+    report no phases and never evaluate the connection.
     """
 
     method: str = "rk4"
@@ -165,9 +163,6 @@ class Trajectory:
     @property
     def breached(self) -> bool:
         return self.status == "adiabaticity_breach"
-
-    def times(self) -> np.ndarray:
-        return np.array([s.m.t for s in self.states])
 
 
 def band_gradients(model: HamiltonianModel, band: int, m: PhasePoint,
@@ -553,6 +548,8 @@ def _integrate_rows(model, bands, Y, t0, config, em=None, curvature=None,
         raise ValueError("t_end must exceed the initial time")
     if config.method == "rkf45" and len(Y) > 1:
         raise ValueError("rkf45 integrates one row at a time")
+    if not record:  # the connection and phases are reported with the states only
+        config = replace(config, record_connection=False)
     N = len(Y)
     out = _Rows(["max_steps"] * N, [None] * N, Y.copy(), np.full(Y.shape, np.nan), [])
     cur, running, warned = {"y": out.y}, np.ones(N, dtype=bool), np.zeros(N, dtype=bool)
@@ -728,14 +725,11 @@ def effective_em_fields(b_field, r, t: float = 0.0,
     E_spin = (hbar / e) F_rt; both are per band. The coupling is
     H1 = chi B(r, t) with B the supplied field.
     """
+    from .scenarios import ZeemanScenario
     cst = constants or Constants()
-    bf = as_field(b_field)
-    J = np.zeros((3, 7))  # no momentum dependence: the p columns stay zero
-    J[:, 3:6] = cst.chi * bf.d_dr(r, t)
-    J[:, 6] = cst.chi * bf.d_dt(r, t)
-    B_ext = bf.value(r, t)
-    ct = monopole_pullback(cst.chi * B_ext, J, (-0.5, +0.5),
-                           PhasePoint(np.zeros(3), _promote(r), t))
+    scn = ZeemanScenario(b_field, chi=cst.chi)
+    B_ext = scn.b_field.value(r, t)
+    ct = scn.curvature_blocks(PhasePoint(np.zeros(3), _promote(r), t))
     b_spin = (cst.hbar * cst.c / cst.e) * np.stack(
         [tensor_to_pseudo(F) for F in ct.f_rr()])
     e_spin = (cst.hbar / cst.e) * ct.f_rt()

@@ -195,18 +195,12 @@ class HamiltonianModel:
         return HamiltonianModel(n=2, evaluate_raw=_eval, split=split,
                                 constants=constants, spin_charges=spin_charges)
 
-    # Closed-form band energy and gap of a split form, off the integrator's
-    # path. They agree with the eigensolver to roundoff (checked in tests).
+    # Closed-form band energy of a split form, off the integrator's path. It
+    # agrees with the eigensolver to roundoff (checked in tests).
 
     def band_energy(self, m: PhasePoint, band: int) -> float:
         if self.split is None:
             raise ValueError("band_energy shortcut needs a split form")
         sign = -1.0 if band == 0 else +1.0
         return float(self.split.h0(m)) + sign * self.constants.hbar * float(
-            np.linalg.norm(self.split.h1_vector(m)))
-
-    def band_gap(self, m: PhasePoint) -> float:
-        if self.split is None:
-            raise ValueError("band_gap shortcut needs a split form")
-        return 2.0 * self.constants.hbar * float(
             np.linalg.norm(self.split.h1_vector(m)))

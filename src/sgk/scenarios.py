@@ -8,6 +8,11 @@ builds a split-form HamiltonianModel for the generic pipeline and carries
 the closed-form frame / connection / curvature / motion laws that serve as
 oracles for it.
 
+Each split scenario (Zeeman, spin-orbit, Rashba) defines H1 once, as rows:
+its coupling and the coupling's Jacobian over a coordinate stack. Its
+model, and its one-point forms coupling, jacobian and curvature_blocks,
+are built from those two; the one-point forms are one-row cases.
+
 Band order is everywhere ascending in energy: band 0 carries spin charge
 -1/2 (or helicity -1), band 1 carries +1/2 (or +1). Two-state formulas
 written with a double sign map onto bands as upper sign <-> band 1.
@@ -24,7 +29,7 @@ import numpy as np
 from .dynamics import _LAST_STEP_SLACK, _rk4_step
 from .errors import (ConstraintDriftWarning, GaugePatchError, SingularityError,
                      StepError)
-from .fields import IndexField, LinearField, VectorField, as_field, builtin, rows
+from .fields import IndexField, LinearField, VectorField, _promote_rows, as_field, builtin, rows
 from .gauge import CurvatureTensor, monopole_pseudovector, monopole_pullback
 from .models import Constants, HamiltonianModel
 from .phase_space import PhasePoint, row_dot
@@ -37,42 +42,62 @@ PATCH_SWITCH = 0.9
 CONSTRAINT_DRIFT_TOL = 1e-6
 
 
-def _split_model(m_star: float, h1, jacobian_rows, h1_rows, constants: Constants,
-                 *fields: VectorField) -> HamiltonianModel:
-    """Split-form model with H0 = p^2 / 2 m_star, exact derivatives and stacks.
+class _SplitScenario:
+    """Base of the split scenarios H = p^2 / 2 m_star + hbar sigma.H1(p, r, t).
 
-    h1_rows(p, r, t) is H1 and jacobian_rows(p, r, t) is (H1, dH1/dm) over
-    the rows of a coordinate stack. The model carries the exact derivatives
-    and the stack form together, when every field is built in
-    (fields.builtin), or neither: a CallableField, or a subclass that
-    defines or overrides value or a derivative, gives a model that
-    differences H0 and H1 and evaluates stacks row by row.
+    A subclass defines _coupling(p, r, t), H1 (N, 3), and _jacobian_rows(p,
+    r, t), (H1, J) with J[:, :, k] = dH1/dm_k, at the rows p, r (N, d) and
+    t (N,), reading its fields through fields.rows.
     """
-    def split(X: np.ndarray):
-        d = (X.shape[1] - 1) // 2
-        p = X[:, :d]
-        return p, X[:, d:2 * d], X[:, 2 * d], row_dot(p, p) / (2.0 * m_star)
 
-    def stack(X: np.ndarray):
-        p, r, t, h0 = split(X)
-        return h0, h1_rows(p, r, t)
+    def coupling(self, m: PhasePoint) -> np.ndarray:
+        """H1 at one point."""
+        return self._coupling(m.p[None], m.r[None], np.array([m.t]))[0]
 
-    def derivatives(X: np.ndarray):
-        p, r, t, h0 = split(X)
-        g = np.zeros(X.shape)
-        g[:, :p.shape[1]] = p / m_star
-        return (h0, g, *jacobian_rows(p, r, t))
+    def jacobian(self, m: PhasePoint):
+        """(b, J): H1 and its Jacobian over the flat axes at one point."""
+        b, J = self._jacobian_rows(m.p[None], m.r[None], np.array([m.t]))
+        return b[0], J[0]
 
-    exact = all(builtin(f) for f in fields)
-    return HamiltonianModel.from_split(
-        h0=lambda m: float(m.p @ m.p) / (2.0 * m_star), h1=h1, constants=constants,
-        jacobian_rows=derivatives if exact else None, stack=stack if exact else None)
+    def curvature_blocks(self, m: PhasePoint) -> CurvatureTensor:
+        """Closed-form curvature of both bands at one point, every block at once.
 
+        F_ij = -S H1.(d_i H1 x d_j H1)/|H1|^3: the monopole pull-back of the
+        Jacobian.
+        """
+        return monopole_pullback(*self.jacobian(m), (-0.5, +0.5), m)
 
-def _one_row(jacobian_rows, m: PhasePoint):
-    """(b, J) at one point from a scenario's jacobian_rows(p, r, t)."""
-    b, J = jacobian_rows(m.p[None], m.r[None], np.array([m.t]))
-    return b[0], J[0]
+    def model(self) -> HamiltonianModel:
+        """Split-form model with H0 = p^2 / 2 m_star, exact derivatives and stacks.
+
+        The model carries the exact derivatives and the stack form together,
+        when every field of the scenario is built in (fields.builtin), or
+        neither: a CallableField, or a subclass that defines or overrides
+        value or a derivative, gives a model that differences H0 and H1 and
+        evaluates stacks row by row.
+        """
+        m_star = self.m_star
+
+        def split(X: np.ndarray):
+            d = (X.shape[1] - 1) // 2
+            p = X[:, :d]
+            return p, X[:, d:2 * d], X[:, 2 * d], row_dot(p, p) / (2.0 * m_star)
+
+        def stack(X: np.ndarray):
+            p, r, t, h0 = split(X)
+            return h0, self._coupling(p, r, t)
+
+        def derivatives(X: np.ndarray):
+            p, r, t, h0 = split(X)
+            g = np.zeros(X.shape)
+            g[:, :p.shape[1]] = p / m_star
+            return (h0, g, *self._jacobian_rows(p, r, t))
+
+        exact = all(builtin(f) for f in vars(self).values() if isinstance(f, VectorField))
+        return HamiltonianModel.from_split(
+            h0=lambda m: float(m.p @ m.p) / (2.0 * m_star), h1=self.coupling,
+            constants=self.constants(), jacobian_rows=derivatives if exact else None,
+            stack=stack if exact else None)
 
 
 def band_sign(band: int) -> float:
@@ -87,7 +112,7 @@ def band_sign(band: int) -> float:
 
 
 @dataclass(frozen=True)
-class ZeemanScenario:
+class ZeemanScenario(_SplitScenario):
     """Two spin states in a magnetic field: H = H0 I + hbar chi sigma.B(r, t).
 
     H0 = p^2 / 2 m_star. The coupling field must be nonzero wherever the
@@ -106,12 +131,6 @@ class ZeemanScenario:
     def constants(self) -> Constants:
         return Constants(hbar=self.hbar, chi=self.chi, m_star=self.m_star)
 
-    def model(self) -> HamiltonianModel:
-        chi, bf = self.chi, self.b_field
-        return _split_model(self.m_star, lambda m: chi * bf.value(m.r, m.t),
-                            self._jacobian_rows, lambda p, r, t: chi * bf.value(r, t),
-                            self.constants(), bf)
-
     @staticmethod
     def hedgehog(chi: float = 1.0, **kw) -> "ZeemanScenario":
         """B(r) = r: position doubles as the field vector (d = 3).
@@ -122,28 +141,20 @@ class ZeemanScenario:
         return ZeemanScenario(b_field=LinearField(f0=np.zeros(3), G=np.eye(3)),
                               chi=chi, d=3, **kw)
 
-    def jacobian(self, m: PhasePoint):
-        """(b, J): the coupling chi B(r, t) and its Jacobian over the flat axes.
-
-        The momentum columns vanish because the coupling is p-independent.
-        """
-        return _one_row(self._jacobian_rows, m)
+    def _coupling(self, p, r, t) -> np.ndarray:
+        return self.chi * rows(self.b_field, "value", r, t)
 
     def _jacobian_rows(self, p, r, t):
+        """(chi B, J) from the field derivatives.
+
+        The momentum columns of J vanish because the coupling is
+        p-independent, and so do the momentum blocks of the curvature.
+        """
         n, d = p.shape
         J = np.zeros((n, 3, 2 * d + 1))
         J[:, :, d:2 * d] = self.chi * rows(self.b_field, "d_dr", r, t)[:, :, :d]
         J[:, :, 2 * d] = self.chi * rows(self.b_field, "d_dt", r, t)
-        return self.chi * rows(self.b_field, "value", r, t), J
-
-    def curvature_blocks(self, m: PhasePoint) -> CurvatureTensor:
-        """Closed-form curvature: F_rr and F_rt from field derivatives.
-
-        F_{r_i r_j} = -S (chi B).(d_i(chi B) x d_j(chi B))/|chi B|^3 and the
-        matching r-t block; every momentum block vanishes because the
-        coupling is p-independent.
-        """
-        return monopole_pullback(*self.jacobian(m), (-0.5, +0.5), m)
+        return self._coupling(p, r, t), J
 
 
 def zeeman_frame(b3, form: str = "mixed") -> np.ndarray:
@@ -223,7 +234,7 @@ def zeeman_curvature_b(b3, band: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SpinOrbitScenario:
+class SpinOrbitScenario(_SplitScenario):
     """Coupling chi B(r, t) + rho (E(r, t) x p) with H0 = p^2 / 2 m_star."""
 
     e_field: VectorField
@@ -242,33 +253,20 @@ class SpinOrbitScenario:
         return Constants(hbar=self.hbar, chi=self.chi, rho=self.rho,
                          m_star=self.m_star)
 
-    def coupling(self, m: PhasePoint) -> np.ndarray:
-        return self._coupling(m.p, m.r, m.t)
+    def _coupling(self, p, r, t, E=None) -> np.ndarray:
+        """chi B + rho E x p; E is the electric field at the rows, if already evaluated."""
+        E = rows(self.e_field, "value", r, t) if E is None else E
+        return (self.chi * rows(self.b_field, "value", r, t)
+                + self.rho * np.cross(E, _promote_rows(p, None)[0]))
 
-    def _coupling(self, p, r, t) -> np.ndarray:
-        """chi B + rho E x p over leading axes: p, r (..., d), t (...)."""
-        p3 = np.zeros(p.shape[:-1] + (3,))
-        p3[..., :p.shape[-1]] = p
-        return (self.chi * self.b_field.value(r, t)
-                + self.rho * np.cross(self.e_field.value(r, t), p3))
-
-    def model(self) -> HamiltonianModel:
-        return _split_model(self.m_star, self.coupling, self._jacobian_rows,
-                            self._coupling, self.constants(), self.e_field,
-                            self.b_field)
-
-    def jacobian(self, m: PhasePoint):
-        """(b, J): the coupling H1 and its analytic Jacobian over the flat axes.
+    def _jacobian_rows(self, p, r, t):
+        """(H1, J) from the analytic derivatives.
 
         dH1/dp_i = rho (E x e_i); dH1/dr_j = chi dB/dr_j + rho (dE/dr_j x p);
         dH1/dt likewise.
         """
-        return _one_row(self._jacobian_rows, m)
-
-    def _jacobian_rows(self, p, r, t):
         n, d = p.shape
-        p3 = np.zeros((n, 3))
-        p3[:, :d] = p
+        p3 = _promote_rows(p, None)[0]
         ef, bf = self.e_field, self.b_field
         E = rows(ef, "value", r, t)
         J = np.zeros((n, 3, 2 * d + 1))
@@ -278,15 +276,7 @@ class SpinOrbitScenario:
             dE_dr, p3[:, None, :]).swapaxes(1, 2))[:, :, :d]
         J[:, :, 2 * d] = (self.chi * rows(bf, "d_dt", r, t)
                           + self.rho * np.cross(rows(ef, "d_dt", r, t), p3))
-        # _coupling's arithmetic on the E already evaluated
-        return self.chi * rows(bf, "value", r, t) + self.rho * np.cross(E, p3), J
-
-    def curvature_blocks(self, m: PhasePoint) -> CurvatureTensor:
-        """All five closed-form blocks from the analytic Jacobian.
-
-        F_ij = -S H1.(d_i H1 x d_j H1)/|H1|^3 over every axis pair at once.
-        """
-        return monopole_pullback(*self.jacobian(m), (-0.5, +0.5), m)
+        return self._coupling(p, r, t, E), J
 
     def pp_pseudovector(self, m: PhasePoint) -> np.ndarray:
         """Constant-field momentum-block pseudovector, per band: (2, 3).
@@ -310,7 +300,7 @@ class SpinOrbitScenario:
 
 
 @dataclass(frozen=True)
-class RashbaScenario:
+class RashbaScenario(_SplitScenario):
     """Planar electron gas with coupling chi B e_z + rho (e_z x p).
 
     d = 2: momentum and position live in the lattice plane; the driving
@@ -343,11 +333,8 @@ class RashbaScenario:
         E[:2] = np.asarray(self.e_inplane, dtype=float)[:2]
         return E
 
-    def coupling(self, m: PhasePoint) -> np.ndarray:
-        return self._coupling(m.p[None])[0]
-
-    def _coupling(self, p, r=None, t=None) -> np.ndarray:
-        """H1 (N, 3) at the momenta p (N, 2): (-rho p_y, rho p_x, chi B)."""
+    def _coupling(self, p, r, t) -> np.ndarray:
+        """(-rho p_y, rho p_x, chi B) at the momenta p (N, 2)."""
         return np.concatenate([p[:, ::-1] * (-self.rho, self.rho),
                                np.full((len(p), 1), self.chi * self.b_z)], axis=1)
 
@@ -355,19 +342,12 @@ class RashbaScenario:
         px, py = np.asarray(p, dtype=float)[:2]
         return float(np.hypot(self.rho * np.hypot(px, py), self.chi * self.b_z))
 
-    def jacobian(self, m: PhasePoint):
-        """(b, J): the coupling and its Jacobian; only dH1/dp is nonzero."""
-        return _one_row(self._jacobian_rows, m)
-
     def _jacobian_rows(self, p, r, t):
+        """(H1, J): only dH1/dp is nonzero."""
         J = np.zeros((len(p), 3, 5))
         J[:, 0, 1] = -self.rho
         J[:, 1, 0] = self.rho
-        return self._coupling(p), J
-
-    def model(self) -> HamiltonianModel:
-        return _split_model(self.m_star, self.coupling, self._jacobian_rows,
-                            self._coupling, self.constants())
+        return self._coupling(p, r, t), J
 
     def em(self):
         from .dynamics import ExternalEMField
@@ -389,7 +369,7 @@ class RashbaScenario:
         constant-field momentum pseudovector), so F_{p1 p2} = f_z: the
         monopole pullback of the Jacobian.
         """
-        return lambda m: monopole_pullback(*self.jacobian(m), (-0.5, +0.5), m)
+        return self.curvature_blocks
 
     def drift(self, band: int, p) -> np.ndarray:
         """Closed-form transverse drift velocity (3,), exactly band-odd.

@@ -19,6 +19,7 @@ from .gauge import (AdiabaticConnectionField, adiabatic_curvature_numeric,
 from .phase_space import PhasePoint
 from .scenarios import (OpticalScenario, RashbaScenario, SpinOrbitScenario,
                         ZeemanScenario, magnus_ray_pair, ray_splitting)
+from .spectral import diagonalize
 
 
 def _check(name, value, expected, tol):
@@ -53,7 +54,7 @@ def check_plaquette_vs_split():
         p = rng.uniform(-0.6, 0.6, 3)
         r = rng.uniform(-0.4, 0.4, 3)
         m = PhasePoint(p, r, float(rng.uniform(-0.2, 0.2)))
-        if model.band_gap(m) < 0.1:
+        if diagonalize(model, m).gap < 0.1:
             continue
         ana = curvature_m_space(model, m)
         num = adiabatic_curvature_numeric(model, m)
@@ -99,8 +100,7 @@ def check_rashba_drift():
     scn = RashbaScenario(hbar=1e-4)
     model = scn.model()
     m = PhasePoint((0.5, 0.0), (0.0, 0.0), 0.0)
-    _, rdot = velocity_field(model, 1, m, scn.em(),
-                             curvature=scn.curvature_provider(), warn=False)
+    _, rdot = velocity_field(model, 1, m, scn.em(), warn=False)
     drift = scn.drift(1, m.p)
     got = float(rdot[1])
     want = float(m.p[1] / scn.m_star + drift[1])

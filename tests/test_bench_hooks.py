@@ -37,7 +37,11 @@ def test_traced_function_resolves(module, attr, span):
 
 
 def test_field_and_provider_hooks_resolve():
-    from sgk import fields, scenarios
+    from sgk import PhasePoint, fields, scenarios
     assert any(isinstance(c, type) and issubclass(c, fields.VectorField)
                and "value" in vars(c) for c in vars(fields).values())
     assert callable(scenarios.RashbaScenario.curvature_provider)
+    # the tracer wraps what curvature_provider returns: a callable on a point
+    provider = scenarios.RashbaScenario().curvature_provider()
+    assert callable(provider)
+    assert provider(PhasePoint((0.3, -0.1), (0.0, 0.0), 0.0)).F.shape == (2, 5, 5)

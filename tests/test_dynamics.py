@@ -91,7 +91,7 @@ def test_lorentz_force_sign():
     v_p, v_r = velocity_field(scn.model(), 0, M1, em)
     # uniform coupling: no gauge force, rdot = p/m and pdot = e(E + rdot x B)
     assert np.allclose(v_r, M1.p)
-    expect = np.asarray(em.at(M1.r, M1.t)[0]) + np.cross(M1.p, (0.0, 0.3, 0.9))
+    expect = em.e_field.value(M1.r, M1.t) + np.cross(M1.p, (0.0, 0.3, 0.9))
     assert np.allclose(v_p, expect, atol=1e-12)
 
 
@@ -533,7 +533,7 @@ def test_point_kernel_matches_finite_difference_oracles(kind, seed, band):
     k = point_kernel(model, band, m, connection=True)
     E, g = band_gradients(model, band, m)
     assert k.energy == pytest.approx(E, abs=1e-12)
-    assert k.gap == pytest.approx(model.band_gap(m), rel=1e-14)
+    assert k.gap == pytest.approx(2 * model.constants.hbar * nb, rel=1e-14)
     assert np.allclose(k.grad, g, rtol=0.0, atol=1e-6 * max(1.0, np.max(np.abs(g))))
     F_fd = curvature_m_space(model, m).F[band]
     F_pl = adiabatic_curvature_numeric(model, m).F[band]

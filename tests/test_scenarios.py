@@ -319,9 +319,9 @@ def test_rashba_transverse_axis():
 
 def test_rashba_em_fields():
     scn = RashbaScenario(b_z=1.7, e_inplane=(0.3, -0.4))
-    E3, B3 = scn.em().at(np.zeros(3), 0.0)
-    assert np.allclose(E3, [0.3, -0.4, 0.0])
-    assert np.allclose(B3, [0.0, 0.0, 1.7])
+    em = scn.em()
+    assert np.allclose(em.e_field.value(np.zeros(3), 0.0), [0.3, -0.4, 0.0])
+    assert np.allclose(em.b_field.value(np.zeros(3), 0.0), [0.0, 0.0, 1.7])
 
 
 # -- ray optics ------------------------------------------------------------------

@@ -18,7 +18,7 @@ from sgk import (IntegratorConfig, LinearField, OpticalScenario, PhasePoint,
                  UniformField, ZeemanScenario, band_gradients,
                  curvature_m_space, default_step, integrate, magnus_ray,
                  monopole_pullback)
-from sgk.fields import CallableField, LinearIndex, builtin
+from sgk.fields import CallableField, LinearIndex, VectorField, builtin
 from sgk.phase_space import central_difference
 
 from helpers import point_kernel, split_derivatives, split_energy
@@ -254,6 +254,60 @@ def test_spin_orbit_jacobian_evaluates_each_field_once(monkeypatch):
     h1, _ = scn.jacobian(m)
     assert sorted(values) == sorted([id(e), id(b)])
     assert np.array_equal(h1, scn.coupling(m))
+
+
+class ValueOnly(VectorField):
+    """A user field with a value and no derivatives."""
+
+    def value(self, r, t):
+        return np.array([0.1, 0.2, 1.0]) + 0.1 * np.asarray(r)
+
+
+SPLIT_SCENARIOS = {
+    "zeeman-poly": lambda: ZeemanScenario(b_field=PolyField.random(3, (0.2, -0.4, 1.1)),
+                                          chi=1.3, hbar=0.6),
+    "zeeman-callable": lambda: ZeemanScenario(
+        b_field=lambda r, t: np.array([0.3 + r[1] * t, -0.2, 1.0 + 0.5 * r[0]]), chi=0.8),
+    "zeeman-value-only": lambda: ZeemanScenario(b_field=ValueOnly()),
+    "spin-orbit": lambda: SpinOrbitScenario(
+        e_field=LinearField(f0=(0.3, -0.2, 0.5), G=0.2 * np.eye(3), gt=(0.1, 0.0, 0.2)),
+        b_field=PolyField.random(5, (0.0, 0.0, 1.0)), rho=0.7),
+    "spin-orbit-callable": lambda: SpinOrbitScenario(
+        e_field=CallableField(lambda r, t: np.array([0.4, 0.1 * r[2], -0.3 + t])),
+        b_field=CallableField(lambda r, t: np.array([0.2 * r[0], 0.1, 1.0 - 0.3 * t])),
+        chi=0.9, rho=0.6),
+    "rashba": lambda: RashbaScenario(b_z=0.7, rho=0.8, hbar=0.3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPLIT_SCENARIOS))
+def test_one_point_forms_are_one_row_cases(kind):
+    # a split scenario defines H1 and its Jacobian once, as rows: its
+    # one-point forms, the model's H1 and the model's matrix are those rows
+    scn = SPLIT_SCENARIOS[kind]()
+    model, d = scn.model(), scn.d
+    X = np.random.default_rng(5).uniform(-0.5, 0.5, (4, 2 * d + 1))
+    p, r, t = X[:, :d], X[:, d:2 * d], X[:, 2 * d]
+    b_rows, H = scn._coupling(p, r, t), model.evaluate_stack(X)
+    derivatives = kind != "zeeman-value-only"
+    if derivatives:
+        b_jac, J_rows = scn._jacobian_rows(p, r, t)
+        assert np.array_equal(b_jac, b_rows)
+    for i, x in enumerate(X):
+        m = PhasePoint.from_vector(x, d)
+        assert np.array_equal(scn.coupling(m), b_rows[i])
+        assert np.array_equal(model.split.h1_vector(m), b_rows[i])
+        assert np.array_equal(model.evaluate(m), H[i])
+        if derivatives:
+            b, J = scn.jacobian(m)
+            assert np.array_equal(b, b_rows[i]) and np.array_equal(J, J_rows[i])
+        else:
+            with pytest.raises(NotImplementedError):
+                scn.jacobian(m)
+        if isinstance(scn, RashbaScenario):
+            for band in (0, 1):
+                assert np.array_equal(scn.curvature_provider()(m).F[band],
+                                      point_kernel(model, band, m).F)
 
 
 def test_magnus_ray_is_classic_rk4():

@@ -447,6 +447,27 @@ def test_bench_ensemble_runs_in_lockstep(monkeypatch, tmp_path, capsys):
     assert rows == [2 * workloads.ENSEMBLE_COUNT] * (1 + 4 * workloads.ENSEMBLE_STEPS)
 
 
+def test_ensembles_evaluate_no_connection(monkeypatch):
+    # an ensemble reports no phases, so it never asks the kernel for the
+    # connection, even with record_connection set; integrate still does
+    asked = []
+    kernel = sgk.dynamics._point_kernel
+
+    def recording(*args, connection=False, **kwargs):
+        asked.append(connection)
+        return kernel(*args, connection=connection, **kwargs)
+
+    monkeypatch.setattr(sgk.dynamics, "_point_kernel", recording)
+    scn = RashbaScenario(b_z=2.0, e_inplane=(0.005, 0.0), hbar=1e-4)
+    spec = replace(rashba_spec(scn, count=2, seed=1, t_end=0.01, step=0.005),
+                   config=IntegratorConfig(step=0.005, t_end=0.01, record_connection=True))
+    run_ensemble(spec)
+    assert asked and not any(asked)
+    integrate(spec.model, 1, PhasePoint((0.1, 0.0), (0.0, 0.0), 0.0), spec.config,
+              spec.em, spec.curvature)
+    assert any(asked)
+
+
 def test_rkf45_ensembles_run_one_trajectory_at_a_time(monkeypatch):
     scn = ZeemanScenario(b_field=PolyField.random(2, (0.1, -0.2, 1.5)))
     config = IntegratorConfig(method="rkf45", tolerance=1e-6, step=0.02, t_end=0.1)
