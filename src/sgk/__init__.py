@@ -38,9 +38,9 @@ from .gauge import (AdiabaticConnectionField, Connection, CurvatureTensor,
                     wrap_angle)
 from .dynamics import (EffectiveFields, ExternalEMField, IntegratorConfig,
                        Trajectory, TrajectoryState, adiabaticity_epsilon,
-                       band_gradients, default_curvature_provider,
-                       displacement_contour, effective_em_fields, integrate,
-                       spin_force_terms, velocity_field)
+                       band_gradients, displacement_contour,
+                       effective_em_fields, integrate, spin_force_terms,
+                       velocity_field)
 from .scenarios import (MagnusRay, OpticalScenario, RashbaScenario,
                         SpinOrbitScenario, ZeemanScenario, band_sign,
                         magnus_ray, magnus_ray_pair, ray_splitting,

@@ -22,6 +22,7 @@ row; integrate is their one-row case and ensembles run many rows at once.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -31,9 +32,8 @@ import numpy as np
 from .errors import (DegeneracyError, NumericalError, SingularSystemError,
                      SpinForceWarning, StepError)
 from .fields import UniformField, VectorField, _promote, as_field, rows
-from .gauge import (CurvatureTensor, _axis_stencil, _check_step, _split_differences,
-                    _stencil_connection, adiabatic_curvature_numeric, antisymmetric,
-                    default_step, monopole_pullback, monopole_rows, tensor_to_pseudo)
+from .gauge import (_axis_stencil, _check_step, _split_differences, antisymmetric,
+                    default_step, monopole_rows, tensor_to_pseudo)
 from .models import Constants, HamiltonianModel, SplitForm
 from .phase_space import PhasePoint, row_dot, row_norm, row_pow
 from .spectral import DEGENERACY_RTOL, _stack
@@ -108,8 +108,13 @@ class IntegratorConfig:
                 raise ValueError("rkf45 requires a positive tolerance")
         if not (0.0 < self.epsilon_abort <= 1.0):
             raise ValueError("epsilon_abort must lie in (0, 1]")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+        if not math.isfinite(self.t_end):
+            raise ValueError(f"t_end must be finite, got {self.t_end}")
+        steps = self.max_steps
+        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+            raise ValueError(f"max_steps must be an integer of at least 1, got {steps!r}")
+        if self.delta_p is not None and not (math.isfinite(self.delta_p) and self.delta_p > 0):
+            raise ValueError(f"delta_p must be positive and finite, got {self.delta_p}")
         if self.mode not in ("exact", "reduced"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -171,7 +176,7 @@ def band_gradients(model: HamiltonianModel, band: int, m: PhasePoint,
 
     This is the finite-difference oracle: for every model, split form or
     not, it differences the tracked eigenvalues of one frame stack, so it
-    shares nothing with the point kernel's closed form.
+    shares no arithmetic with the point kernel for any model.
     """
     h = _check_step(step if step is not None else default_step(m))
     w, _, _ = _stack(model, _axis_stencil(m.as_vector(), h, range(m.n_axes)))
@@ -186,19 +191,6 @@ def _split_derivatives(split: SplitForm, X: np.ndarray):
         return split.jacobian_rows(X)
     return tuple(map(np.stack, zip(*(_split_differences(split, x, default_step(x))
                                      for x in X))))
-
-
-def default_curvature_provider(model: HamiltonianModel) -> Callable:
-    """Curvature evaluator used when no provider is passed.
-
-    Split-form models get the monopole pullback of the (H1, J) of
-    _split_derivatives; generic models fall back to the plaquette.
-    """
-    split = model.split
-    if split is not None:
-        return lambda m: monopole_pullback(*(a[0] for a in _split_derivatives(
-            split, m.as_vector()[None])[2:]), model.spin_charges, m)
-    return lambda m: adiabatic_curvature_numeric(model, m)
 
 
 @dataclass
@@ -245,13 +237,16 @@ def _point_kernel(model: HamiltonianModel, bands, X: np.ndarray,
     eigensolver's roundoff may break such a tie either way, so differenced
     frames are no oracle within about 1e-3 |b| of b_z = 0.
 
-    Generic models take E, grad E, the gap and A from one frame stack per
-    row on the central-difference stencil, the points band_gradients and
-    exact_connection use. A given curvature provider always supplies F,
-    one PhasePoint per row; otherwise generic models use
-    default_curvature_provider. F is None when spin_force is off and A is
-    None unless connection is asked for. Each row's bits are independent
-    of the other rows, and the first failing row raises.
+    Generic models take them all from one eigensolve of the N centre
+    matrices and from dH/dm by central differences at default_step, one
+    evaluate_stack over every row's 2D shifted stencil rows. With
+    V_m = <m|dH|b> and c_m = V_m/(E_b - E_m), m != b: grad E = Re V_b,
+    F_ij = -2 Im sum_m conj(c_m,i) c_m,j (the sum over states) and
+    A = Im(sum_m U_km c_m)/U_kb, k the component the spectral gauge makes
+    real. A given curvature provider supplies F instead, one PhasePoint per
+    row. F is None when spin_force is off and A is None unless connection
+    is asked for. Each row's bits are independent of the other rows, and a
+    failing row raises.
     """
     split = model.split
     F = A = None
@@ -272,24 +267,26 @@ def _point_kernel(model: HamiltonianModel, bands, X: np.ndarray,
             north = (bz > 0.0) | ((bz == 0.0) & (bands == 1))
             A = np.where(north[:, None], twist, -twist) / np.where(north, nb + bz, nb - bz)[:, None]
     else:
-        E0, g, gap = [], [], []
-        # A in column 0 of each row: strided like the frame stack's band
-        # column, so that its dot products round the same way
-        A = np.zeros(X.shape + (2,))
-        for i, (x, band) in enumerate(zip(X, bands)):
-            h = default_step(x)
-            w, U, gaps = _stack(model, _axis_stencil(x, h, range(len(x))))
-            E0.append(w[0, band])
-            g.append((w[1::2, band] - w[2::2, band]) / (2.0 * h))
-            gap.append(gaps[0])
-            if connection:  # exact_connection(model, m).diagonal() on the same stack
-                A[i, :, 0] = np.einsum("kbb->kb", _stencil_connection(U, h)).real[:, band]
-        E0, g, gap = np.array(E0), np.stack(g), np.array(gap)
-        A = A[:, :, 0] if connection else None
-    if spin_force and F is None:
-        provider = curvature if curvature is not None else default_curvature_provider(model)
+        w, U, gap = _stack(model, X, match=False)
+        N, D = X.shape
+        rows, n = np.arange(N), model.n
+        h = np.array([default_step(x) for x in X])
+        H = model.evaluate_stack(np.concatenate(
+            [_axis_stencil(x, hx, range(D))[1:] for x, hx in zip(X, h)])).reshape(N, D, 2, n, n)
+        dH = (H[:, :, 0] - H[:, :, 1]) / (2.0 * h)[:, None, None, None]
+        u = U[rows, :, bands]
+        V = (np.conj(np.swapaxes(U, 1, 2))[:, None] @ (dH @ u[:, None, :, None]))[..., 0]
+        E0, g = w[rows, bands], V[rows, :, bands].real
+        own = np.arange(n) == bands[:, None]
+        c = V * np.where(own, 0.0, 1.0 / np.where(own, 1.0, E0[:, None] - w))[:, None]
+        if spin_force and curvature is None:
+            F = antisymmetric(-2.0 * (np.conj(c) @ np.swapaxes(c, 1, 2)).imag)
+        if connection:
+            k = np.argmax(np.abs(u), axis=1)  # the component the spectral gauge makes real
+            A = (c @ U[rows, k, :, None])[..., 0].imag / u[rows, k].real[:, None]
+    if spin_force and curvature is not None:
         d = (X.shape[1] - 1) // 2
-        F = np.stack([provider(PhasePoint.from_vector(x, d)).F[band]
+        F = np.stack([curvature(PhasePoint.from_vector(x, d)).F[band]
                       for x, band in zip(X, bands)])
     return _Kernel(energy=E0, grad=g, gap=gap, F=F, a_diag=A)
 
@@ -299,12 +296,11 @@ def spin_force_terms(model: HamiltonianModel, band: int, m: PhasePoint,
     """Additive gauge-force terms at a prescribed mdot = (pdot, rdot, 1).
 
     Returns (f_p, f_r): f_p = hbar F_rm . mdot enters the pdot equation and
-    f_r = -hbar F_pm . mdot enters the rdot equation. For two-band traceless
-    split models the two bands' terms are exact negatives.
+    f_r = -hbar F_pm . mdot enters the rdot equation, with F the point
+    kernel's curvature at the one row m (the given provider's, if any). For
+    two-band traceless split models the two bands' terms are exact negatives.
     """
-    provider = curvature if curvature is not None else default_curvature_provider(model)
-    ct = provider(m)
-    F = ct.F[band]
+    F = _point_kernel(model, np.array([band]), m.as_vector()[None], curvature).F[0]
     d = m.d
     hbar = model.constants.hbar
     mdot = np.asarray(mdot, dtype=float)

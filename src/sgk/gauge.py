@@ -262,8 +262,9 @@ def exact_connection(model: HamiltonianModel, m: PhasePoint,
     h = _check_step(step if step is not None else default_step(m))
     ks = list(range(m.n_axes) if axes is None else axes)
     _, U, _ = _stack(model, _axis_stencil(m.as_vector(), h, ks))
+    A = 1j * (U[0].conj().T @ (U[1::2] - U[2::2])) / (2.0 * h)
     comps = np.zeros((m.n_axes, model.n, model.n), dtype=complex)
-    comps[ks] = _stencil_connection(U, h)
+    comps[ks] = 0.5 * (A + np.conj(np.swapaxes(A, 1, 2)))
     return Connection(labels=m.labels, kind="exact", components=comps, point=m)
 
 
@@ -273,12 +274,6 @@ def _axis_stencil(v: np.ndarray, h: float, axes: Sequence[int]) -> np.ndarray:
     X = np.tile(v, (1 + ks.size, 1))
     X[1 + np.arange(ks.size), ks] += np.tile((h, -h), ks.size // 2)
     return X
-
-
-def _stencil_connection(U: np.ndarray, h: float) -> np.ndarray:
-    """Hermitized i U0+ dU/dm_k, (K, n, n), from frames on an _axis_stencil."""
-    A = 1j * (U[0].conj().T @ (U[1::2] - U[2::2])) / (2.0 * h)
-    return 0.5 * (A + np.conj(np.swapaxes(A, 1, 2)))
 
 
 def adiabatic_connection(model: HamiltonianModel, m: PhasePoint,

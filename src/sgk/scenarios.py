@@ -493,8 +493,8 @@ def magnus_ray(scn: OpticalScenario, p0, r0, helicity: int, s_end: float = 1.0,
     _check_helicity(helicity)
     if step <= 0 or not np.isfinite(step):
         raise StepError(f"ray step must be positive, got {step}")
-    if s_end <= 0:
-        raise ValueError("s_end must be positive")
+    if not (np.isfinite(s_end) and s_end > 0):
+        raise ValueError(f"s_end must be positive and finite, got {s_end}")
     p0 = np.asarray(p0, dtype=float).copy()
     r0 = np.asarray(r0, dtype=float).copy()
     inv_k0 = 1.0 / scn.k0

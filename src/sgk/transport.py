@@ -15,6 +15,7 @@ helicity -1 fills the band-0 slot and +1 the band-1 slot.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -58,8 +59,9 @@ class EnsembleSpec:
     curvature: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
+        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral) \
+                or self.count < 1:
+            raise ValueError(f"count must be an integer of at least 1, got {self.count!r}")
         if (self.model is None) == (self.optical is None):
             raise ValueError("exactly one of model / optical must be set")
         if self.sampler not in ("random", "grid"):

@@ -9,6 +9,7 @@ import dataclasses
 import numpy as np
 
 from sgk.dynamics import _point_kernel, _split_derivatives
+from sgk.models import HamiltonianModel
 from sgk.phase_space import PhasePoint
 
 
@@ -35,3 +36,30 @@ def split_derivatives(split, m: PhasePoint):
 def split_energy(h0: float, nb: float, band: int):
     """The band energy H0 -+ hbar|H1| and the gap 2 hbar|H1|."""
     return (h0 - nb if band == 0 else h0 + nb), 2.0 * nb
+
+
+def generic_copy(model):
+    """The same Hamiltonian with its split form removed: a generic model."""
+    return dataclasses.replace(model, split=None)
+
+
+def hermitian_model(seed: int, n: int) -> HamiltonianModel:
+    """A generic n-band model over d = 3: H = A0 + sum_k x_k A_k + x_k^2 C_k
+    in the flat coordinates x, with seeded random Hermitian A and C and the
+    levels of A0 spaced by 2, so that the gaps stay open near the origin.
+    H is quadratic, so central differences of H are exact but for roundoff."""
+    rng = np.random.default_rng(seed)
+
+    def hermitian(scale):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return 0.5 * scale * (a + a.conj().T)
+
+    A0 = np.diag(2.0 * np.arange(n)) + hermitian(0.3)
+    A = np.stack([hermitian(0.3) for _ in range(7)])
+    C = np.stack([hermitian(0.1) for _ in range(7)])
+
+    def H(m):
+        x = m.as_vector()
+        return A0 + np.einsum("k,kij->ij", x, A) + np.einsum("k,kij->ij", x * x, C)
+
+    return HamiltonianModel(n=n, evaluate_raw=H)

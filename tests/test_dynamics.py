@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sgk.gauge
 from sgk import (
     AdiabaticConnectionField,
     CurvatureTensor,
@@ -14,7 +15,6 @@ from sgk import (
     ExternalEMField,
     HamiltonianModel,
     IntegratorConfig,
-    PAULI,
     LinearField,
     NumericalError,
     PhasePoint,
@@ -32,7 +32,6 @@ from sgk import (
     adiabaticity_epsilon,
     band_gradients,
     curvature_m_space,
-    default_curvature_provider,
     default_step,
     diagonalize,
     displacement_contour,
@@ -44,9 +43,10 @@ from sgk import (
     velocity_field,
     zeeman_connection,
 )
-from sgk.dynamics import _eval_rows, _point_kernel, _velocity
+from sgk.dynamics import _point_kernel, _velocity
+from sgk.gauge import _axis_stencil
 
-from helpers import point_kernel
+from helpers import generic_copy, hermitian_model, point_kernel, shifted
 
 
 def uniform_zeeman(b=(0.0, 0.0, 1.0), **kw):
@@ -80,6 +80,15 @@ def test_integrator_config_validation():
         IntegratorConfig(max_steps=0)
     with pytest.raises(ValueError):
         IntegratorConfig(mode="midway")
+    # values the CLI refuses: a non-finite t_end would run the whole step
+    # budget, and a zero delta_p gives a NaN epsilon
+    for bad in ({"t_end": np.nan}, {"t_end": np.inf}, {"t_end": -np.inf},
+                {"max_steps": 2.5}, {"max_steps": 2.0}, {"max_steps": True},
+                {"delta_p": 0.0}, {"delta_p": -0.5}, {"delta_p": np.nan},
+                {"delta_p": np.inf}):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**bad)
+    assert IntegratorConfig(max_steps=np.int64(3), delta_p=0.5).max_steps == 3
 
 
 # -- velocity field ------------------------------------------------------------
@@ -134,13 +143,13 @@ def test_spin_forces_are_band_opposite():
 
 
 def test_default_provider_matches_closed_form():
-    from sgk import adiabatic_curvature_numeric, curvature_m_space
-
+    # with no provider, the kernel's own curvature is the closed form
     scn = linear_zeeman()
     model = scn.model()
     m = PhasePoint((0.1, 0.0, -0.2), (0.2, 0.3, 0.1), 0.0)
-    F_prov = default_curvature_provider(model)(m).F
-    assert np.allclose(F_prov, curvature_m_space(model, m).F, atol=1e-14)
+    F = curvature_m_space(model, m).F
+    for band in (0, 1):
+        assert np.allclose(point_kernel(model, band, m).F, F[band], atol=1e-14)
 
 
 def test_velocity_singular_system_is_reported():
@@ -572,40 +581,131 @@ def test_fields_without_derivatives_keep_the_difference_path():
     assert ZeemanScenario(b_field=(0.1, 0.2, 1.0)).model().split.jacobian_rows is not None
 
 
+EPS = np.finfo(float).eps
+
+
+def dH_scales(model, m):
+    """(|H|, L, K, gap) at m: the largest |H_ij| on the stencil, the largest
+    spectral norms of dH/dm_k and d2H/dm_k2 (central differences at the
+    default step) and the smallest gap."""
+    h = default_step(m)
+    H = model.evaluate_stack(_axis_stencil(m.as_vector(), h, range(m.n_axes)))
+    norm = lambda Y: float(np.linalg.norm(Y, ord=2, axis=(1, 2)).max())
+    return (float(np.abs(H).max()), norm((H[1::2] - H[2::2]) / (2 * h)),
+            norm((H[1::2] - 2 * H[0] + H[2::2]) / h**2), diagonalize(model, m).gap)
+
+
+def kernel_roundoff(model, m):
+    """Error bounds of the generic kernel at m for a model at most quadratic
+    in m, whose central differences of H are exact: dH/dm then carries only
+    the roundoff delta = 4 n eps |H| / h of the stencil. E and the gap are
+    within 8 eps |H|, grad E within delta, each c_m within delta/g, so A
+    within sqrt(n) delta/g (|U_kb| >= 1/sqrt(n)), and F within 4 L delta/g^2."""
+    Hmax, L, _, g = dH_scales(model, m)
+    delta = 4 * model.n * EPS * Hmax / default_step(m)
+    return dict(energy=8 * EPS * Hmax, grad=delta, gap=8 * EPS * Hmax,
+                a_diag=np.sqrt(model.n) * delta / g, F=4 * L * delta / g**2)
+
+
 def test_generic_point_takes_one_eigensolve(monkeypatch):
-    # E, grad E, the gap and A of a dense model all come from one stack, with
-    # the bits of the separate oracles; the plaquette curvature is a stack of
-    # its own, so a closed-form provider stands in for it here
-    scn = linear_zeeman()
+    # N generic rows take one eigensolve of their N centre matrices and
+    # N(2D + 1) evaluated rows, never the plaquette, and a copy of a split
+    # model gives the split kernel's closed form to roundoff
+    model = linear_zeeman().model()
+    generic = generic_copy(model)
+    points = [M1, shifted(M1, 4, 0.3), shifted(M1, 6, -0.2), shifted(M1, 0, 0.5)]
+    X, bands = np.array([m.as_vector() for m in points]), np.array([0, 1, 1, 0])
 
-    def dense(m):
-        b = scn.b_field.value(m.r, m.t)
-        return 0.5 * float(m.p @ m.p) * np.eye(2) + np.einsum(
-            "k,kij->ij", b, PAULI)
+    calls, evaluated = [], []
+    eigh, evaluate_stack = np.linalg.eigh, HamiltonianModel.evaluate_stack
 
-    model = HamiltonianModel(n=2, evaluate_raw=dense)
-    cfg = IntegratorConfig(record_connection=True)
-    em = ExternalEMField.uniform(E=(0.1, 0.0, 0.2), B=(0.0, 0.3, 0.5))
-    for band in (0, 1):
-        k = point_kernel(model, band, M1, connection=True)
-        E, g = band_gradients(model, band, M1)
-        assert k.energy == E and np.array_equal(k.grad, g)
-        assert k.gap == diagonalize(model, M1).gap
-        assert np.array_equal(
-            k.a_diag, exact_connection(model, M1).diagonal().components[:, band])
-
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting(H):
+    def counting_eigh(H):
         calls.append(H.shape)
         return eigh(H)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    ev = _eval_rows(model, np.array([1]), M1.as_vector()[None], em, cfg,
-                    scn.curvature_blocks)
-    assert calls == [(15, 2, 2)]
-    assert ev["a"] is not None and ev["berry_rate"][0] != 0.0
+    def counting_stack(self, Y):
+        evaluated.append(len(Y))
+        return evaluate_stack(self, Y)
+
+    def plaquette(*args, **kwargs):
+        raise AssertionError("the generic kernel called the plaquette")
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(HamiltonianModel, "evaluate_stack", counting_stack)
+    monkeypatch.setattr(sgk.gauge, "adiabatic_curvature_numeric", plaquette)
+    for N in (1, 4):
+        calls.clear()
+        evaluated.clear()
+        got = _point_kernel(generic, bands[:N], X[:N], connection=True)
+        assert calls == [(N, 2, 2)]
+        assert sum(evaluated) == N * (2 * 7 + 1)
+    monkeypatch.undo()
+
+    want = _point_kernel(model, bands, X, connection=True)
+    for i, m in enumerate(points):
+        for key, tol in kernel_roundoff(model, m).items():
+            assert np.abs(getattr(got, key)[i] - getattr(want, key)[i]).max() <= tol, key
+
+
+@pytest.mark.parametrize("kind", ["zeeman", "rashba"])
+def test_generic_copies_integrate_like_the_split_model(kind):
+    # both bands, both modes, with em fields: only the roundoff delta of the
+    # generic kernel's dH separates the runs. Over T = 0.1, with O(1) gaps,
+    # speeds and Lipschitz constants, it moves the state, E, epsilon and the
+    # phases by well under delta
+    rng = np.random.default_rng(5)
+    if kind == "rashba":
+        scn = RashbaScenario(b_z=1.2, e_inplane=(0.2, -0.1), rho=0.8)
+        em, m = scn.em(), PhasePoint((0.3, -0.2), (0.1, 0.4), 0.0)
+    else:
+        scn = ZeemanScenario(b_field=PolyField.random(5, rng.uniform(-0.5, 0.5, 3)))
+        em = ExternalEMField.uniform(E=(0.2, -0.1, 0.3), B=(0.1, 0.4, -0.3))
+        m = M1
+    model = scn.model()
+    delta = kernel_roundoff(model, m)["grad"]
+    for mode in ("exact", "reduced"):
+        config = IntegratorConfig(step=0.01, t_end=0.1, mode=mode)
+        for band in (0, 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SpinForceWarning)
+                want = integrate(model, band, m, config, em=em)
+                got = integrate(generic_copy(model), band, m, config, em=em)
+            assert got.status == want.status == "completed"
+            assert len(got.states) == len(want.states) == 11
+            a, b = got.final, want.final
+            assert np.abs(np.concatenate([a.m.p - b.m.p, a.m.r - b.m.r])).max() <= delta
+            for key in ("energy", "epsilon", "berry_phase", "dynamic_phase"):
+                assert abs(getattr(a, key) - getattr(b, key)) <= delta, key
+
+
+@pytest.mark.parametrize("n, seed", [(3, 0), (3, 1), (3, 2), (4, 3)])
+def test_generic_kernel_matches_the_oracles_beyond_two_bands(n, seed):
+    # the oracles difference eigenvalues and frames at step h: band_gradients
+    # and exact_connection leave h^2/6 times a third derivative, at most
+    # 6 (L^3/g^2 + L K/g) for E and 6 (L/g)^3 for the frames, plus their
+    # roundoff eps|H|/h and eps|H|/(g h); the Richardson plaquette leaves
+    # loop-angle roundoff 8 eps|H|/g over h^2, with weight 17/3
+    model = hermitian_model(seed, n)
+    rng = np.random.default_rng(seed)
+    m = PhasePoint(rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.5, 0.5, 3),
+                   float(rng.uniform(-0.5, 0.5)))
+    Hmax, L, K, g = dH_scales(model, m)
+    h = default_step(m)
+    U = diagonalize(model, m).U
+    top = -np.sort(-np.abs(U), axis=0)[:2]
+    assert (top[1] < 0.99 * top[0]).all()  # no tie of the largest components
+    own = kernel_roundoff(model, m)
+    F_pl = adiabatic_curvature_numeric(model, m).F
+    A_fd = exact_connection(model, m).diagonal().components
+    for band in range(n):
+        k = point_kernel(model, band, m, connection=True)
+        E, grad = band_gradients(model, band, m)
+        assert abs(k.energy - E) <= own["energy"]
+        assert np.abs(k.grad - grad).max() <= (
+            own["grad"] + h**2 * (L**3 / g**2 + L * K / g) + EPS * Hmax / h)
+        assert np.abs(k.F - F_pl[band]).max() <= own["F"] + 17 / 3 * 8 * EPS * Hmax / g / h**2
+        assert np.abs(k.a_diag - A_fd[:, band]).max() <= (
+            own["a_diag"] + h**2 * (L / g)**3 + EPS * Hmax / (g * h))
 
 
 # -- contour displacement ---------------------------------------------------------

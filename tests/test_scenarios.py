@@ -393,3 +393,11 @@ def test_ray_validations():
         magnus_ray(scn, (1.5, 0, 0), np.zeros(3), 1, s_end=-1.0)
     with pytest.raises(SingularityError):
         magnus_ray(scn, (0.0, 0.0, 0.0), np.zeros(3), 1, s_end=0.01)
+
+
+def test_ray_length_must_be_finite():
+    # a non-finite length never ends the ray: it would run the whole step budget
+    scn = OpticalScenario(index=UniformIndex(n0=1.5))
+    for s_end in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="s_end"):
+            magnus_ray(scn, (1.5, 0, 0), np.zeros(3), 1, s_end=s_end, max_steps=5)

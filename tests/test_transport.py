@@ -37,6 +37,8 @@ from sgk.cli import main
 from sgk.dynamics import _integrate_rows
 from sgk.fields import CallableField
 
+from helpers import generic_copy, hermitian_model
+
 EY = np.array([0.0, 1.0, 0.0])
 
 
@@ -136,6 +138,16 @@ def test_spec_validation():
         EnsembleSpec(count=1, transverse_axis=np.zeros(3), **ok)
     spec = EnsembleSpec(count=1, transverse_axis=(0.0, 2.0, 0.0), **ok)
     assert np.allclose(spec.transverse_axis, EY)
+
+
+def test_spec_count_must_be_an_integer():
+    # a fractional count used to pass validation and fail in draw_samples
+    ok = dict(config=IntegratorConfig(), p_center=np.zeros(2), r_center=np.zeros(2),
+              model=RashbaScenario().model())
+    for count in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="count"):
+            EnsembleSpec(count=count, **ok)
+    assert draw_samples(EnsembleSpec(count=np.int64(2), **ok)).shape == (2, 2, 2)
 
 
 # -- observables --------------------------------------------------------------
@@ -305,7 +317,9 @@ def test_failure_fraction_limit():
 
 def lockstep_case(kind, seed, count, epsilon_abort):
     """A Zeeman poly or Rashba ensemble spec: with exact row derivatives, or
-    with a CallableField coupling (differenced) or a curvature provider."""
+    with a CallableField coupling (differenced) or a curvature provider; or
+    a generic model: the Zeeman poly one with its split form removed, or a
+    three-band Hermitian one."""
     rng = np.random.default_rng(seed)
     config = IntegratorConfig(step=0.02, t_end=0.15, epsilon_abort=epsilon_abort)
     if kind.startswith("rashba"):
@@ -321,11 +335,15 @@ def lockstep_case(kind, seed, count, epsilon_abort):
     b_field = PolyField.random(seed, rng.uniform(-0.5, 0.5, 3))
     if kind == "zeeman-callable":
         b_field = CallableField(b_field.value)
-    scn = ZeemanScenario(b_field=b_field)
+    model = ZeemanScenario(b_field=b_field).model()
+    if kind == "zeeman-generic":
+        model = generic_copy(model)
+    elif kind == "hermitian-3":
+        model = hermitian_model(seed, 3)
     em = ExternalEMField.uniform(E=rng.uniform(-0.3, 0.3, 3), B=rng.uniform(-0.5, 0.5, 3))
     return EnsembleSpec(count=count, config=config, p_center=np.zeros(3),
                         r_center=np.zeros(3), p_spread=np.full(3, 0.5),
-                        r_spread=np.full(3, 0.8), seed=seed, model=scn.model(), em=em)
+                        r_spread=np.full(3, 0.8), seed=seed, model=model, em=em)
 
 
 def batch_rows(spec):
@@ -342,7 +360,8 @@ def row_outcome(run, i):
             run.y[i].tobytes(), run.v0[i].tobytes())
 
 
-@pytest.mark.parametrize("kind", ["zeeman", "rashba", "zeeman-callable", "rashba-provider"])
+@pytest.mark.parametrize("kind", ["zeeman", "rashba", "zeeman-callable", "rashba-provider",
+                                  "zeeman-generic", "hermitian-3"])
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1),
        epsilon_abort=st.sampled_from([1.0, 0.05]), data=st.data())
