@@ -537,12 +537,8 @@ def _cmd_run_scenario(config, out_dir, seed):
     if optical:
         ray = magnus_ray(scenario, p0, r0, helicity, s_end=integ.t_end,
                          step=integ.step, max_steps=integ.max_steps)
-        rows = []
-        for k in range(ray.s.shape[0]):
-            e = 0.5 * (float(ray.p[k] @ ray.p[k])
-                       - scenario.index.n2(ray.r[k]))
-            rows.append([ray.s[k], *ray.p[k], *ray.r[k], helicity, e,
-                         0.0, 0.0, 0.0])
+        rows = [[s, *p, *r, helicity, 0.5 * (float(p @ p) - scenario.index.n2(r)), 0.0, 0.0, 0.0]
+                for s, p, r in zip(ray.s, ray.p, ray.r)]
         _write_csv(os.path.join(out_dir, "trajectory.csv"), "trajectory",
                    header, rows)
         summary = {"format": "sgk.run.v1", "status": ray.status,

@@ -193,6 +193,16 @@ def _split_derivatives(split: SplitForm, X: np.ndarray):
                                      for x in X))))
 
 
+@dataclass(frozen=True)
+class _BandForm:
+    """Bands with no partner, in place of a model (rays are one): rows(X) gives
+    (E, grad E, b, J) for every band, and band k has charge spin_charges[k]."""
+
+    rows: Callable[[np.ndarray], tuple]
+    spin_charges: tuple
+    constants: Constants
+
+
 @dataclass
 class _Kernel:
     energy: np.ndarray            # (N,) over N rows and D flat axes
@@ -235,7 +245,8 @@ def _point_kernel(model: HamiltonianModel, bands, X: np.ndarray,
     lowest-index rule (component 0 is made real), which is the north patch
     for the upper band and the south patch for the lower one; the
     eigensolver's roundoff may break such a tie either way, so differenced
-    frames are no oracle within about 1e-3 |b| of b_z = 0.
+    frames are no oracle within about 1e-3 |b| of b_z = 0. A _BandForm
+    gives (E, grad E, b, J) itself, an infinite gap and no A.
 
     Generic models take them all from one eigensolve of the N centre
     matrices and from dH/dm by central differences at default_step, one
@@ -248,18 +259,17 @@ def _point_kernel(model: HamiltonianModel, bands, X: np.ndarray,
     is asked for. Each row's bits are independent of the other rows, and a
     failing row raises.
     """
-    split = model.split
-    F = A = None
-    if split is not None:
-        h0, g0, b, J = _split_derivatives(split, X)
+    F = A = b = None
+    if isinstance(model, _BandForm):
+        E0, g, b, J = model.rows(X)
+        nb, gap = row_norm(b), np.full(len(X), math.inf)
+    elif model.split is not None:
+        h0, g0, b, J = _split_derivatives(model.split, X)
         nb = row_norm(b)
         hbar = model.constants.hbar
         sign = _SIGN.take(bands)
         E0, gap = _split_energy(h0, hbar * nb, sign)
         g = g0 + (sign * hbar / nb)[:, None] * (b[:, None, :] @ J)[:, 0]
-        if spin_force and curvature is None:
-            S = -np.asarray(model.spin_charges, dtype=float)[bands]
-            F = antisymmetric(S[:, None, None] * monopole_rows(b, J, nb))
         if connection:
             twist = (0.5 * sign[:, None] * (b[:, 1, None] * J[:, 0] - b[:, 0, None] * J[:, 1])
                      / nb[:, None])
@@ -284,6 +294,9 @@ def _point_kernel(model: HamiltonianModel, bands, X: np.ndarray,
         if connection:
             k = np.argmax(np.abs(u), axis=1)  # the component the spectral gauge makes real
             A = (c @ U[rows, k, :, None])[..., 0].imag / u[rows, k].real[:, None]
+    if b is not None and spin_force and curvature is None:
+        S = -np.asarray(model.spin_charges, dtype=float)[bands]
+        F = antisymmetric(S[:, None, None] * monopole_rows(b, J, nb))
     if spin_force and curvature is not None:
         d = (X.shape[1] - 1) // 2
         F = np.stack([curvature(PhasePoint.from_vector(x, d)).F[band]
@@ -518,14 +531,15 @@ def integrate(model: HamiltonianModel, band: int, initial: PhasePoint,
 @dataclass
 class _Rows:
     """Each row's status, or 'failed' with its exception (step index attached)
-    in errors; its last accepted state y and launch velocity v0 (NaN if it
-    failed there); and, when recorded, (s, values, berry, dynamic) of the
-    rows evaluated at every accepted step."""
+    in errors; its last accepted state y, launch velocity v0 (NaN if it
+    failed there) and largest |energy| over its accepted states; and, when
+    recorded, (s, values, berry, dynamic) of the rows at every accepted step."""
 
     status: list
     errors: list
     y: np.ndarray
     v0: np.ndarray
+    energy_peak: np.ndarray
     states: list
 
 
@@ -547,7 +561,7 @@ def _integrate_rows(model, bands, Y, t0, config, em=None, curvature=None,
     if not record:  # the connection and phases are reported with the states only
         config = replace(config, record_connection=False)
     N = len(Y)
-    out = _Rows(["max_steps"] * N, [None] * N, Y.copy(), np.full(Y.shape, np.nan), [])
+    out = _Rows(["max_steps"] * N, [None] * N, Y.copy(), np.full(Y.shape, np.nan), np.zeros(N), [])
     cur, running, warned = {"y": out.y}, np.ones(N, dtype=bool), np.zeros(N, dtype=bool)
     berry, dynamic = np.zeros(N), np.zeros(N)
     s, h, h_try, steps, last = 0.0, config.step, 0.0, 0, False
@@ -600,6 +614,7 @@ def _integrate_rows(model, bands, Y, t0, config, em=None, curvature=None,
                     out.v0[rows] = new["v"]
                 for k, val in new.items():
                     cur.setdefault(k, np.full((N,) + val.shape[1:], np.nan))[rows] = val
+                out.energy_peak[rows] = np.maximum(out.energy_peak[rows], np.abs(new["energy"]))
                 if record:
                     out.states.append((s, new, berry[rows].copy(), dynamic[rows].copy()))
                 for i in idx[(new["ratio"] > SPIN_FORCE_WARN_RATIO) & ~warned[idx]]:

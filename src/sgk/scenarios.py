@@ -3,10 +3,10 @@
 Four scenario families: a magnetic (Zeeman-type) coupling chi sigma.B(r, t),
 a relativistic-style spin-orbit coupling chi B + rho (E x p), the planar
 Rashba gas chi B + rho (e_z x p) with in-plane driving, and ray optics in a
-graded index with helicity +-1 playing the spin charge. Each scenario
-builds a split-form HamiltonianModel for the generic pipeline and carries
-the closed-form frame / connection / curvature / motion laws that serve as
-oracles for it.
+graded index with helicity +-1 playing the spin charge. The first three
+build a split-form HamiltonianModel for the generic pipeline, and rays are
+rows of the same RK loop in reduced mode; each carries the closed-form
+frame / connection / curvature / motion laws that serve as oracles for it.
 
 Each split scenario (Zeeman, spin-orbit, Rashba) defines H1 once, as rows:
 its coupling and the coupling's Jacobian over a coordinate stack. Its
@@ -26,9 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _LAST_STEP_SLACK, _rk4_step
-from .errors import (ConstraintDriftWarning, GaugePatchError, SingularityError,
-                     StepError)
+from .dynamics import IntegratorConfig, _BandForm, _integrate_rows
+from .errors import ConstraintDriftWarning, GaugePatchError, SingularityError
 from .fields import IndexField, LinearField, VectorField, _promote_rows, as_field, builtin, rows
 from .gauge import CurvatureTensor, monopole_pseudovector, monopole_pullback
 from .models import Constants, HamiltonianModel
@@ -430,10 +429,10 @@ class RashbaScenario(_SplitScenario):
 class OpticalScenario:
     """Rays in a graded index with helicity-dependent transverse shifts.
 
-    The ray Hamiltonian (p^2 - n^2(r))/2 = 0 is integrated in a ray-length
-    parameter; 1/k0 takes the place of the quantum scale and the helicity
-    +-1 the place of the spin charge, so the momentum-space curvature is
-    the unit-charge monopole F = -helicity p / p^3.
+    The ray Hamiltonian E = (p^2 - n^2(r))/2 = 0 is integrated in a
+    ray-length parameter; 1/k0 takes the place of the quantum scale and the
+    helicity +-1 the place of the spin charge, so the momentum-space
+    curvature is the unit-charge monopole F = -helicity p / p^3.
     """
 
     index: IndexField
@@ -461,6 +460,32 @@ def _check_helicity(helicity) -> int:
     return helicity
 
 
+def _rays(scn: OpticalScenario, step: float, s_end: float, max_steps: int):
+    """(band form, config) of rays as rows (p, r) of the RK loop in reduced
+    mode, s in place of t: E = (p.p - n^2)/2, grad E = (p, -grad n^2/2, 0),
+    b = p, J = [I | 0 | 0], hbar = 1/k0 and charges (-1, +1), so band 0 is
+    helicity -1 and rdot = p - helicity k0^{-1} (p x pdot)/|p|^3."""
+    def rows(X: np.ndarray):
+        p, r, pp = X[:, :3], X[:, 3:6], row_dot(X[:, :3], X[:, :3])
+        if (pp < 1e-24).any():  # |p| < 1e-12
+            raise SingularityError("ray momentum collapsed to zero")
+        g = np.concatenate([p, [-0.5 * scn.index.grad_n2(x) for x in r], np.zeros((len(X), 1))], 1)
+        E = 0.5 * (pp - np.array([scn.index.n2(x) for x in r]))
+        return E, g, p, np.broadcast_to(np.eye(3, 7), (len(X), 3, 7))
+
+    form = _BandForm(rows=rows, spin_charges=(-1.0, 1.0), constants=Constants(hbar=1.0 / scn.k0))
+    return form, IntegratorConfig(step=step, t_end=s_end, max_steps=max_steps, mode="reduced",
+                                  record_connection=False)
+
+
+def _check_drift(run, stacklevel: int) -> None:
+    """ConstraintDriftWarning if a ray drifted off p.p = n^2 by more than 1e-6."""
+    drift = 2.0 * float(np.max(run.energy_peak))  # |p.p - n^2| = 2|E|
+    if drift > CONSTRAINT_DRIFT_TOL:
+        warnings.warn(f"dispersion constraint drifted to {drift:.3e}",
+                      ConstraintDriftWarning, stacklevel=stacklevel)
+
+
 @dataclass(frozen=True)
 class MagnusRay:
     """Integrated ray: parameter values, momenta, positions per step.
@@ -481,65 +506,40 @@ class MagnusRay:
         return self.r[-1]
 
 
+def _trace(scn: OpticalScenario, p0, r0, helicities, s_end, step, max_steps) -> list:
+    """A MagnusRay of each helicity from (p0, r0), the rows of one RK loop."""
+    if not (np.isfinite(s_end) and s_end > 0):
+        raise ValueError(f"s_end must be positive and finite, got {s_end}")
+    form, config = _rays(scn, step, s_end, max_steps)
+    Y = np.array([[*p0, *r0]] * len(helicities), dtype=float)
+    run = _integrate_rows(form, np.array([int(h > 0) for h in helicities]), Y, 0.0, config,
+                          record=True)
+    for err in filter(None, run.errors):
+        raise err
+    _check_drift(run, stacklevel=4)
+    s, y = np.array([st[0] for st in run.states]), np.stack([st[1]["y"] for st in run.states])
+    return [MagnusRay(s=s, p=y[:, i, :3], r=y[:, i, 3:], helicity=h,
+                      constraint_drift=2.0 * float(run.energy_peak[i]), status=run.status[i])
+            for i, h in enumerate(helicities)]
+
+
 def magnus_ray(scn: OpticalScenario, p0, r0, helicity: int, s_end: float = 1.0,
                step: float = 1e-3, max_steps: int = 10**6) -> MagnusRay:
     """Trace one polarized ray through the graded index.
 
-    pdot = grad(n^2)/2; rdot = p - helicity k0^{-1} (p x pdot)/|p|^3, fixed
-    RK4 steps in the ray parameter. |p|^2 - n^2 is conserved by the
-    continuous flow; its numeric drift is tracked and a
-    ConstraintDriftWarning is raised past 1e-6.
+    pdot = grad(n^2)/2; rdot = p - helicity k0^{-1} (p x pdot)/|p|^3: one
+    row of the RK loop (_rays). |p|^2 - n^2 is conserved by the continuous
+    flow; its numeric drift is tracked and a ConstraintDriftWarning is
+    raised past 1e-6. A SpinForceWarning marks a Magnus term not small
+    against |p|.
     """
-    _check_helicity(helicity)
-    if step <= 0 or not np.isfinite(step):
-        raise StepError(f"ray step must be positive, got {step}")
-    if not (np.isfinite(s_end) and s_end > 0):
-        raise ValueError(f"s_end must be positive and finite, got {s_end}")
-    p0 = np.asarray(p0, dtype=float).copy()
-    r0 = np.asarray(r0, dtype=float).copy()
-    inv_k0 = 1.0 / scn.k0
-
-    def rhs(s, y):
-        p, r = y[:3], y[3:]
-        np_ = np.linalg.norm(p)
-        if np_ < 1e-12:
-            raise SingularityError("ray momentum collapsed to zero")
-        pdot = 0.5 * scn.index.grad_n2(r)
-        rdot = p - helicity * inv_k0 * np.cross(p, pdot) / np_**3
-        return np.concatenate([pdot, rdot])
-
-    y = np.concatenate([p0, r0])
-    s_list, p_list, r_list = [0.0], [p0.copy()], [r0.copy()]
-    s = 0.0
-    drift = abs(float(p0 @ p0) - scn.index.n2(r0))
-    steps = 0
-    last = False
-    while not last and steps < max_steps:
-        # integrate's last-step rule: no rounding-error sliver before s_end
-        last = s_end - s <= step * (1.0 + _LAST_STEP_SLACK)
-        h = s_end - s if last else step
-        y, _ = _rk4_step(rhs, s, y, h, rhs(s, y))
-        s = s_end if last else s + h
-        steps += 1
-        s_list.append(s)
-        p_list.append(y[:3].copy())
-        r_list.append(y[3:].copy())
-        drift = max(drift, abs(float(y[:3] @ y[:3]) - scn.index.n2(y[3:])))
-    if drift > CONSTRAINT_DRIFT_TOL:
-        warnings.warn(f"dispersion constraint drifted to {drift:.3e}",
-                      ConstraintDriftWarning, stacklevel=2)
-    return MagnusRay(s=np.array(s_list), p=np.array(p_list),
-                     r=np.array(r_list), helicity=helicity,
-                     constraint_drift=float(drift),
-                     status="completed" if last else "max_steps")
+    return _trace(scn, p0, r0, (_check_helicity(helicity),), s_end, step, max_steps)[0]
 
 
 def magnus_ray_pair(scn: OpticalScenario, p0, r0, s_end: float = 1.0,
                     step: float = 1e-3):
-    """Both helicities from identical launch conditions."""
-    plus = magnus_ray(scn, p0, r0, +1, s_end=s_end, step=step)
-    minus = magnus_ray(scn, p0, r0, -1, s_end=s_end, step=step)
-    return plus, minus
+    """Both helicities (+1, -1) from identical launch conditions, in one RK loop."""
+    return tuple(_trace(scn, p0, r0, (+1, -1), s_end, step, 10**6))
 
 
 def ray_splitting(ray_a: MagnusRay, ray_b: MagnusRay, axis) -> float:

@@ -9,8 +9,8 @@ through the same loop. A row's bits do not depend on its batch, and
 results reduce in sample order, so reports are bit-identical for a fixed
 seed either way.
 
-Optical ensembles trace helicity ray pairs instead of band trajectories;
-helicity -1 fills the band-0 slot and +1 the band-1 slot.
+Optical ensembles trace helicity ray pairs, as rows of the same loop in
+lockstep; helicity -1 fills the band-0 slot and +1 the band-1 slot.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import numpy as np
 from .dynamics import ExternalEMField, IntegratorConfig, _integrate_rows
 from .errors import EnsembleError, SgkError
 from .models import HamiltonianModel
-from .scenarios import OpticalScenario, magnus_ray
+from .phase_space import row_norm
+from .scenarios import OpticalScenario, _check_drift, _rays
 
 FAILURE_FRACTION_LIMIT = 0.10
 
@@ -38,9 +39,9 @@ class EnsembleSpec:
     center +- spread, identically for both bands; a grid needs count to be
     the k-th power of an integer for k axes of nonzero spread. Exactly one
     of model / optical must be set; optical ensembles resample |p| onto the
-    local dispersion shell and reuse config.step / config.t_end /
-    config.max_steps as the ray step, length and step budget. A trajectory
-    or ray that stops short of t_end counts as a failure.
+    local dispersion shell and take only config.step / config.t_end /
+    config.max_steps; a ray runs from t0 to t_end, as a trajectory does. A
+    trajectory or ray that stops short of t_end counts as a failure.
     """
 
     count: int
@@ -80,9 +81,7 @@ class EnsembleSpec:
             raise ValueError("spreads must be nonnegative")
         if self.sampler == "grid":
             _grid_side(self.count, np.count_nonzero(ps) + np.count_nonzero(rs))
-        if self.optical is not None and self.config.t_end <= 0:
-            raise ValueError("optical rays need a positive integrator t_end")
-        if self.model is not None and self.t0 >= self.config.t_end:
+        if self.t0 >= self.config.t_end:
             raise ValueError("t0 must be less than the integrator t_end")
         ax = np.asarray(self.transverse_axis, dtype=float)
         if ax.shape != (3,) or np.linalg.norm(ax) == 0:
@@ -168,73 +167,63 @@ def _embed3(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _model_runs(spec: EnsembleSpec, samples: np.ndarray) -> list:
-    """(RK loop outcome, row) of each trajectory, sample-major and band 0 first:
-    rk4 runs all rows in lockstep, rkf45 adapts its step to one row at a time."""
+def _batch(spec: EnsembleSpec, samples: np.ndarray):
+    """(model, config, em, bands, Y) of the ensemble's rows, sample-major and
+    band 0 first. An optical ensemble's rows are rays (scenarios._rays), each
+    launch momentum rescaled onto the local shell |p| = n(r0); a zero
+    direction stays zero."""
     Y = np.repeat(samples.reshape(spec.count, -1), 2, axis=0)
     bands = np.tile([0, 1], spec.count)
-    run = lambda k: _integrate_rows(spec.model, bands[k], Y[k], spec.t0, spec.config, spec.em,
-                                    spec.curvature)
-    if spec.config.method == "rk4":
-        batch = run(slice(None))
-        return [(batch, k) for k in range(len(Y))]
-    return [(run(slice(k, k + 1)), 0) for k in range(len(Y))]
+    if spec.optical is None:
+        return spec.model, spec.config, spec.em, bands, Y
+    scn, cfg, norm = spec.optical, spec.config, row_norm(Y[:, :3])
+    n0 = np.sqrt([scn.index.n2(r) for r in Y[:, 3:]])
+    Y[:, :3] *= (n0 / np.where(norm > 0.0, norm, 1.0))[:, None]
+    return (*_rays(scn, cfg.step, cfg.t_end, cfg.max_steps), None, bands, Y)
 
 
 def _row_result(spec: EnsembleSpec, run, k: int, r0):
     if run.errors[k] is not None:
         raise run.errors[k]
     if run.status[k] != "completed":
-        raise EnsembleError(f"trajectory ended with status {run.status[k]!r}")
+        what = "trajectory" if spec.optical is None else "ray"
+        raise EnsembleError(f"{what} ended with status {run.status[k]!r}")
     axis, d = spec.transverse_axis, spec.d
     disp = float((_embed3(run.y[k, d:]) - _embed3(r0)) @ axis)
     return disp, disp / (spec.config.t_end - spec.t0), float(_embed3(run.v0[k, d:]) @ axis)
 
 
-def _run_ray(spec: EnsembleSpec, helicity: int, p0, r0):
-    scn = spec.optical
-    n0 = np.sqrt(scn.index.n2(np.asarray(r0, dtype=float)))
-    p0 = np.asarray(p0, dtype=float)
-    norm = np.linalg.norm(p0)
-    if norm == 0.0:
-        raise EnsembleError("sampled ray direction is zero")
-    p0 = p0 * (n0 / norm)
-    ray = magnus_ray(scn, p0, r0, helicity, s_end=spec.config.t_end,
-                     step=spec.config.step, max_steps=spec.config.max_steps)
-    if ray.status != "completed":
-        raise EnsembleError(f"ray ended with status {ray.status!r}")
-    axis = spec.transverse_axis
-    disp = float((ray.final_r - np.asarray(r0, dtype=float)) @ axis)
-    duration = spec.config.t_end
-    rdot0 = (ray.r[1] - ray.r[0]) / (ray.s[1] - ray.s[0])
-    return disp, disp / duration, float(rdot0 @ axis)
-
-
 def run_ensemble(spec: EnsembleSpec) -> TransportReport:
     """Integrate both bands over the sampled initial conditions.
 
-    rk4 ensembles integrate all 2 count trajectories in lockstep, as the
-    rows of one RK loop; rkf45 trajectories and optical rays run one at a
-    time. Each trajectory keeps the numbers and failure it has alone, and
-    results are taken in sample order, band 0 first. Raises EnsembleError
-    if more than 10% of trajectories fail; individual failures are
-    otherwise collected into the report.
+    rk4 and optical ensembles integrate all 2 count trajectories or rays in
+    lockstep, as the rows of one RK loop; rkf45 trajectories run one at a
+    time. Each keeps the numbers and failure it has alone, and results are
+    taken in sample order, band 0 first. A ray drifting off its dispersion
+    surface by more than 1e-6 raises a ConstraintDriftWarning. Raises
+    EnsembleError if more than 10% of trajectories fail; individual
+    failures are otherwise collected into the report.
     """
     samples = draw_samples(spec)
     n_tasks = 2 * spec.count
-    disp_samples = np.full((spec.count, 2), np.nan)
-    vel_samples = np.full((spec.count, 2), np.nan)
-    v0_samples = np.full((spec.count, 2), np.nan)
+    disp_samples, vel_samples, v0_samples = (np.full((spec.count, 2), np.nan) for _ in range(3))
     failures = []
-    runs = _model_runs(spec, samples) if spec.model is not None else None
+    model, config, em, bands, Y = _batch(spec, samples)
+    run = lambda k: _integrate_rows(model, bands[k], Y[k], spec.t0, config, em, spec.curvature)
+    if config.method == "rk4":  # all rows in lockstep
+        batch = run(slice(None))
+        runs = [(batch, k) for k in range(len(Y))]
+    else:  # rkf45 adapts its step to one row at a time
+        runs = [(run(slice(k, k + 1)), 0) for k in range(len(Y))]
+    if spec.optical is not None:
+        _check_drift(runs[0][0], stacklevel=3)
     for i in range(spec.count):
         p0, r0 = samples[i, 0], samples[i, 1]
         for band in (0, 1):
             try:
-                if runs is not None:
-                    res = _row_result(spec, *runs[2 * i + band], r0)
-                else:
-                    res = _run_ray(spec, +1 if band == 1 else -1, p0, r0)
+                if spec.optical is not None and not p0.any():
+                    raise EnsembleError("sampled ray direction is zero")
+                res = _row_result(spec, *runs[2 * i + band], r0)
             except SgkError as exc:
                 failures.append((i, band, f"{type(exc).__name__}: {exc}"))
                 continue
@@ -245,11 +234,8 @@ def run_ensemble(spec: EnsembleSpec) -> TransportReport:
         raise EnsembleError(
             f"{len(failures)}/{n_tasks} trajectories failed: {head}")
 
-    band_disp = np.empty(2)
-    band_vel = np.empty(2)
-    band_v0 = np.empty(2)
-    sem_disp = np.zeros(2)
-    sem_vel = np.zeros(2)
+    band_disp, band_vel, band_v0 = np.empty(2), np.empty(2), np.empty(2)
+    sem_disp, sem_vel = np.zeros(2), np.zeros(2)
     for band in (0, 1):
         ok = ~np.isnan(disp_samples[:, band])
         n = int(np.sum(ok))

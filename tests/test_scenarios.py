@@ -393,6 +393,9 @@ def test_ray_validations():
         magnus_ray(scn, (1.5, 0, 0), np.zeros(3), 1, s_end=-1.0)
     with pytest.raises(SingularityError):
         magnus_ray(scn, (0.0, 0.0, 0.0), np.zeros(3), 1, s_end=0.01)
+    for max_steps in (0, -3, 2.5, True):
+        with pytest.raises(ValueError, match="max_steps"):
+            magnus_ray(scn, (1.5, 0, 0), np.zeros(3), 1, s_end=0.01, max_steps=max_steps)
 
 
 def test_ray_length_must_be_finite():

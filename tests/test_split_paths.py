@@ -17,9 +17,10 @@ from sgk import (IntegratorConfig, LinearField, OpticalScenario, PhasePoint,
                  PolyField, RashbaScenario, RotatingField, SpinOrbitScenario,
                  UniformField, ZeemanScenario, band_gradients,
                  curvature_m_space, default_step, integrate, magnus_ray,
-                 monopole_pullback)
+                 monopole_pullback, velocity_field)
 from sgk.fields import CallableField, LinearIndex, VectorField, builtin
 from sgk.phase_space import central_difference
+from sgk.scenarios import _rays
 
 from helpers import point_kernel, split_derivatives, split_energy
 
@@ -311,14 +312,15 @@ def test_one_point_forms_are_one_row_cases(kind):
 
 
 def test_magnus_ray_is_classic_rk4():
-    # the reference: the stage arithmetic of one RK4 step, written out
+    # the reference: the stage arithmetic of one RK4 step, written out over
+    # the point kernel's reduced velocity of the ray's band form
     scn = OpticalScenario(index=LinearIndex(n0=1.5, alpha=0.05), k0=50.0)
     p0 = scn.launch_momentum((1.0, 0.0, 0.2))
+    form, _ = _rays(scn, 0.1, 0.25, 10)
 
-    def rhs(y, helicity=-1, inv_k0=1.0 / 50.0):
-        p, pdot = y[:3], 0.5 * scn.index.grad_n2(y[3:])
-        rdot = p - helicity * inv_k0 * np.cross(p, pdot) / np.linalg.norm(p) ** 3
-        return np.concatenate([pdot, rdot])
+    def rhs(y):
+        return np.concatenate(velocity_field(form, 0, PhasePoint(y[:3], y[3:], 0.0),
+                                             mode="reduced", warn=False))
 
     ray = magnus_ray(scn, p0, np.zeros(3), -1, s_end=0.25, step=0.1)
     y, steps = np.concatenate([p0, np.zeros(3)]), []
@@ -330,3 +332,28 @@ def test_magnus_ray_is_classic_rk4():
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         steps.append(y)
     assert np.array_equal(np.hstack([ray.p, ray.r])[1:], np.array(steps))
+
+
+def test_magnus_ray_matches_the_closed_form_magnus_rhs():
+    # the oracle: RK4 of pdot = grad n^2/2, rdot = p - S k0^{-1} (p x pdot)/|p|^3,
+    # which shares no arithmetic with the point kernel; 200 steps agree to
+    # roundoff (1.1e-15 measured)
+    scn = OpticalScenario(index=LinearIndex(n0=1.5, alpha=0.05), k0=50.0)
+    p0, h = scn.launch_momentum((1.0, 0.0, 0.2)), 5e-3
+
+    def rhs(y, helicity):
+        p, pdot = y[:3], 0.5 * scn.index.grad_n2(y[3:])
+        rdot = p - helicity / scn.k0 * np.cross(p, pdot) / np.linalg.norm(p) ** 3
+        return np.concatenate([pdot, rdot])
+
+    for helicity in (+1, -1):
+        ray = magnus_ray(scn, p0, np.zeros(3), helicity, s_end=200 * h, step=h)
+        assert ray.s.shape == (201,)
+        y = np.concatenate([p0, np.zeros(3)])
+        for _ in range(200):
+            k1 = rhs(y, helicity)
+            k2 = rhs(y + 0.5 * h * k1, helicity)
+            k3 = rhs(y + 0.5 * h * k2, helicity)
+            k4 = rhs(y + h * k3, helicity)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.abs(np.concatenate([ray.p[-1], ray.r[-1]]) - y).max() <= 1e-13

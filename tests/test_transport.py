@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 import sgk.dynamics
 from sgk import (
+    ConstraintDriftWarning,
     EnsembleError,
     EnsembleSpec,
     ExternalEMField,
     HamiltonianModel,
+    IndexField,
     IntegratorConfig,
     LinearIndex,
     OpticalScenario,
@@ -36,6 +38,7 @@ from sgk import (
 from sgk.cli import main
 from sgk.dynamics import _integrate_rows
 from sgk.fields import CallableField
+from sgk.transport import _batch
 
 from helpers import generic_copy, hermitian_model
 
@@ -253,6 +256,65 @@ def test_magnus_ensemble_splitting_matches_contour_oracle():
     assert abs(report.splitting - predicted) <= 2.0 * se_diff
 
 
+def optical_spec(t0=0.0):
+    scn = OpticalScenario(LinearIndex(n0=1.5, alpha=0.05, axis=(1.0, 0.0, 0.0)), k0=50.0)
+    return EnsembleSpec(count=4, config=IntegratorConfig(step=1e-2, t_end=1.0), t0=t0,
+                        p_center=np.array([0.2, 0.1, 1.0]), r_center=np.zeros(3),
+                        p_spread=np.array([0.1, 0.1, 0.0]), r_spread=np.array([0.2, 0.2, 0.2]),
+                        seed=4, optical=scn, transverse_axis=EY)
+
+
+def test_optical_rays_start_at_t0():
+    # a ray runs from t0 to t_end, as a trajectory does, and its mean
+    # velocity is its displacement over that duration
+    spec = optical_spec(t0=0.5)
+    report = run_ensemble(spec)
+    assert report.failures == () and report.duration == 0.5
+    for band in (0, 1):
+        assert report.band_vel[band] == pytest.approx(
+            np.mean(report.disp_samples[:, band] / report.duration), rel=1e-14)
+    p0, r0 = report.samples[0]
+    p0 = p0 * np.sqrt(spec.optical.index.n2(r0)) / np.linalg.norm(p0)
+    ray = magnus_ray(spec.optical, p0, r0, +1, s_end=0.5, step=spec.config.step)
+    assert report.disp_samples[0, 1] == float((ray.final_r - r0) @ EY)
+
+
+def test_optical_v0_is_the_launch_velocity():
+    # rdot = p - S k0^{-1} (p x grad n^2/2)/|p|^3 at the launch point, with
+    # |p| = n(r0) and S = -1 for band 0, +1 for band 1
+    spec = optical_spec()
+    scn = spec.optical
+    report = run_ensemble(spec)
+    for i, (p0, r0) in enumerate(report.samples):
+        p = p0 * np.sqrt(scn.index.n2(r0)) / np.linalg.norm(p0)
+        for band, S in ((0, -1.0), (1, +1.0)):
+            rdot = p - S / scn.k0 * np.cross(p, 0.5 * scn.index.grad_n2(r0)) \
+                / np.linalg.norm(p) ** 3
+            assert report.v0_samples[i, band] == pytest.approx(float(rdot @ EY),
+                                                               rel=1e-14, abs=1e-16)
+
+
+class QuadraticIndex(IndexField):
+    """n^2 = 2.25 - 3 r_y^2: a ray path that RK4 does not follow exactly."""
+
+    def n2(self, r):
+        return 2.25 - 3.0 * float(r[1]) ** 2
+
+    def grad_n2(self, r):
+        return np.array([0.0, -6.0 * float(r[1]), 0.0])
+
+
+def test_optical_ensemble_warns_on_constraint_drift():
+    # rays start on the shell; coarse steps in a curved index leave it by
+    # about 1.5e-2, past the 1e-6 bound a directly traced ray also keeps
+    spec = EnsembleSpec(count=2, config=IntegratorConfig(step=0.5, t_end=3.0),
+                        p_center=np.array([1.0, 0.5, 0.0]), r_center=np.array([0.0, 0.3, 0.0]),
+                        p_spread=np.array([0.0, 0.3, 0.3]),
+                        optical=OpticalScenario(QuadraticIndex(), k0=50.0))
+    with pytest.warns(ConstraintDriftWarning, match="dispersion constraint drifted"):
+        run_ensemble(spec)
+
+
 def test_optical_zero_direction_is_a_failure():
     scn = OpticalScenario(UniformIndex(n0=1.2), k0=80.0)
     spec = EnsembleSpec(count=1, config=IntegratorConfig(step=1e-2, t_end=0.5),
@@ -319,9 +381,17 @@ def lockstep_case(kind, seed, count, epsilon_abort):
     """A Zeeman poly or Rashba ensemble spec: with exact row derivatives, or
     with a CallableField coupling (differenced) or a curvature provider; or
     a generic model: the Zeeman poly one with its split form removed, or a
-    three-band Hermitian one."""
+    three-band Hermitian one; or an optical one, whose rays ignore epsilon
+    but some of whose rays, at a small k0, fail on the spin force."""
     rng = np.random.default_rng(seed)
     config = IntegratorConfig(step=0.02, t_end=0.15, epsilon_abort=epsilon_abort)
+    if kind == "optical":
+        index = LinearIndex(n0=float(rng.uniform(1.2, 2.0)), alpha=float(rng.uniform(0.1, 0.3)),
+                            axis=rng.normal(size=3))
+        return EnsembleSpec(count=count, config=config, p_center=rng.uniform(-1.0, 1.0, 3),
+                            r_center=np.zeros(3), p_spread=np.full(3, 0.5),
+                            r_spread=np.full(3, 0.8), seed=seed,
+                            optical=OpticalScenario(index, k0=float(rng.uniform(0.02, 0.2))))
     if kind.startswith("rashba"):
         scn = RashbaScenario(b_z=float(rng.uniform(0.3, 2.0)),
                              e_inplane=tuple(rng.uniform(-0.3, 0.3, 2)),
@@ -361,7 +431,7 @@ def row_outcome(run, i):
 
 
 @pytest.mark.parametrize("kind", ["zeeman", "rashba", "zeeman-callable", "rashba-provider",
-                                  "zeeman-generic", "hermitian-3"])
+                                  "zeeman-generic", "hermitian-3", "optical"])
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1),
        epsilon_abort=st.sampled_from([1.0, 0.05]), data=st.data())
@@ -369,9 +439,9 @@ def test_row_bits_do_not_depend_on_the_batch(kind, seed, epsilon_abort, data):
     # a low epsilon bound makes rows breach, and strong spin forces make
     # rows fail with a SpinForceWarning, which the suite turns into an error
     spec = lockstep_case(kind, seed, 4, epsilon_abort)
-    bands, Y = batch_rows(spec)
-    run = lambda rows: _integrate_rows(spec.model, bands[rows], Y[rows], spec.t0,
-                                       spec.config, spec.em, spec.curvature)
+    model, config, em, bands, Y = _batch(spec, draw_samples(spec))
+    run = lambda rows: _integrate_rows(model, bands[rows], Y[rows], spec.t0, config, em,
+                                       spec.curvature)
     full = run(np.arange(len(Y)))
     want = [row_outcome(full, i) for i in range(len(Y))]
     order = data.draw(st.permutations(range(len(Y))))
@@ -384,10 +454,18 @@ def test_row_bits_do_not_depend_on_the_batch(kind, seed, epsilon_abort, data):
     d = spec.d
     for i, (band, y) in enumerate(zip(bands, Y)):
         try:
-            traj = integrate(spec.model, band, PhasePoint(y[:d], y[d:], spec.t0),
-                             spec.config, em=spec.em, curvature=spec.curvature)
+            if spec.optical is not None:
+                ray = magnus_ray(spec.optical, y[:d], y[d:], 2 * band - 1,
+                                 s_end=config.t_end - spec.t0, step=config.step)
+            else:
+                traj = integrate(spec.model, band, PhasePoint(y[:d], y[d:], spec.t0),
+                                 spec.config, em=spec.em, curvature=spec.curvature)
         except Exception as exc:  # a SpinForceWarning too, as warnings are errors here
             assert want[i][:2] == ("failed", f"{type(exc).__name__}: {exc}")
+            continue
+        if spec.optical is not None:  # a ray alone records no launch velocity
+            final = np.concatenate([ray.p[-1], ray.r[-1]])
+            assert want[i][:3] == (ray.status, None, final.tobytes())
             continue
         v0 = np.concatenate([traj.states[0].v_p, traj.states[0].v_r])
         final = np.concatenate([traj.final.m.p, traj.final.m.r])
