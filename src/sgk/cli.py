@@ -485,8 +485,8 @@ _ENSEMBLE_KEYS = {
 def _scenario_model_parts(scenario):
     """(model, em) for model-backed scenarios.
 
-    Their models carry exact Jacobians, so the integrator takes curvature
-    from them and needs no separate provider.
+    Their models carry exact Jacobians, from which the integrator's point
+    kernel takes the curvature, as it does for every model.
     """
     if isinstance(scenario, RashbaScenario):
         return scenario.model(), scenario.em()

@@ -34,7 +34,7 @@ from .errors import (DegeneracyError, NumericalError, SingularSystemError,
 from .fields import UniformField, VectorField, _promote, as_field, rows
 from .gauge import (_axis_stencil, _check_step, _split_differences, antisymmetric,
                     default_step, monopole_rows, tensor_to_pseudo)
-from .models import Constants, HamiltonianModel, SplitForm
+from .models import SPLIT_CHARGES, Constants, HamiltonianModel, SplitForm
 from .phase_space import PhasePoint, row_dot, row_norm, row_pow
 from .spectral import DEGENERACY_RTOL, _stack
 
@@ -43,7 +43,6 @@ from .spectral import DEGENERACY_RTOL, _stack
 SPIN_FORCE_WARN_RATIO = 0.5
 _COND_LIMIT = 1e12
 _CROSS = np.array([6, 2, 4, 5, 6, 0, 1, 3, 6])  # (B, -B, 0) entries of v -> v x B
-_SIGN = np.array([-1.0, 1.0])  # E = H0 -+ hbar|H1| for bands 0 and 1
 # A last step at most this fraction longer than the step size is stretched
 # to land on t_end, instead of leaving a rounding-error sliver behind it.
 _LAST_STEP_SLACK = 1e-6
@@ -228,16 +227,17 @@ def _split_energy(h0: np.ndarray, nb: np.ndarray, sign: np.ndarray):
 
 
 def _point_kernel(model: HamiltonianModel, bands, X: np.ndarray,
-                  curvature: Callable = None, spin_force: bool = True,
-                  connection: bool = False) -> _Kernel:
+                  spin_force: bool = True, connection: bool = False) -> _Kernel:
     """Energy, gradient, gap, curvature F and diagonal connection A of a band
     at each row of X (N, 2d+1), in the band bands[i] (N,) of each row.
 
-    A split form gives all of them from (grad H0, b, J), b = H1 and J =
-    dH1/dm, exact or differenced (_split_derivatives): E = H0 -+ hbar|b|,
-    grad E = grad H0 -+ hbar b^T J/|b|, gap = 2 hbar|b|, F from
-    gauge.monopole_rows and A = a(b)^T J, with a(b) Berry's monopole
-    connection of spin -+1/2 in the largest-component gauge of the
+    This is the one place the integrator takes F from: nothing else can
+    supply a curvature. A split form gives all of them from (grad H0, b,
+    J), b = H1 and J = dH1/dm, exact or differenced (_split_derivatives):
+    with S the band's charge in SPLIT_CHARGES (-+1/2), E = H0 + 2S hbar|b|,
+    grad E = grad H0 + 2S hbar b^T J/|b|, gap = 2 hbar|b|, F = -S X with X
+    from gauge.monopole_rows and A = a(b)^T J, with a(b) Berry's monopole
+    connection of spin S in the largest-component gauge of the
     spectral layer. For a 2x2 frame that gauge is the north patch
     S (b_y, -b_x, 0)/(|b|(|b| + b_z)) where b_z > 0 and the south patch
     -S (b_y, -b_x, 0)/(|b|(|b| - b_z)) where b_z < 0.
@@ -246,7 +246,8 @@ def _point_kernel(model: HamiltonianModel, bands, X: np.ndarray,
     for the upper band and the south patch for the lower one; the
     eigensolver's roundoff may break such a tie either way, so differenced
     frames are no oracle within about 1e-3 |b| of b_z = 0. A _BandForm
-    gives (E, grad E, b, J) itself, an infinite gap and no A.
+    gives (E, grad E, b, J) itself, its own charges, an infinite gap and
+    no A.
 
     Generic models take them all from one eigensolve of the N centre
     matrices and from dH/dm by central differences at default_step, one
@@ -254,8 +255,7 @@ def _point_kernel(model: HamiltonianModel, bands, X: np.ndarray,
     V_m = <m|dH|b> and c_m = V_m/(E_b - E_m), m != b: grad E = Re V_b,
     F_ij = -2 Im sum_m conj(c_m,i) c_m,j (the sum over states) and
     A = Im(sum_m U_km c_m)/U_kb, k the component the spectral gauge makes
-    real. A given curvature provider supplies F instead, one PhasePoint per
-    row. F is None when spin_force is off and A is None unless connection
+    real. F is None when spin_force is off and A is None unless connection
     is asked for. Each row's bits are independent of the other rows, and a
     failing row raises.
     """
@@ -263,15 +263,17 @@ def _point_kernel(model: HamiltonianModel, bands, X: np.ndarray,
     if isinstance(model, _BandForm):
         E0, g, b, J = model.rows(X)
         nb, gap = row_norm(b), np.full(len(X), math.inf)
+        charge = np.take(model.spin_charges, bands)
     elif model.split is not None:
         h0, g0, b, J = _split_derivatives(model.split, X)
         nb = row_norm(b)
         hbar = model.constants.hbar
-        sign = _SIGN.take(bands)
+        charge = np.take(SPLIT_CHARGES, bands)
+        sign = 2.0 * charge  # -+1, exactly
         E0, gap = _split_energy(h0, hbar * nb, sign)
         g = g0 + (sign * hbar / nb)[:, None] * (b[:, None, :] @ J)[:, 0]
         if connection:
-            twist = (0.5 * sign[:, None] * (b[:, 1, None] * J[:, 0] - b[:, 0, None] * J[:, 1])
+            twist = (charge[:, None] * (b[:, 1, None] * J[:, 0] - b[:, 0, None] * J[:, 1])
                      / nb[:, None])
             bz = b[:, 2]
             north = (bz > 0.0) | ((bz == 0.0) & (bands == 1))
@@ -289,31 +291,26 @@ def _point_kernel(model: HamiltonianModel, bands, X: np.ndarray,
         E0, g = w[rows, bands], V[rows, :, bands].real
         own = np.arange(n) == bands[:, None]
         c = V * np.where(own, 0.0, 1.0 / np.where(own, 1.0, E0[:, None] - w))[:, None]
-        if spin_force and curvature is None:
+        if spin_force:
             F = antisymmetric(-2.0 * (np.conj(c) @ np.swapaxes(c, 1, 2)).imag)
         if connection:
             k = np.argmax(np.abs(u), axis=1)  # the component the spectral gauge makes real
             A = (c @ U[rows, k, :, None])[..., 0].imag / u[rows, k].real[:, None]
-    if b is not None and spin_force and curvature is None:
-        S = -np.asarray(model.spin_charges, dtype=float)[bands]
-        F = antisymmetric(S[:, None, None] * monopole_rows(b, J, nb))
-    if spin_force and curvature is not None:
-        d = (X.shape[1] - 1) // 2
-        F = np.stack([curvature(PhasePoint.from_vector(x, d)).F[band]
-                      for x, band in zip(X, bands)])
+    if b is not None and spin_force:
+        F = antisymmetric(-charge[:, None, None] * monopole_rows(b, J, nb))
     return _Kernel(energy=E0, grad=g, gap=gap, F=F, a_diag=A)
 
 
 def spin_force_terms(model: HamiltonianModel, band: int, m: PhasePoint,
-                     mdot: np.ndarray, curvature: Callable = None):
+                     mdot: np.ndarray):
     """Additive gauge-force terms at a prescribed mdot = (pdot, rdot, 1).
 
     Returns (f_p, f_r): f_p = hbar F_rm . mdot enters the pdot equation and
     f_r = -hbar F_pm . mdot enters the rdot equation, with F the point
-    kernel's curvature at the one row m (the given provider's, if any). For
-    two-band traceless split models the two bands' terms are exact negatives.
+    kernel's curvature at the one row m. For two-band traceless split models
+    the two bands' terms are exact negatives.
     """
-    F = _point_kernel(model, np.array([band]), m.as_vector()[None], curvature).F[0]
+    F = _point_kernel(model, np.array([band]), m.as_vector()[None]).F[0]
     d = m.d
     hbar = model.constants.hbar
     mdot = np.asarray(mdot, dtype=float)
@@ -323,21 +320,19 @@ def spin_force_terms(model: HamiltonianModel, band: int, m: PhasePoint,
 
 
 def velocity_field(model: HamiltonianModel, band: int, m: PhasePoint,
-                   em: ExternalEMField = None, *, curvature: Callable = None,
-                   mode: str = "exact", spin_force: bool = True,
-                   warn: bool = True):
+                   em: ExternalEMField = None, *, mode: str = "exact",
+                   spin_force: bool = True, warn: bool = True):
     """Phase-space velocities (pdot, rdot) of one band at m.
 
-    The energy gradient and curvature come from the point kernel, the
-    curvature from the given provider when there is one. mode='exact'
-    solves the coupled linear system (raising SingularSystemError if it is
-    singular or catastrophically conditioned); mode='reduced' substitutes
-    curvature-free velocities into the gauge terms. A SpinForceWarning is
-    emitted when warn is set and the gauge force is not small against the
-    zeroth-order forces.
+    The energy gradient and curvature come from the point kernel.
+    mode='exact' solves the coupled linear system (raising
+    SingularSystemError if it is singular or catastrophically conditioned);
+    mode='reduced' substitutes curvature-free velocities into the gauge
+    terms. A SpinForceWarning is emitted when warn is set and the gauge
+    force is not small against the zeroth-order forces.
     """
     X = m.as_vector()[None]
-    k = _point_kernel(model, np.array([band]), X, curvature, spin_force)
+    k = _point_kernel(model, np.array([band]), X, spin_force)
     v, ratio = _velocity(model, X, k.grad, k.F, em, mode, warn)
     if ratio[0] > SPIN_FORCE_WARN_RATIO:
         _warn_spin_force(stacklevel=3)
@@ -458,11 +453,10 @@ def _epsilon(model, X, g, gap, mdot, delta_p) -> np.ndarray:
 # Integration
 
 
-def _eval_rows(model, bands, X, em, config, curvature) -> dict:
+def _eval_rows(model, bands, X, em, config) -> dict:
     """v, energy, epsilon, spin-force ratio, phase rates and (if recorded) the
     diagonal connection a at the accepted states X, per row."""
-    k = _point_kernel(model, bands, X, curvature, config.spin_force,
-                      connection=config.record_connection)
+    k = _point_kernel(model, bands, X, config.spin_force, connection=config.record_connection)
     v, ratio = _velocity(model, X, k.grad, k.F, em, config.mode, True)
     mdot = np.concatenate([v, np.ones((len(X), 1))], axis=1)
     d = (X.shape[1] - 1) // 2
@@ -475,8 +469,8 @@ def _eval_rows(model, bands, X, em, config, curvature) -> dict:
     return ev
 
 
-def _stage_velocity(model, bands, X, em, config, curvature) -> np.ndarray:
-    k = _point_kernel(model, bands, X, curvature, config.spin_force)
+def _stage_velocity(model, bands, X, em, config) -> np.ndarray:
+    k = _point_kernel(model, bands, X, config.spin_force)
     return _velocity(model, X, k.grad, k.F, em, config.mode, False)[0]
 
 
@@ -496,8 +490,7 @@ _FE_C5 = [16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0,
 
 
 def integrate(model: HamiltonianModel, band: int, initial: PhasePoint,
-              config: IntegratorConfig, em: ExternalEMField = None,
-              curvature: Callable = None) -> Trajectory:
+              config: IntegratorConfig, em: ExternalEMField = None) -> Trajectory:
     """Integrate one band's trajectory from the initial phase-space point.
 
     Time advances uniformly (the final step is shortened, or stretched by
@@ -513,7 +506,7 @@ def integrate(model: HamiltonianModel, band: int, initial: PhasePoint,
     """
     d = initial.d
     run = _integrate_rows(model, np.array([band]), np.concatenate([initial.p, initial.r])[None],
-                          initial.t, config, em, curvature, record=True)
+                          initial.t, config, em, record=True)
     if run.errors[0] is not None:
         raise run.errors[0]
     states = []
@@ -543,8 +536,7 @@ class _Rows:
     states: list
 
 
-def _integrate_rows(model, bands, Y, t0, config, em=None, curvature=None,
-                    record=False) -> _Rows:
+def _integrate_rows(model, bands, Y, t0, config, em=None, record=False) -> _Rows:
     """One RK loop over the rows of Y (N, 2d) from time t0, row i in band bands[i].
 
     All rows take the same steps in lockstep, and a row leaves when it
@@ -577,14 +569,14 @@ def _integrate_rows(model, bands, Y, t0, config, em=None, curvature=None,
         nonlocal h
         y, b = cur["y"][idx], bands[idx]
         if steps:
-            f = lambda s_, y_: _stage_velocity(model, b, at(s_, y_), em, config, curvature)
+            f = lambda s_, y_: _stage_velocity(model, b, at(s_, y_), em, config)
             if config.method == "rk4":
                 y = _rk4_step(f, s, y, h_try, cur["v"][idx])[0]
             else:
                 y, _, h, accepted = _rkf45_step(f, s, y, h_try, cur["v"][idx], config.tolerance)
                 if not accepted:
                     return None
-        return dict(_eval_rows(model, b, at(s + h_try, y), em, config, curvature), y=y)
+        return dict(_eval_rows(model, b, at(s + h_try, y), em, config), y=y)
 
     def fail(i, exc):
         err = exc

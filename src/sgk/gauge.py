@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (NumericalError, QuadratureError, SingularityError,
                      StepError)
-from .models import HamiltonianModel
+from .models import SPLIT_CHARGES, HamiltonianModel
 from .phase_space import PhasePoint, central_difference, row_pow, step_scale
 from .spectral import _stack
 
@@ -356,25 +356,20 @@ def adiabatic_curvature_numeric(model: HamiltonianModel, m: PhasePoint, step: fl
 
 
 def curvature_m_space(model: HamiltonianModel, m: PhasePoint,
-                      S: Sequence[float] = None, step: float = None) -> CurvatureTensor:
+                      step: float = None) -> CurvatureTensor:
     """Closed-form split-model curvature from the coupling field H1.
 
-    F_ij(band) = -S_band H1 . (dH1/dm_i x dH1/dm_j) / |H1|^3, the pullback
-    of the coupling-space monopole along m -> H1(m). J is differenced on one
-    stencil stack (exact for affine couplings), so this stays an oracle
-    independent of the scenarios' analytic Jacobians.
+    F_ij(band) = -S_band H1 . (dH1/dm_i x dH1/dm_j) / |H1|^3 with S the
+    bands' SPLIT_CHARGES, the pullback of the coupling-space monopole along
+    m -> H1(m). J is differenced on one stencil stack (exact for affine
+    couplings), so this stays an oracle independent of the scenarios'
+    analytic Jacobians.
     """
     if model.split is None:
         raise ValueError("curvature_m_space needs a split-form model")
-    charges = tuple(S) if S is not None else model.spin_charges
-    if charges is None:
-        raise ValueError("no spin charges available for this model")
-    for s in charges:
-        if abs(2.0 * s - round(2.0 * s)) > 1e-9:
-            raise ValueError(f"spin charge must be integer or half-integer, got {s}")
     h = _check_step(step if step is not None else default_step(m))
     return monopole_pullback(*_split_differences(model.split, m.as_vector(), h)[2:],
-                             charges, m)
+                             SPLIT_CHARGES, m)
 
 
 def _split_differences(split, v: np.ndarray, h: float):

@@ -6,9 +6,9 @@ m = (p, r, t). Two-band models of the split form
     H(m) = H0(m) I + hbar sigma . H1(m)
 
 (sigma the Pauli matrices, H1 a 3-component coupling field) additionally
-expose H0 and H1 directly; band energies are then H0 -+ hbar |H1|, band 0
-carries spin charge -1/2 and band 1 carries +1/2, and curvatures have a
-closed form in terms of H1 and its first derivatives.
+expose H0 and H1 directly; band energies are then H0 -+ hbar |H1|, band k
+carries the fixed spin charge SPLIT_CHARGES[k] (-1/2, +1/2), and curvatures
+have a closed form in terms of H1 and its first derivatives.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ PAULI = np.array([
 
 # Relative Hermiticity defect tolerated before a model is rejected.
 HERMITICITY_RTOL = 1e-12
+# Spin charge of each band of a split form, ascending band order: the
+# projection of the Pauli spin on H1, so band k has sign 2 SPLIT_CHARGES[k].
+SPLIT_CHARGES = (-0.5, +0.5)
 
 
 @dataclass(frozen=True)
@@ -121,26 +124,21 @@ class HamiltonianModel:
 
     evaluate_raw(m) must return an n x n Hermitian array; evaluate and
     evaluate_stack symmetrize small defects and reject anything beyond
-    1e-12 relative and any matrix with a NaN or infinite entry.
-    spin_charges lists the per-band spin projection on H1 (ascending band
-    order); split-form Pauli models default to (-1/2, +1/2).
+    1e-12 relative and any matrix with a NaN or infinite entry. A split
+    form's bands carry SPLIT_CHARGES; the curvature of any model is the
+    one the integrator's point kernel derives from H.
     """
 
     n: int
     evaluate_raw: Callable[[PhasePoint], np.ndarray]
     split: Optional[SplitForm] = None
     constants: Constants = field(default_factory=Constants)
-    spin_charges: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need at least two bands")
         if self.split is not None and self.n != 2:
             raise ValueError("split form is defined for two-band models only")
-        if self.split is not None and self.spin_charges is None:
-            object.__setattr__(self, "spin_charges", (-0.5, +0.5))
-        if self.spin_charges is not None and len(self.spin_charges) != self.n:
-            raise ValueError("spin_charges must have one entry per band")
 
     def evaluate(self, m: PhasePoint) -> np.ndarray:
         """H(m), checked and symmetrized: the one-row case of evaluate_stack."""
@@ -180,8 +178,8 @@ class HamiltonianModel:
         return 0.5 * (H + np.conj(np.swapaxes(H, 1, 2)))
 
     @staticmethod
-    def from_split(h0, h1, constants: Constants = None, spin_charges=None,
-                   jacobian_rows=None, stack=None) -> "HamiltonianModel":
+    def from_split(h0, h1, constants: Constants = None, jacobian_rows=None,
+                   stack=None) -> "HamiltonianModel":
         """Build H = H0 I + hbar sigma . H1 from the two callables.
 
         jacobian_rows and stack are the optional forms of SplitForm.
@@ -192,8 +190,7 @@ class HamiltonianModel:
         def _eval(m: PhasePoint) -> np.ndarray:
             return _split_matrices(split.h0(m), constants.hbar * split.h1_vector(m))
 
-        return HamiltonianModel(n=2, evaluate_raw=_eval, split=split,
-                                constants=constants, spin_charges=spin_charges)
+        return HamiltonianModel(n=2, evaluate_raw=_eval, split=split, constants=constants)
 
     # Closed-form band energy of a split form, off the integrator's path. It
     # agrees with the eigensolver to roundoff (checked in tests).

@@ -30,7 +30,7 @@ from .dynamics import IntegratorConfig, _BandForm, _integrate_rows
 from .errors import ConstraintDriftWarning, GaugePatchError, SingularityError
 from .fields import IndexField, LinearField, VectorField, _promote_rows, as_field, builtin, rows
 from .gauge import CurvatureTensor, monopole_pseudovector, monopole_pullback
-from .models import Constants, HamiltonianModel
+from .models import SPLIT_CHARGES, Constants, HamiltonianModel
 from .phase_space import PhasePoint, row_dot
 
 E_Z = np.array([0.0, 0.0, 1.0])
@@ -64,7 +64,7 @@ class _SplitScenario:
         F_ij = -S H1.(d_i H1 x d_j H1)/|H1|^3: the monopole pull-back of the
         Jacobian.
         """
-        return monopole_pullback(*self.jacobian(m), (-0.5, +0.5), m)
+        return monopole_pullback(*self.jacobian(m), SPLIT_CHARGES, m)
 
     def model(self) -> HamiltonianModel:
         """Split-form model with H0 = p^2 / 2 m_star, exact derivatives and stacks.

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,7 +41,8 @@ class EnsembleSpec:
     of model / optical must be set; optical ensembles resample |p| onto the
     local dispersion shell and take only config.step / config.t_end /
     config.max_steps; a ray runs from t0 to t_end, as a trajectory does. A
-    trajectory or ray that stops short of t_end counts as a failure.
+    trajectory or ray that stops short of t_end counts as a failure. Every
+    box value must be finite (else ValueError naming it), as in a config.
     """
 
     count: int
@@ -57,7 +58,6 @@ class EnsembleSpec:
     model: Optional[HamiltonianModel] = None
     optical: Optional[OpticalScenario] = None
     em: Optional[ExternalEMField] = None
-    curvature: Optional[Callable] = None
 
     def __post_init__(self):
         if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral) \
@@ -77,6 +77,10 @@ class EnsembleSpec:
             else np.asarray(self.r_spread, dtype=float)
         if ps.shape != pc.shape or rs.shape != rc.shape:
             raise ValueError("spreads must match the center shapes")
+        box = dict(t0=self.t0, p_center=pc, r_center=rc, p_spread=ps, r_spread=rs)
+        for name, value in box.items():
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value}")
         if np.any(ps < 0) or np.any(rs < 0):
             raise ValueError("spreads must be nonnegative")
         if self.sampler == "grid":
@@ -84,8 +88,8 @@ class EnsembleSpec:
         if self.t0 >= self.config.t_end:
             raise ValueError("t0 must be less than the integrator t_end")
         ax = np.asarray(self.transverse_axis, dtype=float)
-        if ax.shape != (3,) or np.linalg.norm(ax) == 0:
-            raise ValueError("transverse_axis must be a nonzero 3-vector")
+        if ax.shape != (3,) or not np.isfinite(ax).all() or np.linalg.norm(ax) == 0:
+            raise ValueError("transverse_axis must be a finite nonzero 3-vector")
         object.__setattr__(self, "p_center", pc)
         object.__setattr__(self, "r_center", rc)
         object.__setattr__(self, "p_spread", ps)
@@ -199,7 +203,8 @@ def run_ensemble(spec: EnsembleSpec) -> TransportReport:
     rk4 and optical ensembles integrate all 2 count trajectories or rays in
     lockstep, as the rows of one RK loop; rkf45 trajectories run one at a
     time. Each keeps the numbers and failure it has alone, and results are
-    taken in sample order, band 0 first. A ray drifting off its dispersion
+    taken in sample order, band 0 first. A ray sampled with no direction is
+    a failure and is not integrated. A ray drifting off its dispersion
     surface by more than 1e-6 raises a ConstraintDriftWarning. Raises
     EnsembleError if more than 10% of trajectories fail; individual
     failures are otherwise collected into the report.
@@ -209,19 +214,23 @@ def run_ensemble(spec: EnsembleSpec) -> TransportReport:
     disp_samples, vel_samples, v0_samples = (np.full((spec.count, 2), np.nan) for _ in range(3))
     failures = []
     model, config, em, bands, Y = _batch(spec, samples)
-    run = lambda k: _integrate_rows(model, bands[k], Y[k], spec.t0, config, em, spec.curvature)
+    # a ray with no direction fails on its own and never enters the batch
+    aimed = np.ones(spec.count, dtype=bool) if spec.optical is None \
+        else samples[:, 0].any(axis=1)
+    live = np.flatnonzero(np.repeat(aimed, 2))
+    run = lambda k: _integrate_rows(model, bands[k], Y[k], spec.t0, config, em)
     if config.method == "rk4":  # all rows in lockstep
-        batch = run(slice(None))
-        runs = [(batch, k) for k in range(len(Y))]
+        batch = run(live) if live.size else None
+        runs = {k: (batch, j) for j, k in enumerate(live)}
     else:  # rkf45 adapts its step to one row at a time
-        runs = [(run(slice(k, k + 1)), 0) for k in range(len(Y))]
-    if spec.optical is not None:
-        _check_drift(runs[0][0], stacklevel=3)
+        runs = {k: (run(slice(k, k + 1)), 0) for k in live}
+    if spec.optical is not None and live.size:
+        _check_drift(runs[live[0]][0], stacklevel=3)
     for i in range(spec.count):
-        p0, r0 = samples[i, 0], samples[i, 1]
+        r0 = samples[i, 1]
         for band in (0, 1):
             try:
-                if spec.optical is not None and not p0.any():
+                if not aimed[i]:
                     raise EnsembleError("sampled ray direction is zero")
                 res = _row_result(spec, *runs[2 * i + band], r0)
             except SgkError as exc:

@@ -218,15 +218,13 @@ def test_rashba_drift_pointwise_and_hbar_order():
     scn = RashbaScenario(b_z=2.0, e_inplane=(0.005, 0.0), hbar=1e-4)
     model = scn.model()
     em = ExternalEMField.uniform(E=scn.e_vector(), B=(0.0, 0.0, 0.0))
-    prov = scn.curvature_provider()
     worst_rel = 0.0
     opposed = True
     for px in (0.05, 0.1, 0.2):
         m = PhasePoint((px, 0.0), (0.0, 0.0), 0.0)
         vy = []
         for band in (0, 1):
-            _, rdot = velocity_field(model, band, m, em, curvature=prov,
-                                     warn=False)
+            _, rdot = velocity_field(model, band, m, em, warn=False)
             want = float(scn.drift(band, m.p)[1])
             worst_rel = max(worst_rel,
                             abs(float(rdot[1]) - want) / abs(want))
@@ -239,11 +237,8 @@ def test_rashba_drift_pointwise_and_hbar_order():
         m = PhasePoint((0.5, 0.0), (0.0, 0.0), 0.0)
         worst = 0.0
         for band in (0, 1):
-            full = velocity_field(smodel, band, m, s.em(),
-                                  curvature=s.curvature_provider(), warn=False)
-            red = velocity_field(smodel, band, m, s.em(),
-                                 curvature=s.curvature_provider(), warn=False,
-                                 mode="reduced")
+            full = velocity_field(smodel, band, m, s.em(), warn=False)
+            red = velocity_field(smodel, band, m, s.em(), warn=False, mode="reduced")
             worst = max(worst, float(np.max(np.abs(
                 np.concatenate(full) - np.concatenate(red)))))
         return worst

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import sgk.gauge
 from sgk import (
     AdiabaticConnectionField,
-    CurvatureTensor,
     DegeneracyError,
     ExternalEMField,
     HamiltonianModel,
@@ -142,8 +141,8 @@ def test_spin_forces_are_band_opposite():
     assert np.linalg.norm(f_p0) > 0
 
 
-def test_default_provider_matches_closed_form():
-    # with no provider, the kernel's own curvature is the closed form
+def test_kernel_curvature_matches_closed_form():
+    # the kernel's own curvature is the closed form
     scn = linear_zeeman()
     model = scn.model()
     m = PhasePoint((0.1, 0.0, -0.2), (0.2, 0.3, 0.1), 0.0)
@@ -152,18 +151,18 @@ def test_default_provider_matches_closed_form():
         assert np.allclose(point_kernel(model, band, m).F, F[band], atol=1e-14)
 
 
+def crafted_velocity(model, F, warn=True):
+    """The velocity solve at M1 with the band-0 gradient and a given F (7, 7)."""
+    X = M1.as_vector()[None]
+    g = _point_kernel(model, np.array([0]), X, spin_force=False).grad
+    return _velocity(model, X, g, F[None], None, "exact", warn)[0][0]
+
+
 def test_velocity_singular_system_is_reported():
-    scn = uniform_zeeman()
-    model = scn.model()
-
-    def degenerate_curvature(m):
-        F = np.zeros((2, 7, 7))
-        for b in range(2):
-            F[b, 0, 3] = F[b, 1, 4] = F[b, 2, 5] = -1.0  # F_pr = -I/hbar
-        return CurvatureTensor(d=3, labels=m.labels, F=F)
-
+    F = np.zeros((7, 7))
+    F[0, 3] = F[1, 4] = F[2, 5] = -1.0  # F_pr = -I/hbar
     with pytest.raises(SingularSystemError):
-        velocity_field(model, 0, M1, curvature=degenerate_curvature)
+        crafted_velocity(uniform_zeeman().model(), F)
 
 
 def test_near_singular_velocity_system_is_reported():
@@ -172,34 +171,29 @@ def test_near_singular_velocity_system_is_reported():
     model = uniform_zeeman().model()
 
     def curvature(delta):
-        def provider(m):
-            F = np.zeros((2, 7, 7))
-            F[:, 0, 3] = -(1.0 - delta)
-            return CurvatureTensor(d=3, labels=m.labels, F=F)
-        return provider
+        F = np.zeros((7, 7))
+        F[0, 3] = -(1.0 - delta)
+        return F
 
     with pytest.raises(SingularSystemError,
                        match=r"velocity system is singular \(condition number \d\.\d{3}e\+1[23]\)"):
-        velocity_field(model, 0, M1, curvature=curvature(1e-13))
-    v_p, v_r = velocity_field(model, 0, M1, curvature=curvature(1e-6), warn=False)
-    assert np.all(np.isfinite(v_p)) and np.all(np.isfinite(v_r))
+        crafted_velocity(model, curvature(1e-13))
+    assert np.all(np.isfinite(crafted_velocity(model, curvature(1e-6), warn=False)))
 
 
 def test_integrate_attaches_step_index_to_errors():
-    scn = uniform_zeeman()
-
-    def bad_curvature(m):
-        raise SingularityError("synthetic failure")
+    def failing(exc):
+        def h1(m):
+            raise exc
+        return HamiltonianModel.from_split(h0=lambda m: 0.0, h1=h1)
 
     cfg = IntegratorConfig(step=1e-2, t_end=0.1)
-    with pytest.raises(SingularityError, match="integration step 0"):
-        integrate(scn.model(), 0, M1, cfg, curvature=bad_curvature)
-
-    def errno_curvature(m):
-        raise ArithmeticError(34, "Numerical result out of range")
+    with pytest.raises(SingularityError, match="integration step 0") as info:
+        integrate(failing(SingularityError("synthetic failure")), 0, M1, cfg)
+    assert str(info.value) == "integration step 0: synthetic failure"
 
     with pytest.raises(ArithmeticError) as info:
-        integrate(scn.model(), 0, M1, cfg, curvature=errno_curvature)
+        integrate(failing(ArithmeticError(34, "Numerical result out of range")), 0, M1, cfg)
     assert str(info.value) == (
         "integration step 0: 34, Numerical result out of range")
 

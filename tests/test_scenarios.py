@@ -232,11 +232,10 @@ def test_rashba_motion_matches_generic_velocity_solve():
                          hbar=0.05)
     model = scn.model()
     em = scn.em()
-    prov = scn.curvature_provider()
     for band in (0, 1):
         for p in ((0.4, -0.1), (0.1, 0.3)):
             m = PhasePoint(p, (0.0, 0.0), 0.0)
-            v_p, v_r = velocity_field(model, band, m, em, curvature=prov)
+            v_p, v_r = velocity_field(model, band, m, em)
             pdot, rdot = scn.motion(band, p)
             assert np.allclose(v_p, pdot, atol=1e-7)
             assert np.allclose(v_r, rdot, atol=1e-7)
@@ -296,9 +295,8 @@ def test_rashba_closed_form_reduction_orders():
     def disc_pipeline(hb):
         s = scn.with_hbar(hb)
         m = PhasePoint(p, (0.0, 0.0), 0.0)
-        kw = dict(em=s.em(), curvature=s.curvature_provider())
-        exact = np.concatenate(velocity_field(s.model(), 1, m, mode="exact", **kw))
-        red = np.concatenate(velocity_field(s.model(), 1, m, mode="reduced", **kw))
+        exact = np.concatenate(velocity_field(s.model(), 1, m, s.em(), mode="exact"))
+        red = np.concatenate(velocity_field(s.model(), 1, m, s.em(), mode="reduced"))
         return np.linalg.norm(exact - red)
 
     ratio = disc_pipeline(1e-3) / disc_pipeline(5e-4)

@@ -197,11 +197,11 @@ def test_stencil_derivatives_match_per_point_differences(kind, seed, zeros):
     for got, want in zip(got, ref):
         assert np.array_equal(got, want)
     assume(np.linalg.norm(ref[2]) > 0.0)
-    want_F = monopole_pullback(ref[2], ref[3], model.spin_charges, m).F
+    want_F = monopole_pullback(ref[2], ref[3], (-0.5, +0.5), m).F
     assert np.array_equal(curvature_m_space(model, m).F, want_F)
     h = 0.01
     ref = per_point_derivatives(split, m, h)
-    want_F = monopole_pullback(ref[2], ref[3], model.spin_charges, m).F
+    want_F = monopole_pullback(ref[2], ref[3], (-0.5, +0.5), m).F
     assert np.array_equal(curvature_m_space(model, m, step=h).F, want_F)
 
 

@@ -55,7 +55,6 @@ def rashba_spec(scn, *, count, seed, t_end, step=1e-3, em=None,
                         p_spread=np.asarray(p_spread, dtype=float),
                         seed=seed, model=scn.model(),
                         em=scn.em() if em is None else em,
-                        curvature=scn.curvature_provider(),
                         transverse_axis=scn.transverse_axis())
 
 
@@ -141,6 +140,17 @@ def test_spec_validation():
         EnsembleSpec(count=1, transverse_axis=np.zeros(3), **ok)
     spec = EnsembleSpec(count=1, transverse_axis=(0.0, 2.0, 0.0), **ok)
     assert np.allclose(spec.transverse_axis, EY)
+
+
+def test_spec_refuses_non_finite_box_values():
+    # each of these used to pass, then fail every row of the run
+    ok = dict(count=1, config=IntegratorConfig(), p_center=np.zeros(2), r_center=np.zeros(2),
+              model=RashbaScenario().model())
+    for name, value in [("t0", np.nan), ("t0", -np.inf), ("p_center", [np.nan, 0.0]),
+                        ("r_center", [0.0, np.inf]), ("p_spread", [np.nan, 0.0]),
+                        ("r_spread", [np.inf, 0.0]), ("transverse_axis", [np.nan, 1.0, 0.0])]:
+        with pytest.raises(ValueError, match=rf"^{name} must be (a )?finite"):
+            EnsembleSpec(**{**ok, name: value})
 
 
 def test_spec_count_must_be_an_integer():
@@ -324,6 +334,25 @@ def test_optical_zero_direction_is_a_failure():
         run_ensemble(spec)
 
 
+def test_zero_direction_rays_stay_out_of_the_batch(monkeypatch):
+    # the grid's middle sample has p = 0: its two rays fail without being
+    # integrated, and no step of the others is redone one row at a time
+    spec = EnsembleSpec(count=11, config=IntegratorConfig(step=1e-2, t_end=0.05),
+                        p_center=np.zeros(3), r_center=np.zeros(3),
+                        p_spread=np.array([0.5, 0.0, 0.0]), sampler="grid",
+                        optical=OpticalScenario(UniformIndex(n0=1.2), k0=80.0),
+                        transverse_axis=EY)
+    assert np.flatnonzero(~draw_samples(spec)[:, 0].any(axis=1)).tolist() == [5]
+    rows = count_kernel_rows(monkeypatch)
+    report = run_ensemble(spec)
+    # one launch evaluation and four stages per step, each over the 20 aimed rays
+    assert rows == [20] * (1 + 4 * 5)
+    assert report.failures == tuple((5, band, "EnsembleError: sampled ray direction is zero")
+                                    for band in (0, 1))
+    assert np.isnan(report.disp_samples[5]).all() and not np.isnan(np.delete(
+        report.disp_samples, 5, axis=0)).any()
+
+
 # -- failure handling ---------------------------------------------------------
 
 
@@ -379,10 +408,10 @@ def test_failure_fraction_limit():
 
 def lockstep_case(kind, seed, count, epsilon_abort):
     """A Zeeman poly or Rashba ensemble spec: with exact row derivatives, or
-    with a CallableField coupling (differenced) or a curvature provider; or
-    a generic model: the Zeeman poly one with its split form removed, or a
-    three-band Hermitian one; or an optical one, whose rays ignore epsilon
-    but some of whose rays, at a small k0, fail on the spin force."""
+    with a CallableField coupling (differenced); or a generic model: the
+    Zeeman poly one with its split form removed, or a three-band Hermitian
+    one; or an optical one, whose rays ignore epsilon but some of whose
+    rays, at a small k0, fail on the spin force."""
     rng = np.random.default_rng(seed)
     config = IntegratorConfig(step=0.02, t_end=0.15, epsilon_abort=epsilon_abort)
     if kind == "optical":
@@ -392,16 +421,14 @@ def lockstep_case(kind, seed, count, epsilon_abort):
                             r_center=np.zeros(3), p_spread=np.full(3, 0.5),
                             r_spread=np.full(3, 0.8), seed=seed,
                             optical=OpticalScenario(index, k0=float(rng.uniform(0.02, 0.2))))
-    if kind.startswith("rashba"):
+    if kind == "rashba":
         scn = RashbaScenario(b_z=float(rng.uniform(0.3, 2.0)),
                              e_inplane=tuple(rng.uniform(-0.3, 0.3, 2)),
                              rho=float(rng.uniform(0.5, 1.0)))
         return EnsembleSpec(count=count, config=config, p_center=rng.uniform(-0.5, 0.5, 2),
                             r_center=np.zeros(2), p_spread=np.full(2, 0.4),
                             r_spread=np.full(2, 0.5), seed=seed, model=scn.model(),
-                            em=scn.em(), transverse_axis=scn.transverse_axis(),
-                            curvature=scn.curvature_provider() if kind == "rashba-provider"
-                            else None)
+                            em=scn.em(), transverse_axis=scn.transverse_axis())
     b_field = PolyField.random(seed, rng.uniform(-0.5, 0.5, 3))
     if kind == "zeeman-callable":
         b_field = CallableField(b_field.value)
@@ -430,8 +457,8 @@ def row_outcome(run, i):
             run.y[i].tobytes(), run.v0[i].tobytes())
 
 
-@pytest.mark.parametrize("kind", ["zeeman", "rashba", "zeeman-callable", "rashba-provider",
-                                  "zeeman-generic", "hermitian-3", "optical"])
+@pytest.mark.parametrize("kind", ["zeeman", "rashba", "zeeman-callable", "zeeman-generic",
+                                  "hermitian-3", "optical"])
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1),
        epsilon_abort=st.sampled_from([1.0, 0.05]), data=st.data())
@@ -440,8 +467,7 @@ def test_row_bits_do_not_depend_on_the_batch(kind, seed, epsilon_abort, data):
     # rows fail with a SpinForceWarning, which the suite turns into an error
     spec = lockstep_case(kind, seed, 4, epsilon_abort)
     model, config, em, bands, Y = _batch(spec, draw_samples(spec))
-    run = lambda rows: _integrate_rows(model, bands[rows], Y[rows], spec.t0, config, em,
-                                       spec.curvature)
+    run = lambda rows: _integrate_rows(model, bands[rows], Y[rows], spec.t0, config, em)
     full = run(np.arange(len(Y)))
     want = [row_outcome(full, i) for i in range(len(Y))]
     order = data.draw(st.permutations(range(len(Y))))
@@ -459,7 +485,7 @@ def test_row_bits_do_not_depend_on_the_batch(kind, seed, epsilon_abort, data):
                                  s_end=config.t_end - spec.t0, step=config.step)
             else:
                 traj = integrate(spec.model, band, PhasePoint(y[:d], y[d:], spec.t0),
-                                 spec.config, em=spec.em, curvature=spec.curvature)
+                                 spec.config, em=spec.em)
         except Exception as exc:  # a SpinForceWarning too, as warnings are errors here
             assert want[i][:2] == ("failed", f"{type(exc).__name__}: {exc}")
             continue
@@ -560,8 +586,7 @@ def test_ensembles_evaluate_no_connection(monkeypatch):
                    config=IntegratorConfig(step=0.005, t_end=0.01, record_connection=True))
     run_ensemble(spec)
     assert asked and not any(asked)
-    integrate(spec.model, 1, PhasePoint((0.1, 0.0), (0.0, 0.0), 0.0), spec.config,
-              spec.em, spec.curvature)
+    integrate(spec.model, 1, PhasePoint((0.1, 0.0), (0.0, 0.0), 0.0), spec.config, spec.em)
     assert any(asked)
 
 
