@@ -32,9 +32,9 @@ import numpy as np
 from .errors import (DegeneracyError, NumericalError, SingularSystemError,
                      SpinForceWarning, StepError)
 from .fields import UniformField, VectorField, _promote, as_field, rows
-from .gauge import (_axis_stencil, _check_step, _split_differences, antisymmetric,
-                    default_step, monopole_rows, tensor_to_pseudo)
-from .models import SPLIT_CHARGES, Constants, HamiltonianModel, SplitForm
+from .gauge import (_axis_stencil, _check_step, _split_differences, _stencil_rows,
+                    antisymmetric, default_step, monopole_rows, tensor_to_pseudo)
+from .models import SPLIT_CHARGES, Constants, HamiltonianModel
 from .phase_space import PhasePoint, row_dot, row_norm, row_pow
 from .spectral import DEGENERACY_RTOL, _stack
 
@@ -182,16 +182,6 @@ def band_gradients(model: HamiltonianModel, band: int, m: PhasePoint,
     return float(w[0, band]), (w[1::2, band] - w[2::2, band]) / (2.0 * h)
 
 
-def _split_derivatives(split: SplitForm, X: np.ndarray):
-    """(H0, grad H0, H1, J = dH1/dm) at the rows of X: exact where the split
-    form has them, else from one stencil stack per row at default_step (H0
-    and H1 its centre)."""
-    if split.jacobian_rows is not None:
-        return split.jacobian_rows(X)
-    return tuple(map(np.stack, zip(*(_split_differences(split, x, default_step(x))
-                                     for x in X))))
-
-
 @dataclass(frozen=True)
 class _BandForm:
     """Bands with no partner, in place of a model (rays are one): rows(X) gives
@@ -233,7 +223,7 @@ def _point_kernel(model: HamiltonianModel, bands, X: np.ndarray,
 
     This is the one place the integrator takes F from: nothing else can
     supply a curvature. A split form gives all of them from (grad H0, b,
-    J), b = H1 and J = dH1/dm, exact or differenced (_split_derivatives):
+    J), b = H1 and J = dH1/dm, exact or differenced (gauge._split_differences):
     with S the band's charge in SPLIT_CHARGES (-+1/2), E = H0 + 2S hbar|b|,
     grad E = grad H0 + 2S hbar b^T J/|b|, gap = 2 hbar|b|, F = -S X with X
     from gauge.monopole_rows and A = a(b)^T J, with a(b) Berry's monopole
@@ -265,7 +255,9 @@ def _point_kernel(model: HamiltonianModel, bands, X: np.ndarray,
         nb, gap = row_norm(b), np.full(len(X), math.inf)
         charge = np.take(model.spin_charges, bands)
     elif model.split is not None:
-        h0, g0, b, J = _split_derivatives(model.split, X)
+        exact = model.split.jacobian_rows
+        h0, g0, b, J = exact(X) if exact is not None else _split_differences(
+            model.split, X, np.array([default_step(x) for x in X]))
         nb = row_norm(b)
         hbar = model.constants.hbar
         charge = np.take(SPLIT_CHARGES, bands)
@@ -283,8 +275,8 @@ def _point_kernel(model: HamiltonianModel, bands, X: np.ndarray,
         N, D = X.shape
         rows, n = np.arange(N), model.n
         h = np.array([default_step(x) for x in X])
-        H = model.evaluate_stack(np.concatenate(
-            [_axis_stencil(x, hx, range(D))[1:] for x, hx in zip(X, h)])).reshape(N, D, 2, n, n)
+        H = model.evaluate_stack(
+            _stencil_rows(X, h, range(D))[:, 1:].reshape(-1, D)).reshape(N, D, 2, n, n)
         dH = (H[:, :, 0] - H[:, :, 1]) / (2.0 * h)[:, None, None, None]
         u = U[rows, :, bands]
         V = (np.conj(np.swapaxes(U, 1, 2))[:, None] @ (dH @ u[:, None, :, None]))[..., 0]

@@ -270,10 +270,16 @@ def exact_connection(model: HamiltonianModel, m: PhasePoint,
 
 def _axis_stencil(v: np.ndarray, h: float, axes: Sequence[int]) -> np.ndarray:
     """Rows v, then v + h e_k and v - h e_k for each k in axes: one stack."""
+    return _stencil_rows(v[None], np.array([h]), axes)[0]
+
+
+def _stencil_rows(X: np.ndarray, h: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """(N, 1 + 2K, D): _axis_stencil of each row X[i] at step h[i]. Only the
+    shifted coordinate changes, so the others keep their bits, -0.0 too."""
     ks = np.repeat(np.asarray(axes, dtype=int), 2)
-    X = np.tile(v, (1 + ks.size, 1))
-    X[1 + np.arange(ks.size), ks] += np.tile((h, -h), ks.size // 2)
-    return X
+    S = np.repeat(X[:, None, :], 1 + ks.size, axis=1)
+    S[:, 1 + np.arange(ks.size), ks] += np.multiply.outer(h, np.tile((1.0, -1.0), ks.size // 2))
+    return S
 
 
 def adiabatic_connection(model: HamiltonianModel, m: PhasePoint,
@@ -368,16 +374,17 @@ def curvature_m_space(model: HamiltonianModel, m: PhasePoint,
     if model.split is None:
         raise ValueError("curvature_m_space needs a split-form model")
     h = _check_step(step if step is not None else default_step(m))
-    return monopole_pullback(*_split_differences(model.split, m.as_vector(), h)[2:],
-                             SPLIT_CHARGES, m)
+    _, _, b, J = _split_differences(model.split, m.as_vector()[None], np.array([h]))
+    return monopole_pullback(b[0], J[0], SPLIT_CHARGES, m)
 
 
-def _split_differences(split, v: np.ndarray, h: float):
-    """(H0, grad H0, H1, J (3, 2d+1)) at the flat point v from one split.rows
-    on the stencil, step h."""
-    h0, h1 = split.rows(_axis_stencil(v, h, range(v.shape[0])))
-    return (h0[0], (h0[1::2] - h0[2::2]) / (2.0 * h), h1[0],
-            ((h1[1::2] - h1[2::2]) / (2.0 * h)).T)
+def _split_differences(split, X: np.ndarray, h: np.ndarray):
+    """(H0, grad H0, H1, J (N, 3, 2d+1)) at rows X by one split.rows of their stencils, steps h."""
+    N, D = X.shape
+    h0, h1 = split.rows(_stencil_rows(X, h, range(D)).reshape(-1, D))
+    h0, h1, h2 = h0.reshape(N, -1), h1.reshape(N, -1, 3), 2.0 * h[:, None]
+    return (h0[:, 0], (h0[:, 1::2] - h0[:, 2::2]) / h2, h1[:, 0],
+            ((h1[:, 1::2] - h1[:, 2::2]) / h2[:, :, None]).swapaxes(1, 2))
 
 
 def monopole_pullback(b: np.ndarray, J: np.ndarray, charges: Sequence[float],

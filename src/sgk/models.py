@@ -66,9 +66,9 @@ class SplitForm:
 
     stack is an optional array form over a coordinate stack: stack(X), X of
     shape (N, 2d+1), returns (H0 (N,), H1 (N, 3)), each row bit-identical
-    to h0 and h1 at that row's point. With it HamiltonianModel.evaluate_stack
-    builds every matrix of a stack at once, and rows(X), the one evaluation
-    of (H0, H1) over a stack, takes it instead of h0 and h1 at each row.
+    to h0 and h1 at that row's point. rows(X), the one evaluation of (H0,
+    H1) over a stack and so of HamiltonianModel.evaluate_stack, takes it
+    where given instead of h0 and h1 at each row.
     """
 
     h0: Callable[[PhasePoint], float]
@@ -89,8 +89,7 @@ class SplitForm:
             raise ValueError("phase-space coordinates must be finite")
         if self.stack is not None:
             return self.stack(X)
-        d = (X.shape[1] - 1) // 2
-        pts = [PhasePoint(v[:d], v[d:2 * d], v[2 * d]) for v in X]
+        pts = [PhasePoint.from_vector(v, (X.shape[1] - 1) // 2) for v in X]
         return (np.array([self.h0(m) for m in pts], dtype=float),
                 np.stack([self.h1_vector(m) for m in pts]))
 
@@ -148,33 +147,36 @@ class HamiltonianModel:
         """Checked Hermitian matrices H at the rows of X, shape (N, n, n).
 
         X is an (N, 2d+1) array of flat coordinates, finite (else
-        ValueError, as for a PhasePoint). A split form with a stack form
-        evaluates the whole stack as arrays; any other model calls
-        evaluate_raw on each row's PhasePoint in turn. The first failing row
-        raises its first failing check: a wrong shape, a NaN or infinite
-        entry, or a Hermiticity defect beyond 1e-12 relative. Smaller
-        defects are symmetrized away.
+        ValueError, as for a PhasePoint). A split model takes its rows from
+        one split.rows(X), any other from evaluate_raw at each row in turn.
+        One check of the stack follows, and the first failing row raises its
+        first failing check: a wrong shape or an error of evaluate_raw, a NaN
+        or infinite entry, or a Hermiticity defect beyond 1e-12 relative.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] not in (5, 7):
             raise ValueError(f"expected an (N, 5) or (N, 7) coordinate stack, got {X.shape}")
         if not np.isfinite(X).all():
             raise ValueError("phase-space coordinates must be finite")
-        n, split = self.n, self.split
-        if split is not None and split.stack is not None:
-            h0, h1 = split.stack(X)
+        n, split, error = self.n, self.split, None
+        if split is not None:
+            h0, h1 = split.rows(X)
             H = _split_matrices(h0, self.constants.hbar * h1)
-            _check_matrices(H)
         else:
             d = (X.shape[1] - 1) // 2
             H = np.empty((X.shape[0], n, n), dtype=complex)
             for i, v in enumerate(X):
-                Hi = np.asarray(self.evaluate_raw(PhasePoint(v[:d], v[d:2 * d], v[2 * d])),
-                                dtype=complex)
-                if Hi.shape != (n, n):
-                    raise NumericalError(f"model returned shape {Hi.shape}, expected {(n, n)}")
-                _check_matrices(Hi[None])
+                try:
+                    Hi = np.asarray(self.evaluate_raw(PhasePoint.from_vector(v, d)), dtype=complex)
+                    if Hi.shape != (n, n):
+                        raise NumericalError(f"model returned shape {Hi.shape}, expected {(n, n)}")
+                except Exception as exc:  # raised if the rows before it pass the check
+                    H, error = H[:i], exc
+                    break
                 H[i] = Hi
+        _check_matrices(H)
+        if error is not None:
+            raise error
         return 0.5 * (H + np.conj(np.swapaxes(H, 1, 2)))
 
     @staticmethod
@@ -182,7 +184,7 @@ class HamiltonianModel:
                    stack=None) -> "HamiltonianModel":
         """Build H = H0 I + hbar sigma . H1 from the two callables.
 
-        jacobian_rows and stack are the optional forms of SplitForm.
+        jacobian_rows and stack are SplitForm's optional forms; evaluate_stack uses its rows.
         """
         constants = constants or Constants()
         split = SplitForm(h0=h0, h1=h1, jacobian_rows=jacobian_rows, stack=stack)

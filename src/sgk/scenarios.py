@@ -67,13 +67,12 @@ class _SplitScenario:
         return monopole_pullback(*self.jacobian(m), SPLIT_CHARGES, m)
 
     def model(self) -> HamiltonianModel:
-        """Split-form model with H0 = p^2 / 2 m_star, exact derivatives and stacks.
+        """Split-form model with H0 = p^2 / 2 m_star, its stack form and exact derivatives.
 
-        The model carries the exact derivatives and the stack form together,
-        when every field of the scenario is built in (fields.builtin), or
-        neither: a CallableField, or a subclass that defines or overrides
-        value or a derivative, gives a model that differences H0 and H1 and
-        evaluates stacks row by row.
+        The stack form reads every field through fields.rows, one row at a
+        time for a field that is not built in (fields.builtin). Such a field,
+        a CallableField or a subclass that defines or overrides value or a
+        derivative, gives no exact derivatives: the model differences H0 and H1.
         """
         m_star = self.m_star
 
@@ -96,7 +95,7 @@ class _SplitScenario:
         return HamiltonianModel.from_split(
             h0=lambda m: float(m.p @ m.p) / (2.0 * m_star), h1=self.coupling,
             constants=self.constants(), jacobian_rows=derivatives if exact else None,
-            stack=stack if exact else None)
+            stack=stack)
 
 
 def band_sign(band: int) -> float:

@@ -88,13 +88,12 @@ class EnsembleSpec:
         if self.t0 >= self.config.t_end:
             raise ValueError("t0 must be less than the integrator t_end")
         ax = np.asarray(self.transverse_axis, dtype=float)
-        if ax.shape != (3,) or not np.isfinite(ax).all() or np.linalg.norm(ax) == 0:
+        if ax.shape != (3,) or not np.isfinite(ax).all() or not ax.any():
             raise ValueError("transverse_axis must be a finite nonzero 3-vector")
-        object.__setattr__(self, "p_center", pc)
-        object.__setattr__(self, "r_center", rc)
-        object.__setattr__(self, "p_spread", ps)
-        object.__setattr__(self, "r_spread", rs)
-        object.__setattr__(self, "transverse_axis", ax / np.linalg.norm(ax))
+        with np.errstate(over="ignore"):  # the 2-norm of entries beyond about 1e+-154
+            ax = ax if 0.0 < np.linalg.norm(ax) < np.inf else ax / np.abs(ax).max()
+        for name, value in {**box, "transverse_axis": ax / np.linalg.norm(ax)}.items():
+            object.__setattr__(self, name, value)
 
     @property
     def d(self) -> int:
@@ -175,13 +174,14 @@ def _batch(spec: EnsembleSpec, samples: np.ndarray):
     """(model, config, em, bands, Y) of the ensemble's rows, sample-major and
     band 0 first. An optical ensemble's rows are rays (scenarios._rays), each
     launch momentum rescaled onto the local shell |p| = n(r0); a zero
-    direction stays zero."""
+    direction stays zero, and so does a launch point where n^2 <= 0."""
     Y = np.repeat(samples.reshape(spec.count, -1), 2, axis=0)
     bands = np.tile([0, 1], spec.count)
     if spec.optical is None:
         return spec.model, spec.config, spec.em, bands, Y
     scn, cfg, norm = spec.optical, spec.config, row_norm(Y[:, :3])
-    n0 = np.sqrt([scn.index.n2(r) for r in Y[:, 3:]])
+    n2 = np.array([scn.index.n2(r) for r in Y[:, 3:]])
+    n0 = np.sqrt(np.where(n2 > 0.0, n2, 0.0))
     Y[:, :3] *= (n0 / np.where(norm > 0.0, norm, 1.0))[:, None]
     return (*_rays(scn, cfg.step, cfg.t_end, cfg.max_steps), None, bands, Y)
 
@@ -203,10 +203,10 @@ def run_ensemble(spec: EnsembleSpec) -> TransportReport:
     rk4 and optical ensembles integrate all 2 count trajectories or rays in
     lockstep, as the rows of one RK loop; rkf45 trajectories run one at a
     time. Each keeps the numbers and failure it has alone, and results are
-    taken in sample order, band 0 first. A ray sampled with no direction is
-    a failure and is not integrated. A ray drifting off its dispersion
-    surface by more than 1e-6 raises a ConstraintDriftWarning. Raises
-    EnsembleError if more than 10% of trajectories fail; individual
+    taken in sample order, band 0 first. A ray sampled with no direction, or
+    where n^2 <= 0, is a failure and is not integrated. A ray drifting off
+    its dispersion surface by more than 1e-6 raises a ConstraintDriftWarning.
+    Raises EnsembleError if more than 10% of trajectories fail; individual
     failures are otherwise collected into the report.
     """
     samples = draw_samples(spec)
@@ -214,9 +214,8 @@ def run_ensemble(spec: EnsembleSpec) -> TransportReport:
     disp_samples, vel_samples, v0_samples = (np.full((spec.count, 2), np.nan) for _ in range(3))
     failures = []
     model, config, em, bands, Y = _batch(spec, samples)
-    # a ray with no direction fails on its own and never enters the batch
-    aimed = np.ones(spec.count, dtype=bool) if spec.optical is None \
-        else samples[:, 0].any(axis=1)
+    # a ray with no launch momentum fails on its own and never enters the batch
+    aimed = np.ones(spec.count, dtype=bool) if spec.optical is None else Y[::2, :3].any(axis=1)
     live = np.flatnonzero(np.repeat(aimed, 2))
     run = lambda k: _integrate_rows(model, bands[k], Y[k], spec.t0, config, em)
     if config.method == "rk4":  # all rows in lockstep
@@ -231,7 +230,8 @@ def run_ensemble(spec: EnsembleSpec) -> TransportReport:
         for band in (0, 1):
             try:
                 if not aimed[i]:
-                    raise EnsembleError("sampled ray direction is zero")
+                    raise EnsembleError("sampled ray direction is zero" if not samples[i, 0].any()
+                                        else "launch point is outside the medium: n^2 <= 0")
                 res = _row_result(spec, *runs[2 * i + band], r0)
             except SgkError as exc:
                 failures.append((i, band, f"{type(exc).__name__}: {exc}"))

@@ -8,7 +8,8 @@ import dataclasses
 
 import numpy as np
 
-from sgk.dynamics import _point_kernel, _split_derivatives
+from sgk.dynamics import _point_kernel
+from sgk.gauge import _split_differences, default_step
 from sgk.models import HamiltonianModel
 from sgk.phase_space import PhasePoint
 
@@ -29,8 +30,10 @@ def point_kernel(model, band, m: PhasePoint, *args, **kwargs):
 
 
 def split_derivatives(split, m: PhasePoint):
-    """(H0, grad H0, H1, J) of a split form at the one point m."""
-    return tuple(a[0] for a in _split_derivatives(split, m.as_vector()[None]))
+    """(H0, grad H0, H1, J) of a split form at the one point m, differenced as
+    the point kernel differences a split form without exact derivatives."""
+    X = m.as_vector()[None]
+    return tuple(a[0] for a in _split_differences(split, X, np.array([default_step(m)])))
 
 
 def split_energy(h0: float, nb: float, band: int):

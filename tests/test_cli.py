@@ -413,6 +413,17 @@ def test_ensemble_axis_required_outside_rashba(tmp_path, capsys):
     assert "config.transverse_axis" in err
 
 
+def test_ensemble_axis_with_an_overflowing_norm(tmp_path, capsys):
+    # |(0, 1e200, 1e200)| overflows; the axis still points along (0, 1, 1)
+    outs = []
+    for axis in ([0.0, 1e200, 1e200], [0.0, 1.0, 1.0]):
+        code, out, _, _ = run_cli(tmp_path, capsys, "ensemble",
+                                  {**ENSEMBLE_CONFIG, "transverse_axis": axis}, out=str(axis[1]))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] and json.loads(outs[0])["band_disp"][0] != 0.0
+
+
 def test_optical_ensemble_honours_max_steps(tmp_path, capsys):
     # every ray stops at s = 0.01 of t_end 1.0, so every ray fails
     config = {"scenario": OPTICAL_RUN["scenario"],

@@ -446,6 +446,10 @@ def test_one_point_field_values_keep_their_bits(field_kind, seed, d):
         assert same_bytes(row, one)
 
 
+def raise_at(t):
+    raise ArithmeticError(f"evaluate_raw raised at t = {t}")
+
+
 FAULTS = {
     1: (lambda t: np.array([[np.nan, 0.0], [0.0, 1.0]]),
         NumericalError, "model matrix is not finite: largest |entry| is nan"),
@@ -453,11 +457,13 @@ FAULTS = {
         NumericalError, "model matrix is not Hermitian: defect 5.000e-01 at scale 1.000e+00"),
     3: (lambda t: np.zeros((3, 3)),
         NumericalError, "model returned shape (3, 3), expected (2, 2)"),
+    4: (raise_at, ArithmeticError, "evaluate_raw raised at t = 4.0"),
 }
 
 
 def faulty_model(calls):
-    """Rows with t = 1, 2, 3 fail one check each; t = 0 is fine."""
+    """Rows with t = 1, 2, 3 fail one check each and evaluate_raw raises at
+    t = 4; t = 0 is fine."""
     def ham(m):
         calls.append(m.t)
         if m.t in FAULTS:
@@ -467,15 +473,18 @@ def faulty_model(calls):
     return HamiltonianModel(n=2, evaluate_raw=ham)
 
 
-@pytest.mark.parametrize("faults", list(itertools.permutations((1, 2, 3))))
+@pytest.mark.parametrize("faults", list(itertools.permutations((1, 2, 3, 4))))
 def test_evaluate_stack_raises_at_first_failing_row(faults):
+    # the assembled stack is checked once, so rows are evaluated up to the
+    # first one that has a wrong shape or raises, and the rows before it are
+    # checked before its own error is raised
     ts = (0.0, 0.5) + faults + (0.0,)
     X = np.array([[0.0] * 6 + [t] for t in ts])
     calls = []
     _, error, message = FAULTS[faults[0]]
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         faulty_model(calls).evaluate_stack(X)
-    assert calls == [0.0, 0.5, faults[0]]  # no row after the failing one is evaluated
+    assert calls == list(ts[:2 + min(faults.index(3), faults.index(4)) + 1])
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         frame_stack(faulty_model([]), [PhasePoint.from_vector(v, 3) for v in X])
 
@@ -502,6 +511,11 @@ def test_stack_forms_raise_at_first_failing_row(faults):
                 2: "model matrix is not Hermitian: defect 1.000e+00 at scale 1.000e+00"}
     with pytest.raises(NumericalError, match=f"^{re.escape(messages[faults[0]])}$"):
         faulty_stack_model().evaluate_stack(X)
+    # a split form without a stack form builds its rows from h0 and h1
+    nan_row = HamiltonianModel.from_split(
+        lambda m: 0.0, lambda m: np.array([np.nan if m.t == 1.0 else 0.0, 0.0, 1.0]))
+    with pytest.raises(NumericalError, match=f"^{re.escape(messages[1])}$"):
+        nan_row.evaluate_stack(X)
 
 
 def test_evaluate_stack_checks_stack_forms_row_by_row():
@@ -559,21 +573,34 @@ def test_stack_forms_skip_the_per_row_loop(monkeypatch):
     assert same_bytes(model.evaluate_stack(X), 0.5 * (want + np.conj(np.swapaxes(want, 1, 2))))
 
 
-@pytest.mark.parametrize("model", [
-    ZeemanScenario(CallableField(lambda r, t: np.array([0.4 + r[0], r[1] * t, 1.0]))).model(),
-    ZeemanScenario(ValueOnly()).model(),
-    ZeemanScenario(ShiftedLinear(f0=(0.2, 0.5, 1.0), G=np.eye(3))).model(),
-    hermitian_model(11),
+@pytest.mark.parametrize("field", [
+    CallableField(lambda r, t: np.array([0.4 + r[0], r[1] * t, 1.0])),
+    ValueOnly(),
+    ShiftedLinear(f0=(0.2, 0.5, 1.0), G=np.eye(3)),
+    None,
 ], ids=["callable_field", "value_only_subclass", "overridden_value", "evaluate_raw"])
-def test_models_without_stack_forms_loop_over_rows(model):
-    assert model.split is None or model.split.stack is None
+def test_models_without_stack_forms_loop_over_rows(field, monkeypatch):
+    # a generic model calls evaluate_raw once per row; a scenario whose field
+    # is not built in takes its stack form, which calls the field once per
+    # row, and carries no exact derivatives
+    values = []
+    if field is None:
+        model = hermitian_model(11)
+    else:
+        monkeypatch.setattr(type(field), "value", counted(
+            values, lambda f, r, t: (np.shape(r), t), type(field).value))
+        model = ZeemanScenario(field).model()
+        assert model.split.jacobian_rows is None and model.split.stack is not None
     raws = []
     looped = dataclasses.replace(
         model, evaluate_raw=counted(raws, lambda m: m.t, model.evaluate_raw))
     points = stencil(9, 0.2)
     X = np.array([m.as_vector() for m in points])
     H = looped.evaluate_stack(X)
-    assert raws == list(X[:, -1])
+    if field is None:
+        assert raws == list(X[:, -1])
+    else:
+        assert raws == [] and values == [((3,), t) for t in X[:, -1]]
     for row, m in zip(H, points):
         A = np.asarray(model.evaluate_raw(m), dtype=complex)
         assert same_bytes(row, 0.5 * (A + A.conj().T))

@@ -19,6 +19,7 @@ from sgk import (IntegratorConfig, LinearField, OpticalScenario, PhasePoint,
                  curvature_m_space, default_step, integrate, magnus_ray,
                  monopole_pullback, velocity_field)
 from sgk.fields import CallableField, LinearIndex, VectorField, builtin
+from sgk.gauge import _axis_stencil
 from sgk.phase_space import central_difference
 from sgk.scenarios import _rays
 
@@ -89,10 +90,10 @@ def test_builtin_predicate():
 @pytest.mark.parametrize("band", [0, 1])
 def test_overridden_value_takes_no_stale_derivatives(field, band):
     # the parent class's d_dr and d_dt would miss the extra term; the
-    # model must carry no exact derivatives and no stack form, so forces
-    # come from the value the model actually has
+    # model must carry no exact derivatives, so forces come from the value
+    # the model actually has, which its stack form reads one row at a time
     model = ZeemanScenario(b_field=field).model()
-    assert model.split.jacobian_rows is model.split.stack is None
+    assert model.split.jacobian_rows is None and model.split.stack is not None
     k = point_kernel(model, band, M_STALE)
     E, g = band_gradients(model, band, M_STALE)
     assert np.allclose(k.grad, g, rtol=0.0, atol=1e-8)
@@ -190,7 +191,11 @@ def test_stencil_derivatives_match_per_point_differences(kind, seed, zeros):
     # turns into +0.0; np.array_equal counts the two zeros as equal
     model, m = stencil_case(kind, seed, zeros)
     split = model.split
-    assert split.jacobian_rows is None and (split.stack is None) == (kind == "callable")
+    assert split.jacobian_rows is None and split.stack is not None
+    v, D = m.as_vector(), m.n_axes
+    kept = ~np.repeat(np.eye(D, dtype=bool), 2, axis=0)  # the coordinates no row shifts
+    S = _axis_stencil(v, default_step(m), range(D))[1:]
+    assert S[kept].tobytes() == np.broadcast_to(v, S.shape)[kept].tobytes()  # -0.0 too
     ref = per_point_derivatives(split, m, default_step(m))
     got = split_derivatives(split, m)
     assert len(got) == len(ref)

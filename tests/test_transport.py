@@ -140,6 +140,13 @@ def test_spec_validation():
         EnsembleSpec(count=1, transverse_axis=np.zeros(3), **ok)
     spec = EnsembleSpec(count=1, transverse_axis=(0.0, 2.0, 0.0), **ok)
     assert np.allclose(spec.transverse_axis, EY)
+    # entries whose 2-norm over- or underflows keep their direction; ordinary ones their bits
+    for big in (1e200, 1e-200):
+        spec = EnsembleSpec(count=1, transverse_axis=(big, -big, 0.0), **ok)
+        assert np.array_equal(spec.transverse_axis, np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0))
+    ax = np.array([0.3, -0.4, 1.2])
+    assert np.array_equal(EnsembleSpec(count=1, transverse_axis=ax, **ok).transverse_axis,
+                          ax / np.linalg.norm(ax))
 
 
 def test_spec_refuses_non_finite_box_values():
@@ -351,6 +358,23 @@ def test_zero_direction_rays_stay_out_of_the_batch(monkeypatch):
                                     for band in (0, 1))
     assert np.isnan(report.disp_samples[5]).all() and not np.isnan(np.delete(
         report.disp_samples, 5, axis=0)).any()
+
+
+def test_rays_outside_the_medium_stay_out_of_the_batch(monkeypatch):
+    # n^2 = 1 - 0.2 r_y is -0.2 at the grid's last sample: its two rays fail
+    # without being integrated or taking a square root of n^2 < 0
+    spec = EnsembleSpec(count=11, config=IntegratorConfig(step=1e-2, t_end=0.05),
+                        p_center=np.array([1.0, 0.0, 0.0]), r_center=np.zeros(3),
+                        r_spread=np.array([0.0, 6.0, 0.0]), sampler="grid",
+                        optical=OpticalScenario(LinearIndex(n0=1.0, alpha=0.1), k0=80.0),
+                        transverse_axis=EY)
+    rows = count_kernel_rows(monkeypatch)
+    report = run_ensemble(spec)
+    assert rows == [20] * (1 + 4 * 5)
+    assert report.failures == tuple(
+        (10, band, "EnsembleError: launch point is outside the medium: n^2 <= 0")
+        for band in (0, 1))
+    assert not np.isnan(report.disp_samples[:10]).any()
 
 
 # -- failure handling ---------------------------------------------------------
