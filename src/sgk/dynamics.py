@@ -46,6 +46,7 @@ _CROSS = np.array([6, 2, 4, 5, 6, 0, 1, 3, 6])  # (B, -B, 0) entries of v -> v x
 # A last step at most this fraction longer than the step size is stretched
 # to land on t_end, instead of leaving a rounding-error sliver behind it.
 _LAST_STEP_SLACK = 1e-6
+_SQRT_MAX = math.sqrt(np.finfo(float).max)  # the largest float whose square is finite
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,8 @@ class IntegratorConfig:
     """Time-stepping controls.
 
     step is the rk4 time step (and the initial rkf45 trial step); tolerance
-    drives rkf45 step adaptation. epsilon_abort in (0, 1] halts integration
+    drives rkf45 step adaptation. max_steps counts trial steps, rkf45
+    rejections included. epsilon_abort in (0, 1] halts integration
     once the adiabaticity parameter exceeds it. mode selects the exact
     velocity solve or the reduced substitution; spin_force False drops the
     gauge force entirely (canonical flow). record_connection False skips
@@ -437,6 +439,8 @@ def _epsilon(model, X, g, gap, mdot, delta_p) -> np.ndarray:
     moving = gp_norm != 0.0
     gp_norm = np.where(moving, gp_norm, 1.0)
     dp = gap / gp_norm if delta_p is None else np.full(len(X), float(delta_p))
+    moving &= dp <= _SQRT_MAX  # near rest dp^2 overflows, where gr gp / gap^2 is negligible
+    dp = np.where(moving, dp, 1.0)
     momentum_term = np.where(moving, (gr_norm / gp_norm) / row_pow(dp, 2), 0.0)
     return model.constants.hbar * np.where(momentum_term > time_term, momentum_term, time_term)
 
@@ -502,10 +506,10 @@ def integrate(model: HamiltonianModel, band: int, initial: PhasePoint,
     if run.errors[0] is not None:
         raise run.errors[0]
     states = []
-    for s, val, berry, dynamic in run.states:
-        v, a = val["v"][0], val.get("a")
+    for _, val, berry, dynamic in run.states:
+        y, v, a = val["y"][0], val["v"][0], val.get("a")
         states.append(TrajectoryState(
-            m=PhasePoint(val["y"][0, :d], val["y"][0, d:], initial.t + s) if states else initial,
+            m=PhasePoint(y[:d], y[d:], initial.t + float(val["s"][0])) if states else initial,
             band=band, energy=float(val["energy"][0]), epsilon=float(val["epsilon"][0]),
             berry_phase=float(berry[0]), dynamic_phase=float(dynamic[0]), v_p=v[:d], v_r=v[d:],
             a_p=None if a is None else a[0, :d], a_r=None if a is None else a[0, d:2 * d],
@@ -518,7 +522,8 @@ class _Rows:
     """Each row's status, or 'failed' with its exception (step index attached)
     in errors; its last accepted state y, launch velocity v0 (NaN if it
     failed there) and largest |energy| over its accepted states; and, when
-    recorded, (s, values, berry, dynamic) of the rows at every accepted step."""
+    recorded, (rows, values, berry, dynamic) of the rows that accept each
+    iteration's trial, per row of rows; values hold each row's clock s."""
 
     status: list
     errors: list
@@ -531,24 +536,26 @@ class _Rows:
 def _integrate_rows(model, bands, Y, t0, config, em=None, record=False) -> _Rows:
     """One RK loop over the rows of Y (N, 2d) from time t0, row i in band bands[i].
 
-    All rows take the same steps in lockstep, and a row leaves when it
-    completes, breaches epsilon or fails. A step that raises for the batch
+    Each row keeps its own clock s, step h and last-step flag. Every
+    iteration makes one trial step for each running row, all rows in
+    lockstep: a row that accepts it advances, and an rkf45 row that rejects
+    it keeps its state and tries again with its smaller step. rk4 accepts
+    every trial, so its rows share one clock. A row leaves when it
+    completes, breaches epsilon or fails. A trial that raises for the batch
     is redone one row at a time, so each row keeps the result or error it
-    has alone: no row's bits depend on its batch. rkf45 adapts the step
-    to its one row, and takes no more.
+    has alone: no row's bits depend on its batch.
     """
     duration = config.t_end - t0
     if duration <= 0:
         raise ValueError("t_end must exceed the initial time")
-    if config.method == "rkf45" and len(Y) > 1:
-        raise ValueError("rkf45 integrates one row at a time")
     if not record:  # the connection and phases are reported with the states only
         config = replace(config, record_connection=False)
     N = len(Y)
     out = _Rows(["max_steps"] * N, [None] * N, Y.copy(), np.full(Y.shape, np.nan), np.zeros(N), [])
-    cur, running, warned = {"y": out.y}, np.ones(N, dtype=bool), np.zeros(N, dtype=bool)
-    berry, dynamic = np.zeros(N), np.zeros(N)
-    s, h, h_try, steps, last = 0.0, config.step, 0.0, 0, False
+    cur = {"y": out.y, "s": np.zeros(N)}  # each row's last accepted state, clock and values
+    running, warned = np.ones(N, dtype=bool), np.zeros(N, dtype=bool)
+    berry, dynamic, h_try = np.zeros(N), np.zeros(N), np.zeros(N)
+    h, last, steps = np.full(N, config.step), np.zeros(N, dtype=bool), 0
 
     def at(s, y):
         X = np.empty((len(y), y.shape[1] + 1))
@@ -557,18 +564,16 @@ def _integrate_rows(model, bands, Y, t0, config, em=None, record=False) -> _Rows
             raise NumericalError("phase-space state is no longer finite")
         return X
 
-    def advance(idx):  # the next accepted state of rows idx; None if rkf45 rejects it
-        nonlocal h
-        y, b = cur["y"][idx], bands[idx]
+    def advance(idx):  # one trial of rows idx: (the rows that accept it, their next states)
+        y, b, s, h_s, ok = cur["y"][idx], bands[idx], cur["s"][idx], h_try[idx], slice(None)
         if steps:
             f = lambda s_, y_: _stage_velocity(model, b, at(s_, y_), em, config)
             if config.method == "rk4":
-                y = _rk4_step(f, s, y, h_try, cur["v"][idx])[0]
+                y = _rk4_step(f, s, y, h_s, cur["v"][idx])
             else:
-                y, _, h, accepted = _rkf45_step(f, s, y, h_try, cur["v"][idx], config.tolerance)
-                if not accepted:
-                    return None
-        return dict(_eval_rows(model, b, at(s + h_try, y), em, config), y=y)
+                y, h[idx], ok = _rkf45_step(f, s, y, h_s, cur["v"][idx], config.tolerance)
+        idx, y, b, s = idx[ok], y[ok], b[ok], (s + h_s)[ok]
+        return idx, dict(_eval_rows(model, b, at(s, y), em, config), y=y, s=s) if len(idx) else {}
 
     def fail(i, exc):
         err = exc
@@ -579,45 +584,40 @@ def _integrate_rows(model, bands, Y, t0, config, em=None, record=False) -> _Rows
         out.status[i], out.errors[i], running[i] = "failed", err, False
 
     while True:
-        parts = _isolated(advance, np.flatnonzero(running), fail)
-        if parts and parts[0][1] is None:  # an rkf45 rejection: try the step again
-            last = False
-        else:
-            s_old, s = s, s + h_try
-            if parts:
-                idx, new = parts[0]
-                if len(parts) > 1:
-                    idx = np.concatenate([i for i, _ in parts])
-                    new = {k: np.concatenate([p[k] for _, p in parts]) for k in new}
-                rows = slice(None) if len(idx) == N else idx  # a view while all run
-                if steps:
-                    dt = 0.5 * (s - s_old)
-                    berry[rows] += dt * (cur["berry_rate"][rows] + new["berry_rate"])
-                    dynamic[rows] += dt * (cur["dynamic_rate"][rows] + new["dynamic_rate"])
-                else:
-                    out.v0[rows] = new["v"]
-                for k, val in new.items():
-                    cur.setdefault(k, np.full((N,) + val.shape[1:], np.nan))[rows] = val
-                out.energy_peak[rows] = np.maximum(out.energy_peak[rows], np.abs(new["energy"]))
-                if record:
-                    out.states.append((s, new, berry[rows].copy(), dynamic[rows].copy()))
-                for i in idx[(new["ratio"] > SPIN_FORCE_WARN_RATIO) & ~warned[idx]]:
-                    warned[i] = True
-                    try:  # attributed to the caller of integrate
-                        _warn_spin_force(stacklevel=4)
-                    except Exception as exc:
-                        fail(i, exc)
-                for i in idx[(new["epsilon"] > config.epsilon_abort) & running[idx]]:
-                    out.status[i], running[i] = "adiabaticity_breach", False
-            if last:
-                for i in np.flatnonzero(running):
-                    out.status[i] = "completed"
-        if last or steps >= config.max_steps or not running.any():
+        parts = [p for _, p in _isolated(advance, np.flatnonzero(running), fail) if len(p[0])]
+        if parts:
+            idx, new = parts[0]
+            if len(parts) > 1:
+                idx = np.concatenate([i for i, _ in parts])
+                new = {k: np.concatenate([p[k] for _, p in parts]) for k in new}
+            rows = slice(None) if len(idx) == N else idx  # a view while all run
+            if steps:
+                dt = 0.5 * (new["s"] - cur["s"][rows])
+                berry[rows] += dt * (cur["berry_rate"][rows] + new["berry_rate"])
+                dynamic[rows] += dt * (cur["dynamic_rate"][rows] + new["dynamic_rate"])
+            else:
+                out.v0[rows] = new["v"]
+            for k, val in new.items():
+                cur.setdefault(k, np.full((N,) + val.shape[1:], np.nan))[rows] = val
+            out.energy_peak[rows] = np.maximum(out.energy_peak[rows], np.abs(new["energy"]))
+            if record:
+                out.states.append((idx, new, berry[rows].copy(), dynamic[rows].copy()))
+            for i in idx[(new["ratio"] > SPIN_FORCE_WARN_RATIO) & ~warned[idx]]:
+                warned[i] = True
+                try:  # attributed to the caller of integrate
+                    _warn_spin_force(stacklevel=4)
+                except Exception as exc:
+                    fail(i, exc)
+            for i in idx[(new["epsilon"] > config.epsilon_abort) & running[idx]]:
+                out.status[i], running[i] = "adiabaticity_breach", False
+            for i in idx[last[idx] & running[idx]]:
+                out.status[i], running[i] = "completed", False
+        if steps >= config.max_steps or not running.any():
             return out
         steps += 1
-        remaining = duration - s
+        remaining = duration - cur["s"]
         last = remaining <= h * (1.0 + _LAST_STEP_SLACK)
-        h_try = remaining if last else h
+        h_try = np.where(last, remaining, h)
 
 
 def _isolated(fn, idx: np.ndarray, fail) -> list:
@@ -641,26 +641,28 @@ def _attach_step(exc: Exception, step_index: int) -> None:
 
 
 def _rk4_step(rhs, s, y, h, k1):
-    """Classic RK4 from y at s over h, with k1 = rhs(s, y) already evaluated."""
-    k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(s + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), s + h
+    """Classic RK4 of rows y at times s over steps h, with k1 = rhs(s, y) evaluated."""
+    hh, s_mid, half = h[:, None], s + 0.5 * h, 0.5 * h[:, None]
+    k2 = rhs(s_mid, y + half * k1)
+    k3 = rhs(s_mid, y + half * k2)
+    k4 = rhs(s + h, y + hh * k3)
+    return y + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _rkf45_step(rhs, s, y, h, k1, tol):
-    ks = [k1]
+    """One Fehlberg 4(5) trial of rows y at times s over steps h, each row with
+    its own error norm: (y, next steps, accepted); a rejecting row keeps its y."""
+    hh, ks = h[:, None], [k1]
     for stage in range(1, 6):
-        y_st = y + h * sum(b * k for b, k in zip(_FE_B[stage], ks))
+        y_st = y + hh * sum(b * k for b, k in zip(_FE_B[stage], ks))
         ks.append(rhs(s + _FE_A[stage] * h, y_st))
-    y4 = y + h * sum(c * k for c, k in zip(_FE_C4, ks))
-    y5 = y + h * sum(c * k for c, k in zip(_FE_C5, ks))
-    err = float(np.max(np.abs(y5 - y4) / (tol * (1.0 + np.abs(y)))))
-    if err <= 1.0:
-        h_next = h * min(5.0, max(0.2, 0.9 * (max(err, 1e-16)) ** -0.2))
-        return y5, s + h, h_next, True
-    h_next = h * min(1.0, max(0.2, 0.9 * err ** -0.2))
-    return y, s, h_next, False
+    y4 = y + hh * sum(c * k for c, k in zip(_FE_C4, ks))
+    y5 = y + hh * sum(c * k for c, k in zip(_FE_C5, ks))
+    err = (np.abs(y5 - y4) / (tol * (1.0 + np.abs(y)))).max(axis=1)
+    # in Python floats, whose power rounds differently from numpy's
+    h_next = [hi * min(5.0, max(0.2, 0.9 * max(e, 1e-16) ** -0.2))
+              for hi, e in zip(h.tolist(), err.tolist())]
+    return np.where((err <= 1.0)[:, None], y5, y), np.array(h_next), err <= 1.0
 
 
 # ---------------------------------------------------------------------------

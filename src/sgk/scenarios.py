@@ -516,8 +516,8 @@ def _trace(scn: OpticalScenario, p0, r0, helicities, s_end, step, max_steps) -> 
     for err in filter(None, run.errors):
         raise err
     _check_drift(run, stacklevel=4)
-    s, y = np.array([st[0] for st in run.states]), np.stack([st[1]["y"] for st in run.states])
-    return [MagnusRay(s=s, p=y[:, i, :3], r=y[:, i, 3:], helicity=h,
+    s, y = (np.stack([st[1][k] for st in run.states]) for k in ("s", "y"))
+    return [MagnusRay(s=s[:, i], p=y[:, i, :3], r=y[:, i, 3:], helicity=h,
                       constraint_drift=2.0 * float(run.energy_peak[i]), status=run.status[i])
             for i, h in enumerate(helicities)]
 

@@ -3,11 +3,10 @@
 Both bands are integrated from identical initial conditions, so any
 transverse observable difference is purely the gauge-force response. The
 sampler draws all initial conditions upfront from a counter-based
-generator. rk4 ensembles run every trajectory in lockstep, as the rows
-of one batched RK loop; rkf45 ensembles run one trajectory at a time
-through the same loop. A row's bits do not depend on its batch, and
-results reduce in sample order, so reports are bit-identical for a fixed
-seed either way.
+generator. Every ensemble, rk4 or rkf45, runs all its trajectories in
+lockstep, as the rows of one batched RK loop with a clock and step per
+row. A row's bits do not depend on its batch, and results reduce in
+sample order, so reports are bit-identical for a fixed seed.
 
 Optical ensembles trace helicity ray pairs, as rows of the same loop in
 lockstep; helicity -1 fills the band-0 slot and +1 the band-1 slot.
@@ -200,9 +199,9 @@ def _row_result(spec: EnsembleSpec, run, k: int, r0):
 def run_ensemble(spec: EnsembleSpec) -> TransportReport:
     """Integrate both bands over the sampled initial conditions.
 
-    rk4 and optical ensembles integrate all 2 count trajectories or rays in
-    lockstep, as the rows of one RK loop; rkf45 trajectories run one at a
-    time. Each keeps the numbers and failure it has alone, and results are
+    All 2 count trajectories or rays run in lockstep, as the rows of one
+    RK loop, each with its own clock and (for rkf45) its own adaptive step.
+    Each keeps the numbers and failure it has alone, and results are
     taken in sample order, band 0 first. A ray sampled with no direction, or
     where n^2 <= 0, is a failure and is not integrated. A ray drifting off
     its dispersion surface by more than 1e-6 raises a ConstraintDriftWarning.
@@ -217,14 +216,10 @@ def run_ensemble(spec: EnsembleSpec) -> TransportReport:
     # a ray with no launch momentum fails on its own and never enters the batch
     aimed = np.ones(spec.count, dtype=bool) if spec.optical is None else Y[::2, :3].any(axis=1)
     live = np.flatnonzero(np.repeat(aimed, 2))
-    run = lambda k: _integrate_rows(model, bands[k], Y[k], spec.t0, config, em)
-    if config.method == "rk4":  # all rows in lockstep
-        batch = run(live) if live.size else None
-        runs = {k: (batch, j) for j, k in enumerate(live)}
-    else:  # rkf45 adapts its step to one row at a time
-        runs = {k: (run(slice(k, k + 1)), 0) for k in live}
+    batch = _integrate_rows(model, bands[live], Y[live], spec.t0, config, em) if live.size else None
+    slot = {k: j for j, k in enumerate(live)}  # each live row's index in the batch
     if spec.optical is not None and live.size:
-        _check_drift(runs[live[0]][0], stacklevel=3)
+        _check_drift(batch, stacklevel=3)
     for i in range(spec.count):
         r0 = samples[i, 1]
         for band in (0, 1):
@@ -232,7 +227,7 @@ def run_ensemble(spec: EnsembleSpec) -> TransportReport:
                 if not aimed[i]:
                     raise EnsembleError("sampled ray direction is zero" if not samples[i, 0].any()
                                         else "launch point is outside the medium: n^2 <= 0")
-                res = _row_result(spec, *runs[2 * i + band], r0)
+                res = _row_result(spec, batch, slot[2 * i + band], r0)
             except SgkError as exc:
                 failures.append((i, band, f"{type(exc).__name__}: {exc}"))
                 continue

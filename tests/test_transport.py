@@ -435,7 +435,13 @@ def lockstep_case(kind, seed, count, epsilon_abort):
     with a CallableField coupling (differenced); or a generic model: the
     Zeeman poly one with its split form removed, or a three-band Hermitian
     one; or an optical one, whose rays ignore epsilon but some of whose
-    rays, at a small k0, fail on the spin force."""
+    rays, at a small k0, fail on the spin force. An rkf45 kind is the Zeeman
+    poly or Rashba spec integrated by rkf45, from a first trial step of half
+    the run; its tolerance is left for the caller to choose."""
+    if kind.endswith("-rkf45"):
+        spec = lockstep_case(kind[:-len("-rkf45")], seed, count, epsilon_abort)
+        return replace(spec, config=IntegratorConfig(method="rkf45", tolerance=1.0, step=0.15,
+                                                     t_end=0.3, epsilon_abort=epsilon_abort))
     rng = np.random.default_rng(seed)
     config = IntegratorConfig(step=0.02, t_end=0.15, epsilon_abort=epsilon_abort)
     if kind == "optical":
@@ -475,24 +481,59 @@ def batch_rows(spec):
 
 
 def row_outcome(run, i):
-    """A row's status, error text, final state and launch velocity, as bytes."""
+    """A row's status, error text, final state and launch velocity, and the
+    clock, state and phases it recorded at each step, as bytes."""
     err = run.errors[i]
+    steps = [np.concatenate([[new["s"][k]], new["y"][k], [berry[k], dynamic[k]]]).tobytes()
+             for rows, new, berry, dynamic in run.states for k in np.flatnonzero(rows == i)]
     return (run.status[i], None if err is None else f"{type(err).__name__}: {err}",
-            run.y[i].tobytes(), run.v0[i].tobytes())
+            run.y[i].tobytes(), run.v0[i].tobytes(), steps)
+
+
+def mixing_tolerance(model, bands, Y, config, em):
+    """The largest tolerance, on a quarter-decade ladder, at which some rows
+    accept their first rkf45 trial and others reject it; None where fewer
+    than two rows reach a trial."""
+    for tol in 10.0 ** -np.arange(4.0, 12.0, 0.25):
+        run = _integrate_rows(model, bands, Y, 0.0, replace(config, tolerance=tol, max_steps=1), em)
+        moved = (run.y != Y).any(axis=1)
+        rejected = (np.array(run.status) == "max_steps") & ~moved
+        if moved.sum() + rejected.sum() < 2:
+            return None
+        if moved.any() and rejected.any():
+            return tol
+    raise AssertionError("no tolerance splits the rows' first trial")
 
 
 @pytest.mark.parametrize("kind", ["zeeman", "rashba", "zeeman-callable", "zeeman-generic",
-                                  "hermitian-3", "optical"])
+                                  "hermitian-3", "optical", "zeeman-rkf45", "rashba-rkf45"])
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1),
        epsilon_abort=st.sampled_from([1.0, 0.05]), data=st.data())
 def test_row_bits_do_not_depend_on_the_batch(kind, seed, epsilon_abort, data):
     # a low epsilon bound makes rows breach, and strong spin forces make
-    # rows fail with a SpinForceWarning, which the suite turns into an error
+    # rows fail with a SpinForceWarning, which the suite turns into an error;
+    # each row's recorded clock, states and phases are compared too
     spec = lockstep_case(kind, seed, 4, epsilon_abort)
     model, config, em, bands, Y = _batch(spec, draw_samples(spec))
-    run = lambda rows: _integrate_rows(model, bands[rows], Y[rows], spec.t0, config, em)
-    full = run(np.arange(len(Y)))
+    tol = None
+    if config.method == "rkf45":  # some rows reject a trial that others accept
+        tol = mixing_tolerance(model, bands, Y, config, em)
+        spec = replace(spec, config=replace(config, tolerance=tol or 1e-7))
+        config = spec.config
+    run = lambda rows: _integrate_rows(model, bands[rows], Y[rows], spec.t0, config, em,
+                                       record=True)
+    trials, step = [], sgk.dynamics._rkf45_step
+
+    def recording(*args):
+        out = step(*args)
+        trials.append(out[2])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sgk.dynamics, "_rkf45_step", recording)
+        full = run(np.arange(len(Y)))
+    assert tol is None or any(ok.any() and not ok.all() for ok in trials)
     want = [row_outcome(full, i) for i in range(len(Y))]
     order = data.draw(st.permutations(range(len(Y))))
     shuffled = run(np.array(order))
@@ -513,13 +554,17 @@ def test_row_bits_do_not_depend_on_the_batch(kind, seed, epsilon_abort, data):
         except Exception as exc:  # a SpinForceWarning too, as warnings are errors here
             assert want[i][:2] == ("failed", f"{type(exc).__name__}: {exc}")
             continue
-        if spec.optical is not None:  # a ray alone records no launch velocity
+        if spec.optical is not None:  # a ray alone records no launch velocity or phases
             final = np.concatenate([ray.p[-1], ray.r[-1]])
             assert want[i][:3] == (ray.status, None, final.tobytes())
+            assert [b[:8 * (1 + 2 * d)] for b in want[i][4]] == [
+                np.concatenate([[s], p, r]).tobytes() for s, p, r in zip(ray.s, ray.p, ray.r)]
             continue
         v0 = np.concatenate([traj.states[0].v_p, traj.states[0].v_r])
         final = np.concatenate([traj.final.m.p, traj.final.m.r])
-        assert want[i] == (traj.status, None, final.tobytes(), v0.tobytes())
+        steps = [np.concatenate([[st.m.t], st.m.p, st.m.r, [st.berry_phase, st.dynamic_phase]])
+                 .tobytes() for st in traj.states]
+        assert want[i] == (traj.status, None, final.tobytes(), v0.tobytes(), steps)
 
 
 def hedgehog_line_spec(count):
@@ -614,17 +659,24 @@ def test_ensembles_evaluate_no_connection(monkeypatch):
     assert any(asked)
 
 
-def test_rkf45_ensembles_run_one_trajectory_at_a_time(monkeypatch):
+def test_rkf45_ensembles_run_in_lockstep(monkeypatch):
+    # every rkf45 row takes its own steps, yet all rows share each kernel call
     scn = ZeemanScenario(b_field=PolyField.random(2, (0.1, -0.2, 1.5)))
     config = IntegratorConfig(method="rkf45", tolerance=1e-6, step=0.02, t_end=0.1)
-    spec = EnsembleSpec(count=3, config=config, p_center=np.zeros(3), r_center=np.zeros(3),
+    spec = EnsembleSpec(count=8, config=config, p_center=np.zeros(3), r_center=np.zeros(3),
                         p_spread=np.full(3, 0.2), r_spread=np.full(3, 0.2), model=scn.model())
     rows = count_kernel_rows(monkeypatch)
     report = run_ensemble(spec)
-    assert set(rows) == {1} and report.failures == ()
+    assert rows[0] == 2 * spec.count and report.failures == ()
     bands, Y = batch_rows(spec)
-    with pytest.raises(ValueError, match="one row at a time"):
-        _integrate_rows(spec.model, bands, Y, 0.0, config)
+    run = _integrate_rows(spec.model, bands, Y, 0.0, config)
+    axis = spec.transverse_axis
+    for i, (band, y) in enumerate(zip(bands, Y)):
+        traj = integrate(spec.model, band, PhasePoint(y[:3], y[3:], 0.0), config)
+        assert (traj.status, run.status[i]) == ("completed", "completed")
+        assert run.y[i].tobytes() == np.concatenate([traj.final.m.p, traj.final.m.r]).tobytes()
+        assert report.disp_samples[i // 2, band] == float((traj.final.m.r - y[3:]) @ axis)
+        assert report.v0_samples[i // 2, band] == float(traj.states[0].v_r @ axis)
 
 
 # -- polarization -------------------------------------------------------------
