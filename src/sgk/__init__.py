@@ -12,8 +12,8 @@ self-check battery, all reachable from the `sgk` command line tool.
 from types import ModuleType as _ModuleType
 
 from .errors import (BandTrackingError, ConstraintDriftWarning,
-                     DegeneracyError, EnsembleError, GaugePatchError,
-                     NumericalError, QuadratureError, SchemaError, SgkError,
+                     DegeneracyError, EnsembleError, NumericalError,
+                     QuadratureError, SchemaError, SgkError,
                      SingularSystemError, SingularityError, SpinForceWarning,
                      StepError)
 from .phase_space import PhasePoint, axis_labels
@@ -27,24 +27,22 @@ from .gauge import (AdiabaticConnectionField, Connection, CurvatureTensor,
                     MaxwellResiduals, NonAbelianCurvature, PhaseIntegral,
                     adiabatic_connection,
                     adiabatic_curvature_numeric, chern_charge,
-                    curvature_m_space, curvature_of_abelian_field,
-                    default_step, dirac_phase, exact_connection,
+                    curvature_m_space, default_step, dirac_phase,
+                    exact_connection,
                     exact_connection_field, maxwell_residuals,
                     monopole_curvature, monopole_field,
                     monopole_pseudovector, monopole_pullback,
                     nonabelian_curvature,
                     phase_line_integral, pseudo_to_tensor,
-                    pullback_curvature, regauge, tensor_to_pseudo,
+                    regauge, tensor_to_pseudo,
                     wrap_angle)
 from .dynamics import (EffectiveFields, ExternalEMField, IntegratorConfig,
                        Trajectory, TrajectoryState, adiabaticity_epsilon,
                        band_gradients, displacement_contour,
-                       effective_em_fields, integrate, spin_force_terms,
-                       velocity_field)
+                       effective_em_fields, integrate, velocity_field)
 from .scenarios import (MagnusRay, OpticalScenario, RashbaScenario,
                         SpinOrbitScenario, ZeemanScenario, band_sign,
-                        magnus_ray, magnus_ray_pair, ray_splitting,
-                        zeeman_connection, zeeman_curvature_b, zeeman_frame)
+                        magnus_ray, magnus_ray_pair, ray_splitting)
 from .transport import (EnsembleSpec, TransportReport, draw_samples,
                         polarization_current, run_ensemble)
 from .verify import run_battery

@@ -295,24 +295,6 @@ def _point_kernel(model: HamiltonianModel, bands, X: np.ndarray,
     return _Kernel(energy=E0, grad=g, gap=gap, F=F, a_diag=A)
 
 
-def spin_force_terms(model: HamiltonianModel, band: int, m: PhasePoint,
-                     mdot: np.ndarray):
-    """Additive gauge-force terms at a prescribed mdot = (pdot, rdot, 1).
-
-    Returns (f_p, f_r): f_p = hbar F_rm . mdot enters the pdot equation and
-    f_r = -hbar F_pm . mdot enters the rdot equation, with F the point
-    kernel's curvature at the one row m. For two-band traceless split models
-    the two bands' terms are exact negatives.
-    """
-    F = _point_kernel(model, np.array([band]), m.as_vector()[None]).F[0]
-    d = m.d
-    hbar = model.constants.hbar
-    mdot = np.asarray(mdot, dtype=float)
-    f_p = hbar * (F[d:2 * d, :] @ mdot)
-    f_r = -hbar * (F[:d, :] @ mdot)
-    return f_p, f_r
-
-
 def velocity_field(model: HamiltonianModel, band: int, m: PhasePoint,
                    em: ExternalEMField = None, *, mode: str = "exact",
                    spin_force: bool = True, warn: bool = True):
@@ -434,7 +416,12 @@ def adiabaticity_epsilon(model: HamiltonianModel, band: int, m: PhasePoint,
 def _epsilon(model, X, g, gap, mdot, delta_p) -> np.ndarray:
     """adiabaticity_epsilon at each row from the band's energy gradient g and the gap."""
     d = (X.shape[1] - 1) // 2
-    time_term = np.abs(row_dot(g, mdot)) / row_pow(gap, 2)
+    dE_dt, gap2 = np.abs(row_dot(g, mdot)), gap
+    big = gap > _SQRT_MAX
+    if big.any():  # gap^2 overflows there: those rows divide by the gap twice
+        s = np.where(big, gap, 1.0)
+        dE_dt, gap2 = dE_dt / s / s, np.where(big, 1.0, gap)
+    time_term = dE_dt / row_pow(gap2, 2)
     gp_norm, gr_norm = row_norm(g[:, :d]), row_norm(g[:, d:2 * d])
     moving = gp_norm != 0.0
     gp_norm = np.where(moving, gp_norm, 1.0)

@@ -33,10 +33,6 @@ class StepError(SgkError, ValueError):
     """Finite-difference or integrator step is not a positive finite number."""
 
 
-class GaugePatchError(SgkError):
-    """Analytic gauge potential requested exactly on its singular ray."""
-
-
 class QuadratureError(SgkError):
     """Charges at two radii disagree, or a source lies too close to the mesh."""
 

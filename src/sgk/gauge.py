@@ -5,9 +5,9 @@ HamiltonianModel: the exact (non-Abelian) connection i U+ dU, its diagonal
 adiabatic part, the gauge-invariant plaquette curvature, the link-variable
 Chern charge, and the closed-form curvature of split-form models built from
 the coupling field H1 and its derivatives. The array layer is model-free
-geometry on plain coordinate vectors: monopole fields, pullbacks under
-smooth maps, line integrals, flux quadrature (Chern charge), field-equation
-residual diagnostics and gauge transformations.
+geometry on plain coordinate vectors: monopole fields, line integrals,
+flux quadrature (Chern charge), field-equation residual diagnostics and
+gauge transformations.
 
 Conventions: curvature components are F_ij = d_i A_j - d_j A_i (minus the
 commutator term in the non-Abelian case); a 3x3 antisymmetric block maps to
@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -406,7 +406,13 @@ def monopole_pullback(b: np.ndarray, J: np.ndarray, charges: Sequence[float],
 
 def monopole_rows(b: np.ndarray, J: np.ndarray, nb: np.ndarray) -> np.ndarray:
     """X_ij = (b x J_i) . J_j / |b|^3 at each row of b (N, 3), J (N, 3, D)
-    and nb = |b| (N,), nonzero; band S takes -S X."""
+    and nb = |b| (N,), nonzero; band S takes -S X. Rows whose |b|^3
+    overflows take ((b/|b|) x J_i) . J_j / |b| / |b|; every other row is
+    divided by 1 there, which keeps its bits."""
+    big = nb > _CBRT_MAX
+    if big.any():
+        s = np.where(big, nb, 1.0)[:, None]
+        return monopole_rows(b / s, J, np.where(big, 1.0, nb)) / s[..., None] / s[..., None]
     # columns b x J_i, with the arithmetic of np.cross(b, J.T) but far less overhead
     bJ = (b.take(_NEXT, 1)[:, :, None] * J.take(_LAST, 1)
           - b.take(_LAST, 1)[:, :, None] * J.take(_NEXT, 1))
@@ -414,6 +420,7 @@ def monopole_rows(b: np.ndarray, J: np.ndarray, nb: np.ndarray) -> np.ndarray:
 
 
 _NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])  # cyclic shifts of x, y, z
+_CBRT_MAX = 5.643803094122361e102  # the largest float whose cube is finite
 
 
 # ---------------------------------------------------------------------------
@@ -438,29 +445,6 @@ def monopole_field(S: float, center=(0.0, 0.0, 0.0)):
     """Callable pseudovector field of a monopole of spin charge S."""
     c = np.asarray(center, dtype=float)
     return lambda x: monopole_pseudovector(np.asarray(x, dtype=float) - c, S)
-
-
-def pullback_curvature(map_fn: Callable, F_b: Callable, jacobian: Callable = None,
-                       step: float = 1e-6):
-    """Pull a curvature tensor field back along a smooth map a -> b.
-
-    F_a(a)_ij = (db_k/da_i)(db_m/da_j) F_b(b(a))_km. jacobian(a), if given,
-    must return J with J[k, i] = db_k/da_i; otherwise central differences
-    with the given step are used. Returns a callable tensor field over a.
-    """
-    _check_step(step)
-
-    def field(a):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(map_fn(a), dtype=float)
-        if jacobian is not None:
-            J = np.asarray(jacobian(a), dtype=float)
-        else:
-            J = central_difference(map_fn, a, step).T
-        Fb = np.asarray(F_b(b), dtype=float)
-        return J.T @ Fb @ J
-
-    return field
 
 
 def phase_line_integral(field, path, band: int = None) -> PhaseIntegral:
@@ -623,21 +607,6 @@ def regauge(connection, phase_field, step: float = 1e-5):
             field.validate_path = validate
         return field
     raise TypeError("connection must be a Connection or a field callable")
-
-
-def curvature_of_abelian_field(field, x, step: float = None) -> np.ndarray:
-    """F_ij = d_i A_j - d_j A_i of an adiabatic connection field at x.
-
-    field maps a K-vector to (K,) or (K, n) components; the result is
-    (K, K) or (n, K, K) accordingly. Central differences.
-    """
-    x = np.asarray(x, dtype=float)
-    h = _check_step(step if step is not None else default_step(x))
-    dA = central_difference(field, x, h)
-    if dA.ndim == 2:
-        return dA - dA.T  # F[i, j] = d_i A_j - d_j A_i
-    # multi-band: dA[k, i, b]; F[b, i, j] = dA[i, j, b] - dA[j, i, b]
-    return np.transpose(dA, (2, 0, 1)) - np.transpose(dA, (2, 1, 0))
 
 
 # ---------------------------------------------------------------------------

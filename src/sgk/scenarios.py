@@ -6,7 +6,7 @@ Rashba gas chi B + rho (e_z x p) with in-plane driving, and ray optics in a
 graded index with helicity +-1 playing the spin charge. The first three
 build a split-form HamiltonianModel for the generic pipeline, and rays are
 rows of the same RK loop in reduced mode; each carries the closed-form
-frame / connection / curvature / motion laws that serve as oracles for it.
+curvature and motion laws that serve as oracles for it.
 
 Each split scenario (Zeeman, spin-orbit, Rashba) defines H1 once, as rows:
 its coupling and the coupling's Jacobian over a coordinate stack. Its
@@ -21,13 +21,13 @@ written with a double sign map onto bands as upper sign <-> band 1.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .dynamics import IntegratorConfig, _BandForm, _integrate_rows
-from .errors import ConstraintDriftWarning, GaugePatchError, SingularityError
+from .errors import ConstraintDriftWarning, SingularityError
 from .fields import IndexField, LinearField, VectorField, _promote_rows, as_field, builtin, rows
 from .gauge import CurvatureTensor, monopole_pseudovector, monopole_pullback
 from .models import SPLIT_CHARGES, Constants, HamiltonianModel
@@ -35,9 +35,6 @@ from .phase_space import PhasePoint, row_dot
 
 E_Z = np.array([0.0, 0.0, 1.0])
 
-# Fractional distance from the patch's singular ray below which the
-# auto-selected gauge patch switches to the opposite one.
-PATCH_SWITCH = 0.9
 CONSTRAINT_DRIFT_TOL = 1e-6
 
 
@@ -155,78 +152,6 @@ class ZeemanScenario(_SplitScenario):
         return self._coupling(p, r, t), J
 
 
-def zeeman_frame(b3, form: str = "mixed") -> np.ndarray:
-    """Closed-form diagonalizer of chi sigma.B, columns (upper, lower).
-
-    U^dagger (chi sigma.B) U = diag(+chi B, -chi B). The 'mixed' form gives
-    each column its own natural patch: the upper column is regular at the
-    +z ray and the lower at the -z ray, so the form as a whole fails
-    anywhere on the z axis. 'north' and 'south' re-phase both columns to
-    be regular away from the named opposite ray.
-    """
-    b = np.asarray(b3, dtype=float)
-    B = float(np.linalg.norm(b))
-    if B == 0.0:
-        raise SingularityError("frame is singular at B = 0")
-    bx, by, bz = b
-    perp = np.hypot(bx, by)
-    if form == "mixed":
-        if perp < 1e-13 * B:
-            raise GaugePatchError(
-                "mixed frame is singular on the z axis; use form='north' or 'south'")
-        spn = np.sqrt(B + bz)
-        smn = np.sqrt(B - bz)
-        w = bx + 1j * by
-        U = np.array([[spn, smn],
-                      [w / spn, -w / smn]], dtype=complex) / np.sqrt(2.0 * B)
-        return U
-    if form not in ("north", "south"):
-        raise ValueError(f"unknown frame form {form!r}")
-    ct = bz / B
-    if perp < 1e-13 * B and (ct < 0 if form == "north" else ct > 0):
-        raise GaugePatchError(f"{form} frame is singular on the "
-                              f"{'-' if form == 'north' else '+'}z ray")
-    c = np.sqrt(max(0.0, (1.0 + ct) / 2.0))
-    s = np.sqrt(max(0.0, (1.0 - ct) / 2.0))
-    phase = (bx + 1j * by) / perp if perp > 0 else 1.0 + 0j
-    if form == "north":
-        return np.array([[c, -s * np.conj(phase)], [s * phase, c]], dtype=complex)
-    return np.array([[c * np.conj(phase), -s], [s, c * phase]], dtype=complex)
-
-
-def zeeman_connection(b3, band: int, patch: str = "auto") -> np.ndarray:
-    """Closed-form field-space connection of one spin band.
-
-    North patch: A = 2S (B_y, -B_x, 0) / (2B(B + B_z)), singular on the -z
-    ray; south patch: A = -2S (B_y, -B_x, 0) / (2B(B - B_z)), singular on
-    +z. The mixed frame's columns carry north for the upper band and south
-    for the lower. 'auto' uses north while B_z > -0.9 B.
-    """
-    b = np.asarray(b3, dtype=float)
-    B = float(np.linalg.norm(b))
-    if B == 0.0:
-        raise SingularityError("connection is singular at B = 0")
-    S = 0.5 * band_sign(band)
-    bx, by, bz = b
-    perp = np.hypot(bx, by)
-    if patch == "auto":
-        patch = "north" if bz > -PATCH_SWITCH * B else "south"
-    if patch not in ("north", "south"):
-        raise ValueError(f"unknown patch {patch!r}")
-    north = patch == "north"
-    if perp < 1e-13 * B and (bz < 0 if north else bz > 0):
-        raise GaugePatchError(f"{patch} patch is singular on the {'-' if north else '+'}z ray")
-    if north:
-        return 2.0 * S * np.array([by, -bx, 0.0]) / (2.0 * B * (B + bz))
-    return -2.0 * S * np.array([by, -bx, 0.0]) / (2.0 * B * (B - bz))
-
-
-def zeeman_curvature_b(b3, band: int) -> np.ndarray:
-    """Field-space curvature pseudovector -S B / B^3 of one band."""
-    return monopole_pseudovector(np.asarray(b3, dtype=float),
-                                 0.5 * band_sign(band))
-
-
 # ---------------------------------------------------------------------------
 # Spin-orbit coupling
 
@@ -276,22 +201,6 @@ class SpinOrbitScenario(_SplitScenario):
                           + self.rho * np.cross(rows(ef, "d_dt", r, t), p3))
         return self._coupling(p, r, t, E), J
 
-    def pp_pseudovector(self, m: PhasePoint) -> np.ndarray:
-        """Constant-field momentum-block pseudovector, per band: (2, 3).
-
-        f = -S chi rho^2 (B.E) E / |H1|^3 — valid when both fields are
-        uniform and static; nonzero only if B and E are not orthogonal.
-        """
-        E = self.e_field.value(m.r, m.t)
-        B = self.b_field.value(m.r, m.t)
-        b = self.coupling(m)
-        nb = float(np.linalg.norm(b))
-        if nb == 0.0:
-            raise SingularityError("momentum curvature is singular where the "
-                                   "coupling vanishes")
-        base = self.chi * self.rho**2 * float(B @ E) * E / nb**3
-        return np.stack([0.5 * base, -0.5 * base])
-
 
 # ---------------------------------------------------------------------------
 # Rashba gas
@@ -322,9 +231,6 @@ class RashbaScenario(_SplitScenario):
     def constants(self) -> Constants:
         return Constants(hbar=self.hbar, c=self.c_light, e=self.e_charge,
                          chi=self.chi, rho=self.rho, m_star=self.m_star)
-
-    def with_hbar(self, hbar: float) -> "RashbaScenario":
-        return replace(self, hbar=hbar)
 
     def e_vector(self) -> np.ndarray:
         E = np.zeros(3)

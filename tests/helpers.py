@@ -11,7 +11,7 @@ import numpy as np
 from sgk.dynamics import _point_kernel
 from sgk.gauge import _split_differences, default_step
 from sgk.models import HamiltonianModel
-from sgk.phase_space import PhasePoint
+from sgk.phase_space import PhasePoint, central_difference
 
 
 def shifted(m: PhasePoint, axis: int, delta: float) -> PhasePoint:
@@ -39,6 +39,43 @@ def split_derivatives(split, m: PhasePoint):
 def split_energy(h0: float, nb: float, band: int):
     """The band energy H0 -+ hbar|H1| and the gap 2 hbar|H1|."""
     return (h0 - nb if band == 0 else h0 + nb), 2.0 * nb
+
+
+def curvature_of_abelian_field(field, x, step: float) -> np.ndarray:
+    """F_ij = d_i A_j - d_j A_i of an adiabatic connection field at x.
+
+    field maps a K-vector to (K,) or (K, n) components; the result is
+    (K, K) or (n, K, K) accordingly. Central differences.
+    """
+    dA = central_difference(field, np.asarray(x, dtype=float), step)
+    if dA.ndim == 2:
+        return dA - dA.T  # F[i, j] = d_i A_j - d_j A_i
+    # multi-band: dA[k, i, b]; F[b, i, j] = dA[i, j, b] - dA[j, i, b]
+    return np.transpose(dA, (2, 0, 1)) - np.transpose(dA, (2, 1, 0))
+
+
+def zeeman_connection(b3, band: int, patch: str) -> np.ndarray:
+    """Berry's field-space connection of one spin band S = +-1/2 on a patch.
+
+    North: A = 2S (b_y, -b_x, 0) / (2|b|(|b| + b_z)), singular on the -z
+    ray; south: A = -2S (b_y, -b_x, 0) / (2|b|(|b| - b_z)), singular on +z.
+    """
+    bx, by, bz = b3
+    B = float(np.linalg.norm(b3))
+    S = band - 0.5
+    if patch == "north":
+        return 2.0 * S * np.array([by, -bx, 0.0]) / (2.0 * B * (B + bz))
+    return -2.0 * S * np.array([by, -bx, 0.0]) / (2.0 * B * (B - bz))
+
+
+def pp_pseudovector(scn, m: PhasePoint) -> np.ndarray:
+    """The spin-orbit momentum-block pseudovector in uniform static fields,
+    per band: f = -S chi rho^2 (B.E) E / |H1|^3, (2, 3)."""
+    E = scn.e_field.value(m.r, m.t)
+    B = scn.b_field.value(m.r, m.t)
+    nb = float(np.linalg.norm(scn.coupling(m)))
+    base = scn.chi * scn.rho**2 * float(B @ E) * E / nb**3
+    return np.stack([0.5 * base, -0.5 * base])
 
 
 def generic_copy(model):

@@ -27,7 +27,6 @@ from sgk import (
     adiabaticity_epsilon,
     chern_charge,
     curvature_m_space,
-    curvature_of_abelian_field,
     diagonalize,
     displacement_contour,
     exact_connection_field,
@@ -43,6 +42,8 @@ from sgk import (
     wrap_angle,
 )
 from sgk.cli import main
+
+from helpers import curvature_of_abelian_field, pp_pseudovector
 
 
 def verdict(num, name, ok, detail):
@@ -205,7 +206,7 @@ def test_null_cases_vanish():
         worst_b = max(worst_b, float(np.max(np.abs(
             curvature_m_space(smodel, m).f_pp()))))
         worst_b = max(worst_b,
-                      float(np.max(np.abs(soc.pp_pseudovector(m)))))
+                      float(np.max(np.abs(pp_pseudovector(soc, m)))))
         worst_b = max(worst_b, float(np.max(np.abs(
             adiabatic_curvature_numeric(smodel, m, step=1e-3).f_pp()))))
     ok = worst_a < 1e-10 and worst_b < 1e-10

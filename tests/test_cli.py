@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgk import PhasePoint, RashbaScenario, cli, curvature_m_space
+from sgk import PhasePoint, RashbaScenario, ZeemanScenario, cli, curvature_m_space
 from sgk.cli import fmt_float, main
+
+from helpers import point_kernel
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -160,6 +162,28 @@ def test_minimal_run_scenario_fills_defaults(tmp_path, capsys):
     assert float(last[4]) == pytest.approx(0.1, abs=1e-12)
     assert float(last[10]) == pytest.approx(0.0, abs=1e-9)
     assert float(last[11]) == pytest.approx(-0.995, abs=1e-9)
+
+
+@pytest.mark.parametrize("bz, spin_force", [(1e103, True), (1e154, False)])
+def test_huge_uniform_field_runs_force_free(tmp_path, capsys, bz, spin_force):
+    # |H1|^3 overflows a float past 5.6e102 and the gap^2 past 6.7e153; a
+    # uniform field still has F = 0, so p stays put and r drifts at p
+    config = {"scenario": {"kind": "zeeman",
+                           "b_field": {"kind": "uniform", "value": [0, 0, bz]}},
+              "initial": {"p": [0.1, 0.0, 0.0], "r": [0.0, 0.0, 0.0]}, "band": 0,
+              "integrator": {"step": 0.01, "t_end": 0.1, "spin_force": spin_force}}
+    code, out, _, out_dir = run_cli(tmp_path, capsys, "run-scenario", config)
+    assert code == 0
+    summary = json.loads(out.strip())
+    assert summary["status"] == "completed" and summary["final_epsilon"] == 0.0
+    _, _, rows = read_csv(out_dir / "trajectory.csv")
+    assert len(rows) == 11
+    for row in rows:
+        assert [float(x) for x in row[1:4]] == [0.1, 0.0, 0.0]
+        assert float(row[4]) == pytest.approx(0.1 * float(row[0]), abs=1e-15)
+    m = PhasePoint((0.1, 0.0, 0.0), np.zeros(3), 0.0)
+    F = point_kernel(ZeemanScenario(b_field=(0.0, 0.0, bz)).model(), 0, m).F
+    assert np.array_equal(F, np.zeros((7, 7)))
 
 
 def test_homogeneous_index_ray_is_straight(tmp_path, capsys):

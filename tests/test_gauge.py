@@ -23,7 +23,6 @@ from sgk import (
     adiabatic_curvature_numeric,
     chern_charge,
     curvature_m_space,
-    curvature_of_abelian_field,
     dirac_phase,
     exact_connection,
     exact_connection_field,
@@ -31,14 +30,16 @@ from sgk import (
     monopole_curvature,
     monopole_field,
     monopole_pseudovector,
+    monopole_pullback,
     nonabelian_curvature,
     phase_line_integral,
     pseudo_to_tensor,
-    pullback_curvature,
     regauge,
     tensor_to_pseudo,
     wrap_angle,
 )
+
+from helpers import curvature_of_abelian_field
 
 M0 = PhasePoint((0.1, -0.2, 0.3), (0.2, 0.4, 0.9), 0.1)
 
@@ -239,6 +240,32 @@ def test_monopole_inverse_square_homogeneity(lam, x, y, z):
     assert np.allclose(f2, f1 / lam**2, rtol=1e-10, atol=1e-12)
 
 
+def test_pullback_linear_map_is_congruence():
+    # F_ij = -S b.(J_i x J_j)/|b|^3 is the coupling-space monopole tensor
+    # pulled back along m -> b(m): J^T F_b J, here over d = 2 (five axes)
+    M = np.array([[1.0, 0.3, 0.0, 0.2, -0.6],
+                  [0.0, 1.2, -0.4, 0.7, 0.1],
+                  [0.5, 0.0, 0.9, -0.3, 0.4]])
+    b = np.array([0.2, -0.7, 1.1])
+    pulled = monopole_pullback(b, M, (-0.5, 0.5), PhasePoint((0.4, 0.1), (-0.1, 0.3), 0.8))
+    for band, S in enumerate((-0.5, 0.5)):
+        assert np.allclose(pulled.F[band], M.T @ monopole_curvature(b, S) @ M, atol=1e-8)
+
+
+@pytest.mark.filterwarnings("error")
+def test_monopole_rows_scale_a_row_whose_cube_overflows():
+    # |b|^3 overflows past 5.6e102: that row takes ((b/|b|) x J_i) . J_j / |b| / |b|,
+    # X is invariant under (b, J) -> (lam b, lam J), and the row beside it keeps
+    # the bits it has alone
+    rng = np.random.default_rng(3)
+    b, J = rng.normal(size=(2, 3)), rng.normal(size=(2, 3, 7))
+    b[1], J[1] = 1e120 * b[0], 1e120 * J[0]
+    nb = np.linalg.norm(b, axis=1)
+    X = sgk.gauge.monopole_rows(b, J, nb)
+    assert np.array_equal(X[0], sgk.gauge.monopole_rows(b[:1], J[:1], nb[:1])[0])
+    assert np.allclose(X[1], X[0], rtol=1e-13, atol=1e-15)  # the diagonal is roundoff
+
+
 def test_chern_charge_of_unit_monopole():
     q = chern_charge(monopole_field(0.5), center=(0.0, 0.0, 0.0), radius=1.0)
     assert q == pytest.approx(-1.0, abs=1e-9)
@@ -259,35 +286,6 @@ def test_chern_charge_detects_source_miscount():
 def test_chern_charge_rejects_bad_radius():
     with pytest.raises(ValueError):
         chern_charge(monopole_field(0.5), center=(0, 0, 0), radius=0.0)
-
-
-# -- pullback ----------------------------------------------------------------
-
-
-def test_pullback_linear_map_is_congruence():
-    M = np.array([[1.0, 0.3, 0.0], [0.0, 1.2, -0.4], [0.5, 0.0, 0.9]])
-    F_b = pseudo_to_tensor([0.2, -0.7, 1.1])
-    pulled = pullback_curvature(lambda a: M @ a, lambda b: F_b)
-    a = np.array([0.4, -0.1, 0.8])
-    assert np.allclose(pulled(a), M.T @ F_b @ M, atol=1e-8)
-
-
-def test_pullback_explicit_jacobian_matches_fd():
-    def mp(a):
-        return np.array([a[0] ** 2, a[1] + a[0] * a[2], np.sin(a[2])])
-
-    def jac(a):
-        return np.array([[2 * a[0], 0.0, 0.0],
-                         [a[2], 1.0, a[0]],
-                         [0.0, 0.0, np.cos(a[2])]])
-
-    field = monopole_field(0.5, center=(0.0, 0.0, -2.0))
-    F_b = lambda b: pseudo_to_tensor(field(b))
-    a = np.array([0.7, -0.3, 0.5])
-    with_j = pullback_curvature(mp, F_b, jacobian=jac)(a)
-    with_fd = pullback_curvature(mp, F_b)(a)
-    assert np.allclose(with_j, with_fd, atol=1e-7)
-    assert np.allclose(with_j, -with_j.T, atol=1e-12)
 
 
 # -- line integrals ----------------------------------------------------------

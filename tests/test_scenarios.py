@@ -1,11 +1,12 @@
 """Closed-form scenario laws against the generic numerical pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sgk import (
     ConstraintDriftWarning,
-    GaugePatchError,
     IntegratorConfig,
     LinearIndex,
     OpticalScenario,
@@ -21,22 +22,23 @@ from sgk import (
     adiabatic_curvature_numeric,
     band_sign,
     curvature_m_space,
-    curvature_of_abelian_field,
+    diagonalize,
     magnus_ray,
     magnus_ray_pair,
+    monopole_pseudovector,
     phase_line_integral,
     pseudo_to_tensor,
     ray_splitting,
+    tensor_to_pseudo,
     velocity_field,
-    zeeman_connection,
-    zeeman_curvature_b,
-    zeeman_frame,
 )
+
+from helpers import curvature_of_abelian_field, pp_pseudovector, zeeman_connection
 
 B_GEN = np.array([0.4, -0.3, 0.8])
 
 
-# -- closed-form frame --------------------------------------------------------
+# -- band frames --------------------------------------------------------------
 
 
 def test_band_sign():
@@ -46,51 +48,16 @@ def test_band_sign():
         band_sign(2)
 
 
-@pytest.mark.parametrize("form", ["mixed", "north", "south"])
-def test_zeeman_frame_diagonalizes(form):
-    chi = 0.7
-    H = chi * np.einsum("k,kij->ij", B_GEN, PAULI)
-    U = zeeman_frame(B_GEN, form=form)
-    assert np.allclose(U.conj().T @ U, np.eye(2), atol=1e-13)
-    D = U.conj().T @ H @ U
-    B = np.linalg.norm(B_GEN)
-    assert np.allclose(D, np.diag([chi * B, -chi * B]), atol=1e-12)
-
-
-def test_zeeman_frame_forms_agree_up_to_phase():
-    U = [zeeman_frame(B_GEN, form=f) for f in ("mixed", "north", "south")]
-    for col in (0, 1):
-        P0 = np.outer(U[0][:, col], U[0][:, col].conj())
-        for other in U[1:]:
-            P = np.outer(other[:, col], other[:, col].conj())
-            assert np.allclose(P, P0, atol=1e-13)
-
-
-def test_zeeman_frame_patch_singularities():
-    with pytest.raises(GaugePatchError):
-        zeeman_frame((0.0, 0.0, 1.0), form="mixed")
-    with pytest.raises(GaugePatchError):
-        zeeman_frame((0.0, 0.0, -2.0), form="north")
-    with pytest.raises(GaugePatchError):
-        zeeman_frame((0.0, 0.0, +2.0), form="south")
-    # each patch is fine on the ray it is built for
-    zeeman_frame((0.0, 0.0, +2.0), form="north")
-    zeeman_frame((0.0, 0.0, -2.0), form="south")
-    with pytest.raises(SingularityError):
-        zeeman_frame(np.zeros(3))
-    with pytest.raises(ValueError):
-        zeeman_frame(B_GEN, form="east")
-
-
-def test_zeeman_frame_matches_eigensolver_bands():
-    from sgk import diagonalize
-
+def test_hedgehog_bands_are_the_spin_projectors():
+    # B(r) = r: band 1 (S = +1/2) projects onto (1 + sigma.b)/2 and band 0
+    # onto (1 - sigma.b)/2, with b the unit field
     scn = ZeemanScenario.hedgehog()
-    m = PhasePoint(np.zeros(3), B_GEN, 0.0)
-    frame = diagonalize(scn.model(), m)  # ascending: [lower, upper]
-    U = zeeman_frame(B_GEN, form="north")  # columns (upper, lower)
-    assert abs(np.vdot(U[:, 0], frame.U[:, 1])) == pytest.approx(1.0, abs=1e-12)
-    assert abs(np.vdot(U[:, 1], frame.U[:, 0])) == pytest.approx(1.0, abs=1e-12)
+    frame = diagonalize(scn.model(), PhasePoint(np.zeros(3), B_GEN, 0.0))
+    sb = np.einsum("k,kij->ij", B_GEN / np.linalg.norm(B_GEN), PAULI)
+    for band in (0, 1):
+        u = frame.U[:, band]
+        want = 0.5 * (np.eye(2) + band_sign(band) * sb)
+        assert np.allclose(np.outer(u, u.conj()), want, rtol=0.0, atol=1e-12)
 
 
 # -- closed-form connection and curvature -------------------------------------
@@ -98,37 +65,24 @@ def test_zeeman_frame_matches_eigensolver_bands():
 
 def test_connection_is_zero_on_the_patch_axis():
     # field along +z: the north-patch connection vanishes there
-    assert np.allclose(zeeman_connection((0.0, 0.0, 2.0), 1, patch="north"), 0.0)
+    assert np.allclose(zeeman_connection((0.0, 0.0, 2.0), 1, "north"), 0.0)
 
 
 def test_connection_patches_are_monopole_potentials():
     for band in (0, 1):
         for patch in ("north", "south"):
-            field = lambda b: zeeman_connection(b, band, patch=patch)
+            field = lambda b: zeeman_connection(b, band, patch)
             F = curvature_of_abelian_field(field, B_GEN, step=1e-6)
-            want = pseudo_to_tensor(zeeman_curvature_b(B_GEN, band))
+            want = pseudo_to_tensor(monopole_pseudovector(B_GEN, 0.5 * band_sign(band)))
             assert np.allclose(F, want, atol=1e-6)
 
 
-def test_connection_patch_errors():
-    with pytest.raises(GaugePatchError):
-        zeeman_connection((0.0, 0.0, -1.0), 1, patch="north")
-    with pytest.raises(GaugePatchError):
-        zeeman_connection((0.0, 0.0, +1.0), 1, patch="south")
-    with pytest.raises(SingularityError):
-        zeeman_connection(np.zeros(3), 1)
-    with pytest.raises(ValueError):
-        zeeman_connection(B_GEN, 1, patch="west")
-    # auto switches to the south patch close to the -z ray
-    near_south = np.array([1e-3, 0.0, -1.0])
-    auto = zeeman_connection(near_south, 1)
-    south = zeeman_connection(near_south, 1, patch="south")
-    assert np.allclose(auto, south)
-
-
 def test_curvature_pseudovector_at_pole():
-    assert np.allclose(zeeman_curvature_b((0.0, 0.0, 1.0), 1), [0, 0, -0.5])
-    assert np.allclose(zeeman_curvature_b((0.0, 0.0, 1.0), 0), [0, 0, +0.5])
+    # on the hedgehog B(r) = r the r block is the field-space monopole -S b/|b|^3
+    m = PhasePoint(np.zeros(3), (0.0, 0.0, 1.0), 0.0)
+    ct = ZeemanScenario.hedgehog().curvature_blocks(m)
+    assert np.allclose(tensor_to_pseudo(ct.f_rr(1)), [0, 0, -0.5])
+    assert np.allclose(tensor_to_pseudo(ct.f_rr(0)), [0, 0, +0.5])
 
 
 def circle(theta, n=1441):
@@ -198,7 +152,7 @@ def test_uniform_field_momentum_block():
     scn = SpinOrbitScenario(e_field=(0.0, 0.0, E0), b_field=(0.0, 0.0, B0),
                             chi=chi, rho=rho)
     m = PhasePoint(np.zeros(3), np.zeros(3), 0.0)
-    f = scn.pp_pseudovector(m)
+    f = pp_pseudovector(scn, m)
     want_up = -(rho**2 * E0**2) / (2.0 * chi**2 * B0**2)
     assert np.allclose(f[1], [0.0, 0.0, want_up], atol=1e-14)
     assert np.allclose(f[0], -f[1], atol=1e-15)
@@ -212,7 +166,7 @@ def test_orthogonal_fields_kill_momentum_block():
     scn = SpinOrbitScenario(e_field=(0.9, 0.0, 0.0), b_field=(0.0, 0.0, 1.2),
                             chi=0.7, rho=0.3)
     m = PhasePoint(np.zeros(3), np.zeros(3), 0.0)
-    assert np.allclose(scn.pp_pseudovector(m), 0.0, atol=1e-15)
+    assert np.allclose(pp_pseudovector(scn, m), 0.0, atol=1e-15)
     num = adiabatic_curvature_numeric(scn.model(), m, step=1e-3)
     assert np.max(np.abs(num.f_pp())) < 1e-6
 
@@ -221,7 +175,7 @@ def test_spin_orbit_singular_coupling():
     scn = SpinOrbitScenario(e_field=(1.0, 0.0, 0.0), b_field=np.zeros(3))
     m = PhasePoint(np.zeros(3), np.zeros(3), 0.0)
     with pytest.raises(SingularityError):
-        scn.pp_pseudovector(m)
+        scn.curvature_blocks(m)
 
 
 # -- Rashba --------------------------------------------------------------------
@@ -281,7 +235,7 @@ def test_rashba_closed_form_reduction_orders():
     p = (0.5, 0.0)
 
     def disc_closed(hb):
-        s = scn.with_hbar(hb)
+        s = replace(scn, hbar=hb)
         full = np.concatenate(s.motion(1, p, mode="full"))
         red = np.concatenate(s.motion(1, p, mode="reduced"))
         return np.linalg.norm(full - red)
@@ -293,7 +247,7 @@ def test_rashba_closed_form_reduction_orders():
     # and only misses the self-consistency of the gauge force, a second
     # order defect
     def disc_pipeline(hb):
-        s = scn.with_hbar(hb)
+        s = replace(scn, hbar=hb)
         m = PhasePoint(p, (0.0, 0.0), 0.0)
         exact = np.concatenate(velocity_field(s.model(), 1, m, s.em(), mode="exact"))
         red = np.concatenate(velocity_field(s.model(), 1, m, s.em(), mode="reduced"))
