@@ -24,17 +24,17 @@ import sys
 
 import numpy as np
 
-from .dynamics import ExternalEMField, IntegratorConfig, integrate
 from .errors import SchemaError, SgkError
 from .fields import LinearField, LinearIndex, PolyField, RotatingField, \
     UniformField, UniformIndex
-from .gauge import AdiabaticConnectionField, adiabatic_curvature_numeric, \
-    chern_charge, curvature_m_space, monopole_field
+from .gauge import AdiabaticConnectionField, chern_charge, monopole_field, \
+    plaquette_rows, split_curvature_rows
 from .phase_space import PhasePoint, axis_labels
 from .scenarios import (OpticalScenario, RashbaScenario, SpinOrbitScenario,
                         ZeemanScenario, magnus_ray)
-from .transport import EnsembleSpec, polarization_current, run_ensemble
-from .verify import run_battery
+
+# dynamics, transport and verify are imported by the parsers and commands
+# that use them, so a command loads only the modules it runs
 
 COMMANDS = ("run-scenario", "curvature-map", "chern-charge", "ensemble",
             "verify")
@@ -417,6 +417,7 @@ def _integrator(ctx, path, obj):
         ctx.err(f"{path}.tolerance", "rkf45 requires a positive tolerance")
     if len(ctx.violations) > before:
         return None
+    from .dynamics import IntegratorConfig
     return IntegratorConfig(**values)
 
 
@@ -424,6 +425,7 @@ _EM_KEYS = {"E": (_array(3), [0.0, 0.0, 0.0]), "B": (_array(3), [0.0, 0.0, 0.0])
 
 
 def _em(ctx, path, obj):
+    from .dynamics import ExternalEMField
     return _build(ctx, path, obj, _EM_KEYS, ExternalEMField.uniform)
 
 
@@ -547,6 +549,7 @@ def _cmd_run_scenario(config, out_dir, seed):
         print(_dumps(summary))
         return 0
 
+    from .dynamics import integrate
     model, auto_em = _scenario_model_parts(scenario)
     if em is None:
         em = auto_em
@@ -591,27 +594,24 @@ def _cmd_curvature_map(config, out_dir, seed):
     header = [la, lb]
     for band in (0, 1):
         header += [f"F{band}_{labels[i]}_{labels[j]}" for i, j in pairs]
-    a_vals = np.linspace(*grid["a"])
-    b_vals = np.linspace(*grid["b"])
+    a_vals, b_vals = np.meshgrid(np.linspace(*grid["a"]), np.linspace(*grid["b"]),
+                                 indexing="ij")
     zero = np.zeros(d)
     base = PhasePoint(zero if base["p"] is None else base["p"],
                       zero if base["r"] is None else base["r"], base["t"])
+    # the grid points in row-major order, as the rows of one coordinate stack
+    X = np.tile(base.as_vector(), (a_vals.size, 1))
+    X[:, ia], X[:, ib] = a_vals.ravel(), b_vals.ravel()
+    if method == "split":
+        F = split_curvature_rows(model, X)
+    else:
+        F = plaquette_rows(model, X, richardson=cfg["richardson"])
     rows = []
-    for av in a_vals:
-        for bv in b_vals:
-            vec = base.as_vector()
-            vec[ia] = av
-            vec[ib] = bv
-            m = PhasePoint.from_vector(vec, d)
-            if method == "split":
-                ct = curvature_m_space(model, m)
-            else:
-                ct = adiabatic_curvature_numeric(model, m,
-                                                 richardson=cfg["richardson"])
-            row = [av, bv]
-            for band in (0, 1):
-                row += [ct.F[band, i, j] for i, j in pairs]
-            rows.append(row)
+    for av, bv, Fk in zip(X[:, ia], X[:, ib], F):
+        row = [av, bv]
+        for band in (0, 1):
+            row += [Fk[band, i, j] for i, j in pairs]
+        rows.append(row)
     _write_csv(os.path.join(out_dir, "curvature_map.csv"), "curvature_map",
                header, rows)
     print(_dumps({"format": "sgk.curvature_map.v1",
@@ -648,6 +648,7 @@ def _cmd_ensemble(config, out_dir, seed):
                     "rashba with a nonzero e_inplane declares a default)")
     ctx.raise_if_any()
 
+    from .transport import EnsembleSpec, polarization_current, run_ensemble
     use_seed = seed if seed is not None else cfg["seed"]
     if isinstance(scenario, OpticalScenario):
         parts = dict(optical=scenario)
@@ -685,6 +686,7 @@ def _cmd_ensemble(config, out_dir, seed):
 def _cmd_verify(config, out_dir, seed):
     ctx, _ = _walk(config, {})
     ctx.raise_if_any()
+    from .verify import run_battery
     results = run_battery()
     records = [{"format": "sgk.verify.v1", **r} for r in results]
     _write_jsonl(os.path.join(out_dir, "verify.jsonl"), records)
@@ -756,5 +758,22 @@ def main(argv=None) -> int:
         return 5
 
 
+def run() -> None:
+    """Process entry of `sgk` and `python -m sgk.cli`: main(), then exit.
+
+    Flushes stdout and stderr and ends the process with os._exit, skipping
+    the interpreter's teardown, which frees every object and module one by
+    one. Output files are closed by then. If a flush raises, sys.exit ends
+    the process the usual way instead. In-process callers use main().
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a closed or failing stream
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import (NumericalError, QuadratureError, SingularityError,
                      StepError)
 from .models import SPLIT_CHARGES, HamiltonianModel
-from .phase_space import PhasePoint, central_difference, row_pow, step_scale
+from .phase_space import PhasePoint, central_difference, row_norm, row_pow, step_scale
 from .spectral import _stack
 
 # Default finite-difference step: DEFAULT_STEP_SCALE * max(1, |m|).
@@ -36,7 +36,7 @@ DEFAULT_STEP_SCALE = 1e-4
 # Exact connection components must be Hermitian to this tolerance.
 CONNECTION_HERMITICITY_ATOL = 1e-10
 FACE_FLUX_MAX = 0.75 * math.pi  # largest |Berry flux| through one sphere mesh face
-MESH_BAND_VERTICES = 8192  # sphere mesh vertices solved per stack, which bounds memory
+STACK_ROWS = 8192  # mesh vertices or stencil rows solved per stack, which bounds memory
 
 
 def default_step(point_or_vec) -> float:
@@ -333,32 +333,58 @@ def adiabatic_curvature_numeric(model: HamiltonianModel, m: PhasePoint, step: fl
     result immune to the phase convention at every corner. Richardson
     combines the h and h/2 plaquettes to fourth order (default on; needed
     near small gaps where the curvature varies on the gap scale). The
-    center and every corner of every plaquette are one frame stack.
+    one-row case of plaquette_rows.
     """
-    h = _check_step(step if step is not None else default_step(m))
-    D, n = m.n_axes, model.n
-    sides = np.array((h, 0.5 * h) if richardson else (h,))
-    v, ij = m.as_vector(), np.argwhere(_strict_upper(D))
-    P, S = len(ij), len(sides)
+    F = plaquette_rows(model, m.as_vector()[None], step=step, richardson=richardson)[0]
+    return CurvatureTensor(d=m.d, labels=m.labels, F=F, point=m)
+
+
+def plaquette_rows(model: HamiltonianModel, X: np.ndarray, step: float = None,
+                   richardson: bool = True) -> np.ndarray:
+    """Plaquette curvature F (N, n, D, D) of each band at the rows of X (N, D).
+
+    Every row's centre and the corners of its plaquettes, each corner
+    matched to its own centre, are one frame stack with the other rows'
+    (up to STACK_ROWS stack rows). Row by row the bits and errors are those
+    of adiabatic_curvature_numeric: the first failing row raises its own
+    first failing check.
+    """
+    X = np.asarray(X, dtype=float)
+    D = X.shape[1]
+    corners = D * (D - 1) // 2 * (2 if richardson else 1) * 4
+    return _in_chunks(lambda V: _plaquettes(model, V, step, richardson), X, 1 + corners)
+
+
+def _plaquettes(model, V, step, richardson) -> np.ndarray:
+    N, D = V.shape
+    n = model.n
+    h = np.array([_check_step(step if step is not None else default_step(v)) for v in V])
+    sides = np.stack([h, 0.5 * h], axis=1) if richardson else h[:, None]  # (row, side)
+    ij = np.argwhere(_strict_upper(D))
+    Q, S = len(ij), sides.shape[1]
     # corners c1 = m - s/2 (e_i + e_j), c2 = c1 + s e_i, c3 = c2 + s e_j and
     # c4 = c1 + s e_j, rounded as successive single-axis shifts would round
-    lo = v[ij][:, :, None] + (-0.5 * sides)  # (pair, i or j, side)
-    hi = lo + sides
-    X = np.tile(v, (P, S, 4, 1))
-    q = np.arange(P)
-    X[q, :, :, ij[:, 0]] = np.stack([lo[:, 0], hi[:, 0], hi[:, 0], lo[:, 0]], axis=-1)
-    X[q, :, :, ij[:, 1]] = np.stack([lo[:, 1], lo[:, 1], hi[:, 1], hi[:, 1]], axis=-1)
-    _, U, _ = _stack(model, np.concatenate([v[None], X.reshape(-1, D)]))
-    U = U[1:].reshape(P, S, 4, n, n)
+    lo = V[:, ij][..., None] + (-0.5 * sides)[:, None, None, :]  # (row, pair, i or j, side)
+    hi = lo + sides[:, None, None, :]
+    C = np.repeat(V[:, None, :], Q * S * 4, axis=1).reshape(N, Q, S, 4, D)
+    k, q = np.arange(N)[:, None], np.arange(Q)
+    li, lj, hi, hj = lo[:, :, 0], lo[:, :, 1], hi[:, :, 0], hi[:, :, 1]
+    C[k, q, :, :, ij[:, 0]] = np.stack([li, hi, hi, li], axis=-1)
+    C[k, q, :, :, ij[:, 1]] = np.stack([lj, lj, hj, hj], axis=-1)
+    R = 1 + Q * S * 4  # a row's centre, then its corners
+    rows = np.concatenate([V[:, None], C.reshape(N, R - 1, D)], axis=1).reshape(-1, D)
+    _, U, _ = _stack(model, rows, anchor=np.repeat(np.arange(N) * R, R))
+    U = U.reshape(N, R, n, n)[:, 1:].reshape(N * Q, S, 4, n, n)
     # ov[pair, side, a, band]: overlap of corner a with corner a + 1
     ov = np.einsum("psaib,psaib->psab", U.conj(), np.roll(U, -1, axis=2))
     ang = np.angle(ov[:, :, 0] * ov[:, :, 1] * ov[:, :, 2] * ov[:, :, 3])
-    val = -ang[:, 0] / h**2
+    hq = np.repeat(h, Q)
+    val = -ang[:, 0] / row_pow(hq, 2)[:, None]
     if richardson:
-        val = (4.0 * (-ang[:, 1] / (0.5 * h) ** 2) - val) / 3.0
-    F = np.zeros((n, D, D))
-    F[:, ij[:, 0], ij[:, 1]] = val.T
-    return CurvatureTensor(d=m.d, labels=m.labels, F=F, point=m)
+        val = (4.0 * (-ang[:, 1] / row_pow(0.5 * hq, 2)[:, None]) - val) / 3.0
+    F = np.zeros((N, n, D, D))
+    F[:, :, ij[:, 0], ij[:, 1]] = val.reshape(N, Q, n).swapaxes(1, 2)
+    return antisymmetric(F)
 
 
 def curvature_m_space(model: HamiltonianModel, m: PhasePoint,
@@ -369,13 +395,31 @@ def curvature_m_space(model: HamiltonianModel, m: PhasePoint,
     bands' SPLIT_CHARGES, the pullback of the coupling-space monopole along
     m -> H1(m). J is differenced on one stencil stack (exact for affine
     couplings), so this stays an oracle independent of the scenarios'
-    analytic Jacobians.
+    analytic Jacobians. The one-row case of split_curvature_rows.
     """
+    F = split_curvature_rows(model, m.as_vector()[None], step=step)[0]
+    return CurvatureTensor(d=m.d, labels=m.labels, F=F, point=m)
+
+
+def split_curvature_rows(model: HamiltonianModel, X: np.ndarray,
+                         step: float = None) -> np.ndarray:
+    """curvature_m_space's F (N, 2, D, D) at the rows of X (N, D): one stencil
+    stack and one monopole_rows over them, each row with its own bits and
+    errors, the first failing row raising."""
     if model.split is None:
         raise ValueError("curvature_m_space needs a split-form model")
-    h = _check_step(step if step is not None else default_step(m))
-    _, _, b, J = _split_differences(model.split, m.as_vector()[None], np.array([h]))
-    return monopole_pullback(b[0], J[0], SPLIT_CHARGES, m)
+    X = np.asarray(X, dtype=float)
+    return _in_chunks(lambda V: _split_curvature(model.split, V, step), X, 1 + 2 * X.shape[1])
+
+
+def _split_curvature(split, V, step) -> np.ndarray:
+    h = np.array([_check_step(step if step is not None else default_step(v)) for v in V])
+    _, _, b, J = _split_differences(split, V, h)
+    nb = row_norm(b)
+    if (nb == 0.0).any():
+        raise SingularityError("curvature is singular where the coupling vanishes")
+    X = monopole_rows(b, J, nb)
+    return antisymmetric(-np.asarray(SPLIT_CHARGES)[:, None, None] * X[:, None])
 
 
 def _split_differences(split, X: np.ndarray, h: np.ndarray):
@@ -385,6 +429,28 @@ def _split_differences(split, X: np.ndarray, h: np.ndarray):
     h0, h1, h2 = h0.reshape(N, -1), h1.reshape(N, -1, 3), 2.0 * h[:, None]
     return (h0[:, 0], (h0[:, 1::2] - h0[:, 2::2]) / h2, h1[:, 0],
             ((h1[:, 1::2] - h1[:, 2::2]) / h2[:, :, None]).swapaxes(1, 2))
+
+
+def _in_chunks(kernel, X: np.ndarray, per_row: int) -> np.ndarray:
+    """kernel over the rows of X, a chunk of at most STACK_ROWS // per_row rows
+    at a time. A chunk that raises, whatever the error (a model's callables
+    may raise anything), is run again row by row, so the first failing row
+    raises its own error, as it would alone."""
+    size = max(1, STACK_ROWS // per_row)
+    out = []
+    for i in range(0, len(X), size):
+        part = X[i:i + size]
+        try:
+            out.append(kernel(part))
+            continue
+        except Exception as exc:
+            if len(part) == 1:
+                raise
+            failed = exc
+        for x in part:
+            kernel(x[None])
+        raise failed
+    return np.concatenate(out)
 
 
 def monopole_pullback(b: np.ndarray, J: np.ndarray, charges: Sequence[float],
@@ -423,6 +489,12 @@ _NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])  # cyclic shifts of x, y
 _CBRT_MAX = 5.643803094122361e102  # the largest float whose cube is finite
 
 
+def over_cube(x, nb: float):
+    """x / nb**3 for a float nb > 0; past _CBRT_MAX, where the cube
+    overflows, x / nb / nb / nb."""
+    return x / nb**3 if nb <= _CBRT_MAX else x / nb / nb / nb
+
+
 # ---------------------------------------------------------------------------
 # Array layer: model-free geometry on plain coordinate vectors
 
@@ -433,7 +505,7 @@ def monopole_pseudovector(h1: np.ndarray, S: float) -> np.ndarray:
     nb = float(np.linalg.norm(h1))
     if nb == 0.0:
         raise SingularityError("monopole curvature is singular at H1 = 0")
-    return -S * h1 / nb**3
+    return over_cube(-S * h1, nb)
 
 
 def monopole_curvature(h1: np.ndarray, S: float) -> np.ndarray:
@@ -691,7 +763,7 @@ class AdiabaticConnectionField:
         nt, nph = nodes
         flux = np.empty((nt, nph))
         prev = np.empty((0, nph, self.model.n, self.model.n), dtype=complex)
-        rings = max(1, MESH_BAND_VERTICES // nph)
+        rings = max(1, STACK_ROWS // nph)
         for i0 in range(0, nt + 1, rings):
             theta, phi = np.meshgrid(np.pi * np.arange(i0, min(i0 + rings, nt + 1)) / nt,
                                      2.0 * np.pi * np.arange(nph) / nph, indexing="ij")

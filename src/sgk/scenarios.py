@@ -26,10 +26,9 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, _BandForm, _integrate_rows
 from .errors import ConstraintDriftWarning, SingularityError
 from .fields import IndexField, LinearField, VectorField, _promote_rows, as_field, builtin, rows
-from .gauge import CurvatureTensor, monopole_pseudovector, monopole_pullback
+from .gauge import CurvatureTensor, monopole_pseudovector, monopole_pullback, over_cube
 from .models import SPLIT_CHARGES, Constants, HamiltonianModel
 from .phase_space import PhasePoint, row_dot
 
@@ -285,8 +284,7 @@ class RashbaScenario(_SplitScenario):
         nb = self.coupling_norm(p)
         if nb == 0.0:
             raise SingularityError("coupling vanishes at this momentum")
-        coeff = self.hbar * self.e_charge * self.chi * self.rho**2 * self.b_z \
-            / (2.0 * nb**3)
+        coeff = over_cube(self.hbar * self.e_charge * self.chi * self.rho**2 * self.b_z / 2.0, nb)
         return sgn * coeff * np.cross(self.e_vector(), E_Z)
 
     def motion(self, band: int, p, mode: str = "full"):
@@ -317,7 +315,7 @@ class RashbaScenario(_SplitScenario):
             return pdot, rdot
         if mode != "full":
             raise ValueError(f"unknown mode {mode!r}")
-        c3 = hb * self.chi * self.rho**2 * B / (2.0 * nb**3)
+        c3 = over_cube(hb * self.chi * self.rho**2 * B / 2.0, nb)
         I2 = np.eye(2)
         M = np.block([[I2, -(e / c) * XB],
                       [-sgn * c3 * Xe, I2]])
@@ -370,6 +368,7 @@ def _rays(scn: OpticalScenario, step: float, s_end: float, max_steps: int):
     mode, s in place of t: E = (p.p - n^2)/2, grad E = (p, -grad n^2/2, 0),
     b = p, J = [I | 0 | 0], hbar = 1/k0 and charges (-1, +1), so band 0 is
     helicity -1 and rdot = p - helicity k0^{-1} (p x pdot)/|p|^3."""
+    from .dynamics import IntegratorConfig, _BandForm
     def rows(X: np.ndarray):
         p, r, pp = X[:, :3], X[:, 3:6], row_dot(X[:, :3], X[:, :3])
         if (pp < 1e-24).any():  # |p| < 1e-12
@@ -415,6 +414,7 @@ def _trace(scn: OpticalScenario, p0, r0, helicities, s_end, step, max_steps) -> 
     """A MagnusRay of each helicity from (p0, r0), the rows of one RK loop."""
     if not (np.isfinite(s_end) and s_end > 0):
         raise ValueError(f"s_end must be positive and finite, got {s_end}")
+    from .dynamics import _integrate_rows
     form, config = _rays(scn, step, s_end, max_steps)
     Y = np.array([[*p0, *r0]] * len(helicities), dtype=float)
     run = _integrate_rows(form, np.array([int(h > 0) for h in helicities]), Y, 0.0, config,

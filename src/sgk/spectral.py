@@ -61,11 +61,12 @@ def _coordinates(points: Sequence[PhasePoint]) -> np.ndarray:
 
 
 def _stack(model: HamiltonianModel, X: np.ndarray, reference: np.ndarray = None,
-           along_path: bool = False, match: bool = True
+           along_path: bool = False, match: bool = True, anchor: np.ndarray = None
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """frame_stack over the rows of a coordinate stack X (N, 2d+1).
 
-    along_path matches each row to the one before it instead; match=False
+    along_path matches each row to the one before it instead, and anchor
+    (N,) each row i to the frame of row anchor[i] of the stack; match=False
     keeps every row's bands in energy order, with no tracking check.
     """
     H = model.evaluate_stack(X)
@@ -90,6 +91,8 @@ def _stack(model: HamiltonianModel, X: np.ndarray, reference: np.ndarray = None,
         ref = U[0] if reference is None else reference
         if along_path:
             ref = np.concatenate([U[:1], U[:-1]])
+        elif anchor is not None:
+            ref = U[anchor]
         M = np.abs(np.conj(np.swapaxes(ref, -1, -2)) @ U)  # M[:, b, j] = |<ref_b|new_j>|
         perm = np.full((N, n), -1)
         taken = np.zeros((N, n), dtype=bool)

@@ -283,6 +283,15 @@ def test_chern_charge_monopole(tmp_path, capsys):
         (out_dir / "chern.jsonl").read_bytes()
 
 
+def test_chern_charge_monopole_past_the_cube_overflow(tmp_path, capsys):
+    # |H1|^3 overflows on a sphere of radius 1e103; the flux over 2 pi is
+    # still -2S
+    config = {"source": {"kind": "monopole", "S": 0.5}, "radius": 1e103}
+    code, out, _, _ = run_cli(tmp_path, capsys, "chern-charge", config)
+    assert code == 0
+    assert json.loads(out)["charge"] == pytest.approx(-1.0, abs=1e-9)
+
+
 def test_chern_charge_zeeman_source(tmp_path, capsys):
     config = {"source": {"kind": "zeeman", "chi": 0.9, "band": 1},
               "radius": 1.0, "nodes": [8, 16]}

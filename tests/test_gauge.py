@@ -13,6 +13,7 @@ from sgk import (
     CurvatureTensor,
     DegeneracyError,
     HamiltonianModel,
+    NumericalError,
     PhasePoint,
     PolyField,
     QuadratureError,
@@ -174,6 +175,57 @@ def test_plaquette_matches_split_curvature():
     assert np.max(np.abs(num.F - ana.F)) / scale < 1e-6
 
 
+def grid_rows(n):
+    # n phase-space points around M0, as the rows of one coordinate stack
+    return M0.as_vector() + 0.2 * np.random.default_rng(11).uniform(-1.0, 1.0, size=(n, 7))
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+def test_stacked_plaquettes_keep_each_point_bits(richardson, monkeypatch):
+    # the whole grid in one stack, or in chunks of two points, gives every
+    # point the curvature it has alone, to the bit
+    model = poly_model(seed=7)
+    X = grid_rows(5)
+    want = np.stack([adiabatic_curvature_numeric(model, PhasePoint.from_vector(x, 3),
+                                                 richardson=richardson).F for x in X])
+    assert np.array_equal(sgk.gauge.plaquette_rows(model, X, richardson=richardson), want)
+    monkeypatch.setattr(sgk.gauge, "STACK_ROWS", 2 * (1 + 21 * 4 * (2 if richardson else 1)))
+    assert np.array_equal(sgk.gauge.plaquette_rows(model, X, richardson=richardson), want)
+
+
+def test_stacked_split_curvature_keeps_each_point_bits(monkeypatch):
+    model = poly_model(seed=7)
+    X = grid_rows(5)
+    want = np.stack([curvature_m_space(model, PhasePoint.from_vector(x, 3)).F for x in X])
+    assert np.array_equal(sgk.gauge.split_curvature_rows(model, X), want)
+    monkeypatch.setattr(sgk.gauge, "STACK_ROWS", 2 * 15)
+    assert np.array_equal(sgk.gauge.split_curvature_rows(model, X), want)
+
+
+def test_stacked_curvature_raises_the_first_failing_point():
+    # on the hedgehog B = r, the earlier point's (r1, r2) plaquette has its
+    # corner c1 at r = 0; the later point fails at its centre, on the
+    # degeneracy at another t or with no finite step. The stack raises what
+    # the earlier point raises alone
+    model = ZeemanScenario.hedgehog().model()
+    corner = np.array([0.0, 0.0, 0.0, 5e-5, 5e-5, 0.0, 0.0])
+    centre = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25])
+    far = np.array([0.0, 0.0, 0.0, 1e200, 0.0, 0.0, 0.0])
+    with np.errstate(over="ignore"):  # |far|^2 overflows
+        for x, error, message in ((corner, DegeneracyError, r"at t=0\.0$"),
+                                  (centre, DegeneracyError, r"at t=0\.25$"),
+                                  (far, NumericalError, "no finite step scale")):
+            with pytest.raises(error, match=message):
+                adiabatic_curvature_numeric(model, PhasePoint.from_vector(x, 3))
+        for later in (centre, far):
+            with pytest.raises(DegeneracyError, match=r"at t=0\.0$"):
+                sgk.gauge.plaquette_rows(model, np.array([corner, later]))
+        # the split form fails only where the coupling itself vanishes
+        assert np.isfinite(sgk.gauge.split_curvature_rows(model, corner[None])).all()
+        with pytest.raises(SingularityError):
+            sgk.gauge.split_curvature_rows(model, np.array([corner, centre, far]))
+
+
 def test_band_curvatures_are_opposite():
     model = poly_model(seed=9)
     ana = curvature_m_space(model, M0)
@@ -221,6 +273,18 @@ def test_monopole_pseudovector_at_pole():
     assert np.allclose(dn, [0.0, 0.0, +0.5])
     with pytest.raises(SingularityError):
         monopole_pseudovector(np.zeros(3), 0.5)
+
+
+def test_monopole_pseudovector_past_the_cube_overflow():
+    # |H1|^3 overflows past 5.6e102: the field divides by |H1| three times
+    # there, and keeps the bits of -S H1 / |H1|^3 below
+    rng = np.random.default_rng(4)
+    for h1 in rng.normal(size=(20, 3)) * 10.0 ** rng.uniform(-100, 100, size=(20, 1)):
+        nb = float(np.linalg.norm(h1))
+        assert np.array_equal(monopole_pseudovector(h1, 0.5), -0.5 * h1 / nb**3)
+    h1 = np.array([3e102, -4e102, 1.2e103])  # |H1| = 1.3e103
+    assert np.allclose(monopole_pseudovector(h1, 0.5) * 1e200,
+                       monopole_pseudovector(h1 / 1e100, 0.5), rtol=1e-14, atol=0.0)
 
 
 def test_monopole_tensor_component():
@@ -530,7 +594,7 @@ def test_link_charge_bits_do_not_depend_on_the_ring_bands(nodes, vertices, monke
     field = hedgehog_field(chi=0.8)
     center = (0.3, -0.1, 0.2)
     want = [field.sphere_charge(center, 0.9, nodes, band) for band in (0, 1)]
-    monkeypatch.setattr(sgk.gauge, "MESH_BAND_VERTICES", vertices)
+    monkeypatch.setattr(sgk.gauge, "STACK_ROWS", vertices)
     assert [field.sphere_charge(center, 0.9, nodes, band) for band in (0, 1)] == want
 
 

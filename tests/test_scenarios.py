@@ -208,6 +208,21 @@ def test_rashba_drift_formula_and_band_oddness():
     assert abs(up @ scn.e_vector()) < 1e-18
 
 
+def test_rashba_closed_forms_past_the_cube_overflow():
+    # |H1|^3 overflows past 5.6e102; there drift and motion divide by |H1|
+    # three times, below they keep their bits
+    scn = RashbaScenario(b_z=2.0, e_inplane=(0.5, 0.0), chi=1.1, rho=0.7, hbar=0.02)
+    p = (0.3, 0.1)
+    nb = scn.coupling_norm(p)
+    coeff = 0.02 * 1.0 * 1.1 * 0.7**2 * 2.0 / (2.0 * nb**3)
+    assert np.array_equal(scn.drift(1, p), coeff * np.cross(scn.e_vector(), [0.0, 0.0, 1.0]))
+    big = RashbaScenario(b_z=1e103, e_inplane=(0.5, 0.0))  # |H1| = 1e103
+    assert np.allclose(big.drift(1, p), [0.0, -0.25e-206, 0.0], rtol=1e-14, atol=0.0)
+    for band in (0, 1):
+        for mode in ("full", "reduced"):
+            assert all(np.isfinite(v).all() for v in big.motion(band, p, mode))
+
+
 def test_rashba_zero_coupling_is_singular():
     scn = RashbaScenario(b_z=0.0)
     with pytest.raises(SingularityError):
