@@ -17,17 +17,17 @@ _EXPORTS = {
     "errors": "BandTrackingError ConstraintDriftWarning DegeneracyError EnsembleError "
               "NumericalError QuadratureError SchemaError SgkError SingularSystemError "
               "SingularityError SpinForceWarning StepError",
-    "phase_space": "PhasePoint axis_labels",
+    "phase_space": "PhasePoint axis_labels default_step",
     "fields": "CallableField IndexField LinearField LinearIndex PolyField RotatingField "
               "UniformField UniformIndex VectorField as_field",
-    "models": "PAULI Constants HamiltonianModel SplitForm",
-    "spectral": "DEGENERACY_RTOL TRACKING_MIN_OVERLAP aligned_frame diagonalize "
-                "smooth_frame_along",
+    "models": "DEGENERACY_RTOL PAULI Constants HamiltonianModel SplitForm "
+              "monopole_pseudovector",
+    "spectral": "TRACKING_MIN_OVERLAP aligned_frame diagonalize smooth_frame_along",
     "gauge": "AdiabaticConnectionField Connection CurvatureTensor MaxwellResiduals "
              "NonAbelianCurvature PhaseIntegral adiabatic_connection "
-             "adiabatic_curvature_numeric chern_charge curvature_m_space default_step "
-             "dirac_phase exact_connection exact_connection_field maxwell_residuals "
-             "monopole_curvature monopole_field monopole_pseudovector monopole_pullback "
+             "adiabatic_curvature_numeric chern_charge curvature_m_space dirac_phase "
+             "exact_connection exact_connection_field maxwell_residuals "
+             "monopole_curvature monopole_field monopole_pullback "
              "nonabelian_curvature phase_line_integral pseudo_to_tensor regauge "
              "tensor_to_pseudo wrap_angle",
     "dynamics": "EffectiveFields ExternalEMField IntegratorConfig Trajectory TrajectoryState "

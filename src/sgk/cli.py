@@ -27,14 +27,12 @@ import numpy as np
 from .errors import SchemaError, SgkError
 from .fields import LinearField, LinearIndex, PolyField, RotatingField, \
     UniformField, UniformIndex
-from .gauge import AdiabaticConnectionField, chern_charge, monopole_field, \
-    plaquette_rows, split_curvature_rows
 from .phase_space import PhasePoint, axis_labels
 from .scenarios import (OpticalScenario, RashbaScenario, SpinOrbitScenario,
                         ZeemanScenario, magnus_ray)
 
-# dynamics, transport and verify are imported by the parsers and commands
-# that use them, so a command loads only the modules it runs
+# dynamics, gauge, transport and verify are imported by the parsers and
+# commands that use them, so a command loads only the modules it runs
 
 COMMANDS = ("run-scenario", "curvature-map", "chern-charge", "ensemble",
             "verify")
@@ -583,6 +581,7 @@ def _cmd_curvature_map(config, out_dir, seed):
         ctx.err("config.grid.axis_b", "must differ from axis_a")
     ctx.raise_if_any()
 
+    from .gauge import plaquette_rows, split_curvature_rows
     d = ctx.d
     labels = axis_labels(d)
     method = cfg["method"]
@@ -622,6 +621,7 @@ def _cmd_curvature_map(config, out_dir, seed):
 def _cmd_chern_charge(config, out_dir, seed):
     ctx, cfg = _walk(config, _CHERN_KEYS)
     ctx.raise_if_any()
+    from .gauge import AdiabaticConnectionField, chern_charge, monopole_field
     meta, center, radius = cfg["source"], cfg["center"], cfg["radius"]
     if meta["source"] == "monopole":
         field = monopole_field(S=meta["S"], center=center)

@@ -32,17 +32,18 @@ import numpy as np
 from .errors import (DegeneracyError, NumericalError, SingularSystemError,
                      SpinForceWarning, StepError)
 from .fields import UniformField, VectorField, _promote, as_field, rows
-from .gauge import (_axis_stencil, _check_step, _split_differences, _stencil_rows,
-                    antisymmetric, default_step, monopole_rows, tensor_to_pseudo)
-from .models import SPLIT_CHARGES, Constants, HamiltonianModel
-from .phase_space import PhasePoint, row_dot, row_norm, row_pow
-from .spectral import DEGENERACY_RTOL, _stack
+from .models import (_CHARGES, DEGENERACY_RTOL, Constants, HamiltonianModel, _split_differences,
+                     monopole_rows)
+from .phase_space import (PhasePoint, _axis_stencil, _check_step, _stencil_rows, antisymmetric,
+                          default_step, row_dot, row_norm, row_pow)
 
 # Spin force larger than this fraction of the zeroth-order force triggers
 # a SpinForceWarning (the underlying expansion is no longer perturbative).
 SPIN_FORCE_WARN_RATIO = 0.5
 _COND_LIMIT = 1e12
 _CROSS = np.array([6, 2, 4, 5, 6, 0, 1, 3, 6])  # (B, -B, 0) entries of v -> v x B
+# What a row's next trial reads of its last accepted state.
+_CARRIED = ("y", "s", "v", "berry_rate", "dynamic_rate")
 # A last step at most this fraction longer than the step size is stretched
 # to land on t_end, instead of leaving a rounding-error sliver behind it.
 _LAST_STEP_SLACK = 1e-6
@@ -179,6 +180,7 @@ def band_gradients(model: HamiltonianModel, band: int, m: PhasePoint,
     not, it differences the tracked eigenvalues of one frame stack, so it
     shares no arithmetic with the point kernel for any model.
     """
+    from .spectral import _stack
     h = _check_step(step if step is not None else default_step(m))
     w, _, _ = _stack(model, _axis_stencil(m.as_vector(), h, range(m.n_axes)))
     return float(w[0, band]), (w[1::2, band] - w[2::2, band]) / (2.0 * h)
@@ -225,10 +227,10 @@ def _point_kernel(model: HamiltonianModel, bands, X: np.ndarray,
 
     This is the one place the integrator takes F from: nothing else can
     supply a curvature. A split form gives all of them from (grad H0, b,
-    J), b = H1 and J = dH1/dm, exact or differenced (gauge._split_differences):
+    J), b = H1 and J = dH1/dm, exact or differenced (models._split_differences):
     with S the band's charge in SPLIT_CHARGES (-+1/2), E = H0 + 2S hbar|b|,
     grad E = grad H0 + 2S hbar b^T J/|b|, gap = 2 hbar|b|, F = -S X with X
-    from gauge.monopole_rows and A = a(b)^T J, with a(b) Berry's monopole
+    from models.monopole_rows and A = a(b)^T J, with a(b) Berry's monopole
     connection of spin S in the largest-component gauge of the
     spectral layer. For a 2x2 frame that gauge is the north patch
     S (b_y, -b_x, 0)/(|b|(|b| + b_z)) where b_z > 0 and the south patch
@@ -262,17 +264,18 @@ def _point_kernel(model: HamiltonianModel, bands, X: np.ndarray,
             model.split, X, np.array([default_step(x) for x in X]))
         nb = row_norm(b)
         hbar = model.constants.hbar
-        charge = np.take(SPLIT_CHARGES, bands)
+        charge = _CHARGES[bands]
         sign = 2.0 * charge  # -+1, exactly
         E0, gap = _split_energy(h0, hbar * nb, sign)
-        g = g0 + (sign * hbar / nb)[:, None] * (b[:, None, :] @ J)[:, 0]
+        g = g0 + (sign * hbar / nb)[:, None] * np.vecmat(b, J)
         if connection:
-            twist = (charge[:, None] * (b[:, 1, None] * J[:, 0] - b[:, 0, None] * J[:, 1])
-                     / nb[:, None])
             bz = b[:, 2]
             north = (bz > 0.0) | ((bz == 0.0) & (bands == 1))
-            A = np.where(north[:, None], twist, -twist) / np.where(north, nb + bz, nb - bz)[:, None]
+            patch = np.where(north, 1.0, -1.0)  # negating is exact: +-S and |b| +- b_z
+            A = ((patch * charge)[:, None] * (b[:, 1, None] * J[:, 0] - b[:, 0, None] * J[:, 1])
+                 / nb[:, None] / (nb + patch * bz)[:, None])
     else:
+        from .spectral import _stack
         w, U, gap = _stack(model, X, match=False)
         N, D = X.shape
         rows, n = np.arange(N), model.n
@@ -322,9 +325,17 @@ def _warn_spin_force(stacklevel: int) -> None:
                   SpinForceWarning, stacklevel=stacklevel)
 
 
-def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A[i] @ x[i] for each row: (N, a, b) and (N, b) -> (N, a)."""
-    return (A @ x[..., None])[..., 0]
+def _cross_matrices(B: np.ndarray) -> np.ndarray:
+    """XB (N, 3, 3) with XB v = v x B at each row of B (N, 3):
+    [[0, Bz, -By], [-Bz, 0, Bx], [By, -Bx, 0]]."""
+    return np.concatenate([B, -B, np.zeros((len(B), 1))], axis=1).take(_CROSS, 1).reshape(-1, 3, 3)
+
+
+_XB0 = _cross_matrices(np.zeros((1, 3)))[0]
+_EYE3 = np.eye(3)
+# by d: the rows of the pdot then the rdot equations, and the signs of their hbar terms
+_PR_ROWS = {d: np.r_[d:2 * d, 0:d] for d in (2, 3)}
+_PR_SIGNS = {d: np.repeat([-1.0, 1.0], d)[:, None] for d in (2, 3)}
 
 
 def _velocity(model, X, g, F, em, mode, with_ratio):
@@ -341,33 +352,28 @@ def _velocity(model, X, g, F, em, mode, with_ratio):
     N, d = len(X), (X.shape[1] - 1) // 2
     gp, gr = g[:, :d], g[:, d:2 * d]
     cst = model.constants
-    E3 = B3 = np.zeros((N, 3))
-    if em is not None:
+    if em is None:  # the bits of zero E and B rows: e 0.0, and the -0.0 of -B in XB
+        XB, rhs_p0 = _XB0[:d, :d], -gr + cst.e * 0.0
+    else:
         r, t = X[:, d:2 * d], X[:, 2 * d]
         E3, B3 = rows(em.e_field, "value", r, t), rows(em.b_field, "value", r, t)
-    # XB v = v x B: XB = [[0, Bz, -By], [-Bz, 0, Bx], [By, -Bx, 0]]
-    XB = np.concatenate([B3, -B3, np.zeros((N, 1))], axis=1).take(_CROSS, 1).reshape(N, 3, 3)
-    XB = XB[:, :d, :d]
-    rhs_p0 = -gr + cst.e * E3[:, :d]
+        XB, rhs_p0 = _cross_matrices(B3)[:, :d, :d], -gr + cst.e * E3[:, :d]
 
     spin_force = F is not None
     if not spin_force:
         F = np.zeros((N, X.shape[1], X.shape[1]))
-    Fp, Fr = F[:, d:2 * d], F[:, :d]  # curvature rows of the pdot and rdot equations
     hb = cst.hbar
     if mode == "exact":
-        # [[I - hb Fp_p, -hb Fp_r - (e/c) XB], [hb Fr_p, I + hb Fr_r]], with
-        # the arithmetic of I - x as -x + I
-        I = np.eye(d)
-        M = np.empty((N, 2 * d, 2 * d))
-        np.multiply(-hb, Fp[:, :, :2 * d], out=M[:, :d])
-        np.multiply(hb, Fr[:, :, :2 * d], out=M[:, d:])
-        M[:, :d, :d] += I
+        # M = [[I - hb Fp_p, -hb Fp_r - (e/c) XB], [hb Fr_p, I + hb Fr_r]] and
+        # rhs = (rhs_p0 + hb Fp_t, gp - hb Fr_t), Fp and Fr the curvature rows
+        # of the pdot and rdot equations: both from the rows (Fp, Fr) times
+        # w = (-hb, hb), as -(-y) = y, with the arithmetic of I - x as -x + I
+        Fpr, w = F.take(_PR_ROWS[d], 1), hb * _PR_SIGNS[d]
+        M = Fpr[:, :, :2 * d] * w
+        M[:, :d, :d] += _EYE3[:d, :d]
         M[:, :d, d:] -= (cst.e / cst.c) * XB
-        M[:, d:, d:] += I
-        rhs = np.empty((N, 2 * d))
-        np.add(rhs_p0, hb * Fp[:, :, 2 * d], out=rhs[:, :d])
-        np.subtract(gp, hb * Fr[:, :, 2 * d], out=rhs[:, d:])
+        M[:, d:, d:] += _EYE3[:d, :d]
+        rhs = np.concatenate([rhs_p0, gp], axis=1)[..., None] - Fpr[:, :, 2 * d:] * w
         try:
             cond = np.abs(M).sum(1).max(1) * np.abs(np.linalg.inv(M)).sum(1).max(1)
         except np.linalg.LinAlgError:
@@ -375,12 +381,13 @@ def _velocity(model, X, g, F, em, mode, with_ratio):
         if not (cond <= _COND_LIMIT).all():  # NaN fails too
             raise SingularSystemError("velocity system is singular (condition number "
                                       f"{cond[~(cond <= _COND_LIMIT)][0]:.3e})")
-        v = np.linalg.solve(M, rhs[..., None])[..., 0]
+        v = np.linalg.solve(M, rhs)[..., 0]
     elif mode == "reduced":
-        pdot0 = rhs_p0 + (cst.e / cst.c) * _mv(XB, gp)
+        Fp, Fr = F[:, d:2 * d], F[:, :d]
+        pdot0 = rhs_p0 + (cst.e / cst.c) * np.matvec(XB, gp)
         mdot0 = np.concatenate([pdot0, gp, np.ones((N, 1))], axis=1)
-        rdot = gp - hb * _mv(Fr, mdot0)
-        pdot = rhs_p0 + (cst.e / cst.c) * _mv(XB, rdot) + hb * _mv(Fp, mdot0)
+        rdot = gp - hb * np.matvec(Fr, mdot0)
+        pdot = rhs_p0 + (cst.e / cst.c) * np.matvec(XB, rdot) + hb * np.matvec(Fp, mdot0)
         v = np.concatenate([pdot, rdot], axis=1)
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -388,10 +395,11 @@ def _velocity(model, X, g, F, em, mode, with_ratio):
     ratio = np.zeros(N)
     if with_ratio and spin_force:
         # |F_r . mdot|, |F_p . mdot|, |rhs_p0| and |grad_p E| of each row
-        forces = np.concatenate([_mv(F[:, :2 * d], np.concatenate([v, np.ones((N, 1))], axis=1)),
-                                 rhs_p0, gp], axis=1).reshape(N, 4, d)
+        mdot = np.concatenate([v, np.ones((N, 1))], axis=1)
+        forces = np.concatenate([np.matvec(F[:, :2 * d], mdot), rhs_p0, gp], axis=1).reshape(N, 4, d)
         norms = row_norm(forces.reshape(-1, d)).reshape(N, 4)
-        ratio = hb * norms[:, :2].max(1) / np.maximum(norms[:, 2:].max(1), 1e-300)
+        ratio = hb * np.maximum(norms[:, 0], norms[:, 1]) / np.maximum(
+            np.maximum(norms[:, 2], norms[:, 3]), 1e-300)
     return v, ratio
 
 
@@ -415,21 +423,22 @@ def adiabaticity_epsilon(model: HamiltonianModel, band: int, m: PhasePoint,
 
 def _epsilon(model, X, g, gap, mdot, delta_p) -> np.ndarray:
     """adiabaticity_epsilon at each row from the band's energy gradient g and the gap."""
-    d = (X.shape[1] - 1) // 2
+    N, d = len(X), (X.shape[1] - 1) // 2
     dE_dt, gap2 = np.abs(row_dot(g, mdot)), gap
     big = gap > _SQRT_MAX
     if big.any():  # gap^2 overflows there: those rows divide by the gap twice
         s = np.where(big, gap, 1.0)
         dE_dt, gap2 = dE_dt / s / s, np.where(big, 1.0, gap)
     time_term = dE_dt / row_pow(gap2, 2)
-    gp_norm, gr_norm = row_norm(g[:, :d]), row_norm(g[:, d:2 * d])
+    gp_norm, gr_norm = row_norm(g[:, :2 * d].reshape(2 * N, d)).reshape(N, 2).T
     moving = gp_norm != 0.0
     gp_norm = np.where(moving, gp_norm, 1.0)
-    dp = gap / gp_norm if delta_p is None else np.full(len(X), float(delta_p))
+    dp = gap / gp_norm if delta_p is None else np.full(N, float(delta_p))
     moving &= dp <= _SQRT_MAX  # near rest dp^2 overflows, where gr gp / gap^2 is negligible
-    dp = np.where(moving, dp, 1.0)
-    momentum_term = np.where(moving, (gr_norm / gp_norm) / row_pow(dp, 2), 0.0)
-    return model.constants.hbar * np.where(momentum_term > time_term, momentum_term, time_term)
+    # a row at rest (or near it) takes the time term alone
+    momentum_term = (gr_norm / gp_norm) / row_pow(np.where(moving, dp, 1.0), 2)
+    return model.constants.hbar * np.where(moving & (momentum_term > time_term),
+                                           momentum_term, time_term)
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +504,10 @@ def integrate(model: HamiltonianModel, band: int, initial: PhasePoint,
     states = []
     for _, val, berry, dynamic in run.states:
         y, v, a = val["y"][0], val["v"][0], val.get("a")
+        # every accepted state passed the RK loop's finiteness check
+        m = PhasePoint._trusted(y[:d], y[d:], initial.t + float(val["s"][0])) if states else initial
         states.append(TrajectoryState(
-            m=PhasePoint(y[:d], y[d:], initial.t + float(val["s"][0])) if states else initial,
-            band=band, energy=float(val["energy"][0]), epsilon=float(val["epsilon"][0]),
+            m=m, band=band, energy=float(val["energy"][0]), epsilon=float(val["epsilon"][0]),
             berry_phase=float(berry[0]), dynamic_phase=float(dynamic[0]), v_p=v[:d], v_r=v[d:],
             a_p=None if a is None else a[0, :d], a_r=None if a is None else a[0, d:2 * d],
             a_t=None if a is None else float(a[0, 2 * d]), hbar=model.constants.hbar))
@@ -552,13 +562,14 @@ def _integrate_rows(model, bands, Y, t0, config, em=None, record=False) -> _Rows
         return X
 
     def advance(idx):  # one trial of rows idx: (the rows that accept it, their next states)
-        y, b, s, h_s, ok = cur["y"][idx], bands[idx], cur["s"][idx], h_try[idx], slice(None)
+        sel = slice(None) if len(idx) == N else idx  # views while all rows run
+        y, b, s, h_s, ok = cur["y"][sel], bands[sel], cur["s"][sel], h_try[sel], slice(None)
         if steps:
             f = lambda s_, y_: _stage_velocity(model, b, at(s_, y_), em, config)
             if config.method == "rk4":
-                y = _rk4_step(f, s, y, h_s, cur["v"][idx])
+                y = _rk4_step(f, s, y, h_s, cur["v"][sel])
             else:
-                y, h[idx], ok = _rkf45_step(f, s, y, h_s, cur["v"][idx], config.tolerance)
+                y, h[sel], ok = _rkf45_step(f, s, y, h_s, cur["v"][sel], config.tolerance)
         idx, y, b, s = idx[ok], y[ok], b[ok], (s + h_s)[ok]
         return idx, dict(_eval_rows(model, b, at(s, y), em, config), y=y, s=s) if len(idx) else {}
 
@@ -584,22 +595,29 @@ def _integrate_rows(model, bands, Y, t0, config, em=None, record=False) -> _Rows
                 dynamic[rows] += dt * (cur["dynamic_rate"][rows] + new["dynamic_rate"])
             else:
                 out.v0[rows] = new["v"]
-            for k, val in new.items():
-                cur.setdefault(k, np.full((N,) + val.shape[1:], np.nan))[rows] = val
+            if len(idx) == N:  # cur takes the new arrays, which no one writes to
+                cur.update((k, new[k]) for k in _CARRIED)
+            else:  # fresh arrays, so that no recorded state changes
+                for k in _CARRIED:
+                    cur[k] = cur[k].copy() if k in cur else np.full((N,) + new[k].shape[1:], np.nan)
+                    cur[k][idx] = new[k]
             out.energy_peak[rows] = np.maximum(out.energy_peak[rows], np.abs(new["energy"]))
             if record:
                 out.states.append((idx, new, berry[rows].copy(), dynamic[rows].copy()))
-            for i in idx[(new["ratio"] > SPIN_FORCE_WARN_RATIO) & ~warned[idx]]:
-                warned[i] = True
-                try:  # attributed to the caller of integrate
-                    _warn_spin_force(stacklevel=4)
-                except Exception as exc:
-                    fail(i, exc)
-            for i in idx[(new["epsilon"] > config.epsilon_abort) & running[idx]]:
-                out.status[i], running[i] = "adiabaticity_breach", False
-            for i in idx[last[idx] & running[idx]]:
-                out.status[i], running[i] = "completed", False
+            if ((new["ratio"] > SPIN_FORCE_WARN_RATIO) | (new["epsilon"] > config.epsilon_abort)
+                    | last[rows]).any():
+                for i in idx[(new["ratio"] > SPIN_FORCE_WARN_RATIO) & ~warned[idx]]:
+                    warned[i] = True
+                    try:  # attributed to the caller of integrate
+                        _warn_spin_force(stacklevel=4)
+                    except Exception as exc:
+                        fail(i, exc)
+                for i in idx[(new["epsilon"] > config.epsilon_abort) & running[idx]]:
+                    out.status[i], running[i] = "adiabaticity_breach", False
+                for i in idx[last[idx] & running[idx]]:
+                    out.status[i], running[i] = "completed", False
         if steps >= config.max_steps or not running.any():
+            out.y = cur["y"]
             return out
         steps += 1
         remaining = duration - cur["s"]
@@ -709,6 +727,7 @@ def effective_em_fields(b_field, r, t: float = 0.0,
     E_spin = (hbar / e) F_rt; both are per band. The coupling is
     H1 = chi B(r, t) with B the supplied field.
     """
+    from .gauge import tensor_to_pseudo
     from .scenarios import ZeemanScenario
     cst = constants or Constants()
     scn = ZeemanScenario(b_field, chi=cst.chi)

@@ -48,11 +48,6 @@ def _each_row(a: np.ndarray, r) -> np.ndarray:
     return out
 
 
-def _matvec(G: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """G r over the leading axes of r; each row has the bits of G @ r[i]."""
-    return G @ r if r.ndim == 1 else (G @ r[..., None])[..., 0]
-
-
 class VectorField:
     """Base: value(r, t) -> (3,); d_dr -> (3,3) with [i,j]=dF_i/dr_j; d_dt -> (3,).
 
@@ -71,6 +66,10 @@ class VectorField:
 
     def __call__(self, r, t: float) -> np.ndarray:
         return self.value(r, t)
+
+    def _jet(self, r, t) -> tuple:
+        """(value, d_dr, d_dt) at r, t; a built-in family shares the work of the three."""
+        return self.value(r, t), self.d_dr(r, t), self.d_dt(r, t)
 
 
 @dataclass
@@ -113,7 +112,7 @@ class LinearField(VectorField):
 
     def value(self, r, t):
         r, t = _promote_rows(r, t)
-        return self.f0 + _matvec(self.G, r) + self.gt * t
+        return self.f0 + np.matvec(self.G, r) + self.gt * t
 
     def d_dr(self, r, t):
         return _each_row(self.G, r)
@@ -163,17 +162,32 @@ class PolyField(VectorField):
 
     def value(self, r, t):
         r, t = _promote_rows(r, t)
-        return (self.f0 + _matvec(self.G, r) + self.gt * t
-                + 0.5 * np.einsum("ijk,...j,...k->...i", self.Q, r, r)
-                + _matvec(self.C, r) * t + 0.5 * self.qtt * t * t)
+        return self._value(r, t, np.matvec(self.C, r))
 
     def d_dr(self, r, t):
-        r = _promote_rows(r, t)[0]
-        return self.G + np.einsum("ijk,...k->...ij", self.Q, r) + np.multiply.outer(t, self.C)
+        return self._d_dr(_promote_rows(r, t)[0], t)
 
     def d_dt(self, r, t):
         r, t = _promote_rows(r, t)
-        return self.gt + _matvec(self.C, r) + self.qtt * t
+        return self._d_dt(t, np.matvec(self.C, r))
+
+    def _jet(self, r, t):
+        r3, t3 = _promote_rows(r, t)
+        Cr = np.matvec(self.C, r3)
+        return self._value(r3, t3, Cr), self._d_dr(r3, t), self._d_dt(t3, Cr)
+
+    # the terms at promoted r and t (t with a last axis for rows), Cr = C r
+
+    def _value(self, r, t, Cr):
+        return (self.f0 + np.matvec(self.G, r) + self.gt * t
+                + 0.5 * np.einsum("ijk,...j,...k->...i", self.Q, r, r)
+                + Cr * t + 0.5 * self.qtt * t * t)
+
+    def _d_dr(self, r, t):  # t as given: the outer product needs its own shape
+        return self.G + np.einsum("ijk,...k->...ij", self.Q, r) + np.multiply.outer(t, self.C)
+
+    def _d_dt(self, t, Cr):
+        return self.gt + Cr + self.qtt * t
 
 
 @dataclass
@@ -190,23 +204,33 @@ class RotatingField(VectorField):
     phi0: float = 0.0
 
     def value(self, r, t):
-        ph = self.omega * t + self.phi0
-        st, ct = np.sin(self.polar_angle), np.cos(self.polar_angle)
-        out = np.empty(getattr(ph, "shape", ()) + (3,))  # ph is a float for one point
-        out[..., 0] = st * np.cos(ph)
-        out[..., 1] = st * np.sin(ph)
-        out[..., 2] = ct
-        return self.magnitude * out
+        return self._value(*self._angles(t))
 
     def d_dr(self, r, t):
         return np.zeros(np.shape(t) + (3, 3))
 
     def d_dt(self, r, t):
+        return self._d_dt(*self._angles(t))
+
+    def _jet(self, r, t):
+        angles = self._angles(t)
+        return self._value(*angles), self.d_dr(r, t), self._d_dt(*angles)
+
+    def _angles(self, t):
+        """(sin th, cos th, cos ph, sin ph) at ph = w t + phi0; the last two
+        are floats for one point and (N,) for rows."""
         ph = self.omega * t + self.phi0
-        st = np.sin(self.polar_angle)
-        # ph is a float for one point and (N,) for rows
-        return self.magnitude * self.omega * st * np.array(
-            [-np.sin(ph), np.cos(ph), np.zeros_like(ph)]).T
+        return np.sin(self.polar_angle), np.cos(self.polar_angle), np.cos(ph), np.sin(ph)
+
+    def _value(self, st, ct, c, s):
+        out = np.empty(np.shape(c) + (3,))
+        out[..., 0] = st * c
+        out[..., 1] = st * s
+        out[..., 2] = ct
+        return self.magnitude * out
+
+    def _d_dt(self, st, ct, c, s):
+        return self.magnitude * self.omega * st * np.array([-s, c, np.zeros_like(c)]).T
 
 
 @dataclass
@@ -251,6 +275,14 @@ def rows(f: VectorField, name: str, r, t) -> np.ndarray:
     if builtin(f):
         return fn(r, t)
     return np.stack([fn(ri, float(ti)) for ri, ti in zip(r, t)])
+
+
+def jet_rows(f: VectorField, r, t) -> tuple:
+    """(value, d_dr, d_dt) of f at rows r (N, 2 or 3), t (N,): one pass for a
+    built-in field, else rows of each."""
+    if builtin(f):
+        return f._jet(r, t)
+    return tuple(rows(f, name, r, t) for name in ("value", "d_dr", "d_dt"))
 
 
 def as_field(obj) -> VectorField:

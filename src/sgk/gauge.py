@@ -18,38 +18,23 @@ curvature F(H1) = -S H1/|H1|^3 in coupling space.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (NumericalError, QuadratureError, SingularityError,
-                     StepError)
-from .models import SPLIT_CHARGES, HamiltonianModel
-from .phase_space import PhasePoint, central_difference, row_norm, row_pow, step_scale
+from .errors import NumericalError, QuadratureError, SingularityError
+from .models import (_CHARGES, HamiltonianModel, _split_differences, monopole_pseudovector,
+                     monopole_rows)
+from .phase_space import (PhasePoint, _axis_stencil, _check_step, _strict_upper, antisymmetric,
+                          central_difference, default_step, row_norm, row_pow)
 from .spectral import _stack
 
-# Default finite-difference step: DEFAULT_STEP_SCALE * max(1, |m|).
-DEFAULT_STEP_SCALE = 1e-4
 # Exact connection components must be Hermitian to this tolerance.
 CONNECTION_HERMITICITY_ATOL = 1e-10
 FACE_FLUX_MAX = 0.75 * math.pi  # largest |Berry flux| through one sphere mesh face
 STACK_ROWS = 8192  # mesh vertices or stencil rows solved per stack, which bounds memory
-
-
-def default_step(point_or_vec) -> float:
-    if isinstance(point_or_vec, PhasePoint):
-        return DEFAULT_STEP_SCALE * point_or_vec.scale()
-    return DEFAULT_STEP_SCALE * step_scale(np.asarray(point_or_vec, dtype=float))
-
-
-def _check_step(step: float) -> float:
-    step = float(step)
-    if not math.isfinite(step) or step <= 0.0:
-        raise StepError(f"step must be a positive finite number, got {step}")
-    return step
 
 
 def pseudo_to_tensor(f: np.ndarray) -> np.ndarray:
@@ -134,17 +119,6 @@ class Connection:
         if self.kind != "adiabatic":
             raise ValueError("dot is defined for adiabatic connections")
         return np.asarray(mdot, dtype=float) @ self.components
-
-
-@functools.lru_cache(maxsize=None)
-def _strict_upper(D: int) -> np.ndarray:
-    return np.triu(np.ones((D, D), dtype=bool), k=1)
-
-
-def antisymmetric(F: np.ndarray) -> np.ndarray:
-    """F's strict upper triangle, mirrored with opposite sign, over leading axes."""
-    upper = np.where(_strict_upper(F.shape[-1]), F, 0.0)  # np.triu(F, k=1)
-    return upper - np.swapaxes(upper, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -266,20 +240,6 @@ def exact_connection(model: HamiltonianModel, m: PhasePoint,
     comps = np.zeros((m.n_axes, model.n, model.n), dtype=complex)
     comps[ks] = 0.5 * (A + np.conj(np.swapaxes(A, 1, 2)))
     return Connection(labels=m.labels, kind="exact", components=comps, point=m)
-
-
-def _axis_stencil(v: np.ndarray, h: float, axes: Sequence[int]) -> np.ndarray:
-    """Rows v, then v + h e_k and v - h e_k for each k in axes: one stack."""
-    return _stencil_rows(v[None], np.array([h]), axes)[0]
-
-
-def _stencil_rows(X: np.ndarray, h: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """(N, 1 + 2K, D): _axis_stencil of each row X[i] at step h[i]. Only the
-    shifted coordinate changes, so the others keep their bits, -0.0 too."""
-    ks = np.repeat(np.asarray(axes, dtype=int), 2)
-    S = np.repeat(X[:, None, :], 1 + ks.size, axis=1)
-    S[:, 1 + np.arange(ks.size), ks] += np.multiply.outer(h, np.tile((1.0, -1.0), ks.size // 2))
-    return S
 
 
 def adiabatic_connection(model: HamiltonianModel, m: PhasePoint,
@@ -419,16 +379,7 @@ def _split_curvature(split, V, step) -> np.ndarray:
     if (nb == 0.0).any():
         raise SingularityError("curvature is singular where the coupling vanishes")
     X = monopole_rows(b, J, nb)
-    return antisymmetric(-np.asarray(SPLIT_CHARGES)[:, None, None] * X[:, None])
-
-
-def _split_differences(split, X: np.ndarray, h: np.ndarray):
-    """(H0, grad H0, H1, J (N, 3, 2d+1)) at rows X by one split.rows of their stencils, steps h."""
-    N, D = X.shape
-    h0, h1 = split.rows(_stencil_rows(X, h, range(D)).reshape(-1, D))
-    h0, h1, h2 = h0.reshape(N, -1), h1.reshape(N, -1, 3), 2.0 * h[:, None]
-    return (h0[:, 0], (h0[:, 1::2] - h0[:, 2::2]) / h2, h1[:, 0],
-            ((h1[:, 1::2] - h1[:, 2::2]) / h2[:, :, None]).swapaxes(1, 2))
+    return antisymmetric(-_CHARGES[:, None, None] * X[:, None])
 
 
 def _in_chunks(kernel, X: np.ndarray, per_row: int) -> np.ndarray:
@@ -470,42 +421,8 @@ def monopole_pullback(b: np.ndarray, J: np.ndarray, charges: Sequence[float],
     return CurvatureTensor(d=point.d, labels=point.labels, F=F, point=point)
 
 
-def monopole_rows(b: np.ndarray, J: np.ndarray, nb: np.ndarray) -> np.ndarray:
-    """X_ij = (b x J_i) . J_j / |b|^3 at each row of b (N, 3), J (N, 3, D)
-    and nb = |b| (N,), nonzero; band S takes -S X. Rows whose |b|^3
-    overflows take ((b/|b|) x J_i) . J_j / |b| / |b|; every other row is
-    divided by 1 there, which keeps its bits."""
-    big = nb > _CBRT_MAX
-    if big.any():
-        s = np.where(big, nb, 1.0)[:, None]
-        return monopole_rows(b / s, J, np.where(big, 1.0, nb)) / s[..., None] / s[..., None]
-    # columns b x J_i, with the arithmetic of np.cross(b, J.T) but far less overhead
-    bJ = (b.take(_NEXT, 1)[:, :, None] * J.take(_LAST, 1)
-          - b.take(_LAST, 1)[:, :, None] * J.take(_NEXT, 1))
-    return bJ.swapaxes(1, 2) @ J / row_pow(nb, 3)[:, None, None]
-
-
-_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])  # cyclic shifts of x, y, z
-_CBRT_MAX = 5.643803094122361e102  # the largest float whose cube is finite
-
-
-def over_cube(x, nb: float):
-    """x / nb**3 for a float nb > 0; past _CBRT_MAX, where the cube
-    overflows, x / nb / nb / nb."""
-    return x / nb**3 if nb <= _CBRT_MAX else x / nb / nb / nb
-
-
 # ---------------------------------------------------------------------------
 # Array layer: model-free geometry on plain coordinate vectors
-
-
-def monopole_pseudovector(h1: np.ndarray, S: float) -> np.ndarray:
-    """Coupling-space monopole field F(H1) = -S H1/|H1|^3 of a band."""
-    h1 = np.asarray(h1, dtype=float)
-    nb = float(np.linalg.norm(h1))
-    if nb == 0.0:
-        raise SingularityError("monopole curvature is singular at H1 = 0")
-    return over_cube(-S * h1, nb)
 
 
 def monopole_curvature(h1: np.ndarray, S: float) -> np.ndarray:

@@ -19,8 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NumericalError
-from .phase_space import PhasePoint
+from .errors import NumericalError, SingularityError
+from .phase_space import PhasePoint, _stencil_rows, row_pow
 
 PAULI = np.array([
     [[0, 1], [1, 0]],
@@ -33,6 +33,9 @@ HERMITICITY_RTOL = 1e-12
 # Spin charge of each band of a split form, ascending band order: the
 # projection of the Pauli spin on H1, so band k has sign 2 SPLIT_CHARGES[k].
 SPLIT_CHARGES = (-0.5, +0.5)
+_CHARGES = np.array(SPLIT_CHARGES)  # SPLIT_CHARGES as an array, indexed by band
+# Band gap below 1e-8 * max(1, max|H_ij|) counts as degenerate.
+DEGENERACY_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,50 @@ class SplitForm:
         pts = [PhasePoint.from_vector(v, (X.shape[1] - 1) // 2) for v in X]
         return (np.array([self.h0(m) for m in pts], dtype=float),
                 np.stack([self.h1_vector(m) for m in pts]))
+
+
+def _split_differences(split, X: np.ndarray, h: np.ndarray):
+    """(H0, grad H0, H1, J (N, 3, 2d+1)) at rows X by one split.rows of their stencils, steps h."""
+    N, D = X.shape
+    h0, h1 = split.rows(_stencil_rows(X, h, range(D)).reshape(-1, D))
+    h0, h1, h2 = h0.reshape(N, -1), h1.reshape(N, -1, 3), 2.0 * h[:, None]
+    return (h0[:, 0], (h0[:, 1::2] - h0[:, 2::2]) / h2, h1[:, 0],
+            ((h1[:, 1::2] - h1[:, 2::2]) / h2[:, :, None]).swapaxes(1, 2))
+
+
+def monopole_rows(b: np.ndarray, J: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """X_ij = (b x J_i) . J_j / |b|^3 at each row of b (N, 3), J (N, 3, D)
+    and nb = |b| (N,), nonzero; band S takes -S X. Rows whose |b|^3
+    overflows take ((b/|b|) x J_i) . J_j / |b| / |b|; every other row is
+    divided by 1 there, which keeps its bits."""
+    big = nb > _CBRT_MAX
+    if big.any():
+        s = np.where(big, nb, 1.0)[:, None]
+        return monopole_rows(b / s, J, np.where(big, 1.0, nb)) / s[..., None] / s[..., None]
+    # columns b x J_i, with the arithmetic of np.cross(b, J.T) but far less
+    # overhead: the products b_next J_last and b_last J_next, then their difference
+    bJ = b.take(_NEXT_LAST, 1)[..., None] * J.take(_LAST_NEXT, 1)
+    return (bJ[:, 0] - bJ[:, 1]).swapaxes(1, 2) @ J / row_pow(nb, 3)[:, None, None]
+
+
+_NEXT_LAST = np.array([[1, 2, 0], [2, 0, 1]])  # cyclic shifts of x, y, z
+_LAST_NEXT = _NEXT_LAST[::-1].copy()
+_CBRT_MAX = 5.643803094122361e102  # the largest float whose cube is finite
+
+
+def over_cube(x, nb: float):
+    """x / nb**3 for a float nb > 0; past _CBRT_MAX, where the cube
+    overflows, x / nb / nb / nb."""
+    return x / nb**3 if nb <= _CBRT_MAX else x / nb / nb / nb
+
+
+def monopole_pseudovector(h1: np.ndarray, S: float) -> np.ndarray:
+    """Coupling-space monopole field F(H1) = -S H1/|H1|^3 of a band."""
+    h1 = np.asarray(h1, dtype=float)
+    nb = float(np.linalg.norm(h1))
+    if nb == 0.0:
+        raise SingularityError("monopole curvature is singular at H1 = 0")
+    return over_cube(-S * h1, nb)
 
 
 def _split_matrices(h0, b) -> np.ndarray:
@@ -167,7 +214,8 @@ class HamiltonianModel:
             H = np.empty((X.shape[0], n, n), dtype=complex)
             for i, v in enumerate(X):
                 try:
-                    Hi = np.asarray(self.evaluate_raw(PhasePoint.from_vector(v, d)), dtype=complex)
+                    m = PhasePoint._trusted(v[:d], v[d:2 * d], v[2 * d])  # X is checked
+                    Hi = np.asarray(self.evaluate_raw(m), dtype=complex)
                     if Hi.shape != (n, n):
                         raise NumericalError(f"model returned shape {Hi.shape}, expected {(n, n)}")
                 except Exception as exc:  # raised if the rows before it pass the check

@@ -11,10 +11,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, StepError
+
+# Default finite-difference step: DEFAULT_STEP_SCALE * max(1, |m|).
+DEFAULT_STEP_SCALE = 1e-4
 
 
 def central_difference(f, x, h: float) -> np.ndarray:
@@ -37,7 +41,7 @@ def central_difference(f, x, h: float) -> np.ndarray:
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of matching rows of a and b (N, K): each row has the
     bits of a[i] @ b[i], which np.einsum and sum(axis=1) do not keep."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    return np.vecdot(a, b)
 
 
 def row_norm(a: np.ndarray) -> np.ndarray:
@@ -57,6 +61,44 @@ def step_scale(x) -> float:
     if not math.isfinite(norm):
         raise NumericalError(f"coordinate norm overflows to {norm}; no finite step scale")
     return max(1.0, norm)
+
+
+def default_step(point_or_vec) -> float:
+    if isinstance(point_or_vec, PhasePoint):
+        return DEFAULT_STEP_SCALE * point_or_vec.scale()
+    return DEFAULT_STEP_SCALE * step_scale(np.asarray(point_or_vec, dtype=float))
+
+
+def _check_step(step: float) -> float:
+    step = float(step)
+    if not math.isfinite(step) or step <= 0.0:
+        raise StepError(f"step must be a positive finite number, got {step}")
+    return step
+
+
+def _axis_stencil(v: np.ndarray, h: float, axes: Sequence[int]) -> np.ndarray:
+    """Rows v, then v + h e_k and v - h e_k for each k in axes: one stack."""
+    return _stencil_rows(v[None], np.array([h]), axes)[0]
+
+
+def _stencil_rows(X: np.ndarray, h: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """(N, 1 + 2K, D): _axis_stencil of each row X[i] at step h[i]. Only the
+    shifted coordinate changes, so the others keep their bits, -0.0 too."""
+    ks = np.repeat(np.asarray(axes, dtype=int), 2)
+    S = np.repeat(X[:, None, :], 1 + ks.size, axis=1)
+    S[:, 1 + np.arange(ks.size), ks] += np.multiply.outer(h, np.tile((1.0, -1.0), ks.size // 2))
+    return S
+
+
+@functools.lru_cache(maxsize=None)
+def _strict_upper(D: int) -> np.ndarray:
+    return np.triu(np.ones((D, D), dtype=bool), k=1)
+
+
+def antisymmetric(F: np.ndarray) -> np.ndarray:
+    """F's strict upper triangle, mirrored with opposite sign, over leading axes."""
+    upper = np.where(_strict_upper(F.shape[-1]), F, 0.0)  # np.triu(F, k=1)
+    return upper - np.swapaxes(upper, -1, -2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -91,6 +133,17 @@ class PhasePoint:
         object.__setattr__(self, "p", p.copy())
         object.__setattr__(self, "r", r.copy())
         object.__setattr__(self, "t", float(self.t))
+
+    @classmethod
+    def _trusted(cls, p: np.ndarray, r: np.ndarray, t: float) -> "PhasePoint":
+        """A point of coordinates known to pass the checks on construction
+        (float arrays p and r of one length, 2 or 3, and all finite), made
+        without them; p and r are copied, as on construction."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "p", p.copy())
+        object.__setattr__(m, "r", r.copy())
+        object.__setattr__(m, "t", float(t))
+        return m
 
     @property
     def d(self) -> int:

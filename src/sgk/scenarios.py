@@ -22,15 +22,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .errors import ConstraintDriftWarning, SingularityError
-from .fields import IndexField, LinearField, VectorField, _promote_rows, as_field, builtin, rows
-from .gauge import CurvatureTensor, monopole_pseudovector, monopole_pullback, over_cube
-from .models import SPLIT_CHARGES, Constants, HamiltonianModel
+from .fields import (IndexField, LinearField, VectorField, _promote_rows, as_field, builtin,
+                     jet_rows, rows)
+from .models import SPLIT_CHARGES, Constants, HamiltonianModel, monopole_pseudovector, over_cube
 from .phase_space import PhasePoint, row_dot
+
+if TYPE_CHECKING:
+    from .gauge import CurvatureTensor
 
 E_Z = np.array([0.0, 0.0, 1.0])
 
@@ -60,6 +63,7 @@ class _SplitScenario:
         F_ij = -S H1.(d_i H1 x d_j H1)/|H1|^3: the monopole pull-back of the
         Jacobian.
         """
+        from .gauge import monopole_pullback
         return monopole_pullback(*self.jacobian(m), SPLIT_CHARGES, m)
 
     def model(self) -> HamiltonianModel:
@@ -135,8 +139,9 @@ class ZeemanScenario(_SplitScenario):
         return ZeemanScenario(b_field=LinearField(f0=np.zeros(3), G=np.eye(3)),
                               chi=chi, d=3, **kw)
 
-    def _coupling(self, p, r, t) -> np.ndarray:
-        return self.chi * rows(self.b_field, "value", r, t)
+    def _coupling(self, p, r, t, B=None) -> np.ndarray:
+        """chi B; B is the field at the rows, if already evaluated."""
+        return self.chi * (rows(self.b_field, "value", r, t) if B is None else B)
 
     def _jacobian_rows(self, p, r, t):
         """(chi B, J) from the field derivatives.
@@ -145,10 +150,11 @@ class ZeemanScenario(_SplitScenario):
         p-independent, and so do the momentum blocks of the curvature.
         """
         n, d = p.shape
+        B, dB_dr, dB_dt = jet_rows(self.b_field, r, t)
         J = np.zeros((n, 3, 2 * d + 1))
-        J[:, :, d:2 * d] = self.chi * rows(self.b_field, "d_dr", r, t)[:, :, :d]
-        J[:, :, 2 * d] = self.chi * rows(self.b_field, "d_dt", r, t)
-        return self._coupling(p, r, t), J
+        J[:, :, d:2 * d] = self.chi * dB_dr[:, :, :d]
+        J[:, :, 2 * d] = self.chi * dB_dt
+        return self._coupling(p, r, t, B), J
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +181,11 @@ class SpinOrbitScenario(_SplitScenario):
         return Constants(hbar=self.hbar, chi=self.chi, rho=self.rho,
                          m_star=self.m_star)
 
-    def _coupling(self, p, r, t, E=None) -> np.ndarray:
-        """chi B + rho E x p; E is the electric field at the rows, if already evaluated."""
-        E = rows(self.e_field, "value", r, t) if E is None else E
-        return (self.chi * rows(self.b_field, "value", r, t)
-                + self.rho * np.cross(E, _promote_rows(p, None)[0]))
+    def _coupling(self, p, r, t, E=None, B=None) -> np.ndarray:
+        """chi B + rho E x p; E and B are the fields at the rows, if already evaluated."""
+        if E is None:
+            E, B = rows(self.e_field, "value", r, t), rows(self.b_field, "value", r, t)
+        return self.chi * B + self.rho * np.cross(E, _promote_rows(p, None)[0])
 
     def _jacobian_rows(self, p, r, t):
         """(H1, J) from the analytic derivatives.
@@ -189,16 +195,14 @@ class SpinOrbitScenario(_SplitScenario):
         """
         n, d = p.shape
         p3 = _promote_rows(p, None)[0]
-        ef, bf = self.e_field, self.b_field
-        E = rows(ef, "value", r, t)
+        E, dE_dr, dE_dt = jet_rows(self.e_field, r, t)
+        B, dB_dr, dB_dt = jet_rows(self.b_field, r, t)
         J = np.zeros((n, 3, 2 * d + 1))
         J[:, :, :d] = self.rho * np.cross(E[:, None, :], np.eye(3)[:d]).swapaxes(1, 2)
-        dE_dr = rows(ef, "d_dr", r, t).swapaxes(1, 2)
-        J[:, :, d:2 * d] = (self.chi * rows(bf, "d_dr", r, t) + self.rho * np.cross(
-            dE_dr, p3[:, None, :]).swapaxes(1, 2))[:, :, :d]
-        J[:, :, 2 * d] = (self.chi * rows(bf, "d_dt", r, t)
-                          + self.rho * np.cross(rows(ef, "d_dt", r, t), p3))
-        return self._coupling(p, r, t, E), J
+        J[:, :, d:2 * d] = (self.chi * dB_dr + self.rho * np.cross(
+            dE_dr.swapaxes(1, 2), p3[:, None, :]).swapaxes(1, 2))[:, :, :d]
+        J[:, :, 2 * d] = self.chi * dB_dt + self.rho * np.cross(dE_dt, p3)
+        return self._coupling(p, r, t, E, B), J
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BandTrackingError, DegeneracyError, NumericalError
-from .models import HamiltonianModel
+from .models import DEGENERACY_RTOL, HamiltonianModel
 from .phase_space import PhasePoint
 
 # Minimum |overlap| between matched eigenvectors of adjacent frames.
 TRACKING_MIN_OVERLAP = 0.5
-# Band gap below 1e-8 * max(1, max|H_ij|) counts as degenerate.
-DEGENERACY_RTOL = 1e-8
 # Frame self-consistency checks (unitarity, diagonalization residual).
 FRAME_ATOL = 1e-10
 

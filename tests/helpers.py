@@ -9,9 +9,8 @@ import dataclasses
 import numpy as np
 
 from sgk.dynamics import _point_kernel
-from sgk.gauge import _split_differences, default_step
-from sgk.models import HamiltonianModel
-from sgk.phase_space import PhasePoint, central_difference
+from sgk.models import HamiltonianModel, _split_differences
+from sgk.phase_space import PhasePoint, central_difference, default_step
 
 
 def shifted(m: PhasePoint, axis: int, delta: float) -> PhasePoint:

@@ -41,7 +41,7 @@ from sgk import (
     velocity_field,
 )
 from sgk.dynamics import _integrate_rows, _point_kernel, _velocity
-from sgk.gauge import _axis_stencil
+from sgk.phase_space import _axis_stencil
 
 from helpers import generic_copy, hermitian_model, point_kernel, shifted, zeeman_connection
 
@@ -545,6 +545,27 @@ def test_spin_force_ratio_keeps_the_bits_of_linalg_norm():
         rhs_p0 = -g[3:6] + cst.e * em.e_field.value(X[i, 3:6], X[i, 6])
         base = max(np.linalg.norm(rhs_p0), np.linalg.norm(g[:3]), 1e-300)
         assert ratio[i] == cst.hbar * gauge / base
+
+
+@pytest.mark.parametrize("mode", ["exact", "reduced"])
+@pytest.mark.parametrize("with_ratio", [False, True])
+@pytest.mark.parametrize("d", [2, 3])
+def test_velocity_without_fields_has_the_bits_of_zero_fields(mode, with_ratio, d):
+    # em=None evaluates no field, yet must round like zero fields: e 0.0 turns
+    # -grad_r E = -0.0 into +0.0, and a zero B puts -0.0 into the Lorentz matrix
+    model = (ZeemanScenario(b_field=PolyField.random(7, (0.2, -0.1, 0.6))) if d == 3
+             else RashbaScenario(b_z=0.7)).model()
+    rng = np.random.default_rng(5)
+    X = np.concatenate([rng.uniform(-1.0, 1.0, (6, 2 * d)), rng.uniform(0.0, 1.0, (6, 1))], axis=1)
+    k = _point_kernel(model, rng.integers(0, 2, 6), X)
+    g = k.grad.copy()
+    g[0, :2 * d] = 0.0
+    g[1, :2 * d] = -0.0
+    g[2, d:2 * d] = [(-1.0) ** i * 0.0 for i in range(d)]
+    for F in (k.F, None):
+        want = _velocity(model, X, g, F, ExternalEMField.uniform(), mode, with_ratio)
+        got = _velocity(model, X, g, F, None, mode, with_ratio)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_spin_force_warning_fires_where_a_benign_start_turns_marginal():

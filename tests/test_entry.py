@@ -84,18 +84,20 @@ def test_import_sgk_loads_no_submodule(tmp_path):
     assert json.loads(proc.stdout) == [[], ["sgk.errors", "sgk.phase_space"]]
 
 
-# the modules every command loads: the CLI, its config tables and the geometry
-BASE = {"cli", "errors", "fields", "gauge", "models", "phase_space", "scenarios", "spectral"}
+# the modules every command loads: the CLI and its config tables
+BASE = {"cli", "errors", "fields", "models", "phase_space", "scenarios"}
+# the eigensolver and the model-backed geometry, which no trajectory runs
+GEOMETRY = {"gauge", "spectral"}
 
 SCOPES = {
-    "curvature-map": (BASE, {"scenario": ZEEMAN, "grid": {
+    "curvature-map": (BASE | GEOMETRY, {"scenario": ZEEMAN, "grid": {
         "axis_a": "p1", "axis_b": "r2", "a": [0.0, 0.1, 2], "b": [0.0, 0.1, 2]}}),
-    "chern-charge": (BASE, {"source": {"kind": "zeeman"}, "nodes": [4, 8]}),
+    "chern-charge": (BASE | GEOMETRY, {"source": {"kind": "zeeman"}, "nodes": [4, 8]}),
     "run-scenario": (BASE | {"dynamics"}, CASES["ok"][1]),
     "ensemble": (BASE | {"dynamics", "transport"}, {
         "scenario": {"kind": "rashba"}, "integrator": {"step": 0.01, "t_end": 0.02},
         "ensemble": {"count": 2, "p_center": [0.3, 0.0], "r_center": [0.0, 0.0]}}),
-    "verify": (BASE | {"dynamics", "verify"}, {}),
+    "verify": (BASE | GEOMETRY | {"dynamics", "verify"}, {}),
 }
 
 LOADED = """
@@ -117,3 +119,12 @@ def test_each_command_loads_only_what_it_runs(command, tmp_path):
     assert proc.returncode == 0, proc.stderr
     code, loaded = json.loads((tmp_path / "modules.json").read_text())
     assert code == 0 and set(loaded) == modules
+
+
+def test_importing_the_cli_loads_only_its_base(tmp_path):
+    # what every `sgk` call pays before its command runs
+    proc = python("-c", "import json, sys, sgk.cli\n"
+                  "print(json.dumps(sorted(m[4:] for m in sys.modules if m.startswith('sgk.'))))",
+                  cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) == BASE

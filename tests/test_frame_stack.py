@@ -24,8 +24,9 @@ from sgk import (PAULI, AdiabaticConnectionField, BandTrackingError,
                  RotatingField, SpinOrbitScenario, SplitForm, UniformField, VectorField,
                  ZeemanScenario, adiabatic_curvature_numeric, band_gradients,
                  exact_connection)
-from sgk.spectral import (DEGENERACY_RTOL, TRACKING_MIN_OVERLAP, aligned_frame,
-                          diagonalize, frame_stack, smooth_frame_along)
+from sgk.models import DEGENERACY_RTOL
+from sgk.spectral import (TRACKING_MIN_OVERLAP, aligned_frame, diagonalize, frame_stack,
+                          smooth_frame_along)
 
 from helpers import shifted
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgk.gauge
+import sgk.models
 from sgk import (
     AdiabaticConnectionField,
     BandTrackingError,
@@ -325,8 +326,8 @@ def test_monopole_rows_scale_a_row_whose_cube_overflows():
     b, J = rng.normal(size=(2, 3)), rng.normal(size=(2, 3, 7))
     b[1], J[1] = 1e120 * b[0], 1e120 * J[0]
     nb = np.linalg.norm(b, axis=1)
-    X = sgk.gauge.monopole_rows(b, J, nb)
-    assert np.array_equal(X[0], sgk.gauge.monopole_rows(b[:1], J[:1], nb[:1])[0])
+    X = sgk.models.monopole_rows(b, J, nb)
+    assert np.array_equal(X[0], sgk.models.monopole_rows(b[:1], J[:1], nb[:1])[0])
     assert np.allclose(X[1], X[0], rtol=1e-13, atol=1e-15)  # the diagonal is roundoff
 
 

@@ -19,7 +19,7 @@ from sgk import (IntegratorConfig, LinearField, OpticalScenario, PhasePoint,
                  curvature_m_space, default_step, integrate, magnus_ray,
                  monopole_pullback, velocity_field)
 from sgk.fields import CallableField, LinearIndex, VectorField, builtin
-from sgk.gauge import _axis_stencil
+from sgk.phase_space import _axis_stencil
 from sgk.phase_space import central_difference
 from sgk.scenarios import _rays
 
@@ -247,12 +247,12 @@ def test_band_gradients_ignore_the_split_form(kind, band):
 
 
 def test_spin_orbit_jacobian_evaluates_each_field_once(monkeypatch):
-    values = []
-    for cls in (LinearField, PolyField):
-        def counted(f, r, t, _value=cls.value):
+    values = []  # a PolyField's value and its one-pass jet both evaluate _value
+    for cls, name in ((LinearField, "value"), (PolyField, "_value")):
+        def counted(f, *args, _value=getattr(cls, name)):
             values.append(id(f))
-            return _value(f, r, t)
-        monkeypatch.setattr(cls, "value", counted)
+            return _value(f, *args)
+        monkeypatch.setattr(cls, name, counted)
     e = LinearField(f0=(0.3, -0.2, 0.5), G=0.2 * np.eye(3), gt=(0.1, 0.0, 0.2))
     b = PolyField.random(5, (0.0, 0.0, 1.0))
     scn = SpinOrbitScenario(e_field=e, b_field=b, rho=0.7)
