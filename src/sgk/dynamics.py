@@ -29,8 +29,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (DegeneracyError, NumericalError, SingularSystemError,
-                     SpinForceWarning, StepError)
+from .errors import (DegeneracyError, NumericalError, SingularSystemError, SpinForceWarning,
+                     StepError, bisect_failures)
 from .fields import UniformField, VectorField, _promote, as_field, rows
 from .models import (_CHARGES, DEGENERACY_RTOL, Constants, HamiltonianModel, _split_differences,
                      monopole_rows)
@@ -251,7 +251,8 @@ def _point_kernel(model: HamiltonianModel, bands, X: np.ndarray,
     A = Im(sum_m U_km c_m)/U_kb, k the component the spectral gauge makes
     real. F is None when spin_force is off and A is None unless connection
     is asked for. Each row's bits are independent of the other rows, and a
-    failing row raises.
+    failing row raises: a gradient or curvature that is not finite raises
+    NumericalError.
     """
     F = A = b = None
     if isinstance(model, _BandForm):
@@ -295,6 +296,10 @@ def _point_kernel(model: HamiltonianModel, bands, X: np.ndarray,
             A = (c @ U[rows, k, :, None])[..., 0].imag / u[rows, k].real[:, None]
     if b is not None and spin_force:
         F = antisymmetric(-charge[:, None, None] * monopole_rows(b, J, nb))
+    if not (np.isfinite(g).all() and (F is None or np.isfinite(F).all())):
+        bad_g = ~np.isfinite(g).all(1)  # e.g. a finite centre whose differenced stencil is not
+        i = (bad_g if F is None else bad_g | ~np.isfinite(F).all((1, 2))).argmax()
+        raise NumericalError(f"band {'energy gradient' if bad_g[i] else 'curvature'} is not finite")
     return _Kernel(energy=E0, grad=g, gap=gap, F=F, a_diag=A)
 
 
@@ -539,8 +544,8 @@ def _integrate_rows(model, bands, Y, t0, config, em=None, record=False) -> _Rows
     it keeps its state and tries again with its smaller step. rk4 accepts
     every trial, so its rows share one clock. A row leaves when it
     completes, breaches epsilon or fails. A trial that raises for the batch
-    is redone one row at a time, so each row keeps the result or error it
-    has alone: no row's bits depend on its batch.
+    is redone on halves of it (errors.bisect_failures), so each row keeps
+    the result or error it has alone: no row's bits depend on its batch.
     """
     duration = config.t_end - t0
     if duration <= 0:
@@ -582,7 +587,7 @@ def _integrate_rows(model, bands, Y, t0, config, em=None, record=False) -> _Rows
         out.status[i], out.errors[i], running[i] = "failed", err, False
 
     while True:
-        parts = [p for _, p in _isolated(advance, np.flatnonzero(running), fail) if len(p[0])]
+        parts = [p for _, p in bisect_failures(advance, np.flatnonzero(running), fail) if len(p[0])]
         if parts:
             idx, new = parts[0]
             if len(parts) > 1:
@@ -623,18 +628,6 @@ def _integrate_rows(model, bands, Y, t0, config, em=None, record=False) -> _Rows
         remaining = duration - cur["s"]
         last = remaining <= h * (1.0 + _LAST_STEP_SLACK)
         h_try = np.where(last, remaining, h)
-
-
-def _isolated(fn, idx: np.ndarray, fail) -> list:
-    """[(idx, fn(idx))]; where that raises, [(row, fn(row))] of each row alone,
-    and fail(i, exc) for each row i that raises on its own."""
-    try:
-        return [(idx, fn(idx))]
-    except Exception as exc:
-        if len(idx) == 1:
-            fail(idx[0], exc)
-            return []
-    return [part for k in range(len(idx)) for part in _isolated(fn, idx[k:k + 1], fail)]
 
 
 def _attach_step(exc: Exception, step_index: int) -> None:

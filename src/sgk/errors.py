@@ -59,3 +59,18 @@ class ConstraintDriftWarning(UserWarning):
 
 class SpinForceWarning(UserWarning):
     """Spin gauge force is not small against the zeroth-order forces."""
+
+
+def bisect_failures(fn, idx, fail) -> list:
+    """[(rows, fn(rows))] over the row sets of idx that run, in order: fn(idx),
+    or where that raises, each half of idx in turn, the left one first, and so
+    on down to single rows; fail(i, exc) gets each row i that raises on its
+    own, with its own error. F failing rows of N cost O(F log N) calls of fn."""
+    try:
+        return [(idx, fn(idx))]
+    except Exception as exc:  # a model's callables may raise anything
+        if len(idx) == 1:
+            fail(idx[0], exc)
+            return []
+    half = len(idx) // 2
+    return bisect_failures(fn, idx[:half], fail) + bisect_failures(fn, idx[half:], fail)

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, QuadratureError, SingularityError
+from .errors import NumericalError, QuadratureError, SingularityError, bisect_failures
 from .models import (_CHARGES, HamiltonianModel, _split_differences, monopole_pseudovector,
                      monopole_rows)
 from .phase_space import (PhasePoint, _axis_stencil, _check_step, _strict_upper, antisymmetric,
@@ -385,23 +385,17 @@ def _split_curvature(split, V, step) -> np.ndarray:
 def _in_chunks(kernel, X: np.ndarray, per_row: int) -> np.ndarray:
     """kernel over the rows of X, a chunk of at most STACK_ROWS // per_row rows
     at a time. A chunk that raises, whatever the error (a model's callables
-    may raise anything), is run again row by row, so the first failing row
-    raises its own error, as it would alone."""
-    size = max(1, STACK_ROWS // per_row)
-    out = []
-    for i in range(0, len(X), size):
-        part = X[i:i + size]
-        try:
-            out.append(kernel(part))
-            continue
-        except Exception as exc:
-            if len(part) == 1:
-                raise
-            failed = exc
-        for x in part:
-            kernel(x[None])
-        raise failed
-    return np.concatenate(out)
+    may raise anything), is tried again in halves (errors.bisect_failures),
+    so the first failing row raises its own error, as it would alone. A
+    chunk that raises only as a whole, every row passing on its own, gives
+    each row's own result."""
+    size, rows = max(1, STACK_ROWS // per_row), np.arange(len(X))
+
+    def fail(i, exc):
+        raise exc
+
+    return np.concatenate([F for i in range(0, len(X), size) for _, F in bisect_failures(
+        lambda k: kernel(X[k]), rows[i:i + size], fail)])
 
 
 def monopole_pullback(b: np.ndarray, J: np.ndarray, charges: Sequence[float],

@@ -92,7 +92,10 @@ class SplitForm:
             raise ValueError("phase-space coordinates must be finite")
         if self.stack is not None:
             return self.stack(X)
-        pts = [PhasePoint.from_vector(v, (X.shape[1] - 1) // 2) for v in X]
+        if X.ndim != 2 or X.shape[1] not in (5, 7):
+            raise ValueError(f"expected an (N, 5) or (N, 7) coordinate stack, got {X.shape}")
+        d = (X.shape[1] - 1) // 2
+        pts = [PhasePoint._trusted(v[:d], v[d:2 * d], v[2 * d]) for v in X]  # X is checked
         return (np.array([self.h0(m) for m in pts], dtype=float),
                 np.stack([self.h1_vector(m) for m in pts]))
 

@@ -8,7 +8,9 @@ import dataclasses
 
 import numpy as np
 
+from sgk import EnsembleSpec, IntegratorConfig, ZeemanScenario
 from sgk.dynamics import _point_kernel
+from sgk.fields import LinearField
 from sgk.models import HamiltonianModel, _split_differences
 from sgk.phase_space import PhasePoint, central_difference, default_step
 
@@ -102,3 +104,32 @@ def hermitian_model(seed: int, n: int) -> HamiltonianModel:
         return A0 + np.einsum("k,kij->ij", x, A) + np.einsum("k,kij->ij", x * x, C)
 
     return HamiltonianModel(n=n, evaluate_raw=H)
+
+
+@dataclasses.dataclass
+class PlaneCutField(LinearField):
+    """A LinearField that is NaN past the plane r3 = cut, in _jet alone.
+
+    value, d_dr and d_dt stay LinearField's, so fields.builtin counts it
+    built in and a Zeeman model over it takes the exact vectorised path. A
+    row whose RK stage crosses the plane raises there (its band energy is
+    not finite), at a step of its own.
+    """
+
+    cut: float = 0.0
+
+    def _jet(self, r, t):
+        value, d_dr, d_dt = super()._jet(r, t)
+        return np.where(np.asarray(r)[..., 2:] > self.cut, np.nan, value), d_dr, d_dt
+
+
+def plane_cut_spec(count: int, seed: int, cut: float, p3, config: IntegratorConfig):
+    """A Zeeman ensemble over a PlaneCutField, launched at r = 0 with p3 in
+    p3[0] +- p3[1]: the rows with p3 above about cut / t_end cross the plane
+    r3 = cut, each at the step its own speed sets, and fail there."""
+    field = PlaneCutField(f0=(0.3, -0.2, 1.0), G=0.2 * np.array([[1.0, 0.0, 0.5],
+                                                                 [0.0, -1.0, 0.0],
+                                                                 [0.5, 0.0, 1.0]]), cut=cut)
+    return EnsembleSpec(count=count, config=config, p_center=np.array([0.0, 0.0, p3[0]]),
+                        r_center=np.zeros(3), p_spread=np.array([0.3, 0.3, p3[1]]), seed=seed,
+                        model=ZeemanScenario(b_field=field).model())

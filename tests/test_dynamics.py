@@ -41,6 +41,7 @@ from sgk import (
     velocity_field,
 )
 from sgk.dynamics import _integrate_rows, _point_kernel, _velocity
+from sgk.fields import CallableField
 from sgk.phase_space import _axis_stencil
 
 from helpers import generic_copy, hermitian_model, point_kernel, shifted, zeeman_connection
@@ -176,6 +177,43 @@ def test_near_singular_velocity_system_is_reported():
                        match=r"velocity system is singular \(condition number \d\.\d{3}e\+1[23]\)"):
         crafted_velocity(model, curvature(1e-13))
     assert np.all(np.isfinite(crafted_velocity(model, curvature(1e-6), warn=False)))
+
+
+def cut_field(scale=0.0):
+    # B = (0.3 + scale r2, -0.2, 1 + scale r1) up to the plane r3 = 0.05 and
+    # NaN past it, as a bare callable: the model differences H1 on a stencil
+    # of half-width 1e-4 about each point
+    return CallableField(lambda r, t: np.array([0.3 + scale * r[1], -0.2, 1.0 + scale * r[0]])
+                         if r[2] <= 0.05 else np.full(3, np.nan))
+
+
+@pytest.mark.parametrize("mode", ["exact", "reduced"])
+def test_a_stencil_that_leaves_the_field_is_a_numerical_error(mode):
+    # the centre r3 = 0.05 - 5e-5 is finite, but its stencil crosses the
+    # plane: exact mode reported a singular system (condition number nan)
+    # and reduced mode returned NaN velocities
+    model = ZeemanScenario(b_field=cut_field()).model()
+    m = PhasePoint((0.0, 0.0, 0.5), (0.0, 0.0, 0.05 - 5e-5))
+    with pytest.raises(NumericalError, match="^band energy gradient is not finite$"):
+        velocity_field(model, 0, m, mode=mode)
+    # an ensemble row there fails at its launch, and the row beside it completes
+    Y = np.array([np.r_[m.p, m.r], np.r_[-m.p, 0.0, 0.0, 0.0]])
+    run = _integrate_rows(model, np.array([0, 1]), Y, 0.0,
+                          IntegratorConfig(step=0.01, t_end=0.05, mode=mode))
+    assert run.status == ["failed", "completed"]
+    assert str(run.errors[0]) == "integration step 0: band energy gradient is not finite"
+
+
+def test_the_first_row_with_a_non_finite_output_names_it():
+    # at r = 0 the gradient is finite but J_r1 x J_r2 overflows the
+    # curvature; at r3 = 0.05 - 5e-5 the stencil leaves the field
+    model = ZeemanScenario(b_field=cut_field(1e200)).model()
+    inside, edge = np.zeros(7), np.r_[0.0, 0.0, 0.5, 0.0, 0.0, 0.05 - 5e-5, 0.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isfinite(_point_kernel(model, np.array([0]), inside[None], False).grad).all()
+        for X, name in (([inside, edge], "curvature"), ([edge, inside], "energy gradient")):
+            with pytest.raises(NumericalError, match=f"^band {name} is not finite$"):
+                _point_kernel(model, np.array([0, 1]), np.array(X))
 
 
 def test_integrate_attaches_step_index_to_errors():

@@ -1,5 +1,7 @@
 """Connection and curvature layer: exactness, flatness, flux quantization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,6 +227,48 @@ def test_stacked_curvature_raises_the_first_failing_point():
         assert np.isfinite(sgk.gauge.split_curvature_rows(model, corner[None])).all()
         with pytest.raises(SingularityError):
             sgk.gauge.split_curvature_rows(model, np.array([corner, centre, far]))
+
+
+@pytest.mark.parametrize("name, kernel, first, error, message", [
+    ("plaquette_rows", "_plaquettes", [0.0, 0.0, 0.0, 5e-5, 5e-5, 0.0, 0.0],  # a corner at r = 0
+     DegeneracyError, r"at t=0\.0$"),
+    ("split_curvature_rows", "_split_curvature", [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25],  # r = 0
+     SingularityError, "coupling vanishes")], ids=["plaquette_rows", "split_curvature_rows"])
+def test_stacked_curvature_halves_its_way_to_the_first_failing_point(
+        name, kernel, first, error, message, monkeypatch):
+    # 32 hedgehog points in one chunk, two of which fail alone, with their
+    # own errors, at positions 20 and 27; the chunk itself raises the later
+    # one's (far has no finite step, which every row's step computes first).
+    # Each halving tries at most two halves, so the first failing point's
+    # own error comes within 2 ceil(log2 n) + 1 kernel calls; re-running
+    # each row alone took 21 + 1
+    model = ZeemanScenario.hedgehog().model()
+    X = 0.5 + 0.4 * np.random.default_rng(5).uniform(-1.0, 1.0, size=(32, 7))
+    X[20], X[27] = first, [0.0, 0.0, 0.0, 1e200, 0.0, 0.0, 0.0]
+    calls, inner = [], getattr(sgk.gauge, kernel)
+    monkeypatch.setattr(sgk.gauge, kernel, lambda *a: calls.append(1) or inner(*a))
+    monkeypatch.setattr(sgk.gauge, "STACK_ROWS", 10**6)
+    with np.errstate(over="ignore"), pytest.raises(error, match=message):  # |far|^2 overflows
+        getattr(sgk.gauge, name)(model, X)
+    assert len(calls) <= 2 * math.ceil(math.log2(len(X))) + 1 < 21 + 1
+
+
+def test_a_chunk_that_raises_only_as_a_whole_gives_each_row(monkeypatch):
+    # a kernel that raises for a chunk of four rows, but for none of its
+    # parts, gives every row the result it has alone
+    model = poly_model(seed=7)
+    X = grid_rows(8)
+    want = sgk.gauge.split_curvature_rows(model, X)
+    inner = sgk.gauge._split_curvature
+
+    def whole_fails(split, V, step):
+        if len(V) == 4:
+            raise NumericalError("a chunk of four")
+        return inner(split, V, step)
+
+    monkeypatch.setattr(sgk.gauge, "_split_curvature", whole_fails)
+    monkeypatch.setattr(sgk.gauge, "STACK_ROWS", 4 * 15)
+    assert np.array_equal(sgk.gauge.split_curvature_rows(model, X), want)
 
 
 def test_band_curvatures_are_opposite():

@@ -40,7 +40,7 @@ from sgk.dynamics import _integrate_rows
 from sgk.fields import CallableField
 from sgk.transport import _batch
 
-from helpers import generic_copy, hermitian_model
+from helpers import generic_copy, hermitian_model, plane_cut_spec
 
 EY = np.array([0.0, 1.0, 0.0])
 
@@ -444,6 +444,8 @@ def lockstep_case(kind, seed, count, epsilon_abort):
                                                      t_end=0.3, epsilon_abort=epsilon_abort))
     rng = np.random.default_rng(seed)
     config = IntegratorConfig(step=0.02, t_end=0.15, epsilon_abort=epsilon_abort)
+    if kind == "zeeman-cut":  # the rows with p3 above about 0.13 fail, each at its own step
+        return plane_cut_spec(count, seed, 0.02, (0.2, 0.3), config)
     if kind == "optical":
         index = LinearIndex(n0=float(rng.uniform(1.2, 2.0)), alpha=float(rng.uniform(0.1, 0.3)),
                             axis=rng.normal(size=3))
@@ -506,7 +508,8 @@ def mixing_tolerance(model, bands, Y, config, em):
 
 
 @pytest.mark.parametrize("kind", ["zeeman", "rashba", "zeeman-callable", "zeeman-generic",
-                                  "hermitian-3", "optical", "zeeman-rkf45", "rashba-rkf45"])
+                                  "hermitian-3", "optical", "zeeman-rkf45", "rashba-rkf45",
+                                  "zeeman-cut"])
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1),
        epsilon_abort=st.sampled_from([1.0, 0.05]), data=st.data())
@@ -535,6 +538,7 @@ def test_row_bits_do_not_depend_on_the_batch(kind, seed, epsilon_abort, data):
         full = run(np.arange(len(Y)))
     assert tol is None or any(ok.any() and not ok.all() for ok in trials)
     want = [row_outcome(full, i) for i in range(len(Y))]
+    assert kind != "zeeman-cut" or "failed" in full.status  # parts that bisection reassembles
     order = data.draw(st.permutations(range(len(Y))))
     shuffled = run(np.array(order))
     assert [row_outcome(shuffled, k) for k in range(len(Y))] == [want[i] for i in order]
@@ -622,6 +626,26 @@ def count_kernel_rows(monkeypatch):
 
     monkeypatch.setattr(sgk.dynamics, "_point_kernel", counting)
     return rows
+
+
+def test_failing_rows_cost_log_n_trials_each(monkeypatch):
+    # F of N rows cross the plane r3 = 0.02, each at a step of its own. An
+    # rk4 trial makes at most 5 kernel calls (4 stages and the accepted
+    # state; the launch makes 1), so S steps of trials over all running
+    # rows make at most 5 (S + 1). A trial that raises is redone on its
+    # halves: at each of the ceil(log2 N) levels below the batch, a failing
+    # row lies in one raising set, which tries its 2 halves, so F rows add
+    # at most 10 F ceil(log2 N) calls. Redoing every row alone instead adds
+    # about 5 N calls for each failing row
+    config = IntegratorConfig(step=0.02, t_end=1.0)
+    spec = plane_cut_spec(64, 0, 0.02, (-0.5, 0.6), config)
+    bands, Y = batch_rows(spec)
+    calls = count_kernel_rows(monkeypatch)
+    run = _integrate_rows(spec.model, bands, Y, 0.0, config)
+    steps = [int(str(e).split(":")[0].split()[-1]) for e in run.errors if e is not None]
+    F, N, S = len(steps), len(Y), 50
+    assert F >= 4 and len(set(steps)) == F and run.status.count("completed") == N - F
+    assert len(calls) <= 5 * (S + 1) + 10 * F * math.ceil(math.log2(N)) < 5 * N * F
 
 
 def test_bench_ensemble_runs_in_lockstep(monkeypatch, tmp_path, capsys):
