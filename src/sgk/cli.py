@@ -407,6 +407,19 @@ _INTEGRATOR_KEYS = {
 }
 
 
+# integrator keys a ray never reads: rays take only step, t_end and max_steps
+_RAY_UNREAD = tuple(k for k in _INTEGRATOR_KEYS
+                    if k not in ("step", "t_end", "max_steps"))
+
+
+def _unread(ctx, path, obj, keys, why):
+    """Report each of keys that obj gives, when the chosen branch ignores it."""
+    if isinstance(obj, dict):
+        for key in keys:
+            if key in obj:
+                ctx.err(f"{path}.{key}", why)
+
+
 def _integrator(ctx, path, obj):
     before = len(ctx.violations)
     values = _section(ctx, path, obj, _INTEGRATOR_KEYS)
@@ -521,6 +534,9 @@ def _cmd_run_scenario(config, out_dir, seed):
         ctx.err("config.band", "optical runs select helicity, not band")
     if not optical and "helicity" in config:
         ctx.err("config.helicity", "only the optical scenario takes helicity")
+    if optical:
+        _unread(ctx, "config.integrator", config.get("integrator"), _RAY_UNREAD,
+                "optical rays read only step, t_end and max_steps")
     t0 = initial["t"] if initial is not None else None
     if integ is not None:
         if optical and integ.t_end <= 0:
@@ -579,6 +595,9 @@ def _cmd_curvature_map(config, out_dir, seed):
     if grid is not None and grid["axis_a"] is not None \
             and grid["axis_a"] == grid["axis_b"]:
         ctx.err("config.grid.axis_b", "must differ from axis_a")
+    if cfg["method"] == "split":
+        _unread(ctx, "config", config, ("richardson",),
+                "only the plaquette method reads it")
     ctx.raise_if_any()
 
     from .gauge import plaquette_rows, split_curvature_rows
@@ -646,6 +665,9 @@ def _cmd_ensemble(config, out_dir, seed):
         else:
             ctx.err("config.transverse_axis", "missing required key (only "
                     "rashba with a nonzero e_inplane declares a default)")
+    if isinstance(scenario, OpticalScenario):
+        _unread(ctx, "config.integrator", config.get("integrator"), _RAY_UNREAD,
+                "optical rays read only step, t_end and max_steps")
     ctx.raise_if_any()
 
     from .transport import EnsembleSpec, polarization_current, run_ensemble

@@ -3,45 +3,47 @@
 Run `pytest tests/test_acceptance.py -s` to read the scorecard. Every
 expected value is a closed form or an independent numeric route (plaquette
 loops, quadrature fluxes, contour integrals); nothing is read back from the
-code under test.
+code under test. Where `sgk verify` checks the same identity, the criterion
+calls that `sgk.verify` check at its own sizes, reads the check's worst
+case and adds only what the battery does not cover.
 """
 
+import itertools
 import json
 
 import numpy as np
 
 from sgk import (
-    AdiabaticConnectionField,
-    ExternalEMField,
-    LinearField,
-    LinearIndex,
     OpticalScenario,
     PhasePoint,
-    PolyField,
     RashbaScenario,
     SpinOrbitScenario,
     UniformField,
     UniformIndex,
-    ZeemanScenario,
     adiabatic_curvature_numeric,
-    adiabaticity_epsilon,
-    chern_charge,
     curvature_m_space,
-    diagonalize,
-    displacement_contour,
-    exact_connection_field,
     magnus_ray_pair,
-    maxwell_residuals,
-    monopole_curvature,
-    monopole_field,
-    nonabelian_curvature,
-    phase_line_integral,
     ray_splitting,
     regauge,
     velocity_field,
     wrap_angle,
 )
 from sgk.cli import main
+from sgk.verify import (
+    check_adiabaticity,
+    check_exact_flatness,
+    check_loop_phase,
+    check_magnus_splitting,
+    check_maxwell_identities,
+    check_monopole_charge,
+    check_plaquette_vs_split,
+    check_rashba_drift,
+    check_time_only_field,
+    circle,
+    hedgehog_connection,
+    loop_phase,
+    time_only_model,
+)
 
 from helpers import curvature_of_abelian_field, pp_pseudovector
 
@@ -53,75 +55,39 @@ def verdict(num, name, ok, detail):
     assert ok, line
 
 
-def circle(theta, count):
-    phis = np.linspace(0.0, 2.0 * np.pi, count)
-    return np.stack([np.sin(theta) * np.cos(phis),
-                     np.sin(theta) * np.sin(phis),
-                     np.full_like(phis, np.cos(theta))], axis=1)
-
-
-def loop_phase(field, path, band):
-    # chord trapezoid has an even error expansion; one Richardson pass over
-    # the halved node set lifts it from second to fourth order
-    fine = phase_line_integral(field, path, band=band).value
-    coarse = phase_line_integral(field, path[::2], band=band).value
-    return (4.0 * fine - coarse) / 3.0
+def off(rec, relative=False):
+    """A battery record's worst |value - expected|, relative if asked."""
+    gap = abs(rec["value"] - rec["expected"])
+    return gap / abs(rec["expected"]) if relative else gap
 
 
 def test_exact_connection_curvature_is_flat():
-    scn = ZeemanScenario(b_field=PolyField.random(11, offset=(0.2, -0.3, 1.1)))
-    conn = exact_connection_field(scn.model())
     axis = np.linspace(-0.3, 0.3, 5)
-    worst = 0.0
-    for rx in axis:
-        for ry in axis:
-            for rz in axis:
-                m = PhasePoint((0.1, 0.0, 0.0), (rx, ry, rz), 0.1)
-                worst = max(worst,
-                            nonabelian_curvature(conn, m, step=1e-4).max_norm())
+    worst = off(check_exact_flatness(points=itertools.product(axis, repeat=3),
+                                     step=1e-4))
     verdict(1, "exact connection flatness", worst < 1e-6,
             "max curvature norm {:.3e} over 5x5x5 r-grid (tol 1e-6)"
             .format(worst))
 
 
 def test_plaquette_curvature_matches_split_form():
-    cases = (
-        (23, ZeemanScenario(b_field=PolyField.random(11,
-                                                     offset=(0.2, -0.3, 1.1)))),
-        (24, SpinOrbitScenario(
-            e_field=PolyField.random(21, offset=(0.9, 0.1, 0.4)),
-            b_field=PolyField.random(22, offset=(0.2, 1.0, -0.3)))),
-    )
-    worst = 0.0
-    for seed, scn in cases:
-        model = scn.model()
-        rng = np.random.Generator(np.random.Philox(seed))
-        checked = 0
-        while checked < 100:
-            m = PhasePoint(rng.uniform(-0.6, 0.6, 3),
-                           rng.uniform(-0.4, 0.4, 3),
-                           float(rng.uniform(-0.2, 0.2)))
-            if diagonalize(model, m).gap < 0.1:
-                continue
-            ana = curvature_m_space(model, m)
-            num = adiabatic_curvature_numeric(model, m)
-            scale = max(float(np.max(np.abs(ana.F))), 1e-3)
-            worst = max(worst, float(np.max(np.abs(num.F - ana.F))) / scale)
-            checked += 1
+    worst = off(check_plaquette_vs_split(
+        cases=(("zeeman", 23), ("spin-orbit", 24)), points=100))
     verdict(2, "plaquette vs split-form curvature", worst < 1e-5,
             "worst relative deviation {:.3e} over 2x100 gapped points "
             "(tol 1e-5)".format(worst))
 
 
 def test_monopole_charge_is_quantized():
-    worst_q = 0.0
-    worst_radius = 0.0
+    # one check per (S, radius) case, so each charge is computed once and
+    # serves both the quantization and the radius comparison
+    worst_q = worst_radius = 0.0
     for S in (-1.0, -0.5, 0.5, 1.0):
-        field = monopole_field(S=S)
-        q = {radius: chern_charge(field, center=(0.0, 0.0, 0.0), radius=radius)
-             for radius in (0.5, 1.0)}
-        worst_q = max(worst_q, *(abs(qv + 2.0 * S) for qv in q.values()))
-        worst_radius = max(worst_radius, abs(q[0.5] - q[1.0]) / abs(2.0 * S))
+        recs = [check_monopole_charge(spins=(S,), radii=(radius,))
+                for radius in (0.5, 1.0)]
+        worst_q = max([worst_q] + [off(rec) for rec in recs])
+        worst_radius = max(worst_radius, abs(recs[0]["value"] - recs[1]["value"])
+                           / abs(2.0 * S))
     ok = worst_q < 1e-6 and worst_radius < 1e-8
     verdict(3, "monopole charge quantization", ok,
             "worst |q + 2S| {:.3e} (tol 1e-6), radius mismatch {:.3e} "
@@ -129,33 +95,25 @@ def test_monopole_charge_is_quantized():
 
 
 def test_loop_phase_equals_solid_angle():
-    model = ZeemanScenario.hedgehog().model()
-    base = PhasePoint((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0)
-    conn = AdiabaticConnectionField(model, base, axes=(3, 4, 5))
-    worst = 0.0
+    # off the equator, where the single-point gauge has its branch cut, the
+    # connection line integral must give the solid angle
+    worst = off(check_loop_phase(thetas=(np.pi / 6.0, np.pi / 3.0),
+                                 bands=(0, 1)))
+    conn = hedgehog_connection()
     for theta in (np.pi / 6.0, np.pi / 3.0, np.pi / 2.0):
-        path = circle(theta, 1441)
         for band, sign in ((0, 1.0), (1, -1.0)):
-            # holonomy route: defined at every angle, including the equator,
-            # where the single-point gauge has its branch cut; phases are
-            # points on the circle, so compare mod 2 pi
-            fine = conn.loop_phase(path, band)
-            coarse = conn.loop_phase(path[::2], band)
-            got = (4.0 * fine - coarse) / 3.0
+            # holonomy route: defined at every angle, including the equator;
+            # phases are points on the circle, so compare mod 2 pi
+            got = loop_phase(conn, circle(theta), band, holonomy=True)
             want = sign * np.pi * (1.0 - np.cos(theta))
             worst = max(worst, abs(wrap_angle(got - want)))
-            if theta < np.pi / 2.0:
-                # off the cut the connection line integral must agree too
-                worst = max(worst, abs(loop_phase(conn, path, band) - want))
     verdict(4, "solid-angle loop phase", worst < 1e-6,
             "worst deviation from -+pi(1 - cos theta) {:.3e} over 3 angles "
             "x 2 bands, both loop routes (tol 1e-6)".format(worst))
 
 
 def test_regauge_is_invisible_to_observables():
-    scn = ZeemanScenario.hedgehog()
-    base = PhasePoint(np.zeros(3), (0.0, 0.0, 1.0), 0.0)
-    field = AdiabaticConnectionField(scn.model(), base, axes=(3, 4, 5))
+    field = hedgehog_connection()
     k1 = np.array([0.7, -0.4, 0.9])
     k2 = np.array([-0.3, 0.8, 0.5])
     phase = lambda v: np.array(
@@ -170,7 +128,7 @@ def test_regauge_is_invisible_to_observables():
         f0 = curvature_of_abelian_field(field, np.asarray(x), step=1e-4)
         f1 = curvature_of_abelian_field(changed, np.asarray(x), step=1e-4)
         worst_curv = max(worst_curv, float(np.max(np.abs(f1 - f0))))
-    path = circle(np.pi / 3.0, 1441)
+    path = circle(np.pi / 3.0)
     worst_loop = 0.0
     for band in (0, 1):
         delta = loop_phase(changed, path, band) - loop_phase(field, path, band)
@@ -183,14 +141,11 @@ def test_regauge_is_invisible_to_observables():
 
 def test_null_cases_vanish():
     # purely time-dependent field: every curvature block must vanish
-    zee = ZeemanScenario(b_field=LinearField(f0=(0.0, 0.0, 1.0),
-                                             gt=(0.3, 0.2, 0.4)))
-    zmodel = zee.model()
-    worst_a = 0.0
-    for t in (0.0, 0.4, 1.1):
+    times = (0.0, 0.4, 1.1)
+    worst_a = off(check_time_only_field(r=(0.0, 0.0, 0.2), times=times))
+    zmodel = time_only_model()
+    for t in times:
         m = PhasePoint((0.1, 0.0, 0.2), (0.0, 0.0, 0.2), t)
-        worst_a = max(worst_a,
-                      float(np.max(np.abs(curvature_m_space(zmodel, m).F))))
         # plaquette holonomy of a flat field is exactly contractible, so the
         # only residue is roundoff ~eps/h^2; step 1e-3 keeps that tiny
         worst_a = max(worst_a, float(np.max(np.abs(
@@ -217,20 +172,15 @@ def test_null_cases_vanish():
 
 def test_rashba_drift_pointwise_and_hbar_order():
     scn = RashbaScenario(b_z=2.0, e_inplane=(0.005, 0.0), hbar=1e-4)
-    model = scn.model()
-    em = ExternalEMField.uniform(E=scn.e_vector(), B=(0.0, 0.0, 0.0))
-    worst_rel = 0.0
-    opposed = True
-    for px in (0.05, 0.1, 0.2):
-        m = PhasePoint((px, 0.0), (0.0, 0.0), 0.0)
-        vy = []
-        for band in (0, 1):
-            _, rdot = velocity_field(model, band, m, em, warn=False)
-            want = float(scn.drift(band, m.p)[1])
-            worst_rel = max(worst_rel,
-                            abs(float(rdot[1]) - want) / abs(want))
-            vy.append(float(rdot[1]))
-        opposed = opposed and vy[0] == -vy[1]
+    momenta = ((0.05, 0.0), (0.1, 0.0), (0.2, 0.0))
+    # one check per (p, band) case: its value is the transverse velocity,
+    # so the same evaluations also show the two bands drift opposite ways
+    worst_rel, opposed = 0.0, True
+    for p in momenta:
+        recs = [check_rashba_drift(scn, momenta=(p,), bands=(band,))
+                for band in (0, 1)]
+        worst_rel = max([worst_rel] + [off(rec, relative=True) for rec in recs])
+        opposed = opposed and recs[0]["value"] == -recs[1]["value"]
 
     def reduced_gap(hbar):
         s = RashbaScenario(hbar=hbar)
@@ -255,16 +205,8 @@ def test_rashba_drift_pointwise_and_hbar_order():
 
 
 def test_ray_splitting_matches_contour_oracle():
-    scn = OpticalScenario(index=LinearIndex(n0=1.2, alpha=0.1, axis=(0, 1, 0)),
-                          k0=50.0)
-    p0 = scn.launch_momentum((1.0, 0.0, 0.0))
-    plus, minus = magnus_ray_pair(scn, p0, (0.0, 0.0, 0.0),
-                                  s_end=1.0, step=1e-3)
-    split = ray_splitting(plus, minus, (0.0, 0.0, 1.0))
-    want = 2.0 * float(displacement_contour(plus.p, monopole_field(S=+1.0),
-                                            hbar=1.0 / scn.k0)[2])
-    rel = abs(split - want) / abs(want)
-    drift = max(plus.constraint_drift, minus.constraint_drift)
+    rec = check_magnus_splitting()
+    rel, drift = off(rec, relative=True), rec["constraint_drift"]
     flat = OpticalScenario(index=UniformIndex(1.2), k0=50.0)
     fplus, fminus = magnus_ray_pair(flat, flat.launch_momentum((1.0, 0.0, 0.0)),
                                     (0.0, 0.0, 0.0), s_end=1.0, step=1e-2)
@@ -283,27 +225,15 @@ def test_monopole_curvature_field_identities():
         for _ in range(6):
             v = rng.normal(size=3)
             pts.append(radius * v / float(np.linalg.norm(v)))
-    worst = 0.0
-    for S in (0.5, -1.0):
-        res = maxwell_residuals(lambda x: monopole_curvature(x, S=S), pts,
-                                step=1e-4)
-        worst = max(worst, res.max_divergence, res.max_cyclic)
+    worst = off(check_maxwell_identities(points=pts, spins=(0.5, -1.0),
+                                         step=1e-4))
     verdict(9, "field identities", worst < 1e-6,
             "worst divergence/cyclic residual {:.3e} on the 0.5..2 coupling "
             "shell (tol 1e-6)".format(worst))
 
 
 def test_adiabaticity_monitor_and_abort(tmp_path, capsys):
-    B0, beta, chi = 1.0, 0.05, 1.0
-    scn = ZeemanScenario(b_field=LinearField(f0=(0.0, 0.0, B0),
-                                             gt=(0.0, 0.0, beta)), chi=chi)
-    model = scn.model()
-    worst = 0.0
-    for t in (0.0, 0.3, 0.7):
-        m = PhasePoint((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), t)
-        eps = adiabaticity_epsilon(model, 1, m)
-        want = beta / (4.0 * chi * (B0 + beta * t) ** 2)
-        worst = max(worst, abs(float(eps) - want))
+    worst = off(check_adiabaticity(times=(0.0, 0.3, 0.7)))
     # a fast ramp breaches the bound at t = 0 and must abort with code 4
     config = {"scenario": {"kind": "zeeman",
                            "b_field": {"kind": "linear", "f0": [0, 0, 1],

@@ -513,10 +513,15 @@ def test_time_and_grid_config_mistakes_exit_2(tmp_path, capsys, command,
 def test_verify_battery(tmp_path, capsys):
     code, out, _, out_dir = run_cli(tmp_path, capsys, "verify", {})
     assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) >= 8
-    for line in lines:
-        rec = json.loads(line)
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    # one line per battery check, in battery order
+    assert [rec["check"] for rec in records] == [
+        "exact-connection-flatness", "plaquette-vs-split-form",
+        "monopole-topological-charge", "solid-angle-loop-phase",
+        "time-only-field-null", "rashba-transverse-drift",
+        "optical-ray-splitting", "maxwell-identity-residuals",
+        "adiabaticity-parameter"]
+    for rec in records:
         assert rec["format"] == "sgk.verify.v1"
         assert rec["passed"] is True
     assert (out_dir / "verify.jsonl").read_text() == out
@@ -616,6 +621,47 @@ def test_constructor_rejections_exit_2(tmp_path, capsys, command, config,
     code, _, err, _ = run_cli(tmp_path, capsys, command, config)
     assert code == 2
     assert needle in err
+    assert json.loads(err.splitlines()[-1])["error"] == "SchemaError"
+
+
+# a valid value of each integrator key that an optical run or ensemble
+# never reads; rays take only step, t_end and max_steps
+RAY_UNREAD = {"method": "rkf45", "tolerance": 1e-9, "mode": "reduced",
+              "spin_force": False, "record_connection": False,
+              "epsilon_abort": 0.001, "delta_p": 1e-4}
+OPTICAL_ENSEMBLE = {"scenario": OPTICAL_RUN["scenario"],
+                    "ensemble": {"count": 2, "p_center": [1.0, 0.0, 0.0],
+                                 "r_center": [0.0, 0.0, 0.0]},
+                    "integrator": {"step": 0.01, "t_end": 0.05},
+                    "transverse_axis": [0.0, 1.0, 0.0]}
+
+
+def _unread_cases():
+    for key, value in RAY_UNREAD.items():
+        for command, base in (("run-scenario", OPTICAL_RUN),
+                              ("ensemble", OPTICAL_ENSEMBLE)):
+            yield pytest.param(command, base, "integrator", key, value,
+                               "optical rays read only step, t_end and max_steps",
+                               id=f"{command}-{key}")
+    yield pytest.param("curvature-map", {**MAP_CONFIG, "method": "split"}, None,
+                       "richardson", True, "only the plaquette method reads it",
+                       id="split-richardson")
+
+
+@pytest.mark.parametrize("command, base, section, key, value, why",
+                         list(_unread_cases()))
+def test_a_key_the_branch_never_reads_exits_2(tmp_path, capsys, command, base,
+                                              section, key, value, why):
+    # the base runs as given; giving the key is a mistake, not a no-op
+    code, _, err, _ = run_cli(tmp_path, capsys, command, base, out="base")
+    assert code == 0, err
+    if section is None:
+        config, path = {**base, key: value}, "config"
+    else:
+        config, path = with_key(base, section, key, value), f"config.{section}"
+    code, _, err, _ = run_cli(tmp_path, capsys, command, config)
+    assert code == 2
+    assert f"{path}.{key}: {why}" in err
     assert json.loads(err.splitlines()[-1])["error"] == "SchemaError"
 
 

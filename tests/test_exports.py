@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 import sgk
-from sgk import scenarios
+from sgk import scenarios, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = [p for p in sorted((ROOT / "src" / "sgk").glob("*.py")) if p.name != "__init__.py"]
@@ -62,3 +62,14 @@ def test_every_public_scenario_method_is_run_or_documented():
                and not re.search(rf"\.{name}\b", source)
                and not re.search(rf"\b{name}\b", README)]
     assert orphans == []
+
+
+def test_every_battery_check_is_called_by_an_acceptance_criterion():
+    # `sgk verify` and the acceptance criteria share one implementation of
+    # each identity: a criterion calls the battery's check at its own sizes
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    called = {node.func.id for test in tree.body
+              if isinstance(test, ast.FunctionDef) and test.name.startswith("test_")
+              for node in ast.walk(test)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert [fn.__name__ for fn in verify.BATTERY if fn.__name__ not in called] == []
