@@ -18,8 +18,8 @@ _EXPORTS = {
               "NumericalError QuadratureError SchemaError SgkError SingularSystemError "
               "SingularityError SpinForceWarning StepError",
     "phase_space": "PhasePoint axis_labels default_step",
-    "fields": "CallableField IndexField LinearField LinearIndex PolyField RotatingField "
-              "UniformField UniformIndex VectorField as_field",
+    "fields": "CallableField IndexField LinearIndex PolyField RotatingField VectorField "
+              "as_field",
     "models": "DEGENERACY_RTOL PAULI Constants HamiltonianModel SplitForm "
               "monopole_pseudovector",
     "spectral": "TRACKING_MIN_OVERLAP aligned_frame diagonalize smooth_frame_along",

@@ -25,8 +25,7 @@ import sys
 import numpy as np
 
 from .errors import SchemaError, SgkError
-from .fields import LinearField, LinearIndex, PolyField, RotatingField, \
-    UniformField, UniformIndex
+from .fields import LinearIndex, PolyField, RotatingField
 from .phase_space import PhasePoint, axis_labels
 from .scenarios import (OpticalScenario, RashbaScenario, SpinOrbitScenario,
                         ZeemanScenario, magnus_ray)
@@ -334,9 +333,8 @@ _LINEAR_KEYS = {"f0": (_array(3), _REQUIRED), "G": (_array(3, 3), None),
                 "gt": (_array(3), None)}
 
 _FIELDS = {
-    "uniform": (lambda value: UniformField(value),
-                {"value": (_array(3), _REQUIRED)}),
-    "linear": (LinearField, _LINEAR_KEYS),
+    "uniform": (lambda value: PolyField(value), {"value": (_array(3), _REQUIRED)}),
+    "linear": (PolyField, _LINEAR_KEYS),
     "poly": (PolyField, {**_LINEAR_KEYS, "Q": (_array(3, 3, 3), None),
                          "C": (_array(3, 3), None), "qtt": (_array(3), None)}),
     "rotating": (RotatingField, {"magnitude": (_positive, _REQUIRED),
@@ -346,7 +344,7 @@ _FIELDS = {
 }
 
 _INDICES = {
-    "uniform": (UniformIndex, {"n0": (_positive, 1.0)}),
+    "uniform": (lambda n0: LinearIndex(n0, alpha=0.0), {"n0": (_positive, 1.0)}),
     "linear": (LinearIndex, {"n0": (_positive, 1.0), "alpha": (_number, 0.1),
                              "axis": (_array(3), [0.0, 1.0, 0.0])}),
 }

@@ -31,17 +31,16 @@ import numpy as np
 
 from .errors import (DegeneracyError, NumericalError, SingularSystemError, SpinForceWarning,
                      StepError, bisect_failures)
-from .fields import UniformField, VectorField, _promote, as_field, rows
+from .fields import PolyField, VectorField, _promote, as_field, rows
 from .models import (_CHARGES, DEGENERACY_RTOL, Constants, HamiltonianModel, _split_differences,
                      monopole_rows)
-from .phase_space import (PhasePoint, _axis_stencil, _check_step, _stencil_rows, antisymmetric,
-                          default_step, row_dot, row_norm, row_pow)
+from .phase_space import (PhasePoint, _axis_stencil, _check_step, _cross_matrices, _stencil_rows,
+                          antisymmetric, default_step, row_dot, row_norm, row_pow)
 
 # Spin force larger than this fraction of the zeroth-order force triggers
 # a SpinForceWarning (the underlying expansion is no longer perturbative).
 SPIN_FORCE_WARN_RATIO = 0.5
 _COND_LIMIT = 1e12
-_CROSS = np.array([6, 2, 4, 5, 6, 0, 1, 3, 6])  # (B, -B, 0) entries of v -> v x B
 # What a row's next trial reads of its last accepted state.
 _CARRIED = ("y", "s", "v", "berry_rate", "dynamic_rate")
 # A last step at most this fraction longer than the step size is stretched
@@ -59,13 +58,13 @@ class ExternalEMField:
     the out-of-plane magnetic one).
     """
 
-    e_field: VectorField = field(default_factory=lambda: UniformField(np.zeros(3)))
-    b_field: VectorField = field(default_factory=lambda: UniformField(np.zeros(3)))
+    e_field: VectorField = field(default_factory=lambda: PolyField(np.zeros(3)))
+    b_field: VectorField = field(default_factory=lambda: PolyField(np.zeros(3)))
 
     @staticmethod
     def uniform(E=(0.0, 0.0, 0.0), B=(0.0, 0.0, 0.0)) -> "ExternalEMField":
-        return ExternalEMField(e_field=UniformField(np.asarray(E, dtype=float)),
-                               b_field=UniformField(np.asarray(B, dtype=float)))
+        return ExternalEMField(e_field=PolyField(np.asarray(E, dtype=float)),
+                               b_field=PolyField(np.asarray(B, dtype=float)))
 
     def __post_init__(self):
         object.__setattr__(self, "e_field", as_field(self.e_field))
@@ -328,12 +327,6 @@ def _warn_spin_force(stacklevel: int) -> None:
     warnings.warn("spin gauge force is not small against the zeroth-order "
                   "forces; the adiabatic velocity expansion is marginal here",
                   SpinForceWarning, stacklevel=stacklevel)
-
-
-def _cross_matrices(B: np.ndarray) -> np.ndarray:
-    """XB (N, 3, 3) with XB v = v x B at each row of B (N, 3):
-    [[0, Bz, -By], [-Bz, 0, Bx], [By, -Bx, 0]]."""
-    return np.concatenate([B, -B, np.zeros((len(B), 1))], axis=1).take(_CROSS, 1).reshape(-1, 3, 3)
 
 
 _XB0 = _cross_matrices(np.zeros((1, 3)))[0]

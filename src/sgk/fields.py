@@ -5,7 +5,7 @@ fields of position and time. Curvature formulas need their first
 derivatives; the classes here provide exact ones where the functional form
 allows it, and a finite-difference wrapper for bare callables. Spatial
 arguments may be length 2 (in-plane problems) or 3; they are promoted to
-3 components internally with zero padding. The four built-in families
+3 components internally with zero padding. The two built-in families
 broadcast value and both derivatives over leading axes: r of shape (N, 3)
 and t of shape (N,) give (N, 3), (N, 3, 3) and (N, 3), each row
 bit-identical to its one-point call.
@@ -72,53 +72,9 @@ class VectorField:
         return self.value(r, t), self.d_dr(r, t), self.d_dt(r, t)
 
 
-@dataclass
-class UniformField(VectorField):
-    """Constant field."""
-
-    v: np.ndarray
-
-    def __post_init__(self):
-        self.v = _promote(self.v)
-
-    def value(self, r, t):
-        return _each_row(self.v, r)
-
-    def d_dr(self, r, t):
-        return np.zeros(np.shape(r)[:-1] + (3, 3))
-
-    def d_dt(self, r, t):
-        return np.zeros(np.shape(r)[:-1] + (3,))
-
-
-@dataclass
-class LinearField(VectorField):
-    """F(r, t) = f0 + G r + gt * t, with G[i, j] = dF_i/dr_j.
-
-    Covers uniform fields (G = 0, gt = 0), linear time ramps and hedgehog
-    profiles F = a (r - r0) via G = a I, f0 = -a r0.
-    """
-
-    f0: np.ndarray
-    G: np.ndarray = None
-    gt: np.ndarray = None
-
-    def __post_init__(self):
-        self.f0 = _promote(self.f0)
-        self.G = np.zeros((3, 3)) if self.G is None else np.asarray(self.G, dtype=float)
-        self.gt = np.zeros(3) if self.gt is None else _promote(self.gt)
-        if self.G.shape != (3, 3):
-            raise ValueError("G must be 3x3")
-
-    def value(self, r, t):
-        r, t = _promote_rows(r, t)
-        return self.f0 + np.matvec(self.G, r) + self.gt * t
-
-    def d_dr(self, r, t):
-        return _each_row(self.G, r)
-
-    def d_dt(self, r, t):
-        return _each_row(self.gt, r)
+# each PolyField coefficient's shape; a 3-vector may be given with 2 components
+_POLY_SHAPES = {"f0": (3,), "G": (3, 3), "gt": (3,), "Q": (3, 3, 3), "C": (3, 3),
+                "qtt": (3,)}
 
 
 @dataclass
@@ -128,8 +84,13 @@ class PolyField(VectorField):
     F_i(r, t) = f0_i + G_ij r_j + gt_i t + 1/2 Q_ijk r_j r_k
                 + C_ij r_j t + 1/2 qtt_i t^2
 
-    Q is symmetrized in (j, k) on construction. random() draws bounded
-    coefficients from a seeded generator; useful as a generic smooth field.
+    Only f0 is required, and a coefficient left None is absent: the value
+    starts from f0, the derivatives from G and gt (or zeros), and each adds
+    only the present terms, in the order above. So PolyField(f0) is a
+    uniform field, and PolyField(f0, G, gt) a linear one (a hedgehog
+    F = a (r - r0) is G = a I, f0 = -a r0). Q is symmetrized in (j, k) on
+    construction. random() draws bounded coefficients from a seeded
+    generator; useful as a generic smooth field.
     """
 
     f0: np.ndarray
@@ -140,13 +101,19 @@ class PolyField(VectorField):
     qtt: np.ndarray = None
 
     def __post_init__(self):
-        self.f0 = _promote(self.f0)
-        self.G = np.zeros((3, 3)) if self.G is None else np.asarray(self.G, dtype=float)
-        self.gt = np.zeros(3) if self.gt is None else _promote(self.gt)
-        Q = np.zeros((3, 3, 3)) if self.Q is None else np.asarray(self.Q, dtype=float)
-        self.Q = 0.5 * (Q + np.swapaxes(Q, 1, 2))
-        self.C = np.zeros((3, 3)) if self.C is None else np.asarray(self.C, dtype=float)
-        self.qtt = np.zeros(3) if self.qtt is None else _promote(self.qtt)
+        for name, shape in _POLY_SHAPES.items():
+            a = getattr(self, name)
+            if a is None:
+                continue
+            a = np.asarray(a, dtype=float)
+            if shape == (3,) and a.shape == (2,):
+                a = _promote(a)
+            if a.shape != shape:
+                want = "2 or 3 components" if shape == (3,) else f"shape {shape}"
+                raise ValueError(f"{name} must have {want}, got shape {a.shape}")
+            setattr(self, name, a)
+        if self.Q is not None:
+            self.Q = 0.5 * (self.Q + np.swapaxes(self.Q, 1, 2))
 
     @staticmethod
     def random(seed: int, offset, scale: float = 0.3) -> "PolyField":
@@ -162,32 +129,54 @@ class PolyField(VectorField):
 
     def value(self, r, t):
         r, t = _promote_rows(r, t)
-        return self._value(r, t, np.matvec(self.C, r))
+        return self._value(r, t, self._Cr(r))
 
     def d_dr(self, r, t):
         return self._d_dr(_promote_rows(r, t)[0], t)
 
     def d_dt(self, r, t):
         r, t = _promote_rows(r, t)
-        return self._d_dt(t, np.matvec(self.C, r))
+        return self._d_dt(r, t, self._Cr(r))
 
     def _jet(self, r, t):
         r3, t3 = _promote_rows(r, t)
-        Cr = np.matvec(self.C, r3)
-        return self._value(r3, t3, Cr), self._d_dr(r3, t), self._d_dt(t3, Cr)
+        Cr = self._Cr(r3)
+        return self._value(r3, t3, Cr), self._d_dr(r3, t), self._d_dt(r3, t3, Cr)
 
-    # the terms at promoted r and t (t with a last axis for rows), Cr = C r
+    # the present terms at promoted r and t (t with a last axis for rows), Cr = C r
+
+    def _Cr(self, r):
+        return None if self.C is None else np.matvec(self.C, r)
 
     def _value(self, r, t, Cr):
-        return (self.f0 + np.matvec(self.G, r) + self.gt * t
-                + 0.5 * np.einsum("ijk,...j,...k->...i", self.Q, r, r)
-                + Cr * t + 0.5 * self.qtt * t * t)
+        out = _each_row(self.f0, r)
+        if self.G is not None:
+            out += np.matvec(self.G, r)
+        if self.gt is not None:
+            out += self.gt * t
+        if self.Q is not None:
+            out += 0.5 * np.einsum("ijk,...j,...k->...i", self.Q, r, r)
+        if Cr is not None:
+            out += Cr * t
+        if self.qtt is not None:
+            out += 0.5 * self.qtt * t * t
+        return out
 
     def _d_dr(self, r, t):  # t as given: the outer product needs its own shape
-        return self.G + np.einsum("ijk,...k->...ij", self.Q, r) + np.multiply.outer(t, self.C)
+        out = _each_row(self.G, r) if self.G is not None else np.zeros(r.shape[:-1] + (3, 3))
+        if self.Q is not None:
+            out += np.einsum("ijk,...k->...ij", self.Q, r)
+        if self.C is not None:
+            out += np.multiply.outer(t, self.C)
+        return out
 
-    def _d_dt(self, t, Cr):
-        return self.gt + Cr + self.qtt * t
+    def _d_dt(self, r, t, Cr):
+        out = _each_row(self.gt, r) if self.gt is not None else np.zeros(r.shape)
+        if Cr is not None:
+            out += Cr
+        if self.qtt is not None:
+            out += self.qtt * t
+        return out
 
 
 @dataclass
@@ -265,7 +254,7 @@ def builtin(f: VectorField) -> bool:
     return len(owners) == 1 and owners.pop() in _BUILTIN
 
 
-_BUILTIN = (UniformField, LinearField, PolyField, RotatingField)
+_BUILTIN = (PolyField, RotatingField)
 
 
 def rows(f: VectorField, name: str, r, t) -> np.ndarray:
@@ -296,7 +285,7 @@ def as_field(obj) -> VectorField:
     except (TypeError, ValueError):
         raise TypeError(f"not a field: {obj!r}") from None
     if arr.shape == (3,) and np.all(np.isfinite(arr)):
-        return UniformField(arr)
+        return PolyField(arr)
     raise TypeError(f"not a field: {obj!r}")
 
 
@@ -311,19 +300,9 @@ class IndexField:
 
 
 @dataclass
-class UniformIndex(IndexField):
-    n0: float = 1.0
-
-    def n2(self, r):
-        return self.n0 ** 2
-
-    def grad_n2(self, r):
-        return np.zeros(3)
-
-
-@dataclass
 class LinearIndex(IndexField):
-    """n^2(r) = n0^2 - 2 alpha (axis . r): constant index gradient."""
+    """n^2(r) = n0^2 - 2 alpha (axis . r): constant index gradient; alpha = 0
+    is a uniform index, whose n^2 is n0^2 exactly."""
 
     n0: float = 1.0
     alpha: float = 0.1

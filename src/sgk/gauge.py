@@ -27,24 +27,23 @@ import numpy as np
 from .errors import NumericalError, QuadratureError, SingularityError, bisect_failures
 from .models import (_CHARGES, HamiltonianModel, _split_differences, monopole_pseudovector,
                      monopole_rows)
-from .phase_space import (PhasePoint, _axis_stencil, _check_step, _strict_upper, antisymmetric,
-                          central_difference, default_step, row_norm, row_pow)
+from .phase_space import (PhasePoint, _axis_stencil, _check_step, _cross_matrices, _strict_upper,
+                          antisymmetric, central_difference, default_step, row_norm, row_pow)
 from .spectral import _stack
 
 # Exact connection components must be Hermitian to this tolerance.
 CONNECTION_HERMITICITY_ATOL = 1e-10
 FACE_FLUX_MAX = 0.75 * math.pi  # largest |Berry flux| through one sphere mesh face
+# chern_charge also counts the charge on a sphere this many times larger, and
+# raises when the two differ beyond CHARGE_CHECK_RTOL (relative, at least 1)
+CHARGE_CHECK_FACTOR = 1.5
+CHARGE_CHECK_RTOL = 1e-6
 STACK_ROWS = 8192  # mesh vertices or stencil rows solved per stack, which bounds memory
 
 
 def pseudo_to_tensor(f: np.ndarray) -> np.ndarray:
     """F_ij = eps_ijk f_k for a 3-component pseudovector."""
-    f = np.asarray(f, dtype=float)
-    return np.array([
-        [0.0, f[2], -f[1]],
-        [-f[2], 0.0, f[0]],
-        [f[1], -f[0], 0.0],
-    ])
+    return _cross_matrices(np.asarray(f, dtype=float)[None])[0]
 
 
 def tensor_to_pseudo(F: np.ndarray) -> np.ndarray:
@@ -489,14 +488,14 @@ def dirac_phase(potential, path, e: float = 1.0, hbar: float = 1.0,
 
 
 def chern_charge(field, center, radius: float, nodes: tuple = (32, 64),
-                 check_factor: float = 1.5, check_rtol: float = 1e-6,
                  band: int = None) -> float:
     """Flux through a sphere over 2 pi: the band's link-variable charge of a
     field with sphere_charge (AdiabaticConnectionField), else a pseudovector
     curvature callable's Gauss-Legendre (in cos(theta), uniform in phi)
     quadrature. The sphere must enclose one source or none, as the caller
-    asserts; a charge at check_factor times the radius that differs beyond
-    check_rtol raises QuadratureError (a source miscount between spheres).
+    asserts; a charge at CHARGE_CHECK_FACTOR times the radius that differs
+    beyond CHARGE_CHECK_RTOL raises QuadratureError (a source miscount
+    between spheres).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -521,11 +520,11 @@ def chern_charge(field, center, radius: float, nodes: tuple = (32, 64),
         return flux * R * R * (2.0 * np.pi / np_) / (2.0 * np.pi)
 
     q = charge_at(radius)
-    q_check = charge_at(check_factor * radius)
-    if abs(q - q_check) > check_rtol * max(1.0, abs(q)):
+    q_check = charge_at(CHARGE_CHECK_FACTOR * radius)
+    if abs(q - q_check) > CHARGE_CHECK_RTOL * max(1.0, abs(q)):
         raise QuadratureError(
             f"charge {q:.9g} at radius {radius} vs {q_check:.9g} at "
-            f"{check_factor * radius}: enclosed sources differ between the spheres")
+            f"{CHARGE_CHECK_FACTOR * radius}: enclosed sources differ between the spheres")
     return q
 
 

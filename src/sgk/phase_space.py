@@ -19,6 +19,7 @@ from .errors import NumericalError, StepError
 
 # Default finite-difference step: DEFAULT_STEP_SCALE * max(1, |m|).
 DEFAULT_STEP_SCALE = 1e-4
+_CROSS = np.array([6, 2, 4, 5, 6, 0, 1, 3, 6])  # (f, -f, 0) entries of eps_ijk f_k
 
 
 def central_difference(f, x, h: float) -> np.ndarray:
@@ -99,6 +100,12 @@ def antisymmetric(F: np.ndarray) -> np.ndarray:
     """F's strict upper triangle, mirrored with opposite sign, over leading axes."""
     upper = np.where(_strict_upper(F.shape[-1]), F, 0.0)  # np.triu(F, k=1)
     return upper - np.swapaxes(upper, -1, -2)
+
+
+def _cross_matrices(f: np.ndarray) -> np.ndarray:
+    """F (N, 3, 3) with F_ij = eps_ijk f_k at each row of f (N, 3), so that
+    F v = v x f: [[0, f3, -f2], [-f3, 0, f1], [f2, -f1, 0]]."""
+    return np.concatenate([f, -f, np.zeros((len(f), 1))], axis=1).take(_CROSS, 1).reshape(-1, 3, 3)
 
 
 @functools.lru_cache(maxsize=None)

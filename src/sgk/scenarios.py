@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import ConstraintDriftWarning, SingularityError
-from .fields import (IndexField, LinearField, VectorField, _promote_rows, as_field, builtin,
+from .fields import (IndexField, PolyField, VectorField, _promote_rows, as_field, builtin,
                      jet_rows, rows)
 from .models import SPLIT_CHARGES, Constants, HamiltonianModel, monopole_pseudovector, over_cube
 from .phase_space import PhasePoint, row_dot
@@ -136,7 +136,7 @@ class ZeemanScenario(_SplitScenario):
         The coupling space and r-space coincide, so field-space closed
         forms apply verbatim on the position axes.
         """
-        return ZeemanScenario(b_field=LinearField(f0=np.zeros(3), G=np.eye(3)),
+        return ZeemanScenario(b_field=PolyField(f0=np.zeros(3), G=np.eye(3)),
                               chi=chi, d=3, **kw)
 
     def _coupling(self, p, r, t, B=None) -> np.ndarray:

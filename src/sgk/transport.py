@@ -22,6 +22,7 @@ import numpy as np
 
 from .dynamics import ExternalEMField, IntegratorConfig, _integrate_rows
 from .errors import EnsembleError, SgkError
+from .fields import _promote
 from .models import HamiltonianModel
 from .phase_space import row_norm
 from .scenarios import OpticalScenario, _check_drift, _rays
@@ -163,12 +164,6 @@ class TransportReport:
         return self.band_disp[0] - self.band_disp[1]
 
 
-def _embed3(v: np.ndarray) -> np.ndarray:
-    out = np.zeros(3)
-    out[:v.shape[0]] = v
-    return out
-
-
 def _batch(spec: EnsembleSpec, samples: np.ndarray):
     """(model, config, em, bands, Y) of the ensemble's rows, sample-major and
     band 0 first. An optical ensemble's rows are rays (scenarios._rays), each
@@ -192,8 +187,8 @@ def _row_result(spec: EnsembleSpec, run, k: int, r0):
         what = "trajectory" if spec.optical is None else "ray"
         raise EnsembleError(f"{what} ended with status {run.status[k]!r}")
     axis, d = spec.transverse_axis, spec.d
-    disp = float((_embed3(run.y[k, d:]) - _embed3(r0)) @ axis)
-    return disp, disp / (spec.config.t_end - spec.t0), float(_embed3(run.v0[k, d:]) @ axis)
+    disp = float((_promote(run.y[k, d:]) - _promote(r0)) @ axis)
+    return disp, disp / (spec.config.t_end - spec.t0), float(_promote(run.v0[k, d:]) @ axis)
 
 
 def run_ensemble(spec: EnsembleSpec) -> TransportReport:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import ExternalEMField, adiabaticity_epsilon, displacement_contour, velocity_field
-from .fields import LinearField, LinearIndex, PolyField
+from .fields import LinearIndex, PolyField
 from .gauge import (AdiabaticConnectionField, adiabatic_curvature_numeric,
                     chern_charge, curvature_m_space, exact_connection_field,
                     maxwell_residuals, monopole_curvature, monopole_field,
@@ -54,8 +54,8 @@ POLY_SCENARIOS = {
 
 def time_only_model():
     """Zeeman model of a field that varies in t alone: its curvature vanishes."""
-    return ZeemanScenario(b_field=LinearField(f0=(0.0, 0.0, 1.0),
-                                              gt=(0.3, 0.2, 0.4))).model()
+    return ZeemanScenario(b_field=PolyField(f0=(0.0, 0.0, 1.0),
+                                            gt=(0.3, 0.2, 0.4))).model()
 
 
 def hedgehog_connection():
@@ -184,8 +184,8 @@ def check_maxwell_identities(points=((0.5, 0.0, 0.0), (0.0, 1.1, 0.9),
 def check_adiabaticity(times=(0.4,)):
     """epsilon of a linear ramp B0 + beta t against beta / (4 chi B^2)."""
     B0, beta, chi = 1.0, 0.05, 1.0
-    model = ZeemanScenario(b_field=LinearField(f0=(0.0, 0.0, B0),
-                                               gt=(0.0, 0.0, beta)), chi=chi).model()
+    model = ZeemanScenario(b_field=PolyField(f0=(0.0, 0.0, B0),
+                                             gt=(0.0, 0.0, beta)), chi=chi).model()
     cases = []
     for t in times:
         eps = adiabaticity_epsilon(model, 1, PhasePoint((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), t))

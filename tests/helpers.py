@@ -10,7 +10,7 @@ import numpy as np
 
 from sgk import EnsembleSpec, IntegratorConfig, ZeemanScenario
 from sgk.dynamics import _point_kernel
-from sgk.fields import LinearField
+from sgk.fields import PolyField
 from sgk.models import HamiltonianModel, _split_differences
 from sgk.phase_space import PhasePoint, central_difference, default_step
 
@@ -107,10 +107,10 @@ def hermitian_model(seed: int, n: int) -> HamiltonianModel:
 
 
 @dataclasses.dataclass
-class PlaneCutField(LinearField):
-    """A LinearField that is NaN past the plane r3 = cut, in _jet alone.
+class PlaneCutField(PolyField):
+    """A PolyField that is NaN past the plane r3 = cut, in _jet alone.
 
-    value, d_dr and d_dt stay LinearField's, so fields.builtin counts it
+    value, d_dr and d_dt stay PolyField's, so fields.builtin counts it
     built in and a Zeeman model over it takes the exact vectorised path. A
     row whose RK stage crosses the plane raises there (its band energy is
     not finite), at a step of its own.

@@ -15,11 +15,11 @@ import numpy as np
 
 from sgk import (
     OpticalScenario,
+    LinearIndex,
     PhasePoint,
+    PolyField,
     RashbaScenario,
     SpinOrbitScenario,
-    UniformField,
-    UniformIndex,
     adiabatic_curvature_numeric,
     curvature_m_space,
     magnus_ray_pair,
@@ -151,8 +151,8 @@ def test_null_cases_vanish():
         worst_a = max(worst_a, float(np.max(np.abs(
             adiabatic_curvature_numeric(zmodel, m, step=1e-3).F))))
     # constant crossed fields: the momentum block must vanish away from p = 0
-    soc = SpinOrbitScenario(e_field=UniformField((0.9, 0.0, 0.0)),
-                            b_field=UniformField((0.0, 0.0, 1.2)),
+    soc = SpinOrbitScenario(e_field=PolyField((0.9, 0.0, 0.0)),
+                            b_field=PolyField((0.0, 0.0, 1.2)),
                             chi=0.7, rho=0.3)
     smodel = soc.model()
     worst_b = 0.0
@@ -207,7 +207,7 @@ def test_rashba_drift_pointwise_and_hbar_order():
 def test_ray_splitting_matches_contour_oracle():
     rec = check_magnus_splitting()
     rel, drift = off(rec, relative=True), rec["constraint_drift"]
-    flat = OpticalScenario(index=UniformIndex(1.2), k0=50.0)
+    flat = OpticalScenario(index=LinearIndex(1.2, alpha=0.0), k0=50.0)
     fplus, fminus = magnus_ray_pair(flat, flat.launch_momentum((1.0, 0.0, 0.0)),
                                     (0.0, 0.0, 0.0), s_end=1.0, step=1e-2)
     flat_split = ray_splitting(fplus, fminus, (0.0, 0.0, 1.0))

@@ -14,7 +14,6 @@ from sgk import (
     ExternalEMField,
     HamiltonianModel,
     IntegratorConfig,
-    LinearField,
     NumericalError,
     PhasePoint,
     PolyField,
@@ -54,7 +53,7 @@ def uniform_zeeman(b=(0.0, 0.0, 1.0), **kw):
 def linear_zeeman():
     # spatially varying coupling, time independent: canonical flow conserves E
     G = np.array([[0.2, 0.0, 0.1], [0.0, -0.15, 0.0], [0.05, 0.0, 0.25]])
-    return ZeemanScenario(b_field=LinearField(f0=(0.1, -0.2, 1.1), G=G))
+    return ZeemanScenario(b_field=PolyField(f0=(0.1, -0.2, 1.1), G=G))
 
 
 M1 = PhasePoint((0.3, -0.1, 0.2), (0.4, 0.2, -0.3), 0.0)
@@ -385,10 +384,10 @@ def liouville_case(kind):
     # both time dependent, must leave the flow free of divergence
     rng = np.random.default_rng(7)
     em = ExternalEMField(
-        e_field=LinearField((0.2, -0.1, 0.3), G=rng.uniform(-0.2, 0.2, (3, 3)),
-                            gt=(0.1, 0.2, -0.1)),
-        b_field=LinearField((0.3, 0.4, -0.5), G=rng.uniform(-0.2, 0.2, (3, 3)),
-                            gt=(-0.2, 0.1, 0.15)))
+        e_field=PolyField((0.2, -0.1, 0.3), G=rng.uniform(-0.2, 0.2, (3, 3)),
+                          gt=(0.1, 0.2, -0.1)),
+        b_field=PolyField((0.3, 0.4, -0.5), G=rng.uniform(-0.2, 0.2, (3, 3)),
+                          gt=(-0.2, 0.1, 0.15)))
     return ZeemanScenario(b_field=PolyField.random(5, (0.3, -0.4, 1.2)), hbar=0.3).model(), em, 1.0
 
 
@@ -494,7 +493,7 @@ def test_epsilon_of_linear_ramp():
     # B(t) = B0 + beta t along z: epsilon = beta / (4 chi B(t)^2), hbar-free
     chi, B0, beta = 0.8, 1.0, 1.2
     scn = ZeemanScenario(
-        b_field=LinearField(f0=(0.0, 0.0, B0), gt=(0.0, 0.0, beta)), chi=chi)
+        b_field=PolyField(f0=(0.0, 0.0, B0), gt=(0.0, 0.0, beta)), chi=chi)
     for t in (0.0, 0.3, 0.7):
         m = PhasePoint(np.zeros(3), np.zeros(3), t)
         eps = adiabaticity_epsilon(scn.model(), 0, m)
@@ -502,7 +501,7 @@ def test_epsilon_of_linear_ramp():
         assert eps == pytest.approx(beta / (4.0 * chi * B * B), rel=1e-9)
     # epsilon does not depend on hbar here: the gap and the rate both scale
     scn2 = ZeemanScenario(
-        b_field=LinearField(f0=(0.0, 0.0, B0), gt=(0.0, 0.0, beta)), chi=chi,
+        b_field=PolyField(f0=(0.0, 0.0, B0), gt=(0.0, 0.0, beta)), chi=chi,
         hbar=1e-3)
     m = PhasePoint(np.zeros(3), np.zeros(3), 0.0)
     assert adiabaticity_epsilon(scn2.model(), 0, m) == pytest.approx(
@@ -511,7 +510,7 @@ def test_epsilon_of_linear_ramp():
 
 def test_fast_ramp_breaches_immediately():
     scn = ZeemanScenario(
-        b_field=LinearField(f0=(0.0, 0.0, 1.0), gt=(0.0, 0.0, 5.0)))
+        b_field=PolyField(f0=(0.0, 0.0, 1.0), gt=(0.0, 0.0, 5.0)))
     cfg = IntegratorConfig(step=1e-3, t_end=1.0)
     start = PhasePoint(np.zeros(3), np.zeros(3), 0.0)
     traj = integrate(scn.model(), 0, start, cfg)
@@ -523,7 +522,7 @@ def test_fast_ramp_breaches_immediately():
 
 def test_slow_ramp_completes_below_threshold():
     scn = ZeemanScenario(
-        b_field=LinearField(f0=(0.0, 0.0, 1.0), gt=(0.0, 0.0, 0.4)))
+        b_field=PolyField(f0=(0.0, 0.0, 1.0), gt=(0.0, 0.0, 0.4)))
     cfg = IntegratorConfig(step=1e-2, t_end=1.0, epsilon_abort=0.5)
     start = PhasePoint(np.zeros(3), np.zeros(3), 0.0)
     traj = integrate(scn.model(), 0, start, cfg)
@@ -548,7 +547,7 @@ def test_epsilon_stays_finite_near_rest(scn, p1):
 def test_epsilon_divides_by_an_overflowing_gap_twice():
     # the gap 2e154 squares past the largest float; epsilon there is
     # (|dE/dt| / gap) / gap, with dE/dt = -1e150 on band 0
-    scn = ZeemanScenario(b_field=LinearField(f0=(0.0, 0.0, 1e154), gt=(0.0, 0.0, 1e150)))
+    scn = ZeemanScenario(b_field=PolyField(f0=(0.0, 0.0, 1e154), gt=(0.0, 0.0, 1e150)))
     m = PhasePoint((0.1, 0.0, 0.0), np.zeros(3), 0.0)
     assert adiabaticity_epsilon(scn.model(), 0, m) == pytest.approx(
         1e150 / 2e154 / 2e154, rel=1e-15)
@@ -646,16 +645,16 @@ def kernel_case(kind, seed):
     if kind == "poly":
         field = PolyField.random(seed, offset)
     elif kind == "linear":
-        field = LinearField(f0=offset, G=0.3 * rng.uniform(-1, 1, (3, 3)),
-                            gt=0.3 * rng.uniform(-1, 1, 3))
+        field = PolyField(f0=offset, G=0.3 * rng.uniform(-1, 1, (3, 3)),
+                          gt=0.3 * rng.uniform(-1, 1, 3))
     elif kind == "rotating":
         field = RotatingField(magnitude=float(rng.uniform(0.5, 1.5)),
                               polar_angle=float(rng.uniform(0.1, 3.0)),
                               omega=float(rng.uniform(-2.0, 2.0)),
                               phi0=float(rng.uniform(0.0, 6.0)))
     else:
-        e_field = LinearField(f0=rng.uniform(-1, 1, 3),
-                              G=0.3 * rng.uniform(-1, 1, (3, 3)),
+        e_field = PolyField(f0=rng.uniform(-1, 1, 3),
+                            G=0.3 * rng.uniform(-1, 1, (3, 3)),
                               gt=0.3 * rng.uniform(-1, 1, 3))
         return SpinOrbitScenario(e_field=e_field,
                                  b_field=PolyField.random(seed, offset), chi=chi,
@@ -691,7 +690,7 @@ def test_point_kernel_tie_rule_at_bz_zero():
     # at b_z = 0 exactly, component 0 wins the largest-component tie: the
     # upper band takes the north patch and the lower band the south patch
     G = np.array([[0.2, 0.0, 0.1], [0.3, -0.15, 0.0], [0.05, 0.4, 0.25]])
-    scn = ZeemanScenario(b_field=LinearField(f0=(0.6, -0.8, 0.0), G=G))
+    scn = ZeemanScenario(b_field=PolyField(f0=(0.6, -0.8, 0.0), G=G))
     model = scn.model()
     m = PhasePoint((0.1, 0.2, 0.3), np.zeros(3), 0.0)
     b, J = scn.jacobian(m)
@@ -885,7 +884,7 @@ def test_effective_fields_of_hedgehog():
 def test_effective_fields_time_ramp_gives_electric_part():
     # B(r, t) = r + a t z-hat at r=(0,1,1): F_rt = -S b.(e_i x a z)/|b|^3
     a = 0.4
-    bf = LinearField(f0=np.zeros(3), G=np.eye(3), gt=(0.0, 0.0, a))
+    bf = PolyField(f0=np.zeros(3), G=np.eye(3), gt=(0.0, 0.0, a))
     fields = effective_em_fields(bf, r=np.array([0.0, 1.0, 1.0]), t=0.0)
     want = 0.5 * a / (2.0 * np.sqrt(2.0))
     assert np.allclose(fields.e_spin[1], [+want, 0.0, 0.0], atol=1e-9)

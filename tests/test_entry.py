@@ -128,3 +128,24 @@ def test_importing_the_cli_loads_only_its_base(tmp_path):
                   cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert set(json.loads(proc.stdout)) == BASE
+
+
+# the dataclasses the CLI's base modules define, 13 in all: each is built at every start
+DATACLASSES = {"fields": 4, "models": 3, "phase_space": 1, "scenarios": 5}
+
+DEFINED = """
+import json, sys
+import sgk.cli
+count = {}
+for name, module in sys.modules.items():
+    if name.startswith("sgk."):
+        count[name[4:]] = sum(isinstance(v, type) and "__dataclass_fields__" in vars(v)
+                              and v.__module__ == name for v in vars(module).values())
+print(json.dumps({k: n for k, n in count.items() if n}))
+"""
+
+
+def test_importing_the_cli_builds_only_its_dataclasses(tmp_path):
+    proc = python("-c", DEFINED, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == DATACLASSES

@@ -19,11 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgk import (PAULI, AdiabaticConnectionField, BandTrackingError,
-                 CallableField, DegeneracyError, HamiltonianModel, LinearField,
-                 NumericalError, PhasePoint, PolyField, RashbaScenario,
-                 RotatingField, SpinOrbitScenario, SplitForm, UniformField, VectorField,
-                 ZeemanScenario, adiabatic_curvature_numeric, band_gradients,
-                 exact_connection)
+                 CallableField, DegeneracyError, HamiltonianModel, NumericalError,
+                 PhasePoint, PolyField, RashbaScenario, RotatingField, SpinOrbitScenario,
+                 SplitForm, VectorField, ZeemanScenario, adiabatic_curvature_numeric,
+                 band_gradients, exact_connection)
 from sgk.models import DEGENERACY_RTOL
 from sgk.spectral import (TRACKING_MIN_OVERLAP, aligned_frame, diagonalize, frame_stack,
                           smooth_frame_along)
@@ -363,10 +362,10 @@ def builtin_field(kind, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     offset = rng.uniform(-1.0, 1.0, 3)
     if kind == "uniform":
-        return UniformField(offset)
+        return PolyField(offset)
     if kind == "linear":
-        return LinearField(f0=offset, G=rng.uniform(-1.0, 1.0, (3, 3)),
-                           gt=rng.uniform(-1.0, 1.0, 3))
+        return PolyField(f0=offset, G=rng.uniform(-1.0, 1.0, (3, 3)),
+                         gt=rng.uniform(-1.0, 1.0, 3))
     if kind == "poly":
         return PolyField.random(seed, offset=offset)
     return RotatingField(magnitude=rng.uniform(0.5, 2.0), polar_angle=rng.uniform(0.0, np.pi),
@@ -419,15 +418,18 @@ def test_evaluate_stack_equals_per_point_matrices(kind, field_kind, seed, count,
 
 
 def old_value(f, r, t):
-    """The one-point value formulas each built-in field had before it broadcast."""
+    """The one-point value formulas each built-in field had before it broadcast;
+    a PolyField adds only its present terms, in order, to a copy of f0."""
     r3 = np.array([r[0], r[1], 0.0]) if len(r) == 2 else np.asarray(r, dtype=float)
-    if isinstance(f, UniformField):
-        return f.v.copy()
     if isinstance(f, PolyField):
-        return (f.f0 + f.G @ r3 + f.gt * t + 0.5 * np.einsum("ijk,j,k->i", f.Q, r3, r3)
-                + (f.C @ r3) * t + 0.5 * f.qtt * t * t)
-    if isinstance(f, LinearField):
-        return f.f0 + f.G @ r3 + f.gt * t
+        terms = [(f.G, lambda: f.G @ r3), (f.gt, lambda: f.gt * t),
+                 (f.Q, lambda: 0.5 * np.einsum("ijk,j,k->i", f.Q, r3, r3)),
+                 (f.C, lambda: (f.C @ r3) * t), (f.qtt, lambda: 0.5 * f.qtt * t * t)]
+        out = f.f0.copy()
+        for coefficient, term in terms:
+            if coefficient is not None:
+                out = out + term()
+        return out
     ph = f.omega * t + f.phi0
     st_, ct = np.sin(f.polar_angle), np.cos(f.polar_angle)
     return f.magnitude * np.array([st_ * np.cos(ph), st_ * np.sin(ph), ct])
@@ -520,7 +522,7 @@ def test_stack_forms_raise_at_first_failing_row(faults):
 
 
 def test_evaluate_stack_checks_stack_forms_row_by_row():
-    model = ZeemanScenario(LinearField(f0=np.zeros(3), G=1e300 * np.eye(3))).model()
+    model = ZeemanScenario(PolyField(f0=np.zeros(3), G=1e300 * np.eye(3))).model()
     assert model.split.stack is not None
     X = np.zeros((3, 7))
     X[:, 3] = (1.0, 1e10, 1.0)  # the middle row's H1 overflows, and inf * 0 is NaN
@@ -546,17 +548,17 @@ class ValueOnly(VectorField):
         return np.array([0.3, -0.2, 0.9]) + 0.5 * np.asarray(r, dtype=float)[:3] * t
 
 
-class ShiftedLinear(LinearField):
+class ShiftedLinear(PolyField):
     """A built-in family whose value is overridden: no longer a broadcasting one."""
 
     def value(self, r, t):
-        return LinearField.value(self, r, t) + 0.1
+        return PolyField.value(self, r, t) + 0.1
 
 
 def test_stack_forms_skip_the_per_row_loop(monkeypatch):
     values = []
-    monkeypatch.setattr(LinearField, "value",
-                        counted(values, lambda f, r, t: id(f), LinearField.value))
+    monkeypatch.setattr(PolyField, "value",
+                        counted(values, lambda f, r, t: id(f), PolyField.value))
     e, b = builtin_field("linear", 1), builtin_field("linear", 2)
     model = SpinOrbitScenario(e_field=e, b_field=b).model()
     raws = []

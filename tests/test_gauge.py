@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import sgk.gauge
 import sgk.models
+import sgk.phase_space
 from sgk import (
     AdiabaticConnectionField,
     BandTrackingError,
@@ -81,6 +82,19 @@ def test_pseudo_tensor_round_trip():
     # convention check: F_12 = f_3.. no: F_ij = eps_ijk f_k so F[0,1] = f[2]
     assert F[0, 1] == pytest.approx(f[2])
     assert F[1, 2] == pytest.approx(f[0])
+
+
+def test_pseudo_to_tensor_is_the_one_row_cross_matrix():
+    # one eps map: each row's matrix has the bits of the written-out formula,
+    # signed zeros, infinities and NaN included
+    values = np.array([0.0, -0.0, 1.5, -2.25, np.inf, -np.inf, np.nan, 1e-310])
+    rng = np.random.Generator(np.random.PCG64(7))
+    f = np.concatenate([rng.choice(values, (200, 3)), rng.uniform(-3.0, 3.0, (20, 3))])
+    stack = sgk.phase_space._cross_matrices(f)
+    for row, F in zip(f, stack):
+        want = np.array([[0.0, row[2], -row[1]], [-row[2], 0.0, row[0]],
+                         [row[1], -row[0], 0.0]])
+        assert want.tobytes() == F.tobytes() == pseudo_to_tensor(row).tobytes()
 
 
 # -- connection basics ------------------------------------------------------

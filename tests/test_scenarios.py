@@ -17,7 +17,6 @@ from sgk import (
     SingularityError,
     SpinOrbitScenario,
     StepError,
-    UniformIndex,
     ZeemanScenario,
     adiabatic_curvature_numeric,
     band_sign,
@@ -295,7 +294,7 @@ def test_rashba_em_fields():
 
 
 def test_homogeneous_index_gives_straight_rays():
-    scn = OpticalScenario(index=UniformIndex(n0=1.5), k0=80.0)
+    scn = OpticalScenario(index=LinearIndex(n0=1.5, alpha=0.0), k0=80.0)
     p0 = scn.launch_momentum((1.0, 0.0, 0.0))
     assert np.allclose(p0, [1.5, 0.0, 0.0])
     plus, minus = magnus_ray_pair(scn, p0, np.zeros(3), s_end=1.0, step=1e-2)
@@ -308,7 +307,7 @@ def test_homogeneous_index_gives_straight_rays():
 def test_ray_whole_number_of_steps_leaves_no_sliver():
     # 100 steps of s_end/100 sum to just under s_end; the last step must
     # absorb the shortfall instead of adding a 101st step of about 1e-14
-    scn = OpticalScenario(index=UniformIndex(n0=1.5), k0=80.0)
+    scn = OpticalScenario(index=LinearIndex(n0=1.5, alpha=0.0), k0=80.0)
     s_end = 2.0 * np.pi / 1.7
     ray = magnus_ray(scn, scn.launch_momentum((1.0, 0.0, 0.0)), np.zeros(3), +1,
                      s_end=s_end, step=s_end / 100)
@@ -317,7 +316,7 @@ def test_ray_whole_number_of_steps_leaves_no_sliver():
 
 
 def test_photon_curvature_is_unit_monopole():
-    scn = OpticalScenario(index=UniformIndex(n0=1.0))
+    scn = OpticalScenario(index=LinearIndex(n0=1.0, alpha=0.0))
     assert np.allclose(scn.curvature((0.0, 0.0, 2.0), +1), [0, 0, -0.25])
     assert np.allclose(scn.curvature((0.0, 0.0, 2.0), -1), [0, 0, +0.25])
     with pytest.raises(ValueError):
@@ -343,15 +342,15 @@ def test_graded_index_splits_helicities_transversely():
 
 
 def test_ray_constraint_drift_warns_off_shell():
-    scn = OpticalScenario(index=UniformIndex(n0=1.5))
+    scn = OpticalScenario(index=LinearIndex(n0=1.5, alpha=0.0))
     with pytest.warns(ConstraintDriftWarning):
         magnus_ray(scn, (2.0, 0.0, 0.0), np.zeros(3), +1, s_end=0.01, step=1e-3)
 
 
 def test_ray_validations():
-    scn = OpticalScenario(index=UniformIndex(n0=1.5))
+    scn = OpticalScenario(index=LinearIndex(n0=1.5, alpha=0.0))
     with pytest.raises(ValueError):
-        OpticalScenario(index=UniformIndex(), k0=0.0)
+        OpticalScenario(index=LinearIndex(alpha=0.0), k0=0.0)
     with pytest.raises(ValueError):
         magnus_ray(scn, (1.5, 0, 0), np.zeros(3), 2)
     with pytest.raises(StepError):
@@ -367,7 +366,7 @@ def test_ray_validations():
 
 def test_ray_length_must_be_finite():
     # a non-finite length never ends the ray: it would run the whole step budget
-    scn = OpticalScenario(index=UniformIndex(n0=1.5))
+    scn = OpticalScenario(index=LinearIndex(n0=1.5, alpha=0.0))
     for s_end in (np.nan, np.inf):
         with pytest.raises(ValueError, match="s_end"):
             magnus_ray(scn, (1.5, 0, 0), np.zeros(3), 1, s_end=s_end, max_steps=5)

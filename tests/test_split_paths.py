@@ -13,10 +13,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sgk import (IntegratorConfig, LinearField, OpticalScenario, PhasePoint,
-                 PolyField, RashbaScenario, RotatingField, SpinOrbitScenario,
-                 UniformField, ZeemanScenario, band_gradients,
-                 curvature_m_space, default_step, integrate, magnus_ray,
+from sgk import (IntegratorConfig, OpticalScenario, PhasePoint, PolyField,
+                 RashbaScenario, RotatingField, SpinOrbitScenario, ZeemanScenario,
+                 band_gradients, curvature_m_space, default_step, integrate, magnus_ray,
                  monopole_pullback, velocity_field)
 from sgk.fields import CallableField, LinearIndex, VectorField, builtin
 from sgk.phase_space import _axis_stencil
@@ -28,15 +27,15 @@ from helpers import point_kernel, split_derivatives, split_energy
 EPS = np.finfo(float).eps
 
 
-class KickedUniform(UniformField):
+class KickedUniform(PolyField):
     def value(self, r, t):
-        return UniformField.value(self, r, t) + np.array([0.0, 0.4 * t, 0.0])
+        return PolyField.value(self, r, t) + np.array([0.0, 0.4 * t, 0.0])
 
 
-class KickedLinear(LinearField):
+class KickedLinear(PolyField):
     def value(self, r, t):
         r = np.asarray(r, dtype=float)
-        return LinearField.value(self, r, t) + 0.5 * np.array([r[0] ** 2, 0.0, 0.0])
+        return PolyField.value(self, r, t) + 0.5 * np.array([r[0] ** 2, 0.0, 0.0])
 
 
 class KickedPoly(PolyField):
@@ -51,18 +50,18 @@ class KickedRotating(RotatingField):
         return RotatingField.value(self, r, t) + np.array([0.2 * r[2], 0.0, 0.0])
 
 
-class ExactLinear(LinearField):
+class ExactLinear(PolyField):
     """A user-written subclass whose derivatives do match its value."""
 
     def value(self, r, t):
-        return LinearField.value(self, r, t) + 0.1
+        return PolyField.value(self, r, t) + 0.1
 
     def d_dr(self, r, t):
-        return LinearField.d_dr(self, r, t)
+        return PolyField.d_dr(self, r, t)
 
 
 STALE = [
-    KickedUniform(v=(0.1, 0.2, 1.0)),
+    KickedUniform(f0=(0.1, 0.2, 1.0)),
     KickedLinear(f0=(0.1, 0.2, 1.0), G=0.3 * np.eye(3)),
     KickedPoly(f0=(0.1, 0.2, 1.0), G=0.3 * np.eye(3), Q=0.2 * np.ones((3, 3, 3))),
     KickedRotating(magnitude=1.2, polar_angle=0.7, omega=1.3),
@@ -77,8 +76,8 @@ def strip(model):
 
 
 def test_builtin_predicate():
-    linear = LinearField(f0=(0.1, 0.2, 1.0), G=np.eye(3))
-    assert builtin(linear) and builtin(UniformField(v=(0.0, 0.0, 1.0)))
+    linear = PolyField(f0=(0.1, 0.2, 1.0), G=np.eye(3))
+    assert builtin(linear) and builtin(PolyField(f0=(0.0, 0.0, 1.0)))
     assert builtin(type("Plain", (PolyField,), {})(f0=(0.0, 0.0, 1.0)))
     for f in STALE + [ExactLinear(f0=(0.1, 0.2, 1.0)),
                       CallableField(lambda r, t: np.array([0.0, 0.0, 1.0]))]:
@@ -110,9 +109,9 @@ def poly_model(kind, seed):
     b_field = PolyField.random(seed, offset)
     if kind == "zeeman":
         return ZeemanScenario(b_field=b_field, chi=chi).model(), m
-    e_field = LinearField(f0=rng.uniform(-1, 1, 3),
-                          G=0.3 * rng.uniform(-1, 1, (3, 3)),
-                          gt=0.3 * rng.uniform(-1, 1, 3))
+    e_field = PolyField(f0=rng.uniform(-1, 1, 3),
+                        G=0.3 * rng.uniform(-1, 1, (3, 3)),
+                        gt=0.3 * rng.uniform(-1, 1, 3))
     return SpinOrbitScenario(e_field=e_field, b_field=b_field, chi=chi,
                              rho=float(rng.uniform(0.3, 1.0))).model(), m
 
@@ -248,12 +247,12 @@ def test_band_gradients_ignore_the_split_form(kind, band):
 
 def test_spin_orbit_jacobian_evaluates_each_field_once(monkeypatch):
     values = []  # a PolyField's value and its one-pass jet both evaluate _value
-    for cls, name in ((LinearField, "value"), (PolyField, "_value")):
-        def counted(f, *args, _value=getattr(cls, name)):
-            values.append(id(f))
-            return _value(f, *args)
-        monkeypatch.setattr(cls, name, counted)
-    e = LinearField(f0=(0.3, -0.2, 0.5), G=0.2 * np.eye(3), gt=(0.1, 0.0, 0.2))
+
+    def counted(f, *args, _value=PolyField._value):
+        values.append(id(f))
+        return _value(f, *args)
+    monkeypatch.setattr(PolyField, "_value", counted)
+    e = PolyField(f0=(0.3, -0.2, 0.5), G=0.2 * np.eye(3), gt=(0.1, 0.0, 0.2))
     b = PolyField.random(5, (0.0, 0.0, 1.0))
     scn = SpinOrbitScenario(e_field=e, b_field=b, rho=0.7)
     m = PhasePoint((0.2, -0.1, 0.3), (0.1, 0.4, -0.2), 0.3)
@@ -276,7 +275,7 @@ SPLIT_SCENARIOS = {
         b_field=lambda r, t: np.array([0.3 + r[1] * t, -0.2, 1.0 + 0.5 * r[0]]), chi=0.8),
     "zeeman-value-only": lambda: ZeemanScenario(b_field=ValueOnly()),
     "spin-orbit": lambda: SpinOrbitScenario(
-        e_field=LinearField(f0=(0.3, -0.2, 0.5), G=0.2 * np.eye(3), gt=(0.1, 0.0, 0.2)),
+        e_field=PolyField(f0=(0.3, -0.2, 0.5), G=0.2 * np.eye(3), gt=(0.1, 0.0, 0.2)),
         b_field=PolyField.random(5, (0.0, 0.0, 1.0)), rho=0.7),
     "spin-orbit-callable": lambda: SpinOrbitScenario(
         e_field=CallableField(lambda r, t: np.array([0.4, 0.1 * r[2], -0.3 + t])),

@@ -26,7 +26,6 @@ from sgk import (
     RashbaScenario,
     SgkError,
     TransportReport,
-    UniformIndex,
     ZeemanScenario,
     displacement_contour,
     draw_samples,
@@ -126,7 +125,7 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="exactly one"):
         EnsembleSpec(count=1, config=config, p_center=np.zeros(3),
                      r_center=np.zeros(3), model=scn.model(),
-                     optical=OpticalScenario(UniformIndex()))
+                     optical=OpticalScenario(LinearIndex(alpha=0.0)))
     with pytest.raises(ValueError, match="sampler"):
         EnsembleSpec(count=1, sampler="sobol", **ok)
     with pytest.raises(ValueError, match="equal-length"):
@@ -333,7 +332,7 @@ def test_optical_ensemble_warns_on_constraint_drift():
 
 
 def test_optical_zero_direction_is_a_failure():
-    scn = OpticalScenario(UniformIndex(n0=1.2), k0=80.0)
+    scn = OpticalScenario(LinearIndex(n0=1.2, alpha=0.0), k0=80.0)
     spec = EnsembleSpec(count=1, config=IntegratorConfig(step=1e-2, t_end=0.5),
                         p_center=np.zeros(3), r_center=np.zeros(3),
                         optical=scn, transverse_axis=EY)
@@ -347,7 +346,7 @@ def test_zero_direction_rays_stay_out_of_the_batch(monkeypatch):
     spec = EnsembleSpec(count=11, config=IntegratorConfig(step=1e-2, t_end=0.05),
                         p_center=np.zeros(3), r_center=np.zeros(3),
                         p_spread=np.array([0.5, 0.0, 0.0]), sampler="grid",
-                        optical=OpticalScenario(UniformIndex(n0=1.2), k0=80.0),
+                        optical=OpticalScenario(LinearIndex(n0=1.2, alpha=0.0), k0=80.0),
                         transverse_axis=EY)
     assert np.flatnonzero(~draw_samples(spec)[:, 0].any(axis=1)).tolist() == [5]
     rows = count_kernel_rows(monkeypatch)
