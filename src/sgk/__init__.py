@@ -30,7 +30,7 @@ _EXPORTS = {
              "monopole_curvature monopole_field monopole_pullback "
              "nonabelian_curvature phase_line_integral pseudo_to_tensor regauge "
              "tensor_to_pseudo wrap_angle",
-    "dynamics": "EffectiveFields ExternalEMField IntegratorConfig Trajectory TrajectoryState "
+    "dynamics": "EffectiveFields ExternalEMField IntegratorConfig Trajectory "
                 "adiabaticity_epsilon band_gradients displacement_contour "
                 "effective_em_fields integrate velocity_field",
     "scenarios": "MagnusRay OpticalScenario RashbaScenario SpinOrbitScenario ZeemanScenario "

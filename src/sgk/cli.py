@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -75,18 +76,13 @@ def _dumps(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _write_csv(path: str, kind: str, header, rows) -> None:
+def _write_csv(path: str, kind: str, header, table: np.ndarray) -> None:
+    """One line per row of the float table (rows, len(header))."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# format=sgk.{kind}.v1\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = []
-            for cell in row:
-                if isinstance(cell, (float, np.floating)):
-                    cells.append(fmt_float(float(cell)))
-                else:
-                    cells.append(str(cell))
-            fh.write(",".join(cells) + "\n")
+        for row in table.tolist():
+            fh.write(",".join(map(fmt_float, row)) + "\n")
 
 
 def _write_jsonl(path: str, records) -> None:
@@ -535,6 +531,8 @@ def _cmd_run_scenario(config, out_dir, seed):
     if optical:
         _unread(ctx, "config.integrator", config.get("integrator"), _RAY_UNREAD,
                 "optical rays read only step, t_end and max_steps")
+        _unread(ctx, "config.initial", config.get("initial"), ("t",),
+                "optical rays start at s = 0")
     t0 = initial["t"] if initial is not None else None
     if integ is not None:
         if optical and integ.t_end <= 0:
@@ -545,42 +543,31 @@ def _cmd_run_scenario(config, out_dir, seed):
 
     p0, r0 = initial["p"], initial["r"]
     band, helicity, em = cfg["band"], cfg["helicity"], cfg["em"]
-    labels = axis_labels(ctx.d)
-    header = (["t"] + [lb for lb in labels[:-1]]
-              + ["band", "energy", "epsilon", "berry_phase", "dynamic_phase"])
     if optical:
         ray = magnus_ray(scenario, p0, r0, helicity, s_end=integ.t_end,
                          step=integ.step, max_steps=integ.max_steps)
-        rows = [[s, *p, *r, helicity, 0.5 * (float(p @ p) - scenario.index.n2(r)), 0.0, 0.0, 0.0]
-                for s, p, r in zip(ray.s, ray.p, ray.r)]
-        _write_csv(os.path.join(out_dir, "trajectory.csv"), "trajectory",
-                   header, rows)
+        zero = np.zeros(len(ray.s))  # a ray's epsilon is 0 and it records no phases
+        columns = (ray.s, ray.p, ray.r, np.full(len(ray.s), helicity), ray.energy, zero, zero, zero)
         summary = {"format": "sgk.run.v1", "status": ray.status,
-                   "steps": int(ray.s.shape[0] - 1),
-                   "constraint_drift": ray.constraint_drift}
-        print(_dumps(summary))
-        return 0
-
-    from .dynamics import integrate
-    model, auto_em = _scenario_model_parts(scenario)
-    if em is None:
-        em = auto_em
-    traj = integrate(model, band, PhasePoint(p0, r0, initial["t"]), integ,
-                     em=em)
-    rows = []
-    for st in traj.states:
-        rows.append([st.m.t, *st.m.p, *st.m.r, band, st.energy, st.epsilon,
-                     st.berry_phase, st.dynamic_phase])
-    _write_csv(os.path.join(out_dir, "trajectory.csv"), "trajectory",
-               header, rows)
-    summary = {"format": "sgk.run.v1", "status": traj.status,
-               "steps": len(traj.states) - 1,
-               "final_energy": traj.final.energy,
-               "final_epsilon": traj.final.epsilon}
+                   "steps": len(ray.s) - 1, "constraint_drift": ray.constraint_drift}
+    else:
+        from .dynamics import integrate
+        model, auto_em = _scenario_model_parts(scenario)
+        traj = integrate(model, band, PhasePoint(p0, r0, initial["t"]), integ,
+                         em=auto_em if em is None else em)
+        columns = (traj.t, traj.p, traj.r, np.full(len(traj.t), band), traj.energy,
+                   traj.epsilon, traj.berry_phase, traj.dynamic_phase)
+        summary = {"format": "sgk.run.v1", "status": traj.status,
+                   "steps": len(traj.t) - 1, "final_energy": traj.energy[-1],
+                   "final_epsilon": traj.epsilon[-1]}
+    labels = axis_labels(ctx.d)
+    header = ["t", *labels[:-1], "band", "energy", "epsilon", "berry_phase", "dynamic_phase"]
+    _write_csv(os.path.join(out_dir, "trajectory.csv"), "trajectory", header,
+               np.column_stack(columns))
     print(_dumps(summary))
-    if traj.status == "adiabaticity_breach":
+    if summary["status"] == "adiabaticity_breach":
         _err_json("AdiabaticityBreach",
-                  f"epsilon {traj.final.epsilon:.3e} exceeded the configured bound")
+                  f"epsilon {summary['final_epsilon']:.3e} exceeded the configured bound")
         return 4
     return 0
 
@@ -622,16 +609,11 @@ def _cmd_curvature_map(config, out_dir, seed):
         F = split_curvature_rows(model, X)
     else:
         F = plaquette_rows(model, X, richardson=cfg["richardson"])
-    rows = []
-    for av, bv, Fk in zip(X[:, ia], X[:, ib], F):
-        row = [av, bv]
-        for band in (0, 1):
-            row += [Fk[band, i, j] for i, j in pairs]
-        rows.append(row)
-    _write_csv(os.path.join(out_dir, "curvature_map.csv"), "curvature_map",
-               header, rows)
+    i, j = np.array(pairs).T
+    _write_csv(os.path.join(out_dir, "curvature_map.csv"), "curvature_map", header,
+               np.column_stack([X[:, ia], X[:, ib], F[:, 0, i, j], F[:, 1, i, j]]))
     print(_dumps({"format": "sgk.curvature_map.v1",
-                  "points": len(rows), "method": method}))
+                  "points": len(X), "method": method}))
     return 0
 
 
@@ -778,14 +760,21 @@ def main(argv=None) -> int:
         return 5
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"{category.__name__}: {message}\n"
+
+
 def run() -> None:
     """Process entry of `sgk` and `python -m sgk.cli`: main(), then exit.
 
+    Prints each warning as one line, `<Category>: <message>`, with no
+    source path or source line; the warning filters stay as they are.
     Flushes stdout and stderr and ends the process with os._exit, skipping
     the interpreter's teardown, which frees every object and module one by
     one. Output files are closed by then. If a flush raises, sys.exit ends
     the process the usual way instead. In-process callers use main().
     """
+    warnings.formatwarning = _format_warning
     code = main()
     try:
         sys.stdout.flush()

@@ -121,54 +121,42 @@ class IntegratorConfig:
 
 
 @dataclass(frozen=True)
-class TrajectoryState:
-    """One accepted integrator step.
-
-    a_p, a_r, a_t hold the band's adiabatic connection components at m
-    (None when connection recording is off); the generalized coordinates
-    P = p + hbar A_r and R = r - hbar A_p derive from them.
-    """
-
-    m: PhasePoint
-    band: int
-    energy: float
-    epsilon: float
-    berry_phase: float
-    dynamic_phase: float
-    v_p: np.ndarray
-    v_r: np.ndarray
-    a_p: Optional[np.ndarray] = None
-    a_r: Optional[np.ndarray] = None
-    a_t: Optional[float] = None
-    hbar: float = 1.0
-
-    def generalized(self):
-        """(P, R) built from the stored connection values."""
-        if self.a_p is None or self.a_r is None:
-            raise ValueError("connection was not recorded for this trajectory")
-        return self.m.p + self.hbar * self.a_r, self.m.r - self.hbar * self.a_p
-
-
-@dataclass
 class Trajectory:
-    """Recorded states plus the halt status.
+    """One band's accepted states as columns, plus the halt status.
 
-    status is 'completed' (reached t_end), 'max_steps' (budget exhausted)
-    or 'adiabaticity_breach' (epsilon exceeded the configured bound; the
-    offending state is the last one recorded).
+    Row k of each column is the k-th accepted state, row 0 the initial
+    point (t[0] keeps the bits of its t, a -0.0 included): t (S,), p and r
+    (S, d), v = (pdot, rdot) (S, 2d), and energy, epsilon and the phases
+    accumulated up to each state (S,). a (S, 2d+1) holds the band's
+    diagonal connection over the flat axes, None when connection recording
+    is off. status is 'completed' (reached t_end), 'max_steps' (budget
+    exhausted) or 'adiabaticity_breach' (epsilon exceeded the configured
+    bound; the offending state is the last row).
     """
 
-    states: list
+    t: np.ndarray
+    p: np.ndarray
+    r: np.ndarray
+    v: np.ndarray
+    energy: np.ndarray
+    epsilon: np.ndarray
+    berry_phase: np.ndarray
+    dynamic_phase: np.ndarray
+    a: Optional[np.ndarray]
     status: str
     band: int
-
-    @property
-    def final(self) -> TrajectoryState:
-        return self.states[-1]
+    hbar: float
 
     @property
     def breached(self) -> bool:
         return self.status == "adiabaticity_breach"
+
+    def generalized(self):
+        """(P, R) = (p + hbar A_r, r - hbar A_p) at each state, from the recorded connection."""
+        if self.a is None:
+            raise ValueError("connection was not recorded for this trajectory")
+        d = self.p.shape[1]
+        return self.p + self.hbar * self.a[:, d:2 * d], self.r - self.hbar * self.a[:, :d]
 
 
 def band_gradients(model: HamiltonianModel, band: int, m: PhasePoint,
@@ -492,24 +480,32 @@ def integrate(model: HamiltonianModel, band: int, initial: PhasePoint,
     Errors raised by the velocity evaluation are re-raised with the step
     index attached; overflow and a state that is no longer finite become a
     NumericalError at the step where they occur. This is the one-row case
-    of the RK loop that ensembles run in lockstep.
+    of the RK loop that ensembles run in lockstep, and the Trajectory holds
+    the columns that loop recorded at each accepted state.
     """
-    d = initial.d
     run = _integrate_rows(model, np.array([band]), np.concatenate([initial.p, initial.r])[None],
                           initial.t, config, em, record=True)
     if run.errors[0] is not None:
         raise run.errors[0]
-    states = []
-    for _, val, berry, dynamic in run.states:
-        y, v, a = val["y"][0], val["v"][0], val.get("a")
-        # every accepted state passed the RK loop's finiteness check
-        m = PhasePoint._trusted(y[:d], y[d:], initial.t + float(val["s"][0])) if states else initial
-        states.append(TrajectoryState(
-            m=m, band=band, energy=float(val["energy"][0]), epsilon=float(val["epsilon"][0]),
-            berry_phase=float(berry[0]), dynamic_phase=float(dynamic[0]), v_p=v[:d], v_r=v[d:],
-            a_p=None if a is None else a[0, :d], a_r=None if a is None else a[0, d:2 * d],
-            a_t=None if a is None else float(a[0, 2 * d]), hbar=model.constants.hbar))
-    return Trajectory(states=states, status=run.status[0], band=band)
+    c = {k: col[:, 0] for k, col in _columns(run, _RECORDED).items()}
+    d, t = initial.d, initial.t + c["s"]
+    t[0] = initial.t  # t + 0.0 would fold a -0.0
+    return Trajectory(t=t, p=c["y"][:, :d], r=c["y"][:, d:], v=c["v"], energy=c["energy"],
+                      epsilon=c["epsilon"], berry_phase=c["berry_phase"],
+                      dynamic_phase=c["dynamic_phase"], a=c.get("a"), status=run.status[0],
+                      band=band, hbar=model.constants.hbar)
+
+
+# What a trajectory reports of each accepted state; "a" only where recorded.
+_RECORDED = ("s", "y", "v", "energy", "epsilon", "berry_phase", "dynamic_phase", "a")
+
+
+def _columns(run, keys) -> dict:
+    """{key: (S, N, ...)} of the values a run recorded over its S iterations,
+    for the keys it recorded; every one of its N rows must accept every
+    trial (one row, or rk4 rows that end together)."""
+    first = run.states[0][1]
+    return {k: np.stack([new[k] for _, new in run.states]) for k in keys if k in first}
 
 
 @dataclass
@@ -517,8 +513,9 @@ class _Rows:
     """Each row's status, or 'failed' with its exception (step index attached)
     in errors; its last accepted state y, launch velocity v0 (NaN if it
     failed there) and largest |energy| over its accepted states; and, when
-    recorded, (rows, values, berry, dynamic) of the rows that accept each
-    iteration's trial, per row of rows; values hold each row's clock s."""
+    recorded, (rows, values) of the rows that accept each iteration's trial,
+    per row of rows; values hold each row's clock s and the berry_phase and
+    dynamic_phase it has accumulated."""
 
     status: list
     errors: list
@@ -601,7 +598,8 @@ def _integrate_rows(model, bands, Y, t0, config, em=None, record=False) -> _Rows
                     cur[k][idx] = new[k]
             out.energy_peak[rows] = np.maximum(out.energy_peak[rows], np.abs(new["energy"]))
             if record:
-                out.states.append((idx, new, berry[rows].copy(), dynamic[rows].copy()))
+                new["berry_phase"], new["dynamic_phase"] = berry[rows].copy(), dynamic[rows].copy()
+                out.states.append((idx, new))
             if ((new["ratio"] > SPIN_FORCE_WARN_RATIO) | (new["epsilon"] > config.epsilon_abort)
                     | last[rows]).any():
                 for i in idx[(new["ratio"] > SPIN_FORCE_WARN_RATIO) & ~warned[idx]]:

@@ -396,7 +396,9 @@ def _check_drift(run, stacklevel: int) -> None:
 
 @dataclass(frozen=True)
 class MagnusRay:
-    """Integrated ray: parameter values, momenta, positions per step.
+    """Integrated ray as columns, one row per accepted step: the parameter s
+    (S,), momenta p and positions r (S, 3) and the ray energy
+    (p.p - n^2(r))/2 (S,), which the continuous flow keeps at 0.
 
     status is 'completed' (reached s_end) or 'max_steps' (budget exhausted),
     as for a Trajectory.
@@ -405,6 +407,7 @@ class MagnusRay:
     s: np.ndarray
     p: np.ndarray
     r: np.ndarray
+    energy: np.ndarray
     helicity: int
     constraint_drift: float
     status: str
@@ -418,7 +421,7 @@ def _trace(scn: OpticalScenario, p0, r0, helicities, s_end, step, max_steps) -> 
     """A MagnusRay of each helicity from (p0, r0), the rows of one RK loop."""
     if not (np.isfinite(s_end) and s_end > 0):
         raise ValueError(f"s_end must be positive and finite, got {s_end}")
-    from .dynamics import _integrate_rows
+    from .dynamics import _columns, _integrate_rows
     form, config = _rays(scn, step, s_end, max_steps)
     Y = np.array([[*p0, *r0]] * len(helicities), dtype=float)
     run = _integrate_rows(form, np.array([int(h > 0) for h in helicities]), Y, 0.0, config,
@@ -426,8 +429,9 @@ def _trace(scn: OpticalScenario, p0, r0, helicities, s_end, step, max_steps) -> 
     for err in filter(None, run.errors):
         raise err
     _check_drift(run, stacklevel=4)
-    s, y = (np.stack([st[1][k] for st in run.states]) for k in ("s", "y"))
-    return [MagnusRay(s=s[:, i], p=y[:, i, :3], r=y[:, i, 3:], helicity=h,
+    c = _columns(run, ("s", "y", "energy"))
+    return [MagnusRay(s=c["s"][:, i], p=c["y"][:, i, :3], r=c["y"][:, i, 3:],
+                      energy=c["energy"][:, i], helicity=h,
                       constraint_drift=2.0 * float(run.energy_peak[i]), status=run.status[i])
             for i, h in enumerate(helicities)]
 
@@ -437,10 +441,10 @@ def magnus_ray(scn: OpticalScenario, p0, r0, helicity: int, s_end: float = 1.0,
     """Trace one polarized ray through the graded index.
 
     pdot = grad(n^2)/2; rdot = p - helicity k0^{-1} (p x pdot)/|p|^3: one
-    row of the RK loop (_rays). |p|^2 - n^2 is conserved by the continuous
-    flow; its numeric drift is tracked and a ConstraintDriftWarning is
-    raised past 1e-6. A SpinForceWarning marks a Magnus term not small
-    against |p|.
+    row of the RK loop (_rays), whose recorded columns the MagnusRay holds.
+    |p|^2 - n^2 is conserved by the continuous flow; its numeric drift is
+    tracked and a ConstraintDriftWarning is raised past 1e-6. A
+    SpinForceWarning marks a Magnus term not small against |p|.
     """
     return _trace(scn, p0, r0, (_check_helicity(helicity),), s_end, step, max_steps)[0]
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgk.dynamics
 from sgk import PhasePoint, RashbaScenario, ZeemanScenario, cli, curvature_m_space
 from sgk.cli import fmt_float, main
 
@@ -221,14 +222,15 @@ def test_degenerate_start_exits_3(tmp_path, capsys):
     assert "integration step 0" in rec["message"]
 
 
-def test_breach_exits_4(tmp_path, capsys):
-    # the ramp rate at t = 0 puts epsilon = 1.25 above the default bound
-    config = {"scenario": {"kind": "zeeman",
-                           "b_field": {"kind": "linear", "f0": [0, 0, 1],
-                                       "gt": [0, 0, 5]}},
+# the ramp rate at t = 0 puts epsilon = 1.25 above the default bound
+BREACH_RUN = {"scenario": {"kind": "zeeman",
+                           "b_field": {"kind": "linear", "f0": [0, 0, 1], "gt": [0, 0, 5]}},
               "initial": {"p": [0.0, 0.0, 0.0], "r": [0.0, 0.0, 0.0]},
               "integrator": {"t_end": 0.5}}
-    code, out, err, out_dir = run_cli(tmp_path, capsys, "run-scenario", config)
+
+
+def test_breach_exits_4(tmp_path, capsys):
+    code, out, err, out_dir = run_cli(tmp_path, capsys, "run-scenario", BREACH_RUN)
     assert code == 4
     summary = json.loads(out.strip())
     assert summary["status"] == "adiabaticity_breach"
@@ -260,6 +262,64 @@ def test_optical_run_reports_max_steps(tmp_path, capsys):
     code, out, _, _ = run_cli(tmp_path, capsys, "run-scenario", config, out="full")
     summary = json.loads(out.strip())
     assert code == 0 and summary["status"] == "completed" and summary["steps"] == 1000
+
+
+POLY_RUN = {"scenario": {"kind": "zeeman",
+                         "b_field": {"kind": "poly", "f0": [0.2, -0.1, 1.0],
+                                     "G": [[0.1, 0, 0], [0, -0.2, 0.1], [0, 0.1, 0.1]],
+                                     "gt": [0.05, 0, 0], "qtt": [0, 0.02, 0]}},
+            "initial": {"p": [0.3, 0.1, -0.2], "r": [0.2, 0.1, 0.0], "t": 0.1},
+            "integrator": {"step": 0.01, "t_end": 0.3, "record_connection": True}}
+
+
+def returned(monkeypatch, module, name):
+    """The records that module.name returns from now on, in a list."""
+    records, fn = [], getattr(module, name)
+
+    def keep(*args, **kwargs):
+        records.append(fn(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(module, name, keep)
+    return records
+
+
+# launched along the index gradient, so the ray bends and its energy moves off 0
+BENT_RAY = {**OPTICAL_RUN, "initial": {"p": [0.0, 1.2, 0.0], "r": [0.0, 0.0, 0.0]}}
+
+
+@pytest.mark.parametrize("config, code", [(POLY_RUN, 0), (BREACH_RUN, 4), (BENT_RAY, 0)],
+                         ids=["zeeman-poly", "breach", "optical"])
+def test_trajectory_csv_holds_the_returned_record(tmp_path, capsys, monkeypatch, config, code):
+    optical = config["scenario"]["kind"] == "optical"
+    records = (returned(monkeypatch, cli, "magnus_ray") if optical
+               else returned(monkeypatch, sgk.dynamics, "integrate"))
+    assert run_cli(tmp_path, capsys, "run-scenario", config)[0] == code
+    (rec,) = records
+    _, header, rows = read_csv(tmp_path / "out" / "trajectory.csv")
+    table = dict(zip(header, np.array([[float(x) for x in row] for row in rows]).T))
+
+    def column(*names):
+        return np.column_stack([table[name] for name in names])
+
+    def same(got, want):  # bit for bit, once -0.0 is folded to 0 as the file does
+        assert got.tobytes() == (np.reshape(want, got.shape) + 0.0).tobytes()
+
+    same(column("p1", "p2", "p3"), rec.p)
+    same(column("r1", "r2", "r3"), rec.r)
+    same(table["energy"], rec.energy)
+    if optical:
+        same(table["t"], rec.s)
+        same(table["band"], np.full(len(rec.s), rec.helicity))
+        same(column("epsilon", "berry_phase", "dynamic_phase"), np.zeros((len(rec.s), 3)))
+        assert np.abs(rec.energy).max() > 0.0
+        return
+    same(table["t"], rec.t)
+    same(table["band"], np.full(len(rec.t), rec.band))
+    for name in ("epsilon", "berry_phase", "dynamic_phase"):
+        same(table[name], getattr(rec, name))
+    assert rec.a is not None  # recorded, though the file has no column for it
+    assert rec.breached or rec.berry_phase[-1] != 0.0
 
 
 # -- chern-charge -------------------------------------------------------------
@@ -643,6 +703,8 @@ def _unread_cases():
             yield pytest.param(command, base, "integrator", key, value,
                                "optical rays read only step, t_end and max_steps",
                                id=f"{command}-{key}")
+    yield pytest.param("run-scenario", OPTICAL_RUN, "initial", "t", 5.0,
+                       "optical rays start at s = 0", id="run-scenario-initial-t")
     yield pytest.param("curvature-map", {**MAP_CONFIG, "method": "split"}, None,
                        "richardson", True, "only the plaquette method reads it",
                        id="split-richardson")

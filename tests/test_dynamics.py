@@ -293,10 +293,9 @@ def test_free_drift_is_exact():
     cfg = IntegratorConfig(step=1e-2, t_end=1.0, record_connection=False)
     traj = integrate(scn.model(), 0, M1, cfg)
     assert traj.status == "completed"
-    fin = traj.final
-    assert fin.m.t == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(fin.m.p, M1.p, atol=1e-14)
-    assert np.allclose(fin.m.r, np.asarray(M1.r) + np.asarray(M1.p), atol=1e-12)
+    assert traj.t[-1] == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(traj.p[-1], M1.p, atol=1e-14)
+    assert np.allclose(traj.r[-1], np.asarray(M1.r) + np.asarray(M1.p), atol=1e-12)
 
 
 def test_canonical_flow_conserves_energy():
@@ -305,7 +304,7 @@ def test_canonical_flow_conserves_energy():
                            record_connection=False)
     traj = integrate(scn.model(), 0, M1, cfg)
     assert traj.status == "completed"
-    energies = np.array([s.energy for s in traj.states])
+    energies = traj.energy
     assert np.max(np.abs(energies - energies[0])) < 1e-8
 
 
@@ -320,8 +319,8 @@ def test_rk4_global_error_scales_fourth_order():
 
     def run(step):
         cfg = IntegratorConfig(step=step, t_end=1.0, record_connection=False)
-        fin = integrate(scn.model(), 1, start, cfg, em=em).final
-        return np.concatenate([fin.m.p, fin.m.r])
+        traj = integrate(scn.model(), 1, start, cfg, em=em)
+        return np.concatenate([traj.p[-1], traj.r[-1]])
 
     ref = run(1.0 / 800)
     err_h = np.linalg.norm(run(1.0 / 25) - ref)
@@ -338,8 +337,21 @@ def test_whole_number_of_steps_leaves_no_sliver():
                            record_connection=False)
     traj = integrate(uniform_zeeman().model(), 0, M1, cfg)
     assert traj.status == "completed"
-    assert len(traj.states) == 101
-    assert traj.final.m.t == t_end
+    assert len(traj.t) == 101
+    assert traj.t[-1] == t_end
+
+
+def test_the_record_has_one_row_per_state():
+    # row 0 is the initial point with its bits, a t of -0.0 included; the
+    # rows after it are the RK loop's accepted states at t0 + s
+    start = PhasePoint(M1.p, M1.r, -0.0)
+    traj = integrate(linear_zeeman().model(), 1, start, IntegratorConfig(step=0.1, t_end=0.35))
+    assert traj.status == "completed" and traj.band == 1 and traj.hbar == 1.0
+    assert np.signbit(traj.t[0]) and traj.t.tolist()[1:] == pytest.approx([0.1, 0.2, 0.3, 0.35])
+    assert np.hstack([traj.p[0], traj.r[0]]).tobytes() == np.hstack([start.p, start.r]).tobytes()
+    shapes = {k: getattr(traj, k).shape for k in ("p", "r", "v", "a", "energy", "berry_phase")}
+    assert shapes == {"p": (5, 3), "r": (5, 3), "v": (5, 6), "a": (5, 7), "energy": (5,),
+                      "berry_phase": (5,)}
 
 
 def test_rkf45_matches_rk4():
@@ -347,14 +359,13 @@ def test_rkf45_matches_rk4():
     fine = IntegratorConfig(step=5e-4, t_end=0.5, record_connection=False)
     adaptive = IntegratorConfig(method="rkf45", step=1e-2, tolerance=1e-10,
                                 t_end=0.5, record_connection=False)
-    a = integrate(scn.model(), 1, M1, fine).final
-    traj_b = integrate(scn.model(), 1, M1, adaptive)
-    b = traj_b.final
-    assert b.m.t == pytest.approx(0.5, abs=1e-10)
-    assert np.allclose(a.m.p, b.m.p, atol=1e-8)
-    assert np.allclose(a.m.r, b.m.r, atol=1e-8)
+    a = integrate(scn.model(), 1, M1, fine)
+    b = integrate(scn.model(), 1, M1, adaptive)
+    assert b.t[-1] == pytest.approx(0.5, abs=1e-10)
+    assert np.allclose(a.p[-1], b.p[-1], atol=1e-8)
+    assert np.allclose(a.r[-1], b.r[-1], atol=1e-8)
     # the controller should take far fewer accepted steps than fixed fine rk4
-    assert len(traj_b.states) < 200
+    assert len(b.t) < 200
 
 
 # -- Liouville's theorem ------------------------------------------------------------
@@ -441,12 +452,12 @@ def test_phase_decomposition_on_a_coupling_loop():
 
     # the connection is differenced with step ~1e-4 scale(m), so the
     # accumulated phase carries an O(1e-8) truncation bias
-    berry = traj.final.berry_phase
+    berry = traj.berry_phase[-1]
     assert berry == pytest.approx(-np.pi * (1.0 - np.cos(theta)), abs=1e-6)
 
     # dynamic phase: the rate (p.rdot - E)/hbar is constant on this loop
     E_up = 0.5 * float(p0 @ p0) + b
-    dyn = traj.final.dynamic_phase
+    dyn = traj.dynamic_phase[-1]
     assert dyn == pytest.approx(T * (float(p0 @ p0) - E_up), abs=1e-8)
 
     # the same loop phase from the line integral over the time axis
@@ -459,8 +470,8 @@ def test_phase_is_band_antisymmetric_on_the_loop():
     scn, T = rotating_setup()
     start = PhasePoint((0.3, 0.0, 0.0), np.zeros(3), 0.0)
     cfg = IntegratorConfig(step=T / 250.0, t_end=T)
-    up = integrate(scn.model(), 1, start, cfg).final.berry_phase
-    dn = integrate(scn.model(), 0, start, cfg).final.berry_phase
+    up = integrate(scn.model(), 1, start, cfg).berry_phase[-1]
+    dn = integrate(scn.model(), 0, start, cfg).berry_phase[-1]
     assert up == pytest.approx(-dn, abs=1e-7)
 
 
@@ -470,20 +481,19 @@ def test_generalized_coordinates_identity():
     cfg = IntegratorConfig(step=1e-2, t_end=0.1)
     traj = integrate(scn.model(), 1, start, cfg)
     hb = scn.model().constants.hbar
-    for st in traj.states:
-        P, R = st.generalized()
-        assert np.array_equal(P, st.m.p + hb * st.a_r)
-        assert np.array_equal(R, st.m.r - hb * st.a_p)
+    P, R = traj.generalized()
+    assert np.array_equal(P, traj.p + hb * traj.a[:, 3:6])
+    assert np.array_equal(R, traj.r - hb * traj.a[:, :3])
 
 
 def test_generalized_requires_connection_recording():
     scn = uniform_zeeman()
     cfg = IntegratorConfig(step=1e-2, t_end=0.05, record_connection=False)
-    fin = integrate(scn.model(), 0, M1, cfg).final
-    assert fin.a_p is None
-    assert fin.berry_phase == 0.0
+    traj = integrate(scn.model(), 0, M1, cfg)
+    assert traj.a is None
+    assert traj.berry_phase[-1] == 0.0
     with pytest.raises(ValueError):
-        fin.generalized()
+        traj.generalized()
 
 
 # -- adiabaticity ----------------------------------------------------------------
@@ -516,8 +526,8 @@ def test_fast_ramp_breaches_immediately():
     traj = integrate(scn.model(), 0, start, cfg)
     assert traj.status == "adiabaticity_breach"
     assert traj.breached
-    assert len(traj.states) == 1
-    assert traj.final.epsilon == pytest.approx(1.25, rel=1e-9)
+    assert len(traj.t) == 1
+    assert traj.epsilon[-1] == pytest.approx(1.25, rel=1e-9)
 
 
 def test_slow_ramp_completes_below_threshold():
@@ -527,7 +537,7 @@ def test_slow_ramp_completes_below_threshold():
     start = PhasePoint(np.zeros(3), np.zeros(3), 0.0)
     traj = integrate(scn.model(), 0, start, cfg)
     assert traj.status == "completed"
-    assert max(s.epsilon for s in traj.states) < 0.5
+    assert traj.epsilon.max() < 0.5
 
 
 @pytest.mark.filterwarnings("error")
@@ -540,7 +550,7 @@ def test_epsilon_stays_finite_near_rest(scn, p1):
     assert 0.0 <= adiabaticity_epsilon(model, 0, m) < 1e-150
     traj = integrate(model, 0, m, IntegratorConfig(step=0.01, t_end=0.05))
     assert traj.status == "completed"
-    assert np.isfinite([st.epsilon for st in traj.states]).all()
+    assert np.isfinite(traj.epsilon).all()
 
 
 @pytest.mark.filterwarnings("error")
@@ -804,11 +814,11 @@ def test_generic_copies_integrate_like_the_split_model(kind):
                 want = integrate(model, band, m, config, em=em)
                 got = integrate(generic_copy(model), band, m, config, em=em)
             assert got.status == want.status == "completed"
-            assert len(got.states) == len(want.states) == 11
-            a, b = got.final, want.final
-            assert np.abs(np.concatenate([a.m.p - b.m.p, a.m.r - b.m.r])).max() <= delta
+            assert len(got.t) == len(want.t) == 11
+            final = [np.hstack([traj.p[-1], traj.r[-1]]) for traj in (got, want)]
+            assert np.abs(final[0] - final[1]).max() <= delta
             for key in ("energy", "epsilon", "berry_phase", "dynamic_phase"):
-                assert abs(getattr(a, key) - getattr(b, key)) <= delta, key
+                assert abs(getattr(got, key)[-1] - getattr(want, key)[-1]) <= delta, key
 
 
 @pytest.mark.parametrize("n, seed", [(3, 0), (3, 1), (3, 2), (4, 3)])

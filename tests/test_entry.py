@@ -74,6 +74,33 @@ def test_the_process_matches_main_in_process(case, tmp_path):
         assert files(tmp_path / "process") == files(tmp_path / "main") != {}
 
 
+# each warning the process prints is one line, with no source path or source line
+WARNINGS = {
+    "constraint-drift": ("run-scenario", {
+        "scenario": {"kind": "optical", "index": {"kind": "uniform", "n0": 1.3}},
+        "initial": {"p": [0.0, 0.1, 1.3], "r": [0.0, 0.0, 0.0]},
+        "integrator": {"step": 0.001, "t_end": 0.5}},
+        "ConstraintDriftWarning: dispersion constraint drifted to 1.000e-02\n"),
+    "spin-force": ("ensemble", {
+        "scenario": {"kind": "rashba", "e_inplane": [0.5, 0.0]},
+        "integrator": {"step": 0.01, "t_end": 0.05},
+        "ensemble": {"count": 4, "p_center": [0.3, 0.0], "r_center": [0.0, 0.0],
+                     "p_spread": [0.1, 0.1], "sampler": "grid"}},
+        "SpinForceWarning: spin gauge force is not small against the zeroth-order forces; "
+        "the adiabatic velocity expansion is marginal here\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WARNINGS))
+def test_the_process_prints_a_warning_as_one_line(case, tmp_path):
+    command, config, stderr = WARNINGS[case]
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    proc = python("-m", "sgk.cli", command, "--config", "config.json", "--out", "out",
+                  cwd=tmp_path)
+    assert proc.returncode == 0
+    assert proc.stderr == stderr
+
+
 def test_import_sgk_loads_no_submodule(tmp_path):
     # a public name loads its own submodule (and what that imports) on first use
     proc = python("-c", "import json, sys, sgk\n"

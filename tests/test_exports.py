@@ -73,3 +73,10 @@ def test_every_battery_check_is_called_by_an_acceptance_criterion():
               for node in ast.walk(test)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert [fn.__name__ for fn in verify.BATTERY if fn.__name__ not in called] == []
+
+
+def test_the_readme_library_sketch_runs(capsys):
+    # run as written, so the sketch cannot drift from the API
+    (sketch,) = re.findall(r"## Library sketch\n\n```python\n(.*?)```", README, re.S)
+    exec(compile(sketch, "README.md", "exec"), {})
+    assert capsys.readouterr().out

@@ -153,7 +153,7 @@ def test_differenced_integration_makes_no_eigensolve(kind, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     cfg = IntegratorConfig(step=0.01, t_end=0.05, record_connection=True)
     traj = integrate(strip(model), 1, m, cfg)
-    assert traj.status == "completed" and traj.final.berry_phase != 0.0
+    assert traj.status == "completed" and traj.berry_phase[-1] != 0.0
     assert calls == []
 
 

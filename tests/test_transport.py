@@ -485,8 +485,9 @@ def row_outcome(run, i):
     """A row's status, error text, final state and launch velocity, and the
     clock, state and phases it recorded at each step, as bytes."""
     err = run.errors[i]
-    steps = [np.concatenate([[new["s"][k]], new["y"][k], [berry[k], dynamic[k]]]).tobytes()
-             for rows, new, berry, dynamic in run.states for k in np.flatnonzero(rows == i)]
+    steps = [np.concatenate([[new["s"][k]], new["y"][k],
+                             [new["berry_phase"][k], new["dynamic_phase"][k]]]).tobytes()
+             for rows, new in run.states for k in np.flatnonzero(rows == i)]
     return (run.status[i], None if err is None else f"{type(err).__name__}: {err}",
             run.y[i].tobytes(), run.v0[i].tobytes(), steps)
 
@@ -563,10 +564,10 @@ def test_row_bits_do_not_depend_on_the_batch(kind, seed, epsilon_abort, data):
             assert [b[:8 * (1 + 2 * d)] for b in want[i][4]] == [
                 np.concatenate([[s], p, r]).tobytes() for s, p, r in zip(ray.s, ray.p, ray.r)]
             continue
-        v0 = np.concatenate([traj.states[0].v_p, traj.states[0].v_r])
-        final = np.concatenate([traj.final.m.p, traj.final.m.r])
-        steps = [np.concatenate([[st.m.t], st.m.p, st.m.r, [st.berry_phase, st.dynamic_phase]])
-                 .tobytes() for st in traj.states]
+        v0 = traj.v[0]
+        final = np.concatenate([traj.p[-1], traj.r[-1]])
+        steps = [row.tobytes() for row in np.column_stack(
+            [traj.t, traj.p, traj.r, traj.berry_phase, traj.dynamic_phase])]
         assert want[i] == (traj.status, None, final.tobytes(), v0.tobytes(), steps)
 
 
@@ -599,9 +600,9 @@ def test_lockstep_failures_are_isolated():
             want.append((i // 2, band, "EnsembleError: trajectory ended with status "
                          f"{traj.status!r}"))
         else:
-            disp = float(traj.final.m.r @ EY - y[3:] @ EY)
+            disp = float(traj.r[-1] @ EY - y[3:] @ EY)
             assert report.disp_samples[i // 2, band] == disp
-            assert report.v0_samples[i // 2, band] == float(traj.states[0].v_r @ EY)
+            assert report.v0_samples[i // 2, band] == float(traj.v[0, 3:] @ EY)
     assert report.failures == tuple(want)
     assert [(i, b) for i, b, _ in want] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert "DegeneracyError" in want[0][2] and "adiabaticity_breach" in want[2][2]
@@ -697,9 +698,9 @@ def test_rkf45_ensembles_run_in_lockstep(monkeypatch):
     for i, (band, y) in enumerate(zip(bands, Y)):
         traj = integrate(spec.model, band, PhasePoint(y[:3], y[3:], 0.0), config)
         assert (traj.status, run.status[i]) == ("completed", "completed")
-        assert run.y[i].tobytes() == np.concatenate([traj.final.m.p, traj.final.m.r]).tobytes()
-        assert report.disp_samples[i // 2, band] == float((traj.final.m.r - y[3:]) @ axis)
-        assert report.v0_samples[i // 2, band] == float(traj.states[0].v_r @ axis)
+        assert run.y[i].tobytes() == np.concatenate([traj.p[-1], traj.r[-1]]).tobytes()
+        assert report.disp_samples[i // 2, band] == float((traj.r[-1] - y[3:]) @ axis)
+        assert report.v0_samples[i // 2, band] == float(traj.v[0, 3:] @ axis)
 
 
 # -- polarization -------------------------------------------------------------
